@@ -51,13 +51,14 @@ def _as_matrix(vectors):
 
 
 def _label_strings(labels):
-    out = []
-    for lab in labels:
-        out.append(lab.value if isinstance(lab, Label) else str(lab))
-    arr = np.asarray(out)
-    bad = set(arr.tolist()) - {"ADL", "FALL"}
-    if bad:
-        raise ValueError(f"unknown labels {sorted(bad)}")
+    arr = np.asarray(labels)
+    if arr.dtype.kind != "U":
+        arr = np.array(
+            [lab.value if isinstance(lab, Label) else str(lab) for lab in arr.ravel()], dtype=str
+        )
+    bad = (arr != "ADL") & (arr != "FALL")
+    if bad.any():
+        raise ValueError(f"unknown labels {sorted(set(arr[bad].tolist()))}")
     return arr
 
 
@@ -225,84 +226,174 @@ def resolve_gamma(gamma, standardized):
     return gamma
 
 
-def _rbf_to_rows(gamma, rows, query):
-    d2 = ((rows - query) ** 2).sum(axis=1)
-    return np.exp(-gamma * d2)
+def _sq_norms(A):
+    return (A * A).sum(axis=1)
 
 
-def _solve_pairwise_dual(X, y, box, alpha, p, gamma, tol, max_iter):
+def _sq_dists(A, sq_a, B, sq_b):
+    """Squared Euclidean distances between rows of A and rows of B, given
+    their squared norms; clipped at 0 against cancellation."""
+    d2 = np.add.outer(sq_a, sq_b)
+    gram = A @ B.T
+    gram *= 2.0
+    d2 -= gram
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _sq_dist_rows(Xs, sq, start, stop):
+    """Rows start..stop of the squared-distance matrix of Xs with itself.
+
+    One matrix-vector product per row rather than one matrix product:
+    a row then comes out bit for bit the same whether it is computed
+    alone or as part of the whole matrix, so the solver takes the same
+    steps from either kernel source.
+    """
+    d2 = np.add.outer(sq[start:stop], sq)
+    for k in range(stop - start):
+        d2[k] -= 2.0 * (Xs @ Xs[start + k])
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _rbf(d2, gamma):
+    """exp(-gamma * d2), computed in the buffer of d2."""
+    d2 *= -gamma
+    return np.exp(d2, out=d2)
+
+
+class _KernelRows:
+    """RBF kernel rows computed on demand, for problems whose kernel matrix
+    does not fit the memory budget.  Holds up to _CACHE_BUDGET_BYTES of
+    rows, dropping the oldest first; K[i] is row i, K @ v the product."""
+
+    def __init__(self, Xs, sq, gamma):
+        self.Xs = Xs
+        self.sq = sq
+        self.gamma = gamma
+        self._rows = {}
+        self._cap = max(2, int(_CACHE_BUDGET_BYTES / (8 * len(Xs))))
+
+    def _row(self, i):
+        return _rbf(_sq_dist_rows(self.Xs, self.sq, i, i + 1), self.gamma)[0]
+
+    def __getitem__(self, i):
+        row = self._rows.get(i)
+        if row is None:
+            if len(self._rows) >= self._cap:
+                self._rows.pop(next(iter(self._rows)))
+            row = self._rows[i] = self._row(i)
+        return row
+
+    def __matmul__(self, v):
+        # row by row and past the cache: one row in memory at a time
+        return np.array([self._row(i) @ v for i in range(len(self.Xs))])
+
+
+class SvmPrep:
+    """Standardized training rows and their RBF kernel, shared by every
+    solve on the same rows.
+
+    The squared-distance matrix is computed once and the kernel once per
+    gamma (the latest one is kept), so a hyperparameter search trains all
+    of its (gamma, C or nu) candidates on one split from one preparation.
+    When the distance and kernel matrices together would exceed
+    _CACHE_BUDGET_BYTES, kernel rows are computed on demand instead.
+    """
+
+    def __init__(self, vectors):
+        X = _as_matrix(vectors)
+        self.mean, self.scale = standardize_fit(X)
+        self.Xs = standardize_apply(X, self.mean, self.scale)
+        self.sq = _sq_norms(self.Xs)
+        m = len(X)
+        fits = 16.0 * m * m <= _CACHE_BUDGET_BYTES
+        self.d2 = _sq_dist_rows(self.Xs, self.sq, 0, m) if fits else None
+        self._gamma = None
+        self._kernel = None
+
+    def __len__(self):
+        return len(self.Xs)
+
+    def kernel(self, gamma):
+        """Kernel for resolved gamma: a matrix, or _KernelRows over budget."""
+        if gamma != self._gamma:
+            self._kernel = None  # release the old matrix before building the next
+            if self.d2 is None:
+                self._kernel = _KernelRows(self.Xs, self.sq, gamma)
+            else:
+                self._kernel = _rbf(self.d2.copy(), gamma)
+            self._gamma = gamma
+        return self._kernel
+
+
+def _solve_pairwise_dual(K, y, box, alpha, p, tol, max_iter):
     """Minimize 1/2 a'Qa + p'a s.t. 0 <= a <= box, sum(a*y) fixed.
 
-    Q_ij = y_i y_j K_ij with the RBF kernel over rows of X.  Works the
-    maximal violating pair each iteration (first-order selection) and stops
-    when the duality-gap surrogate m(a) - M(a) drops to tol.  Returns the
-    multipliers, the bias estimate in violation units, and run stats.
+    Q_ij = y_i y_j K_ij, where K[i] is row i of the kernel matrix and K @ v
+    its product with a vector.  Works the maximal violating pair each
+    iteration (first-order selection) and stops when the duality-gap
+    surrogate m(a) - M(a) drops to tol.  Returns the multipliers, the bias
+    estimate in violation units, and run stats.
     """
-    m = len(y)
-    sq = (X * X).sum(axis=1)
-    cache = {}
-    cache_cap = max(2, int(_CACHE_BUDGET_BYTES / (8 * m)))
-
-    def kcol(i):
-        col = cache.get(i)
-        if col is None:
-            d2 = sq + sq[i] - 2.0 * (X @ X[i])
-            np.maximum(d2, 0.0, out=d2)
-            col = np.exp(-gamma * d2)
-            if len(cache) >= cache_cap:
-                cache.pop(next(iter(cache)))
-            cache[i] = col
-        return col
-
-    G = p.astype(np.float64).copy()
-    for j in np.flatnonzero(alpha):
-        G += (alpha[j] * y[j]) * (y * kcol(j))
+    G = y * (K @ (alpha * y)) + p
+    # s = -y * G.  As y_i^2 = 1, a pair step moves s by the two changed
+    # multipliers' kernel rows alone.
+    s = -y * G
+    # Offsets that mask s for the pair selection: 0 where a multiplier
+    # may still move that way, -inf (up) or +inf (low) where it may not.
+    # Adding one costs less than np.where.
+    up = np.where(np.where(y > 0, alpha < box, alpha > 0), 0.0, -np.inf)
+    low = np.where(np.where(y > 0, alpha > 0, alpha < box), 0.0, np.inf)
+    # scalars are read from lists: indexing a list is cheaper than an array
+    yl = y.tolist()
+    bl = box.tolist()
+    a = alpha.tolist()
 
     iterations = 0
     converged = False
-    gap = np.inf
     while True:
-        s = -y * G
-        up = ((y > 0) & (alpha < box)) | ((y < 0) & (alpha > 0))
-        low = ((y < 0) & (alpha < box)) | ((y > 0) & (alpha > 0))
-        lo = np.max(s[up]) if up.any() else -np.inf
-        hi = np.min(s[low]) if low.any() else np.inf
+        s_up = s + up
+        s_low = s + low
+        i = int(s_up.argmax())
+        j = int(s_low.argmin())
+        lo = float(s_up[i])
+        hi = float(s_low[j])
         gap = lo - hi
         if gap <= tol:
             converged = True
             break
         if iterations >= max_iter:
             break
-        i = int(np.argmax(np.where(up, s, -np.inf)))
-        j = int(np.argmin(np.where(low, s, np.inf)))
 
-        ki = kcol(i)
-        kj = kcol(j)
-        eta = ki[i] + kj[j] - 2.0 * ki[j]
+        ki = K[i]
+        kj = K[j]
+        eta = float(ki[i] + kj[j] - 2.0 * ki[j])
         if eta <= _SV_EPS:
             eta = _SV_EPS
-        t = (s[i] - s[j]) / eta
+        yi, yj = yl[i], yl[j]
+        old_i, old_j = a[i], a[j]
         # largest step keeping both multipliers inside their boxes
-        room_i = box[i] - alpha[i] if y[i] > 0 else alpha[i]
-        room_j = alpha[j] if y[j] > 0 else box[j] - alpha[j]
-        t = min(t, room_i, room_j)
+        room_i = bl[i] - old_i if yi > 0 else old_i
+        room_j = old_j if yj > 0 else bl[j] - old_j
+        t = min(gap / eta, room_i, room_j)
 
-        old_i, old_j = alpha[i], alpha[j]
-        alpha[i] = min(max(old_i + y[i] * t, 0.0), box[i])
-        alpha[j] = min(max(old_j - y[j] * t, 0.0), box[j])
-        d_i = alpha[i] - old_i
-        d_j = alpha[j] - old_j
-        G += y * (d_i * y[i] * ki + d_j * y[j] * kj)
+        new_i = a[i] = min(max(old_i + yi * t, 0.0), bl[i])
+        new_j = a[j] = min(max(old_j - yj * t, 0.0), bl[j])
+        s -= (new_i - old_i) * yi * ki + (new_j - old_j) * yj * kj
+        for k, ak in ((i, new_i), (j, new_j)):
+            below_box, above_zero = ak < bl[k], ak > 0.0
+            in_up, in_low = (below_box, above_zero) if yl[k] > 0 else (above_zero, below_box)
+            up[k] = 0.0 if in_up else -np.inf
+            low[k] = 0.0 if in_low else np.inf
         iterations += 1
 
-    s = -y * G
+    alpha = np.array(a)
     free = (alpha > 0) & (alpha < box)
     if free.any():
         bias = float(s[free].mean())
     else:
         finite = [v for v in (lo, hi) if np.isfinite(v)]
         bias = float(np.mean(finite)) if finite else 0.0
-    return alpha, bias, iterations, converged, float(gap), float(lo), float(hi)
+    return alpha, bias, iterations, converged, gap, lo, hi
 
 
 def train_tc_svm(vectors, labels, C, gamma="auto", tol=SVM_TOL, max_iter=None):
@@ -310,10 +401,12 @@ def train_tc_svm(vectors, labels, C, gamma="auto", tol=SVM_TOL, max_iter=None):
 
     FALL maps to y = +1, so the raw decision value is already oriented
     with fall-likeness.  Features are z-scored with training statistics.
+    vectors may be an SvmPrep of the training matrix, shared between
+    calls on the same rows.
     """
-    X = _as_matrix(vectors)
+    prep = vectors if isinstance(vectors, SvmPrep) else SvmPrep(vectors)
     labs = _label_strings(labels)
-    if len(labs) != len(X):
+    if len(labs) != len(prep):
         raise DimensionError("labels and vectors must correspond one to one")
     n_fall = int((labs == "FALL").sum())
     n_adl = len(labs) - n_fall
@@ -323,20 +416,18 @@ def train_tc_svm(vectors, labels, C, gamma="auto", tol=SVM_TOL, max_iter=None):
     if C <= 0:
         raise ValueError("C must be positive")
 
-    mean, scale = standardize_fit(X)
-    Xs = standardize_apply(X, mean, scale)
+    Xs = prep.Xs
     gamma = resolve_gamma(gamma, Xs)
     m = len(Xs)
     y = np.where(labs == "FALL", 1.0, -1.0)
     if max_iter is None:
         max_iter = 10 * m
     alpha, bias, iters, converged, gap, _, _ = _solve_pairwise_dual(
-        Xs,
+        prep.kernel(gamma),
         y,
         box=np.full(m, C),
         alpha=np.zeros(m),
         p=-np.ones(m),
-        gamma=gamma,
         tol=tol,
         max_iter=max_iter,
     )
@@ -353,8 +444,8 @@ def train_tc_svm(vectors, labels, C, gamma="auto", tol=SVM_TOL, max_iter=None):
         support_labels=y[keep],
         bias=bias,
         C=C,
-        mean=mean,
-        scale=scale,
+        mean=prep.mean,
+        scale=prep.scale,
     )
     summary = {
         "variant": "TC_SVM",
@@ -378,29 +469,28 @@ def train_oc_svm(adl_vectors, nu, gamma="auto", tol=SVM_TOL, max_iter=None):
     which keeps fully symmetric problems at the symmetric solution.  rho
     sits at the conservative edge of the solver's stopping interval, so
     only at-bound training vectors can score positive and the training
-    outlier fraction stays below nu.
+    outlier fraction stays below nu.  adl_vectors may be an SvmPrep of
+    the training matrix, shared between calls on the same rows.
     """
-    X = _as_matrix(adl_vectors)
+    prep = adl_vectors if isinstance(adl_vectors, SvmPrep) else SvmPrep(adl_vectors)
     nu = float(nu)
     if not 0 < nu <= 1:
         raise InvalidNu(f"nu must lie in (0, 1], got {nu}")
-    m = len(X)
+    m = len(prep)
     if m < 2:
         raise InsufficientData("one-class SVM needs at least 2 vectors")
 
-    mean, scale = standardize_fit(X)
-    Xs = standardize_apply(X, mean, scale)
+    Xs = prep.Xs
     gamma = resolve_gamma(gamma, Xs)
     if max_iter is None:
         max_iter = 10 * m
     upper = 1.0 / (nu * m)
     alpha, bias, iters, converged, gap, lo, hi = _solve_pairwise_dual(
-        Xs,
+        prep.kernel(gamma),
         np.ones(m),
         box=np.full(m, upper),
         alpha=np.full(m, 1.0 / m),
         p=np.zeros(m),
-        gamma=gamma,
         tol=tol,
         max_iter=max_iter,
     )
@@ -426,8 +516,8 @@ def train_oc_svm(adl_vectors, nu, gamma="auto", tol=SVM_TOL, max_iter=None):
         support_vectors=Xs[keep],
         bias=rho,
         nu=nu,
-        mean=mean,
-        scale=scale,
+        mean=prep.mean,
+        scale=prep.scale,
     )
     summary = {
         "variant": "OC_SVM",
@@ -441,6 +531,20 @@ def train_oc_svm(adl_vectors, nu, gamma="auto", tol=SVM_TOL, max_iter=None):
         "gap": gap,
     }
     return TrainedModel(Variant.OC_SVM, params, summary)
+
+
+def _kernel_expansion(p, vectors, coef):
+    """sum_i coef_i K(sv_i, q) for every row q of vectors, standardized
+    first; one query x support-vector kernel block per budget-sized chunk."""
+    qs = standardize_apply(vectors, p.mean, p.scale)
+    sv = p.support_vectors
+    sv_sq = _sq_norms(sv)
+    step = max(1, int(_CACHE_BUDGET_BYTES / (16 * max(1, len(sv)))))
+    out = np.empty(len(qs))
+    for b in range(0, len(qs), step):
+        q = qs[b:b + step]
+        out[b:b + step] = _rbf(_sq_dists(q, _sq_norms(q), sv, sv_sq), p.gamma) @ coef
+    return out
 
 
 def score_batch(model, vectors):
@@ -467,14 +571,9 @@ def score_batch(model, vectors):
             df = knn_mean_distance(fall, q, p.k)
             out[i] = 0.5 if da + df == 0 else da / (da + df)
     elif model.variant is Variant.TC_SVM:
-        qs = standardize_apply(vectors, p.mean, p.scale)
-        coef = p.alpha * p.support_labels
-        for i, q in enumerate(qs):
-            out[i] = coef @ _rbf_to_rows(p.gamma, p.support_vectors, q) + p.bias
+        out = _kernel_expansion(p, vectors, p.alpha * p.support_labels) + p.bias
     elif model.variant is Variant.OC_SVM:
-        qs = standardize_apply(vectors, p.mean, p.scale)
-        for i, q in enumerate(qs):
-            out[i] = p.bias - p.alpha @ _rbf_to_rows(p.gamma, p.support_vectors, q)
+        out = p.bias - _kernel_expansion(p, vectors, p.alpha)
     else:
         raise ValueError(f"unknown variant {model.variant!r}")
     return out

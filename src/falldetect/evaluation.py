@@ -37,13 +37,16 @@ _STREAM_INNER = 303
 
 
 def _positive_mask(labels):
-    out = np.empty(len(labels), dtype=bool)
-    for i, lab in enumerate(labels):
-        val = lab.value if isinstance(lab, Label) else str(lab)
-        if val not in ("ADL", "FALL"):
-            raise ValueError(f"unknown label {val!r}")
-        out[i] = val == "FALL"
-    return out
+    arr = np.asarray(labels)
+    if arr.dtype.kind != "U":
+        arr = np.array(
+            [lab.value if isinstance(lab, Label) else str(lab) for lab in arr.ravel()], dtype=str
+        )
+    pos = arr == "FALL"
+    bad = ~pos & (arr != "ADL")
+    if bad.any():
+        raise ValueError(f"unknown label {arr[bad][0].item()!r}")
+    return pos
 
 
 @dataclass
@@ -328,14 +331,20 @@ def _select_k(variant, X, labels, cfg, seed):
     return best_k, sums[best_k] / len(usable)
 
 
-def _train_svm(variant, X, labels, params, cfg):
+def _svm_prep(variant, X, labels):
+    """Shared preparation of the rows an SVM of this variant trains on:
+    all of them for two-class, the ADL rows for one-class."""
+    rows = X if variant is Variant.TC_SVM else X[~_positive_mask(labels)]
+    return classifiers.SvmPrep(rows)
+
+
+def _train_svm(variant, prep, labels, params, cfg):
     if variant is Variant.TC_SVM:
         return classifiers.train_tc_svm(
-            X, labels, C=params[0], gamma=params[1], tol=cfg.svm_tol, max_iter=cfg.svm_max_iter
+            prep, labels, C=params[0], gamma=params[1], tol=cfg.svm_tol, max_iter=cfg.svm_max_iter
         )
-    adl = X[~_positive_mask(labels)]
     return classifiers.train_oc_svm(
-        adl, nu=params[0], gamma=params[1], tol=cfg.svm_tol, max_iter=cfg.svm_max_iter
+        prep, nu=params[0], gamma=params[1], tol=cfg.svm_tol, max_iter=cfg.svm_max_iter
     )
 
 
@@ -348,17 +357,22 @@ def _select_svm_params(variant, X, labels, cfg, seed):
     usable = _usable_inner_folds(plan, labels, needs_tc_train=variant is Variant.TC_SVM)
     if not usable:
         raise InsufficientData("no inner fold has both classes in its validation split")
-    means = []
+    # Folds outside, candidates inside, so each split's preparation serves
+    # the whole grid, visited gamma by gamma to build each kernel once.
+    # Every candidate still sums its AUCs in fold order.
+    totals = [0.0] * len(candidates)
+    n_gamma = len(cfg.gamma_grid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
-        for cand in candidates:
-            total = 0.0
-            for g in usable:
-                tr = plan.train_indices(g)
-                val = plan.test_indices(g)
-                model = _train_svm(variant, X[tr], labels[tr], cand, cfg)
-                total += auc(roc_curve(score_batch(model, X[val]), labels[val]))
-            means.append(total / len(usable))
+        for g in usable:
+            tr = plan.train_indices(g)
+            val = plan.test_indices(g)
+            prep = _svm_prep(variant, X[tr], labels[tr])
+            for gi in range(n_gamma):
+                for c in range(gi, len(candidates), n_gamma):
+                    model = _train_svm(variant, prep, labels[tr], candidates[c], cfg)
+                    totals[c] += auc(roc_curve(score_batch(model, X[val]), labels[val]))
+    means = [total / len(usable) for total in totals]
     best = int(np.argmax(means))  # first best wins, fixed grid order
     return candidates[best], means[best]
 
@@ -402,7 +416,7 @@ def run_experiment(collection, feature_kind, window_len, variant, config=None):
                 chosen = {"k": k}
             else:
                 params, inner_auc = _select_svm_params(var, Xtr, ltr, cfg, seed_f)
-                model = _train_svm(var, Xtr, ltr, params, cfg)
+                model = _train_svm(var, _svm_prep(var, Xtr, ltr), ltr, params, cfg)
                 key = "C" if var is Variant.TC_SVM else "nu"
                 chosen = {
                     key: params[0],

@@ -123,6 +123,14 @@ class TestTwoClassKnn:
         a = cls.score_batch(cls.train_tc_knn(vectors, strings, k=2), qs)
         b = cls.score_batch(cls.train_tc_knn(vectors, enums, k=2), qs)
         assert np.array_equal(a, b)
+        mixed = enums[:5] + strings[5:]
+        c = cls.score_batch(cls.train_tc_knn(vectors, mixed, k=2), qs)
+        assert np.array_equal(a, c)
+
+    def test_unknown_labels_rejected_by_name(self, rng):
+        vectors = rng.normal(0.0, 1.0, (4, 2))
+        with pytest.raises(ValueError, match=r"unknown labels \['NOISE', 'adl'\]"):
+            cls.train_tc_knn(vectors, ["ADL", "adl", "FALL", "NOISE"], k=1)
 
 
 class TestSharedBehaviour:

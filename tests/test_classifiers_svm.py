@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from falldetect import classifiers as cls
+from falldetect import evaluation as ev
 from falldetect.errors import (
     ConvergenceWarning,
     DegenerateLabels,
@@ -234,3 +235,86 @@ class TestTrainingInterface:
             assert np.array_equal(
                 cls.score_batch(loaded, probes), cls.score_batch(model, probes)
             )
+
+
+def overlapping_problem(rng, n_adl=24, n_fall=16, dim=3):
+    X = np.vstack([rng.normal(0.0, 1.0, (n_adl, dim)), rng.normal(0.8, 1.2, (n_fall, dim))])
+    labels = np.array(["ADL"] * n_adl + ["FALL"] * n_fall)
+    return X, labels
+
+
+def assert_same_solution(a, b):
+    pa, pb = a.parameters, b.parameters
+    assert a.training_summary["iterations"] == b.training_summary["iterations"]
+    assert len(pa.alpha) == len(pb.alpha)
+    assert np.max(np.abs(pa.alpha - pb.alpha)) <= 1e-12
+    assert abs(pa.bias - pb.bias) <= 1e-12
+
+
+class TestSharedPreparation:
+    def test_inner_search_preparation_matches_standalone_training(self, rng):
+        X, labels = overlapping_problem(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            for variant, train, grid in (
+                (cls.Variant.TC_SVM, cls.train_tc_svm, (0.5, 10.0)),
+                (cls.Variant.OC_SVM, cls.train_oc_svm, (0.1, 0.3)),
+            ):
+                prep = ev._svm_prep(variant, X, labels)
+                rows = X if variant is cls.Variant.TC_SVM else X[labels == "ADL"]
+                extra = (labels,) if variant is cls.Variant.TC_SVM else ()
+                # gamma by gamma, as the inner search visits its grid
+                for gamma in ("auto", 0.3):
+                    for a in grid:
+                        shared = train(prep, *extra, a, gamma=gamma)
+                        alone = train(rows, *extra, a, gamma=gamma)
+                        assert_same_solution(shared, alone)
+
+    def test_on_demand_rows_match_full_kernel(self, rng, monkeypatch):
+        X, labels = overlapping_problem(rng)
+        full_tc = cls.train_tc_svm(X, labels, C=2.0, gamma=0.5)
+        full_oc = cls.train_oc_svm(X, nu=0.2, gamma=0.5)
+        # room for four cached rows: the solver keeps evicting and rebuilding
+        monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 4 * 8 * len(X))
+        prep = cls.SvmPrep(X)
+        assert prep.d2 is None
+        assert isinstance(prep.kernel(0.5), cls._KernelRows)
+        lazy_tc = cls.train_tc_svm(X, labels, C=2.0, gamma=0.5)
+        lazy_oc = cls.train_oc_svm(X, nu=0.2, gamma=0.5)
+        assert_same_solution(lazy_tc, full_tc)
+        assert_same_solution(lazy_oc, full_oc)
+        for model in (lazy_tc, full_tc):
+            assert model.training_summary["converged"]
+            assert kkt_violations_full(model, X, labels).max() <= 1.001e-3
+
+
+def rbf_score_oracle(model, vectors):
+    """Per-row decision values straight from the kernel definition."""
+    p = model.parameters
+    coef = p.alpha if p.support_labels is None else p.alpha * p.support_labels
+    out = []
+    for q in cls.standardize_apply(vectors, p.mean, p.scale):
+        k = np.exp(-p.gamma * ((p.support_vectors - q) ** 2).sum(axis=1))
+        value = coef @ k
+        out.append(value + p.bias if model.variant is cls.Variant.TC_SVM else p.bias - value)
+    return np.array(out)
+
+
+class TestBatchedScoring:
+    def test_batch_matches_per_row_oracle(self, rng, monkeypatch):
+        X, labels = overlapping_problem(rng)
+        models = [
+            cls.train_tc_svm(X, labels, C=5.0, gamma=0.4),
+            cls.train_oc_svm(X, nu=0.2, gamma=0.4),
+        ]
+        for model in models:
+            n_sv = len(model.parameters.alpha)
+            assert 0 < n_sv < len(X)
+            for batch in (rng.normal(0.3, 1.5, (1, 3)), rng.normal(0.3, 1.5, (n_sv + 7, 3))):
+                expected = rbf_score_oracle(model, batch)
+                assert np.max(np.abs(cls.score_batch(model, batch) - expected)) <= 1e-12
+                # a budget of three query rows per block: scoring goes chunk by chunk
+                with monkeypatch.context() as mp:
+                    mp.setattr(cls, "_CACHE_BUDGET_BYTES", 3 * 16 * n_sv)
+                    chunked = cls.score_batch(model, batch)
+                assert np.max(np.abs(chunked - expected)) <= 1e-12

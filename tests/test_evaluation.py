@@ -97,6 +97,11 @@ class TestRocCurve:
         curve = ev.roc_curve([1.0, 0.0], [Label.FALL, Label.ADL])
         assert ev.auc(curve) == 1.0
 
+    def test_unknown_label_rejected_by_name(self):
+        for labels in (["FALL", "ADL", "fall"], [Label.FALL, "ADL", "fall"]):
+            with pytest.raises(ValueError, match="unknown label 'fall'"):
+                ev.roc_curve([1.0, 0.0, 0.5], labels)
+
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateLabels):
             ev.roc_curve([0.1, 0.2], ["ADL", "ADL"])
