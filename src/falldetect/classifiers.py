@@ -8,7 +8,6 @@ written here.
 """
 
 import enum
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .errors import (
     InvalidK,
     InvalidNu,
 )
-from .ingest import Label
+from .ingest import is_fall_mask
 
 DEFAULT_K_GRID = tuple(range(1, 11))
 DEFAULT_C_GRID = (0.1, 1.0, 10.0, 100.0)
@@ -50,18 +49,6 @@ def _as_matrix(vectors):
     return m
 
 
-def _label_strings(labels):
-    arr = np.asarray(labels)
-    if arr.dtype.kind != "U":
-        arr = np.array(
-            [lab.value if isinstance(lab, Label) else str(lab) for lab in arr.ravel()], dtype=str
-        )
-    bad = (arr != "ADL") & (arr != "FALL")
-    if bad.any():
-        raise ValueError(f"unknown labels {sorted(set(arr[bad].tolist()))}")
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # Nearest-neighbour machinery
 
@@ -87,45 +74,54 @@ def _k_smallest_sorted(train, query, k):
     return np.sort(d)
 
 
-def _prefix_mean(sorted_d, k):
-    return float(sorted_d[:k].sum() / k)
-
-
-def knn_mean_distance(train, query, k):
-    """Mean distance from query to its k nearest rows of train."""
-    if k > len(train):
-        raise InvalidK(f"k={k} exceeds {len(train)} training vectors")
-    return _prefix_mean(_k_smallest_sorted(train, query, k), k)
-
-
 def knn_mean_distances_all_k(train, queries, k_max):
     """Matrix of mean-of-k-nearest distances for every k in 1..k_max.
 
     Shares one distance computation per query across the whole k grid;
-    entry [q, k-1] equals knn_mean_distance(train, queries[q], k) exactly.
+    entry [q, k-1] is the mean of the k smallest distances from queries[q]
+    to the rows of train.  Every kNN score in the package comes from here.
     """
     train = _as_matrix(train)
-    if k_max > len(train):
-        raise InvalidK(f"k_max={k_max} exceeds {len(train)} training vectors")
+    if not 1 <= k_max <= len(train):
+        raise InvalidK(f"k_max={k_max} needs 1 <= k_max <= {len(train)} training vectors")
     queries = np.asarray(queries, dtype=np.float64)
     out = np.empty((len(queries), k_max))
     for qi, q in enumerate(queries):
         sd = _k_smallest_sorted(train, q, k_max)
         for k in range(1, k_max + 1):
-            out[qi, k - 1] = _prefix_mean(sd, k)
+            out[qi, k - 1] = sd[:k].sum() / k
     return out
+
+
+def knn_mean_distance(train, query, k):
+    """Mean distance from query to its k nearest rows of train: entry
+    [0, k-1] of the one-query table."""
+    return float(knn_mean_distances_all_k(train, np.asarray(query)[None, :], k)[0, k - 1])
+
+
+def knn_scores_all_k(adl, fall, queries, k_max):
+    """kNN scores of queries for every k in 1..k_max, column k-1 for k.
+
+    With fall None, the one-class score: the mean distance dA to the k
+    nearest ADL rows.  Otherwise the two-class score dA / (dA + dF), dF
+    taken over the FALL rows, and 0.5 where both distances are 0.
+    """
+    da = knn_mean_distances_all_k(adl, queries, k_max)
+    if fall is None:
+        return da
+    df = knn_mean_distances_all_k(fall, queries, k_max)
+    tot = da + df
+    return np.where(tot == 0, 0.5, da / np.where(tot == 0, 1.0, tot))
 
 
 @dataclass
 class KnnModel:
     k: int
     train_vectors: np.ndarray
-    train_labels: np.ndarray | None = None
+    train_labels: np.ndarray | None = None  # is-FALL mask, two-class only
 
     def __post_init__(self):
         self.train_vectors = _as_matrix(self.train_vectors)
-        if self.train_labels is not None:
-            self.train_labels = np.asarray(self.train_labels)
 
 
 @dataclass
@@ -182,15 +178,15 @@ def train_oc_knn(adl_vectors, k):
 def train_tc_knn(vectors, labels, k):
     """Two-class kNN: score = dA / (dA + dF) over mean k-nearest distances."""
     train = _as_matrix(vectors)
-    labs = _label_strings(labels)
-    if len(labs) != len(train):
+    is_fall = is_fall_mask(labels)
+    if len(is_fall) != len(train):
         raise DimensionError("labels and vectors must correspond one to one")
     k = int(k)
-    n_adl = int((labs == "ADL").sum())
-    n_fall = int((labs == "FALL").sum())
+    n_fall = int(is_fall.sum())
+    n_adl = len(is_fall) - n_fall
     if k < 1 or k > min(n_adl, n_fall):
         raise InvalidK(f"k={k} needs 1 <= k <= per-class count (ADL {n_adl}, FALL {n_fall})")
-    params = KnnModel(k=k, train_vectors=train, train_labels=labs)
+    params = KnnModel(k=k, train_vectors=train, train_labels=is_fall)
     summary = {"variant": "TC_KNN", "k": k, "counts": {"ADL": n_adl, "FALL": n_fall}}
     return TrainedModel(Variant.TC_KNN, params, summary)
 
@@ -405,11 +401,11 @@ def train_tc_svm(vectors, labels, C, gamma="auto", tol=SVM_TOL, max_iter=None):
     calls on the same rows.
     """
     prep = vectors if isinstance(vectors, SvmPrep) else SvmPrep(vectors)
-    labs = _label_strings(labels)
-    if len(labs) != len(prep):
+    is_fall = is_fall_mask(labels)
+    if len(is_fall) != len(prep):
         raise DimensionError("labels and vectors must correspond one to one")
-    n_fall = int((labs == "FALL").sum())
-    n_adl = len(labs) - n_fall
+    n_fall = int(is_fall.sum())
+    n_adl = len(is_fall) - n_fall
     if n_adl == 0 or n_fall == 0:
         raise DegenerateLabels("two-class training needs both ADL and FALL instances")
     C = float(C)
@@ -419,7 +415,7 @@ def train_tc_svm(vectors, labels, C, gamma="auto", tol=SVM_TOL, max_iter=None):
     Xs = prep.Xs
     gamma = resolve_gamma(gamma, Xs)
     m = len(Xs)
-    y = np.where(labs == "FALL", 1.0, -1.0)
+    y = np.where(is_fall, 1.0, -1.0)
     if max_iter is None:
         max_iter = 10 * m
     alpha, bias, iters, converged, gap, _, _ = _solve_pairwise_dual(
@@ -559,90 +555,13 @@ def score_batch(model, vectors):
             f"query dimension {vectors.shape[1]} does not match training dimension {model.dim}"
         )
     p = model.parameters
-    out = np.empty(len(vectors))
     if model.variant is Variant.OC_KNN:
-        for i, q in enumerate(vectors):
-            out[i] = knn_mean_distance(p.train_vectors, q, p.k)
-    elif model.variant is Variant.TC_KNN:
-        adl = p.train_vectors[p.train_labels == "ADL"]
-        fall = p.train_vectors[p.train_labels == "FALL"]
-        for i, q in enumerate(vectors):
-            da = knn_mean_distance(adl, q, p.k)
-            df = knn_mean_distance(fall, q, p.k)
-            out[i] = 0.5 if da + df == 0 else da / (da + df)
-    elif model.variant is Variant.TC_SVM:
-        out = _kernel_expansion(p, vectors, p.alpha * p.support_labels) + p.bias
-    elif model.variant is Variant.OC_SVM:
-        out = p.bias - _kernel_expansion(p, vectors, p.alpha)
-    else:
-        raise ValueError(f"unknown variant {model.variant!r}")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def model_to_dict(model):
-    """JSON-ready description sufficient to reproduce scores exactly."""
-    p = model.parameters
-    if isinstance(p, KnnModel):
-        params = {
-            "k": p.k,
-            "train_vectors": p.train_vectors.tolist(),
-            "train_labels": None if p.train_labels is None else p.train_labels.tolist(),
-        }
-    else:
-        params = {
-            "gamma": p.gamma,
-            "alpha": p.alpha.tolist(),
-            "support_vectors": p.support_vectors.tolist(),
-            "support_labels": None if p.support_labels is None else p.support_labels.tolist(),
-            "bias": p.bias,
-            "C": p.C,
-            "nu": p.nu,
-            "mean": p.mean.tolist(),
-            "scale": p.scale.tolist(),
-        }
-    return {
-        "variant": model.variant.value,
-        "training_summary": model.training_summary,
-        "parameters": params,
-    }
-
-
-def model_from_dict(doc):
-    variant = Variant(doc["variant"])
-    raw = doc["parameters"]
-    if variant in (Variant.OC_KNN, Variant.TC_KNN):
-        labels = raw["train_labels"]
-        params = KnnModel(
-            k=int(raw["k"]),
-            train_vectors=np.asarray(raw["train_vectors"], dtype=np.float64),
-            train_labels=None if labels is None else np.asarray(labels),
-        )
-    else:
-        labels = raw["support_labels"]
-        params = SvmModel(
-            gamma=float(raw["gamma"]),
-            alpha=np.asarray(raw["alpha"], dtype=np.float64),
-            support_vectors=np.asarray(raw["support_vectors"], dtype=np.float64),
-            support_labels=None if labels is None else np.asarray(labels, dtype=np.float64),
-            bias=float(raw["bias"]),
-            C=None if raw["C"] is None else float(raw["C"]),
-            nu=None if raw["nu"] is None else float(raw["nu"]),
-            mean=np.asarray(raw["mean"], dtype=np.float64),
-            scale=np.asarray(raw["scale"], dtype=np.float64),
-        )
-    return TrainedModel(variant, params, dict(doc.get("training_summary", {})))
-
-
-def save_model(model, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        return knn_scores_all_k(p.train_vectors, None, vectors, p.k)[:, p.k - 1]
+    if model.variant is Variant.TC_KNN:
+        adl, fall = p.train_vectors[~p.train_labels], p.train_vectors[p.train_labels]
+        return knn_scores_all_k(adl, fall, vectors, p.k)[:, p.k - 1]
+    if model.variant is Variant.TC_SVM:
+        return _kernel_expansion(p, vectors, p.alpha * p.support_labels) + p.bias
+    if model.variant is Variant.OC_SVM:
+        return p.bias - _kernel_expansion(p, vectors, p.alpha)
+    raise ValueError(f"unknown variant {model.variant!r}")

@@ -11,9 +11,10 @@ leave corrupt files.  Exit codes: 0 success, 1 experiment-cell failure,
 import argparse
 import hashlib
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__, synth
@@ -65,100 +66,82 @@ _CONFIG_DEFAULTS = {
 }
 
 
-@dataclass
-class ExperimentConfig:
-    """Merged settings for one CLI invocation (flags > config file > defaults)."""
-
-    values: dict = field(default_factory=dict)
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
-    def grid_config(self):
-        kwargs = {}
-        if self.values.get("k_grid"):
-            kwargs["k_grid"] = tuple(int(k) for k in self.values["k_grid"])
-        if self.values.get("c_grid"):
-            kwargs["c_grid"] = tuple(float(c) for c in self.values["c_grid"])
-        if self.values.get("gamma_grid"):
-            kwargs["gamma_grid"] = tuple(
-                g if g == "auto" else float(g) for g in self.values["gamma_grid"]
-            )
-        if self.values.get("nu_grid"):
-            kwargs["nu_grid"] = tuple(float(v) for v in self.values["nu_grid"])
-        if self.values.get("inner_folds"):
-            kwargs["inner_folds"] = int(self.values["inner_folds"])
-        if self.values.get("svm_tol") is not None:
-            kwargs["svm_tol"] = float(self.values["svm_tol"])
-        if self.values.get("svm_max_iter") is not None:
-            kwargs["svm_max_iter"] = int(self.values["svm_max_iter"])
-        kwargs["ltp_params"] = LtpParams(
-            num_neighbours=int(self.values.get("ltp_neighbours", 6)),
-            step=float(self.values.get("ltp_step", 1.0)),
-        )
-        return GridConfig(**kwargs)
+# Each grid's value bounds, as a test and as the words of the error.
+_GRID_BOUNDS = {
+    "k_grid": (lambda x: x >= 1 and x.is_integer(), "integers >= 1"),
+    "c_grid": (lambda x: x > 0, "numbers > 0"),
+    "gamma_grid": (lambda x: x > 0, '"auto" or numbers > 0'),
+    "nu_grid": (lambda x: 0 < x <= 1, "numbers in (0, 1]"),
+}
 
 
-def _norm_collections(raw):
-    if raw is None:
-        return None
-    items = [raw] if isinstance(raw, str) else list(raw)
+def _grid_values(key, raw):
+    """The values of one hyperparameter grid, checked against its bounds."""
+    ok, wanted = _GRID_BOUNDS[key]
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise ValueError(f"{key} must be a non-empty list of {wanted}, got {raw!r}")
     out = []
-    for item in items:
-        for piece in str(item).replace(",", " ").split():
-            up = piece.upper()
-            if up == "ALL":
-                return list(COLLECTION_ORDER)
-            if up not in COLLECTION_ORDER:
-                raise ValueError(f"unknown collection {piece!r}")
-            if up not in out:
-                out.append(up)
-    return out
+    for v in raw:
+        if key == "gamma_grid" and v == "auto":
+            out.append(v)
+            continue
+        try:
+            x = float(v)
+        except (TypeError, ValueError):
+            x = math.nan
+        if not (math.isfinite(x) and ok(x)):
+            raise ValueError(f"{key} must hold {wanted}, got {v!r}")
+        out.append(int(x) if key == "k_grid" else x)
+    return tuple(out)
 
 
-def _norm_choices(raw, universe, what):
+def grid_config(config):
+    """GridConfig from the merged settings; ValueError naming the key when
+    a value is out of range."""
+    kwargs = {
+        key: _grid_values(key, config[key]) for key in _GRID_BOUNDS if config[key] is not None
+    }
+    folds = config["inner_folds"]
+    if not isinstance(folds, (int, float)) or not float(folds).is_integer() or folds < 2:
+        raise ValueError(f"inner_folds must be an integer >= 2, got {folds!r}")
+    kwargs["inner_folds"] = int(folds)
+    if config["svm_tol"] is not None:
+        kwargs["svm_tol"] = float(config["svm_tol"])
+    if config["svm_max_iter"] is not None:
+        kwargs["svm_max_iter"] = int(config["svm_max_iter"])
+    kwargs["ltp_params"] = LtpParams(
+        num_neighbours=int(config["ltp_neighbours"]), step=float(config["ltp_step"])
+    )
+    return GridConfig(**kwargs)
+
+
+def _parse_choices(raw, universe, what):
+    """Members of universe picked by raw: a name or a list of names, each
+    possibly a comma- or space-separated list, case-insensitive, with "all"
+    picking every member.  None passes through; an empty pick is an error."""
     if raw is None:
         return None
     items = [raw] if isinstance(raw, (str, int)) else list(raw)
+    names = {str(u).upper(): u for u in universe}
     out = []
     for item in items:
         for piece in str(item).replace(",", " ").split():
-            up = piece.upper()
-            if up == "ALL":
+            name = piece.upper()
+            if name == "ALL":
                 return list(universe)
-            match = None
-            for u in universe:
-                if str(u).upper() == up:
-                    match = u
-            if match is None:
-                raise ValueError(f"unknown {what} {piece!r}")
-            if match not in out:
-                out.append(match)
-    return out
-
-
-def _norm_windows(raw):
-    if raw is None:
-        return None
-    items = [raw] if isinstance(raw, (str, int)) else list(raw)
-    out = []
-    for item in items:
-        for piece in str(item).replace(",", " ").split():
-            if piece.upper() == "ALL":
-                return list(WINDOW_ORDER)
-            n = int(piece)
-            if n not in WINDOW_ORDER:
-                raise ValueError(f"window length must be one of {WINDOW_ORDER}, got {n}")
-            if n not in out:
-                out.append(n)
+            if name not in names:
+                choices = ", ".join(str(u) for u in universe)
+                raise ValueError(f"unknown {what} {piece!r}; choose from {choices} or all")
+            if names[name] not in out:
+                out.append(names[name])
+    if not out:
+        raise ValueError(f"no {what} selected from {raw!r}")
     return out
 
 
 def load_config(args):
-    """Merge defaults, the optional config file, and command-line flags."""
+    """Merge defaults, the optional config file, and command-line flags
+    into one dict; choice lists and grid settings are checked here."""
     merged = dict(_CONFIG_DEFAULTS)
     if getattr(args, "config", None):
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -173,13 +156,17 @@ def load_config(args):
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
-    merged["collections"] = _norm_collections(merged["collections"])
-    merged["features"] = _norm_choices(merged["features"], FEATURE_ORDER, "feature")
-    merged["windows"] = _norm_windows(merged["windows"])
-    merged["classifiers"] = _norm_choices(merged["classifiers"], CLASSIFIER_ORDER, "classifier")
+    for key, universe, what in (
+        ("collections", COLLECTION_ORDER, "collection"),
+        ("features", FEATURE_ORDER, "feature"),
+        ("windows", WINDOW_ORDER, "window"),
+        ("classifiers", CLASSIFIER_ORDER, "classifier"),
+    ):
+        merged[key] = _parse_choices(merged[key], universe, what)
     merged["seed"] = int(merged["seed"])
     merged["jobs"] = max(1, int(merged["jobs"]))
-    return ExperimentConfig(merged)
+    grid_config(merged)
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +196,7 @@ def _write_run_json(out_dir, command, config, inputs):
     doc = {
         "command": command,
         "version": __version__,
-        "config": config.values,
+        "config": config,
         "inputs": {str(k): v for k, v in inputs.items()},
     }
     _atomic_write_text(Path(out_dir) / "run.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -277,12 +264,22 @@ def cmd_ingest(config):
     return 0
 
 
-def _cell_key(cid, feature, window, classifier):
-    return f"{cid}_{feature}_{window}_{classifier}"
+def _run_cell(cell, collection, grid_cfg):
+    """One experiment cell: its summary row, and its report (None when the
+    cell failed and the row holds the error)."""
+    try:
+        report = run_experiment(collection, *cell[1:], grid_cfg)
+    except FalldetectError as exc:
+        cid, feature, window, classifier = cell
+        row = {"collection": cid, "feature": feature, "window": int(window),
+               "classifier": classifier, "status": "error",
+               "error": str(exc).replace(",", ";").replace("\n", " ")}
+        return row, None
+    return {**summary_row(report), "status": "ok"}, report
 
 
-def _execute_cell(collection, feature, window, classifier, grid_cfg):
-    return run_experiment(collection, feature, window, classifier, grid_cfg)
+def _cell_name(row, sep=" "):
+    return sep.join(str(row[k]) for k in ("collection", "feature", "window", "classifier"))
 
 
 def _summary_lines(rows):
@@ -290,15 +287,10 @@ def _summary_lines(rows):
     lines = [header]
     for r in rows:
         if r.get("status") == "ok":
-            lines.append(
-                f"{r['collection']},{r['feature']},{r['window']},{r['classifier']},"
-                f"{r['auc']!r},{r['se']!r},{r['sp']!r},{r['gm']!r},ok,"
-            )
+            rates = f"{r['auc']!r},{r['se']!r},{r['sp']!r},{r['gm']!r}"
+            lines.append(f"{_cell_name(r, ',')},{rates},ok,")
         else:
-            lines.append(
-                f"{r['collection']},{r['feature']},{r['window']},{r['classifier']},"
-                f",,,,error,{r['error']}"
-            )
+            lines.append(f"{_cell_name(r, ',')},,,,,error,{r['error']}")
     return "\n".join(lines) + "\n"
 
 
@@ -350,7 +342,6 @@ def cmd_run(config):
         cid: collection_from_manifest(manifests[cid], d1, d2) for cid in wanted
     }
 
-    grid_cfg = config.grid_config()
     cells = [
         (cid, feature, window, classifier)
         for cid in wanted
@@ -358,67 +349,26 @@ def cmd_run(config):
         for window in config["windows"]
         for classifier in config["classifiers"]
     ]
-    results = {}
+    args = (cells, [collections[cell[0]] for cell in cells], repeat(grid_config(config)))
     if config["jobs"] > 1:
         with ProcessPoolExecutor(max_workers=config["jobs"]) as pool:
-            futures = {
-                pool.submit(
-                    _execute_cell, collections[cid], feature, window, classifier, grid_cfg
-                ): (cid, feature, window, classifier)
-                for cid, feature, window, classifier in cells
-            }
-            for fut, cell in futures.items():
-                try:
-                    results[cell] = ("ok", fut.result())
-                except FalldetectError as exc:
-                    results[cell] = ("error", str(exc))
+            results = list(pool.map(_run_cell, *args))
     else:
-        for cell in cells:
-            cid, feature, window, classifier = cell
-            try:
-                report = _execute_cell(collections[cid], feature, window, classifier, grid_cfg)
-                results[cell] = ("ok", report)
-            except FalldetectError as exc:
-                results[cell] = ("error", str(exc))
+        results = list(map(_run_cell, *args))
 
-    rows = []
-    failed = 0
-    for cell in cells:
-        cid, feature, window, classifier = cell
-        status, payload = results[cell]
-        key = _cell_key(cid, feature, window, classifier)
-        if status == "ok":
-            save_report_json(payload, out / f"report_{key}.json")
-            write_roc_csv(payload.averaged_curve, out / f"roc_{key}.csv")
-            row = {k: v for k, v in summary_row(payload).items()}
-            row["status"] = "ok"
-            rows.append(row)
-        else:
-            failed += 1
-            rows.append(
-                {
-                    "collection": cid,
-                    "feature": feature,
-                    "window": int(window),
-                    "classifier": classifier,
-                    "status": "error",
-                    "error": payload.replace(",", ";").replace("\n", " "),
-                }
-            )
-    rows = _write_summary(out, rows)
+    for row, report in results:
+        if report is not None:
+            key = _cell_name(row, "_")
+            save_report_json(report, out / f"report_{key}.json")
+            write_roc_csv(report.averaged_curve, out / f"roc_{key}.csv")
+    rows = _write_summary(out, [row for row, _ in results])
     _write_run_json(out, "run", config, inputs)
     for r in rows:
         if r["status"] == "ok":
-            print(
-                f"{r['collection']} {r['feature']} {r['window']} {r['classifier']}: "
-                f"AUC {r['auc']:.3f} SE {r['se']:.3f} SP {r['sp']:.3f}"
-            )
+            print(f"{_cell_name(r)}: AUC {r['auc']:.3f} SE {r['se']:.3f} SP {r['sp']:.3f}")
         else:
-            print(
-                f"{r['collection']} {r['feature']} {r['window']} {r['classifier']}: "
-                f"ERROR {r['error']}"
-            )
-    return 1 if failed else 0
+            print(f"{_cell_name(r)}: ERROR {r['error']}")
+    return 1 if any(r["status"] == "error" for r in rows) else 0
 
 
 def cmd_report(config):
@@ -435,7 +385,7 @@ def cmd_report(config):
     rows = _write_summary(out, rows)
     for r in rows:
         print(
-            f"{r['collection']} {r['feature']} {r['window']} {r['classifier']}: "
+            f"{_cell_name(r)}: "
             f"AUC {r['auc']:.3f} SE {r['se']:.3f} SP {r['sp']:.3f} GM {r['gm']:.3f}"
         )
     return 0

@@ -30,23 +30,10 @@ from .errors import (
     InvalidK,
 )
 from .features import FeatureKind, LtpParams, extract_matrix
-from .ingest import Label, plan_folds, window_at_length, _atomic_write_text
+from .ingest import is_fall_mask, plan_folds, window_at_length, _atomic_write_text
 
 ROC_GRID_POINTS = 1001
 _STREAM_INNER = 303
-
-
-def _positive_mask(labels):
-    arr = np.asarray(labels)
-    if arr.dtype.kind != "U":
-        arr = np.array(
-            [lab.value if isinstance(lab, Label) else str(lab) for lab in arr.ravel()], dtype=str
-        )
-    pos = arr == "FALL"
-    bad = ~pos & (arr != "ADL")
-    if bad.any():
-        raise ValueError(f"unknown label {arr[bad][0].item()!r}")
-    return pos
 
 
 @dataclass
@@ -85,7 +72,7 @@ def roc_curve(scores, labels):
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    pos = _positive_mask(labels)
+    pos = is_fall_mask(labels)
     if len(pos) != len(scores):
         raise ValueError("scores and labels must correspond one to one")
     P = int(pos.sum())
@@ -119,7 +106,7 @@ def pairwise_auc(scores, labels):
     must agree to floating-point accuracy.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    pos = _positive_mask(labels)
+    pos = is_fall_mask(labels)
     ps = scores[pos]
     ns = scores[~pos]
     if len(ps) == 0 or len(ns) == 0:
@@ -261,127 +248,111 @@ def _inner_seed(outer_seed, fold):
     return int(np.random.default_rng([outer_seed, _STREAM_INNER, fold]).integers(2 ** 62))
 
 
-def _usable_inner_folds(plan, labels, needs_tc_train):
-    """Inner folds whose validation side has both classes (and, for
-    two-class training, whose training side does too)."""
-    folds = []
-    pos = _positive_mask(labels)
+def _has_both_classes(is_fall):
+    return 0 < is_fall.sum() < len(is_fall)
+
+
+def _inner_splits(is_fall, cfg, seed, two_class):
+    """(train, validation) index pairs of the inner folds whose validation
+    side has both classes (and, for two-class training, whose training
+    side does too)."""
+    plan = plan_folds(is_fall, num_folds=cfg.inner_folds, seed=seed)
+    splits = []
     for g in range(plan.num_folds):
-        val = plan.test_indices(g)
-        tr = plan.train_indices(g)
-        val_pos = pos[val]
-        if not val_pos.any() or val_pos.all():
-            continue
-        if needs_tc_train:
-            tr_pos = pos[tr]
-            if not tr_pos.any() or tr_pos.all():
-                continue
-        folds.append(g)
-    return folds
-
-
-def _knn_scores_for_ks(variant, X_train, labels_train, X_val, ks):
-    """Score matrix [query, k] for every k in ks, sharing distance work."""
-    k_max = max(ks)
-    if variant is Variant.OC_KNN:
-        adl = X_train[~_positive_mask(labels_train)]
-        means = classifiers.knn_mean_distances_all_k(adl, X_val, k_max)
-        return {k: means[:, k - 1] for k in ks}
-    pos = _positive_mask(labels_train)
-    da = classifiers.knn_mean_distances_all_k(X_train[~pos], X_val, k_max)
-    df = classifiers.knn_mean_distances_all_k(X_train[pos], X_val, k_max)
-    out = {}
-    for k in ks:
-        a = da[:, k - 1]
-        f = df[:, k - 1]
-        tot = a + f
-        scores = np.where(tot == 0, 0.5, a / np.where(tot == 0, 1.0, tot))
-        out[k] = scores
-    return out
-
-
-def _select_k(variant, X, labels, cfg, seed):
-    if len(cfg.k_grid) == 1:
-        return cfg.k_grid[0], None
-    pos = _positive_mask(labels)
-    plan = plan_folds(list(labels), num_folds=cfg.inner_folds, seed=seed)
-    usable = _usable_inner_folds(plan, labels, needs_tc_train=variant is Variant.TC_KNN)
-    if not usable:
+        tr, val = plan.train_indices(g), plan.test_indices(g)
+        if _has_both_classes(is_fall[val]) and (not two_class or _has_both_classes(is_fall[tr])):
+            splits.append((tr, val))
+    if not splits:
         raise InsufficientData("no inner fold has both classes in its validation split")
+    return splits
+
+
+def _best_candidate(candidates, is_fall, splits, scored):
+    """The candidate with the highest total inner AUC, ties going to the
+    earliest, and its mean inner AUC.
+
+    scored(tr, val) yields (candidate index, validation scores) for every
+    candidate on one split; each candidate sums its AUCs in fold order.
+    """
+    totals = [0.0] * len(candidates)
+    for tr, val in splits:
+        for c, scores in scored(tr, val):
+            totals[c] += auc(roc_curve(scores, is_fall[val]))
+    best = int(np.argmax(totals))
+    return candidates[best], totals[best] / len(splits)
+
+
+def _select_k(variant, X, is_fall, cfg, seed):
+    ks = sorted(set(cfg.k_grid))
+    if len(ks) == 1:
+        return ks[0], None
+    two_class = variant is Variant.TC_KNN
+    splits = _inner_splits(is_fall, cfg, seed, two_class)
     # cap k by the smallest training-side class pool across usable folds
     cap = np.inf
-    for g in usable:
-        tr = plan.train_indices(g)
-        n_adl = int((~pos[tr]).sum())
-        n_fall = int(pos[tr].sum())
-        cap = min(cap, n_adl if variant is Variant.OC_KNN else min(n_adl, n_fall))
-    ks = [k for k in cfg.k_grid if k <= cap]
+    for tr, _ in splits:
+        n_fall = int(is_fall[tr].sum())
+        n_adl = len(tr) - n_fall
+        cap = min(cap, min(n_adl, n_fall) if two_class else n_adl)
+    ks = [k for k in ks if k <= cap]
     if not ks:
         raise InvalidK(f"no k in {list(cfg.k_grid)} fits the inner training pools (cap {cap})")
     if len(ks) == 1:
         return ks[0], None
-    sums = {k: 0.0 for k in ks}
-    for g in usable:
-        tr = plan.train_indices(g)
-        val = plan.test_indices(g)
-        scores_by_k = _knn_scores_for_ks(variant, X[tr], labels[tr], X[val], ks)
-        for k in ks:
-            sums[k] += auc(roc_curve(scores_by_k[k], labels[val]))
-    best_k = max(ks, key=lambda k: (sums[k], -k))
-    return best_k, sums[best_k] / len(usable)
+
+    def scored(tr, val):
+        Xtr, ftr = X[tr], is_fall[tr]
+        fall = Xtr[ftr] if two_class else None
+        table = classifiers.knn_scores_all_k(Xtr[~ftr], fall, X[val], ks[-1])
+        return ((c, table[:, k - 1]) for c, k in enumerate(ks))
+
+    return _best_candidate(ks, is_fall, splits, scored)
 
 
-def _svm_prep(variant, X, labels):
+def _svm_prep(variant, X, is_fall):
     """Shared preparation of the rows an SVM of this variant trains on:
     all of them for two-class, the ADL rows for one-class."""
-    rows = X if variant is Variant.TC_SVM else X[~_positive_mask(labels)]
+    rows = X if variant is Variant.TC_SVM else X[~is_fall]
     return classifiers.SvmPrep(rows)
 
 
-def _train_svm(variant, prep, labels, params, cfg):
+def _train_svm(variant, prep, is_fall, params, cfg):
     if variant is Variant.TC_SVM:
         return classifiers.train_tc_svm(
-            prep, labels, C=params[0], gamma=params[1], tol=cfg.svm_tol, max_iter=cfg.svm_max_iter
+            prep, is_fall, C=params[0], gamma=params[1], tol=cfg.svm_tol, max_iter=cfg.svm_max_iter
         )
     return classifiers.train_oc_svm(
         prep, nu=params[0], gamma=params[1], tol=cfg.svm_tol, max_iter=cfg.svm_max_iter
     )
 
 
-def _select_svm_params(variant, X, labels, cfg, seed):
+def _select_svm_params(variant, X, is_fall, cfg, seed):
     first = cfg.c_grid if variant is Variant.TC_SVM else cfg.nu_grid
     candidates = [(a, g) for a in first for g in cfg.gamma_grid]
     if len(candidates) == 1:
         return candidates[0], None
-    plan = plan_folds(list(labels), num_folds=cfg.inner_folds, seed=seed)
-    usable = _usable_inner_folds(plan, labels, needs_tc_train=variant is Variant.TC_SVM)
-    if not usable:
-        raise InsufficientData("no inner fold has both classes in its validation split")
-    # Folds outside, candidates inside, so each split's preparation serves
-    # the whole grid, visited gamma by gamma to build each kernel once.
-    # Every candidate still sums its AUCs in fold order.
-    totals = [0.0] * len(candidates)
+    splits = _inner_splits(is_fall, cfg, seed, two_class=variant is Variant.TC_SVM)
     n_gamma = len(cfg.gamma_grid)
+
+    def scored(tr, val):
+        # One preparation per split serves the whole grid, visited gamma
+        # by gamma to build each kernel once.
+        prep = _svm_prep(variant, X[tr], is_fall[tr])
+        for gi in range(n_gamma):
+            for c in range(gi, len(candidates), n_gamma):
+                model = _train_svm(variant, prep, is_fall[tr], candidates[c], cfg)
+                yield c, score_batch(model, X[val])
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
-        for g in usable:
-            tr = plan.train_indices(g)
-            val = plan.test_indices(g)
-            prep = _svm_prep(variant, X[tr], labels[tr])
-            for gi in range(n_gamma):
-                for c in range(gi, len(candidates), n_gamma):
-                    model = _train_svm(variant, prep, labels[tr], candidates[c], cfg)
-                    totals[c] += auc(roc_curve(score_batch(model, X[val]), labels[val]))
-    means = [total / len(usable) for total in totals]
-    best = int(np.argmax(means))  # first best wins, fixed grid order
-    return candidates[best], means[best]
+        return _best_candidate(candidates, is_fall, splits, scored)
 
 
 def run_experiment(collection, feature_kind, window_len, variant, config=None):
     """Nested cross-validation for one (collection, feature, window, variant) cell.
 
     Per outer fold, an inner cross-validation over the outer-training split
-    picks the hyperparameters with the best mean inner AUC; the winner is
+    picks the hyperparameters with the best total inner AUC; the winner is
     retrained on the whole outer-training split (ADL only for one-class
     variants) and scored on the untouched outer test fold.  Fold curves are
     averaged and the operating point picked on the averaged curve.
@@ -393,8 +364,7 @@ def run_experiment(collection, feature_kind, window_len, variant, config=None):
 
     windows = [window_at_length(inst.window, window_len) for inst in collection.instances]
     X = extract_matrix(windows, kind, cfg.ltp_params)
-    labels = np.array([inst.label.value for inst in collection.instances])
-    pos = _positive_mask(labels)
+    is_fall = is_fall_mask([inst.label for inst in collection.instances])
     plan = collection.fold_plan
 
     curves = []
@@ -405,18 +375,18 @@ def run_experiment(collection, feature_kind, window_len, variant, config=None):
         try:
             test_idx = plan.test_indices(f)
             train_idx = plan.train_indices(f)
-            Xtr, ltr = X[train_idx], labels[train_idx]
+            Xtr, ftr = X[train_idx], is_fall[train_idx]
             seed_f = _inner_seed(collection.seed, f)
             if var in (Variant.OC_KNN, Variant.TC_KNN):
-                k, inner_auc = _select_k(var, Xtr, ltr, cfg, seed_f)
+                k, inner_auc = _select_k(var, Xtr, ftr, cfg, seed_f)
                 if var is Variant.OC_KNN:
-                    model = classifiers.train_oc_knn(Xtr[~pos[train_idx]], k)
+                    model = classifiers.train_oc_knn(Xtr[~ftr], k)
                 else:
-                    model = classifiers.train_tc_knn(Xtr, ltr, k)
+                    model = classifiers.train_tc_knn(Xtr, ftr, k)
                 chosen = {"k": k}
             else:
-                params, inner_auc = _select_svm_params(var, Xtr, ltr, cfg, seed_f)
-                model = _train_svm(var, _svm_prep(var, Xtr, ltr), ltr, params, cfg)
+                params, inner_auc = _select_svm_params(var, Xtr, ftr, cfg, seed_f)
+                model = _train_svm(var, _svm_prep(var, Xtr, ftr), ftr, params, cfg)
                 key = "C" if var is Variant.TC_SVM else "nu"
                 chosen = {
                     key: params[0],
@@ -426,7 +396,7 @@ def run_experiment(collection, feature_kind, window_len, variant, config=None):
                     "iterations": model.training_summary["iterations"],
                 }
             scores = score_batch(model, X[test_idx])
-            curve = roc_curve(scores, labels[test_idx])
+            curve = roc_curve(scores, is_fall[test_idx])
             curves.append(curve)
             fold_aucs.append(auc(curve))
             chosen["inner_mean_auc"] = inner_auc
@@ -437,7 +407,7 @@ def run_experiment(collection, feature_kind, window_len, variant, config=None):
 
     averaged = average_roc(curves)
     op = select_operating_point(averaged)
-    counts = {"ADL": int((~pos).sum()), "FALL": int(pos.sum())}
+    counts = {"ADL": int((~is_fall).sum()), "FALL": int(is_fall.sum())}
     return EvalReport(
         collection_id=collection.id,
         feature_kind=kind.value,

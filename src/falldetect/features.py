@@ -179,42 +179,3 @@ def extract_matrix(windows, kind, ltp_params=None):
     if len({len(r) for r in rows}) > 1:
         raise DimensionError("windows produced feature vectors of differing lengths")
     return np.asarray(rows, dtype=np.float64)
-
-
-def csv_columns(kind, window_len, num_neighbours=6):
-    """Column names for one feature matrix export, label column excluded."""
-    L = window_len
-    if kind is FeatureKind.RAW:
-        return [f"{axis}{i}" for axis in ("x", "y", "z") for i in range(L)]
-    if kind is FeatureKind.MAGNITUDE:
-        return [f"m{i}" for i in range(L)]
-    if kind is FeatureKind.ACCEL_FEATURES:
-        return [
-            "mean_x", "mean_y", "mean_z",
-            "std_x", "std_y", "std_z",
-            "energy_x", "energy_y", "energy_z",
-            "corr_xy", "corr_xz", "corr_yz",
-        ]
-    if kind is FeatureKind.LTP:
-        offsets = _neighbour_offsets(num_neighbours)
-        return [f"s{i}_n{off:+d}" for i in range(L) for off in offsets]
-    raise ValueError(f"unknown feature kind {kind!r}")
-
-
-def export_features_csv(path, matrix, labels, kind, window_len, num_neighbours=6):
-    """Write a feature matrix as CSV, one instance per row, label last."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    labels = list(labels)
-    if matrix.ndim != 2 or len(labels) != matrix.shape[0]:
-        raise DimensionError("matrix rows and labels must correspond one to one")
-    columns = csv_columns(kind, window_len, num_neighbours)
-    if len(columns) != matrix.shape[1]:
-        raise DimensionError(
-            f"{kind.value} over window_len {window_len} should have "
-            f"{len(columns)} columns, matrix has {matrix.shape[1]}"
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns + ["label"]) + "\n")
-        for row, label in zip(matrix, labels):
-            text = ",".join(repr(float(v)) for v in row)
-            fh.write(f"{text},{getattr(label, 'value', label)}\n")

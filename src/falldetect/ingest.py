@@ -11,6 +11,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,26 @@ _STREAM_FOLDS = 202
 class Label(enum.Enum):
     ADL = "ADL"
     FALL = "FALL"
+
+
+def is_fall_mask(labels):
+    """Labels as one bool mask, True for FALL.
+
+    Takes Label members, their string values, or a bool mask (returned as
+    is).  Any other token raises ValueError naming every unknown one.
+    """
+    arr = np.asarray(labels)
+    if arr.dtype == bool:
+        return arr
+    if arr.dtype.kind != "U":
+        arr = np.array(
+            [lab.value if isinstance(lab, Label) else str(lab) for lab in arr.ravel()], dtype=str
+        )
+    pos = arr == "FALL"
+    bad = ~pos & (arr != "ADL")
+    if bad.any():
+        raise ValueError(f"unknown labels {sorted(set(arr[bad].tolist()))}")
+    return pos
 
 
 def _as_float_vector(values, name):
@@ -242,21 +263,25 @@ def _windows_from_trace(trace, threshold_g, window_len=FULL_WINDOW):
     return out
 
 
+def _data_lines(fh, skip_header):
+    """(line number, stripped text) of every line that holds data."""
+    for lineno, line in enumerate(fh, start=1):
+        line = line.strip()
+        if line and not (skip_header and lineno == 1):
+            yield lineno, line
+
+
 def _read_rows(path, expected_cols, skip_header=False, length_error=False):
-    """Rows of a numeric CSV as float lists; raises ParseError with the line.
+    """Rows of a numeric CSV as an (n, expected_cols) float array; raises
+    ParseError with the line on a non-numeric or non-finite value.
 
     With length_error, a clean numeric row of the wrong width raises
     LengthError instead (the row parsed, but the window is the wrong size).
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if skip_header and lineno == 1:
-                continue
-            line = line.strip()
-            if not line:
-                continue
-            parts = [p for p in line.replace(",", " ").split() if p]
+        for lineno, line in _data_lines(fh, skip_header):
+            parts = line.replace(",", " ").split()
             try:
                 values = [float(p) for p in parts]
             except ValueError:
@@ -267,7 +292,14 @@ def _read_rows(path, expected_cols, skip_header=False, length_error=False):
                     raise LengthError(f"{path}:{lineno}: {message}")
                 raise ParseError(message, path, lineno)
             rows.append(values)
-    return rows
+    data = np.array(rows, dtype=np.float64).reshape(-1, expected_cols)
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        # Found only on failure: rows skip blank lines and the header.
+        with open(path, "r", encoding="utf-8") as fh:
+            lineno, _ = next(islice(_data_lines(fh, skip_header), int(np.argmax(bad)), None))
+        raise ParseError("non-finite value", path, lineno)
+    return data
 
 
 def _labeled_files(root):
@@ -408,13 +440,12 @@ def plan_folds(labels, num_folds=10, seed=0):
     Test-set sizes within each class differ by at most 1 across folds, and
     the plan is a pure function of (labels, num_folds, seed).
     """
-    values = [lab.value if isinstance(lab, Label) else str(lab) for lab in labels]
+    is_fall = is_fall_mask(labels)
     if num_folds < 2:
         raise ValueError("num_folds must be at least 2")
-    assignments = np.empty(len(values), dtype=np.int64)
+    assignments = np.empty(len(is_fall), dtype=np.int64)
     rng = np.random.default_rng([seed, _STREAM_FOLDS])
-    for cls in (Label.ADL, Label.FALL):
-        idx = np.array([i for i, v in enumerate(values) if v == cls.value], dtype=np.int64)
+    for idx in (np.flatnonzero(~is_fall), np.flatnonzero(is_fall)):
         if len(idx) == 0:
             continue
         perm = rng.permutation(idx)
@@ -440,12 +471,6 @@ class Collection:
     instances: list
     fold_plan: FoldPlan
     seed: int
-
-    def labels(self):
-        return [inst.label for inst in self.instances]
-
-    def windows(self):
-        return [inst.window for inst in self.instances]
 
     def counts(self):
         out = {}

@@ -129,7 +129,7 @@ class TestTwoClassKnn:
 
     def test_unknown_labels_rejected_by_name(self, rng):
         vectors = rng.normal(0.0, 1.0, (4, 2))
-        with pytest.raises(ValueError, match=r"unknown labels \['NOISE', 'adl'\]"):
+        with pytest.raises(ValueError, match=r"unknown labels \['NOISE', 'adl'\]$"):
             cls.train_tc_knn(vectors, ["ADL", "adl", "FALL", "NOISE"], k=1)
 
 
@@ -178,19 +178,20 @@ class TestSharedBehaviour:
         with pytest.raises(DimensionError):
             cls.score_batch(model, [[1.0, 2.0, 3.0]])
 
-    def test_serialization_preserves_scores_exactly(self, rng, tmp_path):
-        train = rng.normal(0.0, 1.0, (12, 3))
-        labels = ["ADL"] * 7 + ["FALL"] * 5
-        qs = rng.normal(0.0, 1.0, (9, 3))
-        for model in (
-            cls.train_oc_knn(train, k=2),
-            cls.train_tc_knn(train, labels, k=3),
-        ):
-            path = tmp_path / f"{model.variant.value}.json"
-            cls.save_model(model, path)
-            loaded = cls.load_model(path)
-            assert loaded.variant is model.variant
-            assert loaded.parameters.k == model.parameters.k
-            assert np.array_equal(
-                cls.score_batch(loaded, qs), cls.score_batch(model, qs)
-            )
+
+class TestScoringSharesTheInnerSearchTable:
+    def test_score_batch_equals_table_column_bit_for_bit(self, rng):
+        X = rng.normal(0.0, 1.0, (40, 4))
+        is_fall = np.arange(40) % 4 == 0
+        X[1] = X[0]  # one ADL row coincides with a FALL row
+        queries = np.vstack([rng.normal(0.0, 1.5, (15, 4)), X[:1]])
+        adl, fall = X[~is_fall], X[is_fall]
+        oc_table = cls.knn_scores_all_k(adl, None, queries, 10)
+        tc_table = cls.knn_scores_all_k(adl, fall, queries, 10)
+        for k in range(1, 11):
+            oc = cls.score_batch(cls.train_oc_knn(adl, k), queries)
+            tc = cls.score_batch(cls.train_tc_knn(X, is_fall, k), queries)
+            assert np.array_equal(oc, oc_table[:, k - 1])
+            assert np.array_equal(tc, tc_table[:, k - 1])
+        assert tc_table[-1, 0] == 0.5
+

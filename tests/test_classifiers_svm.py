@@ -218,24 +218,6 @@ class TestTrainingInterface:
         with pytest.raises(DimensionError):
             cls.score_batch(model, [[1.0, 2.0, 3.0]])
 
-    def test_serialization_preserves_scores_exactly(self, rng, tmp_path):
-        X = rng.normal(0.0, 1.0, (26, 3))
-        labels = ["ADL"] * 14 + ["FALL"] * 12
-        probes = rng.normal(0.0, 1.5, (11, 3))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConvergenceWarning)
-            models = [
-                cls.train_tc_svm(X, labels, C=2.0),
-                cls.train_oc_svm(X[:14], nu=0.2),
-            ]
-        for model in models:
-            path = tmp_path / f"{model.variant.value}.json"
-            cls.save_model(model, path)
-            loaded = cls.load_model(path)
-            assert np.array_equal(
-                cls.score_batch(loaded, probes), cls.score_batch(model, probes)
-            )
-
 
 def overlapping_problem(rng, n_adl=24, n_fall=16, dim=3):
     X = np.vstack([rng.normal(0.0, 1.0, (n_adl, dim)), rng.normal(0.8, 1.2, (n_fall, dim))])
@@ -260,7 +242,7 @@ class TestSharedPreparation:
                 (cls.Variant.TC_SVM, cls.train_tc_svm, (0.5, 10.0)),
                 (cls.Variant.OC_SVM, cls.train_oc_svm, (0.1, 0.3)),
             ):
-                prep = ev._svm_prep(variant, X, labels)
+                prep = ev._svm_prep(variant, X, labels == "FALL")
                 rows = X if variant is cls.Variant.TC_SVM else X[labels == "ADL"]
                 extra = (labels,) if variant is cls.Variant.TC_SVM else ()
                 # gamma by gamma, as the inner search visits its grid

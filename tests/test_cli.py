@@ -204,3 +204,66 @@ class TestConfigHandling:
         assert len(lines) == 3
         assert lines[1].startswith("C1,MAGNITUDE,51,OC_KNN,")
         assert lines[2].startswith("C1,ACCEL_FEATURES,51,OC_KNN,")
+
+
+class TestInputErrorsBeforeAnyCell:
+    """Bad selections and grid settings exit 2 while the config loads."""
+
+    def run_one_cell(self, data, work, *extra):
+        return run_cli(
+            "run", "--dataset1", data, "--out", work, "--seed", "7",
+            "--feature", "MAGNITUDE", "--window", "51", "--classifier", "OC_KNN", *extra,
+        )
+
+    def test_unknown_window_is_named(self, pipeline, capsys):
+        data, work = pipeline
+        assert self.run_one_cell(data, work, "--window", "52") == 2
+        assert "unknown window '52'" in capsys.readouterr().err
+        assert not (work / "summary.csv").exists()
+
+    def test_empty_selection_rejected(self, pipeline, capsys):
+        data, work = pipeline
+        code = run_cli(
+            "run", "--dataset1", data, "--out", work, "--seed", "7", "--feature", ",",
+        )
+        assert code == 2
+        assert "no feature selected" in capsys.readouterr().err
+        assert not (work / "summary.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("inner_folds", 1),
+            ("inner_folds", 0),
+            ("inner_folds", 2.5),
+            ("k_grid", [0, 3]),
+            ("k_grid", [2.5]),
+            ("k_grid", []),
+            ("c_grid", [-1, 1]),
+            ("c_grid", ["nan"]),
+            ("nu_grid", [0.1, 1.5]),
+            ("nu_grid", [0]),
+            ("gamma_grid", ["fast"]),
+            ("gamma_grid", [0]),
+        ],
+    )
+    def test_out_of_range_grid_setting_names_the_key(self, pipeline, tmp_path, capsys, key, value):
+        data, work = pipeline
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert self.run_one_cell(data, work, "--config", cfg) == 2
+        assert f"error: {key} must" in capsys.readouterr().err
+        assert not (work / "summary.csv").exists()
+
+    def test_in_range_grids_load(self, pipeline, tmp_path):
+        data, work = pipeline
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "k_grid": [5], "inner_folds": 2, "c_grid": [1e-3], "nu_grid": [1],
+            "gamma_grid": ["auto", 0.5],
+        }))
+        assert self.run_one_cell(data, work, "--config", cfg) == 0
+        report = json.loads((work / "report_C1_MAGNITUDE_51_OC_KNN.json").read_text())
+        assert report["config"]["k_grid"] == [5]
+        assert report["config"]["inner_folds"] == 2
+        assert all(p["k"] == 5 for p in report["fold_params"])

@@ -245,33 +245,3 @@ class TestMatrixAndExport:
         windows = [random_window(rng, 51), random_window(rng, 128)]
         with pytest.raises(DimensionError):
             features.extract_matrix(windows, FeatureKind.MAGNITUDE)
-
-    def test_column_counts_match_dimensions(self):
-        assert len(features.csv_columns(FeatureKind.RAW, 51)) == 153
-        assert len(features.csv_columns(FeatureKind.MAGNITUDE, 128)) == 128
-        assert len(features.csv_columns(FeatureKind.ACCEL_FEATURES, 51)) == 12
-        assert len(features.csv_columns(FeatureKind.LTP, 128)) == 768
-        assert len(features.csv_columns(FeatureKind.LTP, 51, num_neighbours=4)) == 204
-
-    def test_export_roundtrips_exact_values(self, rng, tmp_path):
-        windows = [random_window(rng, 51) for _ in range(4)]
-        m = features.extract_matrix(windows, FeatureKind.ACCEL_FEATURES)
-        labels = ["ADL", "FALL", "ADL", "FALL"]
-        out = tmp_path / "feat.csv"
-        features.export_features_csv(out, m, labels, FeatureKind.ACCEL_FEATURES, 51)
-        lines = out.read_text().splitlines()
-        assert lines[0].split(",")[-1] == "label"
-        assert len(lines) == 5
-        for row, line, label in zip(m, lines[1:], labels):
-            parts = line.split(",")
-            assert parts[-1] == label
-            # repr round-trips float64 exactly
-            assert [float(p) for p in parts[:-1]] == row.tolist()
-
-    def test_export_rejects_mismatched_labels(self, rng, tmp_path):
-        windows = [random_window(rng, 51) for _ in range(3)]
-        m = features.extract_matrix(windows, FeatureKind.MAGNITUDE)
-        with pytest.raises(DimensionError):
-            features.export_features_csv(
-                tmp_path / "x.csv", m, ["ADL"], FeatureKind.MAGNITUDE, 51
-            )

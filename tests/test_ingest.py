@@ -253,6 +253,18 @@ class TestParseDataset1Windowed:
         assert "f0.csv" in str(err.value)
         assert err.value.line == 42
 
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_sample_names_file_and_line(self, tmp_path, token):
+        write_windowed_dataset1(tmp_path, {("adl", "a0.csv"): np.zeros((300, 3))})
+        f = tmp_path / "adl" / "a0.csv"
+        lines = f.read_text().splitlines()
+        lines[99] = f"0.0,{token},0.0"
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            ingest.parse_dataset1(tmp_path)
+        assert str(err.value) == f"{f}:100: non-finite value"
+        assert err.value.line == 100
+
 
 class TestParseDataset1Raw:
     def test_trace_becomes_one_peak_window(self, tmp_path):
@@ -293,6 +305,19 @@ class TestParseDataset1Raw:
         with pytest.raises(ParseError):
             ingest.parse_dataset1(tmp_path)
 
+    @pytest.mark.parametrize("token", ["nan", "-inf"])
+    def test_non_finite_sample_names_file_and_line(self, tmp_path, token):
+        (tmp_path / "manifest.json").write_text(json.dumps({"mode": "raw"}))
+        d = tmp_path / "fall"
+        d.mkdir()
+        rows = ["t,x,y,z"] + [f"{i / 50.0!r},0.0,0.0,1.0" for i in range(400)]
+        rows[10] = ""  # blank lines hold no row but still count as lines
+        rows[200] = f"4.0,0.0,{token},1.0"
+        (d / "rec.csv").write_text("\n".join(rows) + "\n")
+        with pytest.raises(ParseError) as err:
+            ingest.parse_dataset1(tmp_path)
+        assert str(err.value) == f"{d / 'rec.csv'}:201: non-finite value"
+
 
 def write_dataset2(root, n_rows, labels, width=128):
     rng = np.random.default_rng(77)
@@ -328,6 +353,19 @@ class TestParseDataset2:
         (tmp_path / "y.csv").unlink()
         with pytest.raises(ParseError):
             ingest.parse_dataset2(tmp_path)
+
+    @pytest.mark.parametrize("token", ["NaN", "inf"])
+    def test_non_finite_sample_names_file_and_line(self, tmp_path, token):
+        write_dataset2(tmp_path, 3, ["a", "b", "c"])
+        f = tmp_path / "z.csv"
+        lines = f.read_text().splitlines()
+        values = lines[2].split()
+        values[5] = token
+        lines[2] = " ".join(values)
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            ingest.parse_dataset2(tmp_path)
+        assert str(err.value) == f"{f}:3: non-finite value"
 
 
 class TestPlanFolds:
@@ -371,6 +409,44 @@ class TestPlanFolds:
     def test_rejects_single_fold(self):
         with pytest.raises(ValueError):
             ingest.plan_folds([Label.ADL, Label.FALL], num_folds=1)
+
+    def test_rejects_unknown_label(self):
+        # an unknown label would otherwise land in no fold at all
+        with pytest.raises(ValueError, match=r"^unknown labels \['WALK'\]$"):
+            ingest.plan_folds([Label.ADL, "WALK", Label.FALL, "ADL"], num_folds=2)
+
+    def test_bool_mask_matches_enum_labels(self):
+        enums = [Label.ADL] * 12 + [Label.FALL] * 5
+        mask = np.array([lab is Label.FALL for lab in enums])
+        a = ingest.plan_folds(enums, seed=2)
+        b = ingest.plan_folds(mask, seed=2)
+        assert np.array_equal(a.assignments, b.assignments)
+
+
+class TestIsFallMask:
+    def test_strings_enums_and_bools_agree(self):
+        strings = ["ADL", "FALL", "FALL", "ADL"]
+        expected = [False, True, True, False]
+        for labels in (
+            strings,
+            np.array(strings),
+            [Label(s) for s in strings],
+            [Label.ADL, "FALL", Label.FALL, "ADL"],
+            expected,
+            np.array(expected),
+        ):
+            mask = ingest.is_fall_mask(labels)
+            assert mask.dtype == bool
+            assert mask.tolist() == expected
+
+    def test_every_unknown_token_is_named(self):
+        labels = ["ADL", "adl", Label.FALL, "NOISE", "fall", "adl", 1]
+        with pytest.raises(ValueError, match=r"^unknown labels \['1', 'NOISE', 'adl', 'fall'\]$"):
+            ingest.is_fall_mask(labels)
+
+    def test_empty_input_gives_empty_mask(self):
+        mask = ingest.is_fall_mask([])
+        assert mask.dtype == bool and mask.shape == (0,)
 
 
 def tagged_pairs(n_adl, n_fall, tag, length=8):
