@@ -31,6 +31,7 @@ DEFAULT_NU_GRID = (0.01, 0.05, 0.1, 0.2)
 SVM_TOL = 1e-3
 _SV_EPS = 1e-12
 _CACHE_BUDGET_BYTES = 2e8
+_DIST_CHUNK_BYTES = 1e6
 
 
 class Variant(enum.Enum):
@@ -66,31 +67,56 @@ def knn_bruteforce_oracle(train, query, k):
     return np.sort(d)[:k]
 
 
+def _distance_block(train, queries):
+    """Euclidean distances from every query to every training row:
+    block[q, i] is _distances_to_all(train, queries[q])[i], bit for bit,
+    as each entry is the same pairwise sum over one row.  Queries go in
+    chunks whose difference arrays stay within _DIST_CHUNK_BYTES."""
+    step = max(1, int(_DIST_CHUNK_BYTES // max(8 * train.size, 1)))
+    block = np.empty((len(queries), len(train)))
+    for b in range(0, len(queries), step):
+        q = queries[b:b + step]
+        block[b:b + step] = np.sqrt(((train[None] - q[:, None]) ** 2).sum(axis=2))
+    return block
+
+
+def _k_smallest_rows(block, k):
+    # Partial selection along each row, then sort the selected k.
+    if k < block.shape[1]:
+        block = np.partition(block, k - 1, axis=1)[:, :k]
+    return np.sort(block, axis=1)
+
+
 def _k_smallest_sorted(train, query, k):
-    # Production path: partial selection, then sort the selected k.
-    d = _distances_to_all(train, query)
-    if k < len(d):
-        d = d[np.argpartition(d, k - 1)[:k]]
-    return np.sort(d)
+    return _k_smallest_rows(_distance_block(train, query[None, :]), k)[0]
+
+
+def _mean_k_smallest(block, k_max):
+    """Entry [q, k-1]: the mean of the k smallest entries of block[q].
+
+    Each mean is the prefix's own sum over k, not a running sum: numpy
+    sums 8 or more values pairwise, so only this matches the oracle's
+    sorted[:k].sum() / k exactly.
+    """
+    sd = _k_smallest_rows(block, k_max)
+    out = np.empty((len(sd), k_max))
+    for k in range(1, k_max + 1):
+        out[:, k - 1] = sd[:, :k].sum(axis=1) / k
+    return out
 
 
 def knn_mean_distances_all_k(train, queries, k_max):
     """Matrix of mean-of-k-nearest distances for every k in 1..k_max.
 
-    Shares one distance computation per query across the whole k grid;
-    entry [q, k-1] is the mean of the k smallest distances from queries[q]
-    to the rows of train.  Every kNN score in the package comes from here.
+    Shares one distance block across the whole k grid; entry [q, k-1] is
+    the mean of the k smallest distances from queries[q] to the rows of
+    train.  Every outer kNN score in the package comes from here.
     """
     train = _as_matrix(train)
     if not 1 <= k_max <= len(train):
         raise InvalidK(f"k_max={k_max} needs 1 <= k_max <= {len(train)} training vectors")
     queries = np.asarray(queries, dtype=np.float64)
-    out = np.empty((len(queries), k_max))
-    for qi, q in enumerate(queries):
-        sd = _k_smallest_sorted(train, q, k_max)
-        for k in range(1, k_max + 1):
-            out[qi, k - 1] = sd[:k].sum() / k
-    return out
+    return _mean_k_smallest(_distance_block(train, queries), k_max)
 
 
 def knn_mean_distance(train, query, k):
@@ -99,19 +125,55 @@ def knn_mean_distance(train, query, k):
     return float(knn_mean_distances_all_k(train, np.asarray(query)[None, :], k)[0, k - 1])
 
 
+def _knn_scores(da, df):
+    """One-class score dA when df is None; otherwise the two-class score
+    dA / (dA + dF), and 0.5 where both mean distances are 0."""
+    if df is None:
+        return da
+    tot = da + df
+    return np.where(tot == 0, 0.5, da / np.where(tot == 0, 1.0, tot))
+
+
 def knn_scores_all_k(adl, fall, queries, k_max):
     """kNN scores of queries for every k in 1..k_max, column k-1 for k.
 
     With fall None, the one-class score: the mean distance dA to the k
     nearest ADL rows.  Otherwise the two-class score dA / (dA + dF), dF
-    taken over the FALL rows, and 0.5 where both distances are 0.
+    taken over the FALL rows.
     """
     da = knn_mean_distances_all_k(adl, queries, k_max)
-    if fall is None:
-        return da
-    df = knn_mean_distances_all_k(fall, queries, k_max)
-    tot = da + df
-    return np.where(tot == 0, 0.5, da / np.where(tot == 0, 1.0, tot))
+    df = None if fall is None else knn_mean_distances_all_k(fall, queries, k_max)
+    return _knn_scores(da, df)
+
+
+class KnnPrep:
+    """Pairwise distances between the rows of one matrix, shared by every
+    inner kNN split drawn from those rows.
+
+    The n x n matrix is built on first use, so a search that never runs
+    never pays for it.  When it would exceed _CACHE_BUDGET_BYTES, each
+    block is computed from the rows instead; both give the same entries
+    bit for bit.
+    """
+
+    def __init__(self, vectors):
+        self.X = np.asarray(vectors, dtype=np.float64)
+        self._D = None
+
+    def _block(self, queries, train):
+        if 8.0 * len(self.X) ** 2 > _CACHE_BUDGET_BYTES:
+            return _distance_block(_as_matrix(self.X[train]), self.X[queries])
+        if self._D is None:
+            X = _as_matrix(self.X)
+            self._D = _distance_block(X, X)
+        return self._D[np.ix_(queries, train)]
+
+    def scores_all_k(self, adl, fall, queries, k_max):
+        """knn_scores_all_k over the rows of the matrix indexed by adl,
+        fall (None for one-class) and queries."""
+        da = _mean_k_smallest(self._block(queries, adl), k_max)
+        df = None if fall is None else _mean_k_smallest(self._block(queries, fall), k_max)
+        return _knn_scores(da, df)
 
 
 @dataclass

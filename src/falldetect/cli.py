@@ -75,6 +75,14 @@ _GRID_BOUNDS = {
 }
 
 
+def _as_number(raw):
+    """raw as a float; nan when it is not a number."""
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        return math.nan
+
+
 def _grid_values(key, raw):
     """The values of one hyperparameter grid, checked against its bounds."""
     ok, wanted = _GRID_BOUNDS[key]
@@ -85,14 +93,31 @@ def _grid_values(key, raw):
         if key == "gamma_grid" and v == "auto":
             out.append(v)
             continue
-        try:
-            x = float(v)
-        except (TypeError, ValueError):
-            x = math.nan
+        x = _as_number(v)
         if not (math.isfinite(x) and ok(x)):
             raise ValueError(f"{key} must hold {wanted}, got {v!r}")
         out.append(int(x) if key == "k_grid" else x)
     return tuple(out)
+
+
+# Each scalar setting's type, bounds and the words of the error.
+_SETTING_BOUNDS = {
+    "inner_folds": (int, lambda x: x >= 2 and x.is_integer(), "an integer >= 2"),
+    "svm_tol": (float, lambda x: x > 0, "a number > 0"),
+    "svm_max_iter": (int, lambda x: x >= 1 and x.is_integer(), "an integer >= 1"),
+    "ltp_neighbours": (int, lambda x: x >= 1 and x.is_integer(), "an integer >= 1"),
+    "ltp_step": (float, lambda x: x > 0, "a number > 0"),
+}
+
+
+def _setting(config, key):
+    """One scalar setting, checked against its bounds."""
+    cast, ok, wanted = _SETTING_BOUNDS[key]
+    raw = config[key]
+    x = _as_number(raw)
+    if not (math.isfinite(x) and ok(x)):
+        raise ValueError(f"{key} must be {wanted}, got {raw!r}")
+    return cast(x)
 
 
 def grid_config(config):
@@ -101,16 +126,12 @@ def grid_config(config):
     kwargs = {
         key: _grid_values(key, config[key]) for key in _GRID_BOUNDS if config[key] is not None
     }
-    folds = config["inner_folds"]
-    if not isinstance(folds, (int, float)) or not float(folds).is_integer() or folds < 2:
-        raise ValueError(f"inner_folds must be an integer >= 2, got {folds!r}")
-    kwargs["inner_folds"] = int(folds)
-    if config["svm_tol"] is not None:
-        kwargs["svm_tol"] = float(config["svm_tol"])
-    if config["svm_max_iter"] is not None:
-        kwargs["svm_max_iter"] = int(config["svm_max_iter"])
+    kwargs["inner_folds"] = _setting(config, "inner_folds")
+    for key in ("svm_tol", "svm_max_iter"):
+        if config[key] is not None:
+            kwargs[key] = _setting(config, key)
     kwargs["ltp_params"] = LtpParams(
-        num_neighbours=int(config["ltp_neighbours"]), step=float(config["ltp_step"])
+        num_neighbours=_setting(config, "ltp_neighbours"), step=_setting(config, "ltp_step")
     )
     return GridConfig(**kwargs)
 

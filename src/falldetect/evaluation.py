@@ -282,7 +282,9 @@ def _best_candidate(candidates, is_fall, splits, scored):
     return candidates[best], totals[best] / len(splits)
 
 
-def _select_k(variant, X, is_fall, cfg, seed):
+def _select_k(variant, prep, rows, is_fall, cfg, seed):
+    """k for the training rows of prep.X at indices rows, labelled by
+    is_fall; each inner split's scores index prep's shared distances."""
     ks = sorted(set(cfg.k_grid))
     if len(ks) == 1:
         return ks[0], None
@@ -301,9 +303,9 @@ def _select_k(variant, X, is_fall, cfg, seed):
         return ks[0], None
 
     def scored(tr, val):
-        Xtr, ftr = X[tr], is_fall[tr]
-        fall = Xtr[ftr] if two_class else None
-        table = classifiers.knn_scores_all_k(Xtr[~ftr], fall, X[val], ks[-1])
+        ftr = is_fall[tr]
+        fall = rows[tr[ftr]] if two_class else None
+        table = prep.scores_all_k(rows[tr[~ftr]], fall, rows[val], ks[-1])
         return ((c, table[:, k - 1]) for c, k in enumerate(ks))
 
     return _best_candidate(ks, is_fall, splits, scored)
@@ -366,6 +368,8 @@ def run_experiment(collection, feature_kind, window_len, variant, config=None):
     X = extract_matrix(windows, kind, cfg.ltp_params)
     is_fall = is_fall_mask([inst.label for inst in collection.instances])
     plan = collection.fold_plan
+    # distances between the cell's rows for every inner k search, built on first use
+    knn_prep = classifiers.KnnPrep(X)
 
     curves = []
     fold_aucs = []
@@ -378,7 +382,7 @@ def run_experiment(collection, feature_kind, window_len, variant, config=None):
             Xtr, ftr = X[train_idx], is_fall[train_idx]
             seed_f = _inner_seed(collection.seed, f)
             if var in (Variant.OC_KNN, Variant.TC_KNN):
-                k, inner_auc = _select_k(var, Xtr, ftr, cfg, seed_f)
+                k, inner_auc = _select_k(var, knn_prep, train_idx, ftr, cfg, seed_f)
                 if var is Variant.OC_KNN:
                     model = classifiers.train_oc_knn(Xtr[~ftr], k)
                 else:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from falldetect import classifiers as cls
 from falldetect.errors import DimensionError, InvalidK
@@ -195,3 +198,130 @@ class TestScoringSharesTheInnerSearchTable:
             assert np.array_equal(tc, tc_table[:, k - 1])
         assert tc_table[-1, 0] == 0.5
 
+
+
+class TestBatchedDistanceBlock:
+    @pytest.mark.parametrize("chunk_rows", [1, 3, None])
+    def test_block_equals_per_row_kernel_bit_for_bit(self, rng, monkeypatch, chunk_rows):
+        train = rng.normal(0.0, 1.0, (13, 5))
+        train[4] = train[2]  # duplicate training rows
+        queries = np.vstack([rng.normal(0.0, 1.0, (10, 5)), train[7]])
+        if chunk_rows is not None:
+            # 11 queries in chunks of 1, or of 3 with a remainder of 2
+            monkeypatch.setattr(cls, "_DIST_CHUNK_BYTES", 8 * train.size * chunk_rows)
+        block = cls._distance_block(train, queries)
+        for qi, q in enumerate(queries):
+            assert np.array_equal(block[qi], cls._distances_to_all(train, q))
+        assert block[-1, 7] == 0.0
+        m = len(train)
+        table = cls.knn_mean_distances_all_k(train, queries, m)
+        for qi, q in enumerate(queries):
+            oracle = cls.knn_bruteforce_oracle(train, q, m)
+            for k in range(1, m + 1):
+                assert table[qi, k - 1] == oracle[:k].sum() / k
+
+
+def overlapping_classes(rng):
+    """90 ADL + 30 FALL rows whose classes overlap, with repeated rows, so
+    the inner AUC differs from k to k."""
+    X = np.vstack([rng.normal(0.0, 1.0, (90, 6)), rng.normal(0.8, 1.2, (30, 6))])
+    X[10] = X[11]
+    X[95] = X[3]
+    is_fall = np.arange(120) >= 90
+    return X, is_fall
+
+
+class TestInnerSearchSharesOneMatrix:
+    @pytest.fixture
+    def case(self, rng):
+        from falldetect.evaluation import GridConfig
+
+        X, is_fall = overlapping_classes(rng)
+        # training rows of one outer fold, in shuffled order
+        rows = rng.permutation(120)[:100]
+        return X, is_fall, rows, GridConfig(k_grid=tuple(range(1, 11)), inner_folds=5)
+
+    def test_prep_scores_equal_gathered_rows_bit_for_bit(self, rng, monkeypatch):
+        X, is_fall = overlapping_classes(rng)
+        adl, fall = np.flatnonzero(~is_fall)[:70], np.flatnonzero(is_fall)[:20]
+        queries = np.r_[np.flatnonzero(~is_fall)[70:], np.flatnonzero(is_fall)[20:], 3]
+        for fall_rows in (None, fall):
+            expected = cls.knn_scores_all_k(
+                X[adl], None if fall_rows is None else X[fall_rows], X[queries], 10
+            )
+            in_budget = cls.KnnPrep(X)
+            assert np.array_equal(in_budget.scores_all_k(adl, fall_rows, queries, 10), expected)
+            assert in_budget._D is not None
+            with monkeypatch.context() as mp:
+                mp.setattr(cls, "_CACHE_BUDGET_BYTES", 8 * 120 * 120 - 1)
+                over = cls.KnnPrep(X)
+                assert np.array_equal(over.scores_all_k(adl, fall_rows, queries, 10), expected)
+                assert over._D is None
+
+    @pytest.mark.parametrize("variant", [cls.Variant.OC_KNN, cls.Variant.TC_KNN])
+    def test_select_k_same_from_matrix_and_over_budget(self, case, monkeypatch, variant):
+        from falldetect.evaluation import _best_candidate, _inner_splits, _select_k
+
+        X, is_fall, rows, cfg = case
+        two_class = variant is cls.Variant.TC_KNN
+        Xtr, ftr = X[rows], is_fall[rows]
+
+        def recomputed(tr, val):
+            # each split's tables from its own gathered rows, no shared matrix
+            adl, fall = Xtr[tr][~ftr[tr]], Xtr[tr][ftr[tr]] if two_class else None
+            table = cls.knn_scores_all_k(adl, fall, Xtr[val], 10)
+            return ((c, table[:, c]) for c in range(10))
+
+        splits = _inner_splits(ftr, cfg, 5, two_class)
+        expected = _best_candidate(list(range(1, 11)), ftr, splits, recomputed)
+        assert 0.5 < expected[1] < 1.0
+        assert _select_k(variant, cls.KnnPrep(X), rows, ftr, cfg, 5) == expected
+        monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 8 * 120 * 120 - 1)
+        assert _select_k(variant, cls.KnnPrep(X), rows, ftr, cfg, 5) == expected
+
+    @pytest.mark.parametrize("variant", ["OC_KNN", "TC_KNN"])
+    def test_single_k_grid_never_builds_the_matrix(self, small_collection, monkeypatch, variant):
+        from falldetect.evaluation import GridConfig, run_experiment
+
+        n = len(small_collection.instances)
+        blocks = cls._distance_block
+
+        def no_cell_matrix(train, queries):
+            # outer scoring builds query-fold blocks; only the cell matrix is n x n
+            if len(train) == len(queries) == n:
+                raise AssertionError("distance matrix built")
+            return blocks(train, queries)
+
+        monkeypatch.setattr(cls, "_distance_block", no_cell_matrix)
+        report = run_experiment(small_collection, "MAGNITUDE", 51, variant, GridConfig(k_grid=(3,)))
+        assert all(p["k"] == 3 for p in report.fold_params)
+        with pytest.raises(AssertionError, match="distance matrix built"):
+            run_experiment(small_collection, "MAGNITUDE", 51, variant, GridConfig(k_grid=(1, 3)))
+
+
+duplicated_rows = st.integers(1, 12).flatmap(
+    lambda d: st.tuples(
+        # a small pool of rows on a coarse grid: ties and repeated rows are common
+        arrays(np.float64, st.tuples(st.integers(1, 6), st.just(d)),
+               elements=st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0, 3.0])),
+        st.lists(st.integers(0, 5), min_size=1, max_size=20),
+        st.lists(st.integers(0, 5), min_size=1, max_size=6),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=duplicated_rows, k_frac=st.floats(0.0, 1.0), chunk_rows=st.integers(1, 4))
+def test_table_equals_oracle_prefix_mean_exactly(case, k_frac, chunk_rows):
+    pool, train_pick, query_pick = case
+    train = pool[[i % len(pool) for i in train_pick]]
+    queries = pool[[i % len(pool) for i in query_pick]]
+    queries[1::2] += 0.125  # every other query off the grid of pool rows
+    k_max = 1 + int(k_frac * (len(train) - 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cls, "_DIST_CHUNK_BYTES", 8 * train.size * chunk_rows)
+        table = cls.knn_mean_distances_all_k(train, queries, k_max)
+    for qi, q in enumerate(queries):
+        oracle = cls.knn_bruteforce_oracle(train, q, k_max)
+        for k in range(1, k_max + 1):
+            assert table[qi, k - 1] == oracle[:k].sum() / k

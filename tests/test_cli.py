@@ -245,6 +245,15 @@ class TestInputErrorsBeforeAnyCell:
             ("nu_grid", [0]),
             ("gamma_grid", ["fast"]),
             ("gamma_grid", [0]),
+            ("svm_tol", -1),
+            ("svm_tol", 0),
+            ("svm_tol", "nan"),
+            ("svm_max_iter", 0),
+            ("svm_max_iter", 2.5),
+            ("ltp_step", 0),
+            ("ltp_step", "inf"),
+            ("ltp_neighbours", 0),
+            ("ltp_neighbours", 1.5),
         ],
     )
     def test_out_of_range_grid_setting_names_the_key(self, pipeline, tmp_path, capsys, key, value):
@@ -260,10 +269,13 @@ class TestInputErrorsBeforeAnyCell:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "k_grid": [5], "inner_folds": 2, "c_grid": [1e-3], "nu_grid": [1],
-            "gamma_grid": ["auto", 0.5],
+            "gamma_grid": ["auto", 0.5], "svm_tol": 1e-2, "svm_max_iter": 50,
+            "ltp_neighbours": 4, "ltp_step": 0.5,
         }))
         assert self.run_one_cell(data, work, "--config", cfg) == 0
         report = json.loads((work / "report_C1_MAGNITUDE_51_OC_KNN.json").read_text())
         assert report["config"]["k_grid"] == [5]
         assert report["config"]["inner_folds"] == 2
+        assert (report["config"]["svm_tol"], report["config"]["svm_max_iter"]) == (1e-2, 50)
+        assert report["config"]["ltp_params"] == {"num_neighbours": 4, "step": 0.5, "m_max": None}
         assert all(p["k"] == 5 for p in report["fold_params"])
