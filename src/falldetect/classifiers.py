@@ -67,17 +67,40 @@ def knn_bruteforce_oracle(train, query, k):
     return np.sort(d)[:k]
 
 
+def _chunk_rows(train):
+    """Queries per chunk whose differences to train fit _DIST_CHUNK_BYTES."""
+    return max(1, int(_DIST_CHUNK_BYTES // max(8 * train.size, 1)))
+
+
 def _distance_block(train, queries):
     """Euclidean distances from every query to every training row:
     block[q, i] is _distances_to_all(train, queries[q])[i], bit for bit,
     as each entry is the same pairwise sum over one row.  Queries go in
     chunks whose difference arrays stay within _DIST_CHUNK_BYTES."""
-    step = max(1, int(_DIST_CHUNK_BYTES // max(8 * train.size, 1)))
+    step = _chunk_rows(train)
     block = np.empty((len(queries), len(train)))
     for b in range(0, len(queries), step):
         q = queries[b:b + step]
         block[b:b + step] = np.sqrt(((train[None] - q[:, None]) ** 2).sum(axis=2))
     return block
+
+
+def _self_distances(X):
+    """_distance_block(X, X) bit for bit, from its upper triangle.
+
+    Each chunk of rows is taken against the rows from its first one on,
+    and the entries below the diagonal are mirrored: (a - b)**2 and
+    (b - a)**2 are the same float, so each entry is the same sum.
+    """
+    n = len(X)
+    step = _chunk_rows(X)
+    D = np.empty((n, n))
+    for b in range(0, n, step):
+        q = X[b:b + step]
+        D[b:b + step, b:] = np.sqrt(((X[None, b:] - q[:, None]) ** 2).sum(axis=2))
+    lower = np.tril_indices(n, -1)
+    D[lower] = D.T[lower]
+    return D
 
 
 def _k_smallest_rows(block, k):
@@ -110,7 +133,7 @@ def knn_mean_distances_all_k(train, queries, k_max):
 
     Shares one distance block across the whole k grid; entry [q, k-1] is
     the mean of the k smallest distances from queries[q] to the rows of
-    train.  Every outer kNN score in the package comes from here.
+    train.  Every kNN score not read from a KnnPrep matrix comes from here.
     """
     train = _as_matrix(train)
     if not 1 <= k_max <= len(train):
@@ -148,7 +171,7 @@ def knn_scores_all_k(adl, fall, queries, k_max):
 
 class KnnPrep:
     """Pairwise distances between the rows of one matrix, shared by every
-    inner kNN split drawn from those rows.
+    inner kNN split and outer test fold drawn from those rows.
 
     The n x n matrix is built on first use, so a search that never runs
     never pays for it.  When it would exceed _CACHE_BUDGET_BYTES, each
@@ -160,17 +183,24 @@ class KnnPrep:
         self.X = np.asarray(vectors, dtype=np.float64)
         self._D = None
 
+    @property
+    def has_matrix(self):
+        """Whether the n x n matrix has been built."""
+        return self._D is not None
+
     def _block(self, queries, train):
         if 8.0 * len(self.X) ** 2 > _CACHE_BUDGET_BYTES:
             return _distance_block(_as_matrix(self.X[train]), self.X[queries])
         if self._D is None:
-            X = _as_matrix(self.X)
-            self._D = _distance_block(X, X)
+            self._D = _self_distances(_as_matrix(self.X))
         return self._D[np.ix_(queries, train)]
 
     def scores_all_k(self, adl, fall, queries, k_max):
         """knn_scores_all_k over the rows of the matrix indexed by adl,
         fall (None for one-class) and queries."""
+        pool = len(adl) if fall is None else min(len(adl), len(fall))
+        if not 1 <= k_max <= pool:
+            raise InvalidK(f"k_max={k_max} needs 1 <= k_max <= {pool}, the smallest class pool")
         da = _mean_k_smallest(self._block(queries, adl), k_max)
         df = None if fall is None else _mean_k_smallest(self._block(queries, fall), k_max)
         return _knn_scores(da, df)

@@ -18,7 +18,7 @@ from itertools import repeat
 from pathlib import Path
 
 from . import __version__, synth
-from .errors import FalldetectError
+from .errors import FalldetectError, ParseError
 from .evaluation import (
     GridConfig,
     report_from_dict,
@@ -102,6 +102,8 @@ def _grid_values(key, raw):
 
 # Each scalar setting's type, bounds and the words of the error.
 _SETTING_BOUNDS = {
+    "seed": (int, lambda x: x >= 0 and x.is_integer(), "an integer >= 0"),
+    "jobs": (int, lambda x: x >= 1 and x.is_integer(), "an integer >= 1"),
     "inner_folds": (int, lambda x: x >= 2 and x.is_integer(), "an integer >= 2"),
     "svm_tol": (float, lambda x: x > 0, "a number > 0"),
     "svm_max_iter": (int, lambda x: x >= 1 and x.is_integer(), "an integer >= 1"),
@@ -117,6 +119,8 @@ def _setting(config, key):
     x = _as_number(raw)
     if not (math.isfinite(x) and ok(x)):
         raise ValueError(f"{key} must be {wanted}, got {raw!r}")
+    if cast is int and isinstance(raw, int):
+        return int(raw)  # exact past 2**53, where the float rounds
     return cast(x)
 
 
@@ -184,8 +188,8 @@ def load_config(args):
         ("classifiers", CLASSIFIER_ORDER, "classifier"),
     ):
         merged[key] = _parse_choices(merged[key], universe, what)
-    merged["seed"] = int(merged["seed"])
-    merged["jobs"] = max(1, int(merged["jobs"]))
+    for key in ("seed", "jobs"):
+        merged[key] = _setting(merged, key)
     grid_config(merged)
     return merged
 
@@ -213,13 +217,15 @@ def _digest_tree(path):
     return h.hexdigest()
 
 
-def _write_run_json(out_dir, command, config, inputs):
+def _write_run_json(out_dir, command, config, inputs, cells=None):
     doc = {
         "command": command,
         "version": __version__,
         "config": config,
         "inputs": {str(k): v for k, v in inputs.items()},
     }
+    if cells is not None:
+        doc["cells"] = cells
     _atomic_write_text(Path(out_dir) / "run.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -383,7 +389,10 @@ def cmd_run(config):
             save_report_json(report, out / f"report_{key}.json")
             write_roc_csv(report.averaged_curve, out / f"roc_{key}.csv")
     rows = _write_summary(out, [row for row, _ in results])
-    _write_run_json(out, "run", config, inputs)
+    # what report renders: each ok row's report, each error row as recorded
+    keys = ("collection", "feature", "window", "classifier", "status", "error")
+    cells = [{k: r[k] for k in keys if k in r} for r in rows]
+    _write_run_json(out, "run", config, inputs, cells)
     for r in rows:
         if r["status"] == "ok":
             print(f"{_cell_name(r)}: AUC {r['auc']:.3f} SE {r['se']:.3f} SP {r['sp']:.3f}")
@@ -392,24 +401,43 @@ def cmd_run(config):
     return 1 if any(r["status"] == "error" for r in rows) else 0
 
 
+def _recorded_cells(out):
+    """The cell rows the last run in out recorded in its run.json."""
+    path = out / "run.json"
+    if not path.is_file():
+        raise FileNotFoundError(f"no reports found in {out}: {path} is missing; run first")
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not JSON ({exc})", path=path) from exc
+    cells = record.get("cells") if isinstance(record, dict) else None
+    if not isinstance(cells, list):
+        raise ParseError("not the record of a run: it lists no cells to report", path=path)
+    return cells
+
+
 def cmd_report(config):
+    """Re-render the summary of exactly the cells the last run recorded."""
     out = Path(config["out"])
-    reports = sorted(out.glob("report_*.json"))
-    if not reports:
-        raise FileNotFoundError(f"no reports found in {out}")
     rows = []
-    for path in reports:
+    for cell in _recorded_cells(out):
+        if cell["status"] != "ok":
+            rows.append(cell)
+            continue
+        # a missing report raises an OSError that names its path
+        path = out / f"report_{_cell_name(cell, '_')}.json"
         report = report_from_dict(json.loads(path.read_text(encoding="utf-8")))
-        row = summary_row(report)
-        row["status"] = "ok"
-        rows.append(row)
+        rows.append({**summary_row(report), "status": "ok"})
     rows = _write_summary(out, rows)
     for r in rows:
-        print(
-            f"{_cell_name(r)}: "
-            f"AUC {r['auc']:.3f} SE {r['se']:.3f} SP {r['sp']:.3f} GM {r['gm']:.3f}"
-        )
-    return 0
+        if r["status"] == "ok":
+            print(
+                f"{_cell_name(r)}: "
+                f"AUC {r['auc']:.3f} SE {r['se']:.3f} SP {r['sp']:.3f} GM {r['gm']:.3f}"
+            )
+        else:
+            print(f"{_cell_name(r)}: ERROR {r['error']}")
+    return 1 if any(r["status"] == "error" for r in rows) else 0
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,38 @@ def auc(curve):
     return float(np.sum(np.diff(f) * (t[1:] + t[:-1]) / 2.0))
 
 
+def _column_aucs(table, pos):
+    """auc(roc_curve(table[:, c], pos)) for every column c, bit for bit.
+
+    One stable sort of the whole table and one pair of cumulative sums
+    give every column's sweep (Fawcett 2006); each column then keeps the
+    (0, 0) start and the end of each of its tie groups, and takes the
+    trapezoidal area over the same arrays roc_curve would build.  pos
+    must hold both classes.
+    """
+    if not np.all(np.isfinite(table)):
+        raise ValueError("scores must be finite")
+    order = np.argsort(-table, axis=0, kind="stable")
+    s = np.take_along_axis(table, order, axis=0)
+    y = pos[order]
+    P = int(pos.sum())
+    N = len(pos) - P
+    n, cols = table.shape
+    # row r + 1: the rates once the r + 1 highest scores have entered
+    fpr = np.zeros((n + 1, cols))
+    tpr = np.zeros((n + 1, cols))
+    fpr[1:] = np.cumsum(~y, axis=0) / N
+    tpr[1:] = np.cumsum(y, axis=0) / P
+    keep = np.ones((n + 1, cols), dtype=bool)
+    keep[1:-1] = s[1:] != s[:-1]
+    out = np.empty(cols)
+    for c in range(cols):
+        f = fpr[keep[:, c], c]
+        t = tpr[keep[:, c], c]
+        out[c] = np.sum(np.diff(f) * (t[1:] + t[:-1]) / 2.0)
+    return out
+
+
 def pairwise_auc(scores, labels):
     """Mann-Whitney statistic: P(fall outscores ADL), ties counted half.
 
@@ -271,15 +303,14 @@ def _best_candidate(candidates, is_fall, splits, scored):
     """The candidate with the highest total inner AUC, ties going to the
     earliest, and its mean inner AUC.
 
-    scored(tr, val) yields (candidate index, validation scores) for every
-    candidate on one split; each candidate sums its AUCs in fold order.
+    scored(tr, val) returns one split's validation scores, a column per
+    candidate; each candidate sums its AUCs in fold order.
     """
-    totals = [0.0] * len(candidates)
+    totals = np.zeros(len(candidates))
     for tr, val in splits:
-        for c, scores in scored(tr, val):
-            totals[c] += auc(roc_curve(scores, is_fall[val]))
+        totals += _column_aucs(scored(tr, val), is_fall[val])
     best = int(np.argmax(totals))
-    return candidates[best], totals[best] / len(splits)
+    return candidates[best], float(totals[best] / len(splits))
 
 
 def _select_k(variant, prep, rows, is_fall, cfg, seed):
@@ -306,9 +337,24 @@ def _select_k(variant, prep, rows, is_fall, cfg, seed):
         ftr = is_fall[tr]
         fall = rows[tr[ftr]] if two_class else None
         table = prep.scores_all_k(rows[tr[~ftr]], fall, rows[val], ks[-1])
-        return ((c, table[:, k - 1]) for c, k in enumerate(ks))
+        return table[:, [k - 1 for k in ks]]
 
     return _best_candidate(ks, is_fall, splits, scored)
+
+
+def _knn_test_scores(variant, prep, rows, is_fall, test, k):
+    """Scores of the test rows of prep.X under k, trained on the rows at
+    indices rows, labelled by is_fall: read from prep's matrix when the
+    inner search built it, else from a model over the gathered rows."""
+    if prep.has_matrix:
+        fall = rows[is_fall] if variant is Variant.TC_KNN else None
+        return prep.scores_all_k(rows[~is_fall], fall, test, k)[:, k - 1]
+    Xtr = prep.X[rows]
+    if variant is Variant.OC_KNN:
+        model = classifiers.train_oc_knn(Xtr[~is_fall], k)
+    else:
+        model = classifiers.train_tc_knn(Xtr, is_fall, k)
+    return score_batch(model, prep.X[test])
 
 
 def _svm_prep(variant, X, is_fall):
@@ -340,10 +386,12 @@ def _select_svm_params(variant, X, is_fall, cfg, seed):
         # One preparation per split serves the whole grid, visited gamma
         # by gamma to build each kernel once.
         prep = _svm_prep(variant, X[tr], is_fall[tr])
+        table = np.empty((len(val), len(candidates)))
         for gi in range(n_gamma):
             for c in range(gi, len(candidates), n_gamma):
                 model = _train_svm(variant, prep, is_fall[tr], candidates[c], cfg)
-                yield c, score_batch(model, X[val])
+                table[:, c] = score_batch(model, X[val])
+        return table
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
@@ -368,7 +416,8 @@ def run_experiment(collection, feature_kind, window_len, variant, config=None):
     X = extract_matrix(windows, kind, cfg.ltp_params)
     is_fall = is_fall_mask([inst.label for inst in collection.instances])
     plan = collection.fold_plan
-    # distances between the cell's rows for every inner k search, built on first use
+    # distances between the cell's rows, built on first use by an inner k
+    # search and then read by every outer fold as well
     knn_prep = classifiers.KnnPrep(X)
 
     curves = []
@@ -379,16 +428,14 @@ def run_experiment(collection, feature_kind, window_len, variant, config=None):
         try:
             test_idx = plan.test_indices(f)
             train_idx = plan.train_indices(f)
-            Xtr, ftr = X[train_idx], is_fall[train_idx]
+            ftr = is_fall[train_idx]
             seed_f = _inner_seed(collection.seed, f)
             if var in (Variant.OC_KNN, Variant.TC_KNN):
                 k, inner_auc = _select_k(var, knn_prep, train_idx, ftr, cfg, seed_f)
-                if var is Variant.OC_KNN:
-                    model = classifiers.train_oc_knn(Xtr[~ftr], k)
-                else:
-                    model = classifiers.train_tc_knn(Xtr, ftr, k)
+                scores = _knn_test_scores(var, knn_prep, train_idx, ftr, test_idx, k)
                 chosen = {"k": k}
             else:
+                Xtr = X[train_idx]
                 params, inner_auc = _select_svm_params(var, Xtr, ftr, cfg, seed_f)
                 model = _train_svm(var, _svm_prep(var, Xtr, ftr), ftr, params, cfg)
                 key = "C" if var is Variant.TC_SVM else "nu"
@@ -399,7 +446,7 @@ def run_experiment(collection, feature_kind, window_len, variant, config=None):
                     "converged": model.training_summary["converged"],
                     "iterations": model.training_summary["iterations"],
                 }
-            scores = score_batch(model, X[test_idx])
+                scores = score_batch(model, X[test_idx])
             curve = roc_curve(scores, is_fall[test_idx])
             curves.append(curve)
             fold_aucs.append(auc(curve))

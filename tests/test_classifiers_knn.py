@@ -220,6 +220,22 @@ class TestBatchedDistanceBlock:
             for k in range(1, m + 1):
                 assert table[qi, k - 1] == oracle[:k].sum() / k
 
+    @pytest.mark.parametrize("n", [1, 2, 13])
+    @pytest.mark.parametrize("chunk_rows", [1, 3, None])
+    def test_matrix_from_one_triangle_equals_full_block(self, rng, monkeypatch, n, chunk_rows):
+        for d in (1, 3, 8, 37):
+            X = rng.normal(0.0, 1.0, (n, d))
+            if n > 2:
+                X[5] = X[2]  # duplicate rows, on either side of a chunk edge
+                X[-1] = X[0]
+            if chunk_rows is not None:
+                # one row per chunk, or 3 with a remainder when n is 13
+                monkeypatch.setattr(cls, "_DIST_CHUNK_BYTES", 8 * X.size * chunk_rows)
+            D = cls._self_distances(X)
+            assert np.array_equal(D, cls._distance_block(X, X))
+            assert np.array_equal(D, D.T)
+            assert not np.diagonal(D).any()
+
 
 def overlapping_classes(rng):
     """90 ADL + 30 FALL rows whose classes overlap, with repeated rows, so
@@ -269,8 +285,7 @@ class TestInnerSearchSharesOneMatrix:
         def recomputed(tr, val):
             # each split's tables from its own gathered rows, no shared matrix
             adl, fall = Xtr[tr][~ftr[tr]], Xtr[tr][ftr[tr]] if two_class else None
-            table = cls.knn_scores_all_k(adl, fall, Xtr[val], 10)
-            return ((c, table[:, c]) for c in range(10))
+            return cls.knn_scores_all_k(adl, fall, Xtr[val], 10)
 
         splits = _inner_splits(ftr, cfg, 5, two_class)
         expected = _best_candidate(list(range(1, 11)), ftr, splits, recomputed)
@@ -283,20 +298,72 @@ class TestInnerSearchSharesOneMatrix:
     def test_single_k_grid_never_builds_the_matrix(self, small_collection, monkeypatch, variant):
         from falldetect.evaluation import GridConfig, run_experiment
 
-        n = len(small_collection.instances)
-        blocks = cls._distance_block
+        def no_cell_matrix(X):
+            raise AssertionError("distance matrix built")
 
-        def no_cell_matrix(train, queries):
-            # outer scoring builds query-fold blocks; only the cell matrix is n x n
-            if len(train) == len(queries) == n:
-                raise AssertionError("distance matrix built")
-            return blocks(train, queries)
-
-        monkeypatch.setattr(cls, "_distance_block", no_cell_matrix)
+        monkeypatch.setattr(cls, "_self_distances", no_cell_matrix)
         report = run_experiment(small_collection, "MAGNITUDE", 51, variant, GridConfig(k_grid=(3,)))
         assert all(p["k"] == 3 for p in report.fold_params)
         with pytest.raises(AssertionError, match="distance matrix built"):
             run_experiment(small_collection, "MAGNITUDE", 51, variant, GridConfig(k_grid=(1, 3)))
+
+
+class TestOuterFoldsReadTheMatrix:
+    @pytest.mark.parametrize("variant", [cls.Variant.OC_KNN, cls.Variant.TC_KNN])
+    def test_scores_equal_score_batch_bit_for_bit(self, rng, variant):
+        from falldetect.evaluation import _knn_test_scores
+
+        X, is_fall = overlapping_classes(rng)
+        order = rng.permutation(120)
+        # the last test row is also a training row, at distance 0
+        rows, test = order[:100], np.r_[order[100:], order[0]]
+        ftr = is_fall[rows]
+        built = cls.KnnPrep(X)
+        built.scores_all_k(rows[:5], None, rows[5:7], 1)  # what an inner search does first
+        assert built.has_matrix
+        for k in range(1, 11):
+            if variant is cls.Variant.OC_KNN:
+                model = cls.train_oc_knn(X[rows][~ftr], k)
+            else:
+                model = cls.train_tc_knn(X[rows], ftr, k)
+            expected = cls.score_batch(model, X[test])
+            assert np.array_equal(_knn_test_scores(variant, built, rows, ftr, test, k), expected)
+            fresh = cls.KnnPrep(X)
+            assert np.array_equal(_knn_test_scores(variant, fresh, rows, ftr, test, k), expected)
+            assert not fresh.has_matrix
+
+    def test_k_beyond_a_class_pool_is_refused(self, rng):
+        X, is_fall = overlapping_classes(rng)
+        prep = cls.KnnPrep(X)
+        adl, fall = np.flatnonzero(~is_fall)[:6], np.flatnonzero(is_fall)[:4]
+        with pytest.raises(InvalidK, match="k_max=5"):
+            prep.scores_all_k(adl, fall, adl, 5)
+        with pytest.raises(InvalidK, match="k_max=0"):
+            prep.scores_all_k(adl, None, adl, 0)
+        assert prep.scores_all_k(adl, None, adl, 6).shape == (6, 6)
+
+    @pytest.mark.parametrize("variant", ["OC_KNN", "TC_KNN"])
+    def test_searched_cell_scores_outer_folds_from_the_matrix(
+        self, small_collection, monkeypatch, variant
+    ):
+        from falldetect import evaluation as ev
+
+        cfg = ev.GridConfig(k_grid=(1, 3))
+        with monkeypatch.context() as mp:
+            # over budget: no matrix, so the outer folds train and score models
+            mp.setattr(cls, "_CACHE_BUDGET_BYTES", 0)
+            expected = ev.report_to_dict(
+                ev.run_experiment(small_collection, "MAGNITUDE", 51, variant, cfg)
+            )
+
+        def refused(*args, **kwargs):
+            raise AssertionError("outer fold recomputed its distances")
+
+        for mod, name in ((ev, "score_batch"), (cls, "score_batch"),
+                          (cls, "knn_mean_distances_all_k")):
+            monkeypatch.setattr(mod, name, refused)
+        report = ev.run_experiment(small_collection, "MAGNITUDE", 51, variant, cfg)
+        assert ev.report_to_dict(report) == expected
 
 
 duplicated_rows = st.integers(1, 12).flatmap(

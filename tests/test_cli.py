@@ -150,6 +150,53 @@ class TestReportCommand:
         assert code == 2
         assert "no reports" in capsys.readouterr().err
 
+    def run_oc_knn(self, data, work, *extra):
+        return run_cli("run", "--dataset1", data, "--out", work, "--classifier", "OC_KNN", *extra)
+
+    def test_renders_exactly_the_last_runs_cells(self, pipeline):
+        data, work = pipeline
+        assert self.run_oc_knn(data, work, "--feature", "RAW", "--window", "all") == 0
+        assert self.run_oc_knn(data, work, "--feature", "MAGNITUDE", "--window", "51") == 0
+        saved = (work / "summary.csv").read_bytes()
+        assert len(saved.splitlines()) == 2
+        # the first run's two reports are still in the directory
+        assert len(list(work.glob("report_*.json"))) == 3
+        (work / "summary.csv").unlink()
+        assert run_cli("report", "--out", work) == 0
+        assert (work / "summary.csv").read_bytes() == saved
+
+    def test_error_rows_are_reproduced(self, pipeline, tmp_path):
+        data, work = pipeline
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k_grid": [500]}))
+        code = self.run_oc_knn(data, work, "--feature", "RAW", "--window", "51", "--config", cfg)
+        assert code == 1
+        saved = (work / "summary.csv").read_bytes()
+        assert b",error,outer fold 0: " in saved
+        (work / "summary.csv").unlink()
+        assert run_cli("report", "--out", work) == 1
+        assert (work / "summary.csv").read_bytes() == saved
+
+    def test_missing_listed_report_is_named(self, pipeline, capsys):
+        data, work = pipeline
+        assert self.run_oc_knn(data, work, "--feature", "RAW", "--window", "51") == 0
+        (work / "report_C1_RAW_51_OC_KNN.json").unlink()
+        assert run_cli("report", "--out", work) == 2
+        assert "report_C1_RAW_51_OC_KNN.json" in capsys.readouterr().err
+
+    def test_record_of_another_command_is_refused(self, pipeline, capsys):
+        data, work = pipeline
+        # the pipeline's last command in work was ingest, which lists no cells
+        assert run_cli("report", "--out", work) == 2
+        err = capsys.readouterr().err
+        assert "run.json" in err and "not the record of a run" in err
+        assert not (work / "summary.csv").exists()
+
+    def test_unreadable_record_is_named(self, tmp_path, capsys):
+        (tmp_path / "run.json").write_text("{not json")
+        assert run_cli("report", "--out", tmp_path) == 2
+        assert "run.json: not JSON" in capsys.readouterr().err
+
 
 class TestConfigHandling:
     def test_flags_override_config_file(self, tmp_path):
@@ -175,6 +222,13 @@ class TestConfigHandling:
         assert (out1 / "adl" / "adl_0000.csv").read_bytes() == (
             out2 / "adl" / "adl_0000.csv"
         ).read_bytes()
+
+    def test_large_seed_is_kept_exactly(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 2 ** 60 + 1}))
+        out = tmp_path / "out"
+        assert run_cli("synth", "--config", cfg, "--out", out, "--adl", "2", "--falls", "1") == 0
+        assert json.loads((out / "run.json").read_text())["config"]["seed"] == 2 ** 60 + 1
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -210,8 +264,10 @@ class TestInputErrorsBeforeAnyCell:
     """Bad selections and grid settings exit 2 while the config loads."""
 
     def run_one_cell(self, data, work, *extra):
+        # no --seed flag, which would override a config's seed; run takes
+        # each collection's seed from its manifest
         return run_cli(
-            "run", "--dataset1", data, "--out", work, "--seed", "7",
+            "run", "--dataset1", data, "--out", work,
             "--feature", "MAGNITUDE", "--window", "51", "--classifier", "OC_KNN", *extra,
         )
 
@@ -254,6 +310,10 @@ class TestInputErrorsBeforeAnyCell:
             ("ltp_step", "inf"),
             ("ltp_neighbours", 0),
             ("ltp_neighbours", 1.5),
+            ("seed", -4),
+            ("seed", 1.9),
+            ("jobs", 0),
+            ("jobs", "two"),
         ],
     )
     def test_out_of_range_grid_setting_names_the_key(self, pipeline, tmp_path, capsys, key, value):
@@ -262,6 +322,12 @@ class TestInputErrorsBeforeAnyCell:
         cfg.write_text(json.dumps({key: value}))
         assert self.run_one_cell(data, work, "--config", cfg) == 2
         assert f"error: {key} must" in capsys.readouterr().err
+        assert not (work / "summary.csv").exists()
+
+    def test_negative_seed_flag_names_the_key(self, pipeline, capsys):
+        data, work = pipeline
+        assert self.run_one_cell(data, work, "--seed", "-1") == 2
+        assert "error: seed must be an integer >= 0, got -1" in capsys.readouterr().err
         assert not (work / "summary.csv").exists()
 
     def test_in_range_grids_load(self, pipeline, tmp_path):
