@@ -89,8 +89,9 @@ def _self_distances(X):
     """_distance_block(X, X) bit for bit, from its upper triangle.
 
     Each chunk of rows is taken against the rows from its first one on,
-    and the entries below the diagonal are mirrored: (a - b)**2 and
-    (b - a)**2 are the same float, so each entry is the same sum.
+    and mirrored below the diagonal: (a - b)**2 and (b - a)**2 are the
+    same float, so each entry is the same sum.  Memory stays at the
+    matrix plus one chunk.
     """
     n = len(X)
     step = _chunk_rows(X)
@@ -98,8 +99,7 @@ def _self_distances(X):
     for b in range(0, n, step):
         q = X[b:b + step]
         D[b:b + step, b:] = np.sqrt(((X[None, b:] - q[:, None]) ** 2).sum(axis=2))
-    lower = np.tril_indices(n, -1)
-    D[lower] = D.T[lower]
+        D[b:, b:b + step] = D[b:b + step, b:].T
     return D
 
 

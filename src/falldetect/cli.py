@@ -217,15 +217,13 @@ def _digest_tree(path):
     return h.hexdigest()
 
 
-def _write_run_json(out_dir, command, config, inputs, cells=None):
+def _write_run_json(out_dir, command, config, inputs):
     doc = {
         "command": command,
         "version": __version__,
         "config": config,
         "inputs": {str(k): v for k, v in inputs.items()},
     }
-    if cells is not None:
-        doc["cells"] = cells
     _atomic_write_text(Path(out_dir) / "run.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -389,10 +387,7 @@ def cmd_run(config):
             save_report_json(report, out / f"report_{key}.json")
             write_roc_csv(report.averaged_curve, out / f"roc_{key}.csv")
     rows = _write_summary(out, [row for row, _ in results])
-    # what report renders: each ok row's report, each error row as recorded
-    keys = ("collection", "feature", "window", "classifier", "status", "error")
-    cells = [{k: r[k] for k in keys if k in r} for r in rows]
-    _write_run_json(out, "run", config, inputs, cells)
+    _write_run_json(out, "run", config, inputs)
     for r in rows:
         if r["status"] == "ok":
             print(f"{_cell_name(r)}: AUC {r['auc']:.3f} SE {r['se']:.3f} SP {r['sp']:.3f}")
@@ -401,26 +396,23 @@ def cmd_run(config):
     return 1 if any(r["status"] == "error" for r in rows) else 0
 
 
-def _recorded_cells(out):
-    """The cell rows the last run in out recorded in its run.json."""
-    path = out / "run.json"
+def _summary_cells(out):
+    """The rows of out's summary.json, which only run and report write:
+    the cells of the last run there."""
+    path = out / "summary.json"
     if not path.is_file():
         raise FileNotFoundError(f"no reports found in {out}: {path} is missing; run first")
     try:
-        record = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"not JSON ({exc})", path=path) from exc
-    cells = record.get("cells") if isinstance(record, dict) else None
-    if not isinstance(cells, list):
-        raise ParseError("not the record of a run: it lists no cells to report", path=path)
-    return cells
 
 
 def cmd_report(config):
-    """Re-render the summary of exactly the cells the last run recorded."""
+    """Re-render the summary of exactly the cells the last run wrote."""
     out = Path(config["out"])
     rows = []
-    for cell in _recorded_cells(out):
+    for cell in _summary_cells(out):
         if cell["status"] != "ok":
             rows.append(cell)
             continue

@@ -70,65 +70,58 @@ def roc_curve(scores, labels):
     threshold plus the (0, 0) start at t = +inf.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
     pos = is_fall_mask(labels)
     if len(pos) != len(scores):
         raise ValueError("scores and labels must correspond one to one")
+    s, fpr, tpr, keep = _sweep(scores[:, None], pos)
+    keep = keep[:, 0]
+    return RocCurve(fpr[keep, 0], tpr[keep, 0], np.r_[np.inf, s[:, 0]][keep])
+
+
+def _sweep(table, pos):
+    """The ROC sweep of every column of a score table (Fawcett 2006).
+
+    One stable sort of the whole table and one pair of cumulative sums.
+    Returns the sorted scores s and, per column, the rates fpr and tpr
+    with the (0, 0) start as row 0 and row r + 1 the state once the r + 1
+    highest scores have entered, and keep: the start and the last row of
+    every tie group, the state after the whole group enters.
+    """
+    if not np.all(np.isfinite(table)):
+        raise ValueError("scores must be finite")
     P = int(pos.sum())
     N = len(pos) - P
     if P == 0 or N == 0:
         raise DegenerateLabels(f"need both classes, got {P} positives and {N} negatives")
-
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    y = pos[order]
-    tp = np.cumsum(y)
-    fp = np.cumsum(~y)
-    # last index of every tie group = the state after the whole group enters
-    group_end = np.flatnonzero(np.r_[np.diff(s) != 0, True])
-    fpr = np.r_[0.0, fp[group_end] / N]
-    tpr = np.r_[0.0, tp[group_end] / P]
-    thresholds = np.r_[np.inf, s[group_end]]
-    return RocCurve(fpr, tpr, thresholds)
-
-
-def auc(curve):
-    """Trapezoidal area under the curve over the FPR axis."""
-    f, t = curve.fpr, curve.tpr
-    return float(np.sum(np.diff(f) * (t[1:] + t[:-1]) / 2.0))
-
-
-def _column_aucs(table, pos):
-    """auc(roc_curve(table[:, c], pos)) for every column c, bit for bit.
-
-    One stable sort of the whole table and one pair of cumulative sums
-    give every column's sweep (Fawcett 2006); each column then keeps the
-    (0, 0) start and the end of each of its tie groups, and takes the
-    trapezoidal area over the same arrays roc_curve would build.  pos
-    must hold both classes.
-    """
-    if not np.all(np.isfinite(table)):
-        raise ValueError("scores must be finite")
     order = np.argsort(-table, axis=0, kind="stable")
     s = np.take_along_axis(table, order, axis=0)
     y = pos[order]
-    P = int(pos.sum())
-    N = len(pos) - P
     n, cols = table.shape
-    # row r + 1: the rates once the r + 1 highest scores have entered
     fpr = np.zeros((n + 1, cols))
     tpr = np.zeros((n + 1, cols))
     fpr[1:] = np.cumsum(~y, axis=0) / N
     tpr[1:] = np.cumsum(y, axis=0) / P
     keep = np.ones((n + 1, cols), dtype=bool)
     keep[1:-1] = s[1:] != s[:-1]
-    out = np.empty(cols)
-    for c in range(cols):
-        f = fpr[keep[:, c], c]
-        t = tpr[keep[:, c], c]
-        out[c] = np.sum(np.diff(f) * (t[1:] + t[:-1]) / 2.0)
-    return out
+    return s, fpr, tpr, keep
+
+
+def _trapezoid(f, t):
+    return np.sum(np.diff(f) * (t[1:] + t[:-1]) / 2.0)
+
+
+def auc(curve):
+    """Trapezoidal area under the curve over the FPR axis."""
+    return float(_trapezoid(curve.fpr, curve.tpr))
+
+
+def _column_aucs(table, pos):
+    """auc(roc_curve(table[:, c], pos)) for every column c, bit for bit:
+    one sweep of the whole table, then each column's trapezoid over the
+    points it keeps."""
+    _, fpr, tpr, keep = _sweep(table, pos)
+    return np.array([_trapezoid(fpr[keep[:, c], c], tpr[keep[:, c], c])
+                     for c in range(table.shape[1])])
 
 
 def pairwise_auc(scores, labels):

@@ -1,5 +1,7 @@
 """Nearest-neighbour scorers against the exhaustive-scan oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,6 +237,20 @@ class TestBatchedDistanceBlock:
             assert np.array_equal(D, cls._distance_block(X, X))
             assert np.array_equal(D, D.T)
             assert not np.diagonal(D).any()
+
+    def test_matrix_needs_no_more_than_itself_plus_one_chunk(self, rng, monkeypatch):
+        n = 400
+        X = rng.normal(0.0, 1.0, (n, 3))
+        monkeypatch.setattr(cls, "_DIST_CHUNK_BYTES", 8 * X.size * 4)
+        tracemalloc.start()
+        try:
+            D = cls._self_distances(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the matrix, plus a few arrays of at most 4 x n x 3 floats each
+        assert peak < 8 * n * n + 10 * cls._DIST_CHUNK_BYTES
+        assert np.array_equal(D, cls._distance_block(X, X))
 
 
 def overlapping_classes(rng):

@@ -184,18 +184,20 @@ class TestReportCommand:
         assert run_cli("report", "--out", work) == 2
         assert "report_C1_RAW_51_OC_KNN.json" in capsys.readouterr().err
 
-    def test_record_of_another_command_is_refused(self, pipeline, capsys):
+    def test_ingest_after_run_leaves_the_runs_cells(self, pipeline):
         data, work = pipeline
-        # the pipeline's last command in work was ingest, which lists no cells
-        assert run_cli("report", "--out", work) == 2
-        err = capsys.readouterr().err
-        assert "run.json" in err and "not the record of a run" in err
-        assert not (work / "summary.csv").exists()
+        assert self.run_oc_knn(data, work, "--feature", "RAW", "--window", "51") == 0
+        saved = (work / "summary.csv").read_bytes()
+        # ingest rewrites run.json, not the run's summary
+        assert run_cli("ingest", "--dataset1", data, "--out", work, "--seed", "7") == 0
+        (work / "summary.csv").unlink()
+        assert run_cli("report", "--out", work) == 0
+        assert (work / "summary.csv").read_bytes() == saved
 
-    def test_unreadable_record_is_named(self, tmp_path, capsys):
-        (tmp_path / "run.json").write_text("{not json")
+    def test_unreadable_summary_is_named(self, tmp_path, capsys):
+        (tmp_path / "summary.json").write_text("{not json")
         assert run_cli("report", "--out", tmp_path) == 2
-        assert "run.json: not JSON" in capsys.readouterr().err
+        assert "summary.json: not JSON" in capsys.readouterr().err
 
 
 class TestConfigHandling:

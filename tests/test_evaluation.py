@@ -9,9 +9,6 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from falldetect import evaluation as ev
 from falldetect.errors import DegenerateLabels, InsufficientData, InvalidK
@@ -120,33 +117,7 @@ class TestRocCurve:
             RocCurve([0.0, 0.5], [0.0, 1.0], [2.0, 1.0])  # fpr stops short
 
 
-@st.composite
-def scored_tables(draw):
-    """A score table with a column per candidate, on a coarse grid (with
-    both signed zeros) so that ties are common, and labels with both
-    classes."""
-    n = draw(st.integers(2, 60))
-    cols = draw(st.integers(1, 16))
-    values = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.25, 1.0, 1.5, 7.0])
-    table = draw(arrays(np.float64, (n, cols), elements=values))
-    pos = draw(arrays(np.bool_, n))
-    fall = draw(st.integers(0, n - 1))
-    pos[fall] = True
-    pos[(fall + draw(st.integers(1, n - 1))) % n] = False
-    return table, pos
-
-
 class TestColumnAucs:
-    @settings(max_examples=300, deadline=None)
-    @given(case=scored_tables())
-    def test_every_column_equals_its_swept_curve_exactly(self, case):
-        table, pos = case
-        aucs = ev._column_aucs(table, pos)
-        assert aucs.shape == (table.shape[1],)
-        for c in range(table.shape[1]):
-            assert aucs[c] == ev.auc(ev.roc_curve(table[:, c], pos))
-            assert abs(aucs[c] - ev.pairwise_auc(table[:, c], pos)) <= 1e-12
-
     def test_non_finite_scores_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             ev._column_aucs(np.array([[0.5, np.inf], [0.2, 0.1]]), np.array([True, False]))
