@@ -170,6 +170,8 @@ def load_config(args):
     merged = dict(_CONFIG_DEFAULTS)
     if getattr(args, "config", None):
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
         # a stored run.json nests the actual config under "config"
         if isinstance(doc.get("config"), dict):
             doc = doc["config"]
@@ -402,6 +404,10 @@ def _summary_cells(out):
     path = out / "summary.json"
     if not path.is_file():
         raise FileNotFoundError(f"no reports found in {out}: {path} is missing; run first")
+    return _read_json(path)
+
+
+def _read_json(path):
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -418,7 +424,13 @@ def cmd_report(config):
             continue
         # a missing report raises an OSError that names its path
         path = out / f"report_{_cell_name(cell, '_')}.json"
-        report = report_from_dict(json.loads(path.read_text(encoding="utf-8")))
+        doc = _read_json(path)
+        try:
+            report = report_from_dict(doc)
+        except KeyError as exc:
+            raise ParseError(f"missing key {exc}", path=path) from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"not a report ({exc})", path=path) from exc
         rows.append({**summary_row(report), "status": "ok"})
     rows = _write_summary(out, rows)
     for r in rows:

@@ -8,8 +8,10 @@ of three labeled collections, each carrying a stratified fold plan.
 
 import enum
 import json
+import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -271,13 +273,49 @@ def _data_lines(fh, skip_header):
             yield lineno, line
 
 
+def _line_of_row(path, row, skip_header):
+    """Line number of data row `row` (0-based) of path; found only on failure."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return next(islice(_data_lines(fh, skip_header), row, None))[0]
+
+
 def _read_rows(path, expected_cols, skip_header=False, length_error=False):
     """Rows of a numeric CSV as an (n, expected_cols) float array; raises
     ParseError with the line on a non-numeric or non-finite value.
 
     With length_error, a clean numeric row of the wrong width raises
     LengthError instead (the row parsed, but the window is the wrong size).
+
+    Every file is first read by one np.loadtxt call, split on commas, or
+    on whitespace when the first data line has none.  Its result is kept
+    only when it has expected_cols columns and every value is finite;
+    anything else goes to the line walk, which takes what only float()
+    reads (``1_0``, Unicode digits, mixed separators) or names the line.
     """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = (ln for i, ln in enumerate(fh) if ln.strip() and not (skip_header and i == 0))
+        first = next(lines, "")
+    try:
+        with warnings.catch_warnings():
+            # loadtxt only warns on a file without data rows; walk it instead
+            warnings.simplefilter("error")
+            data = np.loadtxt(
+                path,
+                delimiter="," if "," in first else None,
+                comments=None,
+                ndmin=2,
+                skiprows=1 if skip_header else 0,
+                encoding="utf-8",
+            )
+    except (ValueError, UserWarning):
+        data = None
+    if data is not None and data.shape[1] == expected_cols and np.isfinite(data).all():
+        return data
+    return _walk_rows(path, expected_cols, skip_header, length_error)
+
+
+def _walk_rows(path, expected_cols, skip_header, length_error):
+    """_read_rows one line at a time with float(); raises at the first bad line."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in _data_lines(fh, skip_header):
@@ -291,15 +329,10 @@ def _read_rows(path, expected_cols, skip_header=False, length_error=False):
                 if length_error:
                     raise LengthError(f"{path}:{lineno}: {message}")
                 raise ParseError(message, path, lineno)
+            if not all(map(math.isfinite, values)):
+                raise ParseError("non-finite value", path, lineno)
             rows.append(values)
-    data = np.array(rows, dtype=np.float64).reshape(-1, expected_cols)
-    bad = ~np.isfinite(data).all(axis=1)
-    if bad.any():
-        # Found only on failure: rows skip blank lines and the header.
-        with open(path, "r", encoding="utf-8") as fh:
-            lineno, _ = next(islice(_data_lines(fh, skip_header), int(np.argmax(bad)), None))
-        raise ParseError("non-finite value", path, lineno)
-    return data
+    return np.array(rows, dtype=np.float64).reshape(-1, expected_cols)
 
 
 def _labeled_files(root):
@@ -345,10 +378,9 @@ def parse_dataset1(path, threshold_g=DEFAULT_THRESHOLD_G):
     instances = []
     for f, label in _labeled_files(root):
         if mode == "windowed":
-            rows = _read_rows(f, expected_cols=3)
-            if len(rows) != FULL_WINDOW:
-                raise LengthError(f"{f}: expected {FULL_WINDOW} rows, got {len(rows)}")
-            data = np.asarray(rows, dtype=np.float64)
+            data = _read_rows(f, expected_cols=3)
+            if len(data) != FULL_WINDOW:
+                raise LengthError(f"{f}: expected {FULL_WINDOW} rows, got {len(data)}")
             peak = int(np.argmax(np.sqrt((data ** 2).sum(axis=1))))
             window = TriaxialWindow(
                 data[:, 0],
@@ -364,11 +396,17 @@ def parse_dataset1(path, threshold_g=DEFAULT_THRESHOLD_G):
                 header = fh.readline().strip().replace(" ", "")
             if header.lower() != "t,x,y,z":
                 raise ParseError(f"expected header 't,x,y,z', got {header!r}", f, 1)
-            rows = _read_rows(f, expected_cols=4, skip_header=True)
-            if len(rows) < 2:
+            data = _read_rows(f, expected_cols=4, skip_header=True)
+            if len(data) < 2:
                 raise InvalidTrace(f"{f}: trace needs at least 2 samples")
-            data = np.asarray(rows, dtype=np.float64)
-            trace = RawTrace(data[:, 0], data[:, 1], data[:, 2], data[:, 3], source_id=f.stem)
+            t = data[:, 0]
+            back = np.flatnonzero(t[1:] < t[:-1])
+            if back.size:
+                line = _line_of_row(f, int(back[0]) + 1, True)
+                raise ParseError("timestamps must be monotone non-decreasing", f, line)
+            if t[0] == t[-1]:
+                raise ParseError("trace needs at least 2 distinct timestamps", f)
+            trace = RawTrace(t, data[:, 1], data[:, 2], data[:, 3], source_id=f.stem)
             uniform = resample_trace(trace, DEFAULT_RATE)
             for window in _windows_from_trace(uniform, threshold_g):
                 instances.append((window, label))

@@ -184,6 +184,26 @@ class TestReportCommand:
         assert run_cli("report", "--out", work) == 2
         assert "report_C1_RAW_51_OC_KNN.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda doc: "{not json", ": not JSON ("),
+            (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "averaged_curve"}),
+             ": missing key 'averaged_curve'"),
+            (lambda doc: json.dumps([doc]), ": not a report ("),
+            (lambda doc: json.dumps({**doc, "mean_auc": "high"}), ": not a report ("),
+        ],
+        ids=["not JSON", "missing key", "a list", "a bad value"],
+    )
+    def test_damaged_listed_report_is_named(self, pipeline, capsys, damage, message):
+        data, work = pipeline
+        assert self.run_oc_knn(data, work, "--feature", "RAW", "--window", "51") == 0
+        path = work / "report_C1_RAW_51_OC_KNN.json"
+        path.write_text(damage(json.loads(path.read_text())))
+        capsys.readouterr()
+        assert run_cli("report", "--out", work) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}{message}")
+
     def test_ingest_after_run_leaves_the_runs_cells(self, pipeline):
         data, work = pipeline
         assert self.run_oc_knn(data, work, "--feature", "RAW", "--window", "51") == 0
@@ -242,6 +262,13 @@ class TestConfigHandling:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert run_cli("synth", "--config", cfg, "--out", tmp_path / "o") == 2
+
+    @pytest.mark.parametrize("doc", ["[1, 2]", "3", "null", '"seed"'])
+    def test_non_object_config_rejected(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc)
+        assert run_cli("synth", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: {cfg}: config must be a JSON object\n"
 
     def test_unknown_collection_rejected(self, tmp_path, capsys):
         code = run_cli("ingest", "--dataset1", tmp_path, "--collection", "C9")

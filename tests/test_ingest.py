@@ -318,6 +318,36 @@ class TestParseDataset1Raw:
             ingest.parse_dataset1(tmp_path)
         assert str(err.value) == f"{d / 'rec.csv'}:201: non-finite value"
 
+    def write_raw(self, root, rows):
+        (root / "manifest.json").write_text(json.dumps({"mode": "raw"}))
+        d = root / "adl"
+        d.mkdir()
+        f = d / "rec.csv"
+        f.write_text("\n".join(["t,x,y,z", *rows]) + "\n")
+        return f
+
+    def test_decreasing_timestamp_names_its_line(self, tmp_path):
+        rows = [f"{i / 50.0!r},0.0,0.0,1.0" for i in range(400)]
+        rows[5] = ""  # a blank line shifts every later row by one line
+        rows[300] = "1.0,0.0,0.0,1.0"
+        f = self.write_raw(tmp_path, rows)
+        with pytest.raises(ParseError) as err:
+            ingest.parse_dataset1(tmp_path)
+        assert str(err.value) == f"{f}:302: timestamps must be monotone non-decreasing"
+        assert err.value.line == 302
+
+    def test_one_distinct_timestamp_names_the_file(self, tmp_path):
+        f = self.write_raw(tmp_path, ["2.5,0.0,0.0,1.0"] * 5)
+        with pytest.raises(ParseError) as err:
+            ingest.parse_dataset1(tmp_path)
+        assert str(err.value) == f"{f}: trace needs at least 2 distinct timestamps"
+
+    def test_single_sample_is_still_an_invalid_trace(self, tmp_path):
+        f = self.write_raw(tmp_path, ["0.0,0.0,0.0,1.0"])
+        with pytest.raises(InvalidTrace) as err:
+            ingest.parse_dataset1(tmp_path)
+        assert str(err.value) == f"{f}: trace needs at least 2 samples"
+
 
 def write_dataset2(root, n_rows, labels, width=128):
     rng = np.random.default_rng(77)
@@ -366,6 +396,111 @@ class TestParseDataset2:
         with pytest.raises(ParseError) as err:
             ingest.parse_dataset2(tmp_path)
         assert str(err.value) == f"{f}:3: non-finite value"
+
+
+def read_rows_both_ways(path, cols, skip_header=False, length_error=False):
+    """_read_rows and the line walk on one file: (result, walk result), each
+    an array or the exception raised."""
+    out = []
+    for fn in (ingest._read_rows, ingest._walk_rows):
+        try:
+            out.append(fn(path, cols, skip_header, length_error))
+        except (ParseError, LengthError) as exc:
+            out.append(exc)
+    return out
+
+
+# (file text, columns, skip header, rows expected or (error type, message
+# after the path)): inputs on which np.loadtxt and the float() walk could
+# part ways.
+EDGE_CASES = {
+    "underscore": ("1_0,2,3\n", 3, False, [[10.0, 2.0, 3.0]]),
+    "arabic digit": ("\u0661,2,3\n", 3, False, [[1.0, 2.0, 3.0]]),
+    "infinity": ("1,2,3\ninfinity,2,3\n", 3, False, (ParseError, ":2: non-finite value")),
+    "nan": ("1,2,3\n4,nan,6\n", 3, False, (ParseError, ":2: non-finite value")),
+    "padded": (" 1 , 2 ,3 \n", 3, False, [[1.0, 2.0, 3.0]]),
+    "tab padded": ("\t1\t,2,\t3\n", 3, False, [[1.0, 2.0, 3.0]]),
+    "crlf": ("1,2,3\r\n4,5,6\r\n", 3, False, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+    "blank lines": ("\n1,2,3\n\n4,5,6\n\n", 3, False, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+    "whitespace-only line": ("1,2,3\n \t \n4,5,6\n", 3, False, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+    "trailing comma": ("1,2,3,\n", 3, False, [[1.0, 2.0, 3.0]]),
+    "header only": ("t,x,y,z\n", 4, True, np.zeros((0, 4))),
+    "header then blank": ("t,x,y,z\n\n", 4, True, np.zeros((0, 4))),
+    "empty": ("", 3, False, np.zeros((0, 3))),
+    "header and rows": ("t,x,y,z\n0,1,2,3\n", 4, True, [[0.0, 1.0, 2.0, 3.0]]),
+    "space separated": ("1 2 3\n 4  5\t6 \n", 3, False, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+    "space then comma": ("1 2 3\n4,5 6\n", 3, False, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+    "comma then space": ("1,2,3\n4 5 6\n", 3, False, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+    "comment": ("1,2,3 # c\n", 3, False, (ParseError, ":1: non-numeric value")),
+    "quoted": ('"1",2,3\n', 3, False, (ParseError, ":1: non-numeric value")),
+    "overflow": ("1e999,2,3\n", 3, False, (ParseError, ":1: non-finite value")),
+    "wrong width first": (
+        "1,2\n1,2,3\n", 3, False, (ParseError, ":1: expected 3 values per row, got 2")
+    ),
+}
+
+
+class TestReadRows:
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    def test_edge_case_matches_the_walk(self, tmp_path, recwarn, name):
+        text, cols, skip_header, expected = EDGE_CASES[name]
+        f = tmp_path / "rows.csv"
+        f.write_bytes(text.encode("utf-8"))
+        got, walked = read_rows_both_ways(f, cols, skip_header)
+        # loadtxt's warning on a file without rows never reaches the caller
+        assert not recwarn.list
+        if isinstance(expected, tuple):
+            kind, message = expected
+            assert type(got) is kind and type(walked) is kind
+            assert str(got) == str(walked) == f"{f}{message}"
+        else:
+            expected = np.asarray(expected, dtype=np.float64).reshape(-1, cols)
+            assert got.dtype == np.float64 and got.shape == expected.shape
+            assert np.array_equal(got, expected) and np.array_equal(walked, expected)
+
+    @pytest.mark.parametrize("length_error", [False, True])
+    @pytest.mark.parametrize("sep", [",", " "])
+    def test_wrong_width_mid_file_names_its_line(self, tmp_path, sep, length_error):
+        rows = [sep.join(["0.5"] * 4) for _ in range(50)]
+        rows[10] = ""
+        rows[30] = sep.join(["0.5"] * 3)
+        f = tmp_path / "rows.csv"
+        f.write_text("\n".join(rows) + "\n")
+        got, walked = read_rows_both_ways(f, 4, length_error=length_error)
+        assert type(got) is (LengthError if length_error else ParseError)
+        assert str(got) == str(walked) == f"{f}:31: expected 4 values per row, got 3"
+
+    def test_first_bad_line_wins(self, tmp_path):
+        # a non-finite value before a non-numeric one is the one named
+        f = tmp_path / "rows.csv"
+        f.write_text("1,2,3\n1,inf,3\n1,oops,3\n")
+        with pytest.raises(ParseError) as err:
+            ingest._read_rows(f, 3)
+        assert str(err.value) == f"{f}:2: non-finite value"
+
+    def test_clean_files_never_reach_the_walk(self, tmp_path, monkeypatch):
+        def walked(*args):
+            raise AssertionError("the line walk ran on a clean file")
+
+        d1 = tmp_path / "d1"
+        d1.mkdir()
+        write_windowed_dataset1(d1, {("adl", "a0.csv"): np.full((300, 3), 0.25)})
+        write_dataset2(tmp_path, 4, ["a", "FALL", "b", "c"])
+        raw = tmp_path / "raw"
+        (raw / "fall").mkdir(parents=True)
+        (raw / "manifest.json").write_text(json.dumps({"mode": "raw"}))
+        z = [3.0 if i == 200 else 0.0 for i in range(400)]
+        lines = ["t,x,y,z"] + [f"{i / 50.0!r}, 0.0, 0.0, {zi!r}" for i, zi in enumerate(z)]
+        (raw / "fall" / "r.csv").write_text("\r\n".join(lines) + "\r\n")
+        monkeypatch.setattr(ingest, "_data_lines", walked)
+        assert len(ingest.parse_dataset1(d1)) == 1
+        assert len(ingest.parse_dataset2(tmp_path)) == 3
+        assert len(ingest.parse_dataset1(raw)) == 1
+        # and a file only float() reads does reach it
+        f = tmp_path / "rows.csv"
+        f.write_text("1_0,2,3\n")
+        with pytest.raises(AssertionError, match="line walk ran"):
+            ingest._read_rows(f, 3)
 
 
 class TestPlanFolds:

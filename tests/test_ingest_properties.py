@@ -1,0 +1,82 @@
+"""Property tests of the dataset CSV reader, drawn by hypothesis.
+
+Kept apart from test_ingest.py so that the rest of the ingest tests still
+run where hypothesis is not installed.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from falldetect import ingest
+
+
+def float_oracle(text, skip_header):
+    """Every data line of text, one float() per value: the reader's contract."""
+    rows = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if line.strip() and not (skip_header and lineno == 1):
+            rows.append([float(v) for v in line.replace(",", " ").split()])
+    return rows
+
+
+def read(text, cols, skip_header):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        path.write_text(text, encoding="utf-8")
+        return ingest._read_rows(path, cols, skip_header=skip_header)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def written_matrices(draw):
+    """A finite matrix, its text (values written with repr) and whether the
+    first line is a header."""
+    n = draw(st.integers(1, 20))
+    cols = draw(st.sampled_from([3, 4, 128]))
+    data = draw(arrays(np.float64, (n, cols), elements=finite))
+    sep = draw(st.sampled_from([",", ", ", " ", "\t"]))
+    header = draw(st.booleans())
+    lines = [sep.join(repr(float(v)) for v in row) for row in data]
+    if header:
+        lines.insert(0, "t,x,y,z")
+    return data, "\n".join(lines) + draw(st.sampled_from(["", "\n"])), header
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=written_matrices())
+def test_repr_written_matrix_reads_back_bit_for_bit(case):
+    data, text, header = case
+    got = read(text, data.shape[1], header)
+    assert same_bits(got, data)
+    assert same_bits(got, np.array(float_oracle(text, header), dtype=np.float64))
+
+
+# Decimal tokens with long mantissas, where a reader that rounds differently
+# from float() would show in the last bit.
+digits = st.text("0123456789", min_size=1, max_size=20)
+decimal_tokens = st.builds(
+    lambda sign, whole, frac, exp: f"{sign}{whole}{frac}{exp}",
+    st.sampled_from(["", "+", "-"]),
+    digits,
+    st.sampled_from([""]) | digits.map(".{}".format),
+    st.sampled_from([""]) | st.integers(-99, 99).map("e{}".format),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(decimal_tokens, decimal_tokens, decimal_tokens), min_size=1, max_size=20))
+def test_decimal_tokens_read_like_float(rows):
+    text = "\n".join(",".join(row) for row in rows) + "\n"
+    expected = np.array(float_oracle(text, False), dtype=np.float64)
+    assert same_bits(read(text, 3, False), expected)
