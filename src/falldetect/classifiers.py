@@ -133,7 +133,7 @@ def knn_mean_distances_all_k(train, queries, k_max):
 
     Shares one distance block across the whole k grid; entry [q, k-1] is
     the mean of the k smallest distances from queries[q] to the rows of
-    train.  Every kNN score not read from a KnnPrep matrix comes from here.
+    train.  Every kNN score computed outside a KnnPrep comes from here.
     """
     train = _as_matrix(train)
     if not 1 <= k_max <= len(train):
@@ -173,26 +173,19 @@ class KnnPrep:
     """Pairwise distances between the rows of one matrix, shared by every
     inner kNN split and outer test fold drawn from those rows.
 
-    The n x n matrix is built on first use, so a search that never runs
-    never pays for it.  When it would exceed _CACHE_BUDGET_BYTES, each
-    block is computed from the rows instead; both give the same entries
-    bit for bit.
+    The n x n matrix is built up front when it fits _CACHE_BUDGET_BYTES.
+    Above that, each block is computed from the rows instead; both give
+    the same entries bit for bit.
     """
 
     def __init__(self, vectors):
-        self.X = np.asarray(vectors, dtype=np.float64)
-        self._D = None
-
-    @property
-    def has_matrix(self):
-        """Whether the n x n matrix has been built."""
-        return self._D is not None
+        self.X = _as_matrix(vectors)
+        fits = 8.0 * len(self.X) ** 2 <= _CACHE_BUDGET_BYTES
+        self._D = _self_distances(self.X) if fits else None
 
     def _block(self, queries, train):
-        if 8.0 * len(self.X) ** 2 > _CACHE_BUDGET_BYTES:
-            return _distance_block(_as_matrix(self.X[train]), self.X[queries])
         if self._D is None:
-            self._D = _self_distances(_as_matrix(self.X))
+            return _distance_block(self.X[train], self.X[queries])
         return self._D[np.ix_(queries, train)]
 
     def scores_all_k(self, adl, fall, queries, k_max):

@@ -41,6 +41,13 @@ COLLECTION_ORDER = ("C1", "C2", "C3")
 FEATURE_ORDER = ("RAW", "MAGNITUDE", "ACCEL_FEATURES", "LTP")
 WINDOW_ORDER = (51, 128)
 CLASSIFIER_ORDER = ("OC_KNN", "TC_KNN", "OC_SVM", "TC_SVM")
+# The keys that name a cell in a summary row, in sort order, with their choices.
+_CELL_CHOICES = {
+    "collection": COLLECTION_ORDER,
+    "feature": FEATURE_ORDER,
+    "window": WINDOW_ORDER,
+    "classifier": CLASSIFIER_ORDER,
+}
 
 _CONFIG_DEFAULTS = {
     "dataset1": None,
@@ -291,6 +298,15 @@ def cmd_ingest(config):
     return 0
 
 
+def _references_d2(manifest):
+    """Whether a manifest draws on dataset2.  A malformed one is refused,
+    naming its file, once the collection is rebuilt from it."""
+    entries = manifest.get("instances") if isinstance(manifest, dict) else None
+    return isinstance(entries, list) and any(
+        isinstance(e, dict) and e.get("source_dataset") == "D2" for e in entries
+    )
+
+
 def _run_cell(cell, collection, grid_cfg):
     """One experiment cell: its summary row, and its report (None when the
     cell failed and the row holds the error)."""
@@ -306,7 +322,7 @@ def _run_cell(cell, collection, grid_cfg):
 
 
 def _cell_name(row, sep=" "):
-    return sep.join(str(row[k]) for k in ("collection", "feature", "window", "classifier"))
+    return sep.join(str(row[k]) for k in _CELL_CHOICES)
 
 
 def _summary_lines(rows):
@@ -322,15 +338,7 @@ def _summary_lines(rows):
 
 
 def _sorted_rows(rows):
-    def key(r):
-        return (
-            COLLECTION_ORDER.index(r["collection"]),
-            FEATURE_ORDER.index(r["feature"]),
-            WINDOW_ORDER.index(int(r["window"])),
-            CLASSIFIER_ORDER.index(r["classifier"]),
-        )
-
-    return sorted(rows, key=key)
+    return sorted(rows, key=lambda r: tuple(c.index(r[k]) for k, c in _CELL_CHOICES.items()))
 
 
 def _write_summary(out, rows):
@@ -350,23 +358,19 @@ def cmd_run(config):
         wanted = [c for c in COLLECTION_ORDER if (out / f"collection_{c}.json").is_file()]
         if not wanted:
             raise FileNotFoundError(f"no collection manifests in {out}; run ingest first")
+    paths = {cid: out / f"collection_{cid}.json" for cid in wanted}
     manifests = {}
     inputs = {}
-    for cid in wanted:
-        mpath = out / f"collection_{cid}.json"
+    for cid, mpath in paths.items():
         if not mpath.is_file():
             raise FileNotFoundError(f"missing manifest {mpath}; run ingest first")
-        manifests[cid] = json.loads(mpath.read_text(encoding="utf-8"))
+        manifests[cid] = _read_json(mpath)
         inputs[str(mpath)] = _digest_file(mpath)
 
-    need_d2 = any(
-        entry["source_dataset"] == "D2"
-        for cid in wanted
-        for entry in manifests[cid]["instances"]
-    )
+    need_d2 = any(_references_d2(m) for m in manifests.values())
     d1, d2 = _load_datasets(config, need_d1=True, need_d2=need_d2)
     collections = {
-        cid: collection_from_manifest(manifests[cid], d1, d2) for cid in wanted
+        cid: collection_from_manifest(manifests[cid], d1, d2, paths[cid]) for cid in wanted
     }
 
     cells = [
@@ -400,11 +404,26 @@ def cmd_run(config):
 
 def _summary_cells(out):
     """The rows of out's summary.json, which only run and report write:
-    the cells of the last run there."""
+    the cells of the last run there.  ParseError naming the file when a
+    row is not one that run writes."""
     path = out / "summary.json"
     if not path.is_file():
         raise FileNotFoundError(f"no reports found in {out}: {path} is missing; run first")
-    return _read_json(path)
+    rows = _read_json(path)
+    if not isinstance(rows, list):
+        raise ParseError("not a list of summary rows", path=path)
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ParseError(f"row {i} is not an object", path=path)
+        for key, choices in _CELL_CHOICES.items():
+            value = row.get(key)
+            if type(value) is not type(choices[0]) or value not in choices:
+                raise ParseError(f"row {i}: {key} {value!r} is not one of {choices}", path=path)
+        if row.get("status") not in ("ok", "error"):
+            raise ParseError(f"row {i}: status must be 'ok' or 'error'", path=path)
+        if row["status"] == "error" and not isinstance(row.get("error"), str):
+            raise ParseError(f"row {i}: an error row needs its error text", path=path)
+    return rows
 
 
 def _read_json(path):

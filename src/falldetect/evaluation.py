@@ -43,7 +43,6 @@ class RocCurve:
     fpr: np.ndarray
     tpr: np.ndarray
     thresholds: np.ndarray
-    positive_class: str = "FALL"
 
     def __post_init__(self):
         self.fpr = np.asarray(self.fpr, dtype=np.float64)
@@ -306,6 +305,14 @@ def _best_candidate(candidates, is_fall, splits, scored):
     return candidates[best], float(totals[best] / len(splits))
 
 
+def _knn_table(variant, prep, rows, is_fall, queries, k_max):
+    """kNN scores of the rows of prep.X at indices queries, a column per k
+    in 1..k_max, trained on the rows at indices rows, labelled by is_fall:
+    their ADL rows, and for two-class their FALL rows too."""
+    fall = rows[is_fall] if variant is Variant.TC_KNN else None
+    return prep.scores_all_k(rows[~is_fall], fall, queries, k_max)
+
+
 def _select_k(variant, prep, rows, is_fall, cfg, seed):
     """k for the training rows of prep.X at indices rows, labelled by
     is_fall; each inner split's scores index prep's shared distances."""
@@ -327,27 +334,10 @@ def _select_k(variant, prep, rows, is_fall, cfg, seed):
         return ks[0], None
 
     def scored(tr, val):
-        ftr = is_fall[tr]
-        fall = rows[tr[ftr]] if two_class else None
-        table = prep.scores_all_k(rows[tr[~ftr]], fall, rows[val], ks[-1])
+        table = _knn_table(variant, prep, rows[tr], is_fall[tr], rows[val], ks[-1])
         return table[:, [k - 1 for k in ks]]
 
     return _best_candidate(ks, is_fall, splits, scored)
-
-
-def _knn_test_scores(variant, prep, rows, is_fall, test, k):
-    """Scores of the test rows of prep.X under k, trained on the rows at
-    indices rows, labelled by is_fall: read from prep's matrix when the
-    inner search built it, else from a model over the gathered rows."""
-    if prep.has_matrix:
-        fall = rows[is_fall] if variant is Variant.TC_KNN else None
-        return prep.scores_all_k(rows[~is_fall], fall, test, k)[:, k - 1]
-    Xtr = prep.X[rows]
-    if variant is Variant.OC_KNN:
-        model = classifiers.train_oc_knn(Xtr[~is_fall], k)
-    else:
-        model = classifiers.train_tc_knn(Xtr, is_fall, k)
-    return score_batch(model, prep.X[test])
 
 
 def _svm_prep(variant, X, is_fall):
@@ -409,9 +399,10 @@ def run_experiment(collection, feature_kind, window_len, variant, config=None):
     X = extract_matrix(windows, kind, cfg.ltp_params)
     is_fall = is_fall_mask([inst.label for inst in collection.instances])
     plan = collection.fold_plan
-    # distances between the cell's rows, built on first use by an inner k
-    # search and then read by every outer fold as well
-    knn_prep = classifiers.KnnPrep(X)
+    is_knn = var in (Variant.OC_KNN, Variant.TC_KNN)
+    # distances between the cell's rows, read by every inner split and
+    # every outer fold
+    knn_prep = classifiers.KnnPrep(X) if is_knn else None
 
     curves = []
     fold_aucs = []
@@ -423,9 +414,9 @@ def run_experiment(collection, feature_kind, window_len, variant, config=None):
             train_idx = plan.train_indices(f)
             ftr = is_fall[train_idx]
             seed_f = _inner_seed(collection.seed, f)
-            if var in (Variant.OC_KNN, Variant.TC_KNN):
+            if is_knn:
                 k, inner_auc = _select_k(var, knn_prep, train_idx, ftr, cfg, seed_f)
-                scores = _knn_test_scores(var, knn_prep, train_idx, ftr, test_idx, k)
+                scores = _knn_table(var, knn_prep, train_idx, ftr, test_idx, k)[:, k - 1]
                 chosen = {"k": k}
             else:
                 Xtr = X[train_idx]

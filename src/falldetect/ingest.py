@@ -621,28 +621,48 @@ def _atomic_write_text(path, text):
         raise
 
 
-def collection_from_manifest(manifest, d1_instances, d2_instances=None):
-    """Rebuild a collection from its manifest and the parsed source datasets."""
+def collection_from_manifest(manifest, d1_instances, d2_instances=None, path=None):
+    """Rebuild a collection from its manifest and the parsed source datasets.
+
+    A manifest that lacks a field, references a window the datasets do
+    not hold, or whose fold plan does not put every instance in one of
+    its num_folds folds raises ParseError naming path.
+    """
     sources = {
         "D1": list(d1_instances),
         "D2": list(d2_instances) if d2_instances is not None else [],
     }
-    instances = []
-    for entry in manifest["instances"]:
-        src = entry["source_dataset"]
-        idx = entry["source_index"]
-        pool = sources.get(src)
-        if pool is None or not 0 <= idx < len(pool):
-            raise ParseError(f"manifest references {src}[{idx}], which is unavailable")
-        window, label = pool[idx]
-        if label.value != entry["label"]:
-            raise ParseError(
-                f"manifest label {entry['label']} disagrees with {src}[{idx}] = {label.value}"
+    try:
+        instances = []
+        for entry in manifest["instances"]:
+            src = entry["source_dataset"]
+            idx = entry["source_index"]
+            pool = sources.get(src)
+            if pool is None or type(idx) is not int or not 0 <= idx < len(pool):
+                raise ParseError(f"manifest references {src}[{idx}], which is unavailable", path)
+            window, label = pool[idx]
+            if label.value != entry["label"]:
+                raise ParseError(
+                    f"manifest label {entry['label']} disagrees with {src}[{idx}] = {label.value}",
+                    path,
+                )
+            instances.append(
+                Instance(window=window, label=label, source_dataset=src, source_index=idx)
             )
-        instances.append(Instance(window=window, label=label, source_dataset=src, source_index=idx))
-    plan = FoldPlan(
-        num_folds=int(manifest["num_folds"]),
-        assignments=np.asarray(manifest["fold_assignments"], dtype=np.int64),
-        seed=int(manifest["seed"]),
-    )
-    return Collection(id=manifest["id"], instances=instances, fold_plan=plan, seed=int(manifest["seed"]))
+        num_folds = manifest["num_folds"]
+        assignments = manifest["fold_assignments"]
+        seed = int(manifest["seed"])
+        cid = manifest["id"]
+    except KeyError as exc:
+        raise ParseError(f"missing key {exc}", path) from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"not a collection manifest ({exc})", path) from exc
+    if type(num_folds) is not int or num_folds < 2:
+        raise ParseError(f"num_folds must be an integer >= 2, got {num_folds!r}", path)
+    if not isinstance(assignments, list) or len(assignments) != len(instances):
+        raise ParseError(f"fold_assignments must hold one fold per instance ({len(instances)})", path)
+    for a in assignments:
+        if type(a) is not int or not 0 <= a < num_folds:
+            raise ParseError(f"fold_assignments holds {a!r}, not a fold in [0, {num_folds})", path)
+    plan = FoldPlan(num_folds=num_folds, assignments=assignments, seed=seed)
+    return Collection(id=cid, instances=instances, fold_plan=plan, seed=seed)

@@ -310,43 +310,53 @@ class TestInnerSearchSharesOneMatrix:
         monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 8 * 120 * 120 - 1)
         assert _select_k(variant, cls.KnnPrep(X), rows, ftr, cfg, 5) == expected
 
-    @pytest.mark.parametrize("variant", ["OC_KNN", "TC_KNN"])
-    def test_single_k_grid_never_builds_the_matrix(self, small_collection, monkeypatch, variant):
+    def test_matrix_is_built_once_per_knn_cell_and_never_for_svm(
+        self, small_collection, monkeypatch
+    ):
         from falldetect.evaluation import GridConfig, run_experiment
 
-        def no_cell_matrix(X):
-            raise AssertionError("distance matrix built")
+        builds = []
+        self_distances = cls._self_distances
 
-        monkeypatch.setattr(cls, "_self_distances", no_cell_matrix)
-        report = run_experiment(small_collection, "MAGNITUDE", 51, variant, GridConfig(k_grid=(3,)))
-        assert all(p["k"] == 3 for p in report.fold_params)
-        with pytest.raises(AssertionError, match="distance matrix built"):
-            run_experiment(small_collection, "MAGNITUDE", 51, variant, GridConfig(k_grid=(1, 3)))
+        def counted(X):
+            builds.append(len(X))
+            return self_distances(X)
+
+        monkeypatch.setattr(cls, "_self_distances", counted)
+        grids = dict(c_grid=(1.0,), nu_grid=(0.1,), gamma_grid=("auto",))
+        for k_grid in ((3,), (1, 3)):
+            cfg = GridConfig(k_grid=k_grid, **grids)
+            for variant, expected in (("OC_KNN", [80]), ("TC_KNN", [80]),
+                                      ("OC_SVM", []), ("TC_SVM", [])):
+                builds.clear()
+                run_experiment(small_collection, "MAGNITUDE", 51, variant, cfg)
+                assert builds == expected, (k_grid, variant)
 
 
 class TestOuterFoldsReadTheMatrix:
     @pytest.mark.parametrize("variant", [cls.Variant.OC_KNN, cls.Variant.TC_KNN])
-    def test_scores_equal_score_batch_bit_for_bit(self, rng, variant):
-        from falldetect.evaluation import _knn_test_scores
+    @pytest.mark.parametrize("budget", ["in", "over"])
+    def test_knn_table_equals_score_batch_bit_for_bit(self, rng, monkeypatch, variant, budget):
+        from falldetect.evaluation import _knn_table
 
         X, is_fall = overlapping_classes(rng)
         order = rng.permutation(120)
         # the last test row is also a training row, at distance 0
         rows, test = order[:100], np.r_[order[100:], order[0]]
         ftr = is_fall[rows]
-        built = cls.KnnPrep(X)
-        built.scores_all_k(rows[:5], None, rows[5:7], 1)  # what an inner search does first
-        assert built.has_matrix
+        if budget == "over":
+            monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 8 * 120 * 120 - 1)
+        prep = cls.KnnPrep(X)
+        assert (prep._D is None) == (budget == "over")
+        wide = _knn_table(variant, prep, rows, ftr, test, 10)
         for k in range(1, 11):
             if variant is cls.Variant.OC_KNN:
                 model = cls.train_oc_knn(X[rows][~ftr], k)
             else:
                 model = cls.train_tc_knn(X[rows], ftr, k)
             expected = cls.score_batch(model, X[test])
-            assert np.array_equal(_knn_test_scores(variant, built, rows, ftr, test, k), expected)
-            fresh = cls.KnnPrep(X)
-            assert np.array_equal(_knn_test_scores(variant, fresh, rows, ftr, test, k), expected)
-            assert not fresh.has_matrix
+            assert np.array_equal(_knn_table(variant, prep, rows, ftr, test, k)[:, k - 1], expected)
+            assert np.array_equal(wide[:, k - 1], expected)
 
     def test_k_beyond_a_class_pool_is_refused(self, rng):
         X, is_fall = overlapping_classes(rng)
@@ -359,14 +369,15 @@ class TestOuterFoldsReadTheMatrix:
         assert prep.scores_all_k(adl, None, adl, 6).shape == (6, 6)
 
     @pytest.mark.parametrize("variant", ["OC_KNN", "TC_KNN"])
+    @pytest.mark.parametrize("k_grid", [(1, 3), (3,)], ids=["searched", "single-k"])
     def test_searched_cell_scores_outer_folds_from_the_matrix(
-        self, small_collection, monkeypatch, variant
+        self, small_collection, monkeypatch, variant, k_grid
     ):
         from falldetect import evaluation as ev
 
-        cfg = ev.GridConfig(k_grid=(1, 3))
+        cfg = ev.GridConfig(k_grid=k_grid)
         with monkeypatch.context() as mp:
-            # over budget: no matrix, so the outer folds train and score models
+            # over budget: no matrix, so every block is computed from the rows
             mp.setattr(cls, "_CACHE_BUDGET_BYTES", 0)
             expected = ev.report_to_dict(
                 ev.run_experiment(small_collection, "MAGNITUDE", 51, variant, cfg)
@@ -376,7 +387,8 @@ class TestOuterFoldsReadTheMatrix:
             raise AssertionError("outer fold recomputed its distances")
 
         for mod, name in ((ev, "score_batch"), (cls, "score_batch"),
-                          (cls, "knn_mean_distances_all_k")):
+                          (cls, "knn_mean_distances_all_k"), (cls, "train_oc_knn"),
+                          (cls, "train_tc_knn")):
             monkeypatch.setattr(mod, name, refused)
         report = ev.run_experiment(small_collection, "MAGNITUDE", 51, variant, cfg)
         assert ev.report_to_dict(report) == expected

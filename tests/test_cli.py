@@ -21,6 +21,10 @@ def pipeline(tmp_path):
     return data, work
 
 
+def file_bytes(directory):
+    return {f.name: f.read_bytes() for f in directory.iterdir() if f.is_file()}
+
+
 class TestSynthCommand:
     def test_writes_dataset_and_run_record(self, tmp_path, capsys):
         out = tmp_path / "d"
@@ -133,6 +137,66 @@ class TestRunCommand:
         assert "run ingest first" in capsys.readouterr().err
 
 
+def drop_source_index(doc):
+    del doc["instances"][3]["source_index"]
+
+
+def far_source_index(doc):
+    doc["instances"][0]["source_index"] = 1000000
+
+
+def one_assignment_short(doc):
+    doc["fold_assignments"].pop()
+
+
+def fold_99(doc):
+    doc["fold_assignments"][5] = 99
+
+
+def one_fold(doc):
+    doc["num_folds"] = 1
+
+
+def fractional_folds(doc):
+    doc["num_folds"] = 10.5
+
+
+class TestDamagedManifest:
+    """A collection manifest run cannot use exits 2 naming it, and run
+    writes nothing."""
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda doc: "{not json", "not JSON ("),
+            (lambda doc: json.dumps([doc]), "not a collection manifest ("),
+            (drop_source_index, "missing key 'source_index'"),
+            (far_source_index, "manifest references D1[1000000], which is unavailable"),
+            (one_assignment_short, "fold_assignments must hold one fold per instance (42)"),
+            (fold_99, "fold_assignments holds 99, not a fold in [0, 10)"),
+            (one_fold, "num_folds must be an integer >= 2, got 1"),
+            (fractional_folds, "num_folds must be an integer >= 2, got 10.5"),
+        ],
+        ids=["not JSON", "a list", "no source_index", "far index", "one short", "fold 99",
+             "one fold", "fractional folds"],
+    )
+    def test_damaged_manifest_is_named(self, pipeline, capsys, damage, message):
+        data, work = pipeline
+        path = work / "collection_C1.json"
+        doc = json.loads(path.read_text())
+        text = damage(doc)
+        path.write_text(json.dumps(doc) if text is None else text)
+        before = file_bytes(work)
+        capsys.readouterr()
+        code = run_cli(
+            "run", "--dataset1", data, "--out", work,
+            "--feature", "MAGNITUDE", "--window", "51", "--classifier", "OC_KNN",
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+        assert file_bytes(work) == before
+
+
 class TestReportCommand:
     def test_rebuilds_summary_from_stored_reports(self, pipeline):
         data, work = pipeline
@@ -218,6 +282,32 @@ class TestReportCommand:
         (tmp_path / "summary.json").write_text("{not json")
         assert run_cli("report", "--out", tmp_path) == 2
         assert "summary.json: not JSON" in capsys.readouterr().err
+
+    CELL = {"collection": "C1", "feature": "RAW", "window": 51, "classifier": "OC_KNN"}
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ({"a": 1}, "not a list of summary rows"),
+            (["C1_RAW_51_OC_KNN"], "row 0 is not an object"),
+            ([{"status": "ok"}], "row 0: collection None is not one of"),
+            ([{**CELL, "status": "ok"}, {**CELL, "collection": "C9", "status": "ok"}],
+             "row 1: collection 'C9' is not one of"),
+            ([{**CELL, "window": 52, "status": "ok"}], "row 0: window 52 is not one of"),
+            ([{**CELL, "window": 51.0, "status": "ok"}], "row 0: window 51.0 is not one of"),
+            ([{**CELL, "status": "done"}], "row 0: status must be 'ok' or 'error'"),
+            ([{**CELL, "status": "error"}], "row 0: an error row needs its error text"),
+        ],
+        ids=["an object", "a string row", "no cell", "unknown collection", "unknown window",
+             "float window", "unknown status", "error without text"],
+    )
+    def test_damaged_summary_is_named(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(rows))
+        before = file_bytes(tmp_path)
+        assert run_cli("report", "--out", tmp_path) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+        assert file_bytes(tmp_path) == before
 
 
 class TestConfigHandling:
