@@ -9,6 +9,7 @@ written here.
 
 import enum
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,15 +281,6 @@ def train_tc_knn(vectors, labels, k):
 # SVM: standardization, kernel, and the pairwise dual solver
 
 
-def standardize_fit(matrix):
-    """Per-feature mean and deviation; constant features get scale 1."""
-    matrix = _as_matrix(matrix)
-    mean = matrix.mean(axis=0)
-    scale = matrix.std(axis=0)
-    scale = np.where(scale > 0, scale, 1.0)
-    return mean, scale
-
-
 def standardize_apply(matrix, mean, scale):
     return (np.asarray(matrix, dtype=np.float64) - mean) / scale
 
@@ -302,8 +294,8 @@ def resolve_gamma(gamma, standardized):
             var = 1.0
         return 1.0 / (d * var)
     gamma = float(gamma)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
     return gamma
 
 
@@ -382,7 +374,10 @@ class SvmPrep:
 
     def __init__(self, vectors):
         X = _as_matrix(vectors)
-        self.mean, self.scale = standardize_fit(X)
+        # per-feature mean and deviation; constant features get scale 1
+        self.mean = X.mean(axis=0)
+        scale = X.std(axis=0)
+        self.scale = np.where(scale > 0, scale, 1.0)
         self.Xs = standardize_apply(X, self.mean, self.scale)
         self.sq = _sq_norms(self.Xs)
         m = len(X)
@@ -477,6 +472,47 @@ def _solve_pairwise_dual(K, y, box, alpha, p, tol, max_iter):
     return alpha, bias, iterations, converged, gap, lo, hi
 
 
+_SvmFit = namedtuple("_SvmFit", "gamma alpha keep bias lo hi stats")
+
+
+def _solve_svm(prep, gamma, y, box, start, p, tol, max_iter):
+    """Solve one SVM dual on the kernel of prep's rows.
+
+    y labels the rows; box, start and p are the multipliers' upper bound,
+    starting value and linear term, the same for every row.  max_iter
+    defaults to 10 m, and a solve it stops warns.  keep marks the support
+    vectors, and (lo, hi) is the solver's stopping interval.
+    """
+    gamma = resolve_gamma(gamma, prep.Xs)
+    m = len(prep)
+    if max_iter is None:
+        max_iter = 10 * m
+    alpha, bias, iters, converged, gap, lo, hi = _solve_pairwise_dual(
+        prep.kernel(gamma), y, np.full(m, box), np.full(m, start), np.full(m, p), tol, max_iter
+    )
+    if not converged:
+        warnings.warn(
+            f"pairwise solver stopped at {iters} iterations with gap {gap:.3g}",
+            ConvergenceWarning,
+        )
+    stats = {"iterations": iters, "converged": converged, "gap": gap}
+    return _SvmFit(gamma, alpha, alpha > _SV_EPS, bias, lo, hi, stats)
+
+
+def _svm_model(variant, prep, fit, bias, counts, hyper, support_labels=None):
+    """The trained model of one solve: the kept support vectors and their
+    multipliers, and the variant's class counts and hyper, its C or nu."""
+    params = SvmModel(
+        gamma=fit.gamma, alpha=fit.alpha[fit.keep], support_vectors=prep.Xs[fit.keep], bias=bias,
+        support_labels=support_labels, mean=prep.mean, scale=prep.scale, **hyper,
+    )
+    summary = {
+        "variant": variant.value, "counts": counts, **hyper, "gamma": fit.gamma,
+        "standardized": True, "support_vectors": int(fit.keep.sum()), **fit.stats,
+    }
+    return TrainedModel(variant, params, summary)
+
+
 def train_tc_svm(vectors, labels, C, gamma="auto", tol=SVM_TOL, max_iter=None):
     """Soft-margin RBF SVM on both classes; score is the decision value.
 
@@ -494,52 +530,13 @@ def train_tc_svm(vectors, labels, C, gamma="auto", tol=SVM_TOL, max_iter=None):
     if n_adl == 0 or n_fall == 0:
         raise DegenerateLabels("two-class training needs both ADL and FALL instances")
     C = float(C)
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not (np.isfinite(C) and C > 0):
+        raise ValueError(f"C must be finite and > 0, got {C}")
 
-    Xs = prep.Xs
-    gamma = resolve_gamma(gamma, Xs)
-    m = len(Xs)
     y = np.where(is_fall, 1.0, -1.0)
-    if max_iter is None:
-        max_iter = 10 * m
-    alpha, bias, iters, converged, gap, _, _ = _solve_pairwise_dual(
-        prep.kernel(gamma),
-        y,
-        box=np.full(m, C),
-        alpha=np.zeros(m),
-        p=-np.ones(m),
-        tol=tol,
-        max_iter=max_iter,
-    )
-    if not converged:
-        warnings.warn(
-            f"pairwise solver stopped at {iters} iterations with gap {gap:.3g}",
-            ConvergenceWarning,
-        )
-    keep = alpha > _SV_EPS
-    params = SvmModel(
-        gamma=gamma,
-        alpha=alpha[keep],
-        support_vectors=Xs[keep],
-        support_labels=y[keep],
-        bias=bias,
-        C=C,
-        mean=prep.mean,
-        scale=prep.scale,
-    )
-    summary = {
-        "variant": "TC_SVM",
-        "counts": {"ADL": n_adl, "FALL": n_fall},
-        "C": C,
-        "gamma": gamma,
-        "standardized": True,
-        "support_vectors": int(keep.sum()),
-        "iterations": iters,
-        "converged": converged,
-        "gap": gap,
-    }
-    return TrainedModel(Variant.TC_SVM, params, summary)
+    fit = _solve_svm(prep, gamma, y, C, 0.0, -1.0, tol, max_iter)
+    counts = {"ADL": n_adl, "FALL": n_fall}
+    return _svm_model(Variant.TC_SVM, prep, fit, fit.bias, counts, {"C": C}, y[fit.keep])
 
 
 def train_oc_svm(adl_vectors, nu, gamma="auto", tol=SVM_TOL, max_iter=None):
@@ -561,57 +558,18 @@ def train_oc_svm(adl_vectors, nu, gamma="auto", tol=SVM_TOL, max_iter=None):
     if m < 2:
         raise InsufficientData("one-class SVM needs at least 2 vectors")
 
-    Xs = prep.Xs
-    gamma = resolve_gamma(gamma, Xs)
-    if max_iter is None:
-        max_iter = 10 * m
-    upper = 1.0 / (nu * m)
-    alpha, bias, iters, converged, gap, lo, hi = _solve_pairwise_dual(
-        prep.kernel(gamma),
-        np.ones(m),
-        box=np.full(m, upper),
-        alpha=np.full(m, 1.0 / m),
-        p=np.zeros(m),
-        tol=tol,
-        max_iter=max_iter,
-    )
-    if not converged:
-        warnings.warn(
-            f"pairwise solver stopped at {iters} iterations with gap {gap:.3g}",
-            ConvergenceWarning,
-        )
+    fit = _solve_svm(prep, gamma, np.ones(m), 1.0 / (nu * m), 1.0 / m, 0.0, tol, max_iter)
     # Any offset inside the solver's stopping interval satisfies the
     # optimality conditions at tolerance.  Take the edge where no point
     # still free to grow its multiplier scores positive: outliers are then
     # always a subset of the at-bound vectors, whose count nu caps.
-    if np.isfinite(lo):
-        rho = -lo
-    elif np.isfinite(hi):
-        rho = -hi
+    if np.isfinite(fit.lo):
+        rho = -fit.lo
+    elif np.isfinite(fit.hi):
+        rho = -fit.hi
     else:
         rho = 0.0
-    keep = alpha > _SV_EPS
-    params = SvmModel(
-        gamma=gamma,
-        alpha=alpha[keep],
-        support_vectors=Xs[keep],
-        bias=rho,
-        nu=nu,
-        mean=prep.mean,
-        scale=prep.scale,
-    )
-    summary = {
-        "variant": "OC_SVM",
-        "counts": {"ADL": m, "FALL": 0},
-        "nu": nu,
-        "gamma": gamma,
-        "standardized": True,
-        "support_vectors": int(keep.sum()),
-        "iterations": iters,
-        "converged": converged,
-        "gap": gap,
-    }
-    return TrainedModel(Variant.OC_SVM, params, summary)
+    return _svm_model(Variant.OC_SVM, prep, fit, rho, {"ADL": m, "FALL": 0}, {"nu": nu})
 
 
 def _kernel_expansion(p, vectors, coef):

@@ -18,6 +18,7 @@ from itertools import repeat
 from pathlib import Path
 
 from . import __version__, synth
+from .classifiers import Variant
 from .errors import FalldetectError, ParseError
 from .evaluation import (
     GridConfig,
@@ -27,8 +28,10 @@ from .evaluation import (
     summary_row,
     write_roc_csv,
 )
-from .features import LtpParams
+from .features import FeatureKind, LtpParams
 from .ingest import (
+    COLLECTIONS,
+    SUB_WINDOWS,
     _atomic_write_text,
     build_collection,
     collection_from_manifest,
@@ -37,15 +40,14 @@ from .ingest import (
     save_manifest,
 )
 
-COLLECTION_ORDER = ("C1", "C2", "C3")
-FEATURE_ORDER = ("RAW", "MAGNITUDE", "ACCEL_FEATURES", "LTP")
-WINDOW_ORDER = (51, 128)
-CLASSIFIER_ORDER = ("OC_KNN", "TC_KNN", "OC_SVM", "TC_SVM")
-# The keys that name a cell in a summary row, in sort order, with their choices.
+FEATURE_ORDER = tuple(kind.value for kind in FeatureKind)
+CLASSIFIER_ORDER = tuple(variant.value for variant in Variant)
+# The keys that name a cell in a summary row, in sort order, with their
+# choices.  Each key plus "s" is the config key that selects cells.
 _CELL_CHOICES = {
-    "collection": COLLECTION_ORDER,
+    "collection": COLLECTIONS,
     "feature": FEATURE_ORDER,
-    "window": WINDOW_ORDER,
+    "window": SUB_WINDOWS,
     "classifier": CLASSIFIER_ORDER,
 }
 
@@ -54,7 +56,7 @@ _CONFIG_DEFAULTS = {
     "dataset2": None,
     "collections": None,
     "features": list(FEATURE_ORDER),
-    "windows": list(WINDOW_ORDER),
+    "windows": list(SUB_WINDOWS),
     "classifiers": list(CLASSIFIER_ORDER),
     "seed": 0,
     "out": "out",
@@ -190,13 +192,8 @@ def load_config(args):
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
-    for key, universe, what in (
-        ("collections", COLLECTION_ORDER, "collection"),
-        ("features", FEATURE_ORDER, "feature"),
-        ("windows", WINDOW_ORDER, "window"),
-        ("classifiers", CLASSIFIER_ORDER, "classifier"),
-    ):
-        merged[key] = _parse_choices(merged[key], universe, what)
+    for what, universe in _CELL_CHOICES.items():
+        merged[what + "s"] = _parse_choices(merged[what + "s"], universe, what)
     for key in ("seed", "jobs"):
         merged[key] = _setting(merged, key)
     grid_config(merged)
@@ -275,7 +272,7 @@ def _wanted_collections(config):
         # default to what the configured dataset paths can support
         wanted = ["C1"]
         if config["dataset2"]:
-            wanted = list(COLLECTION_ORDER)
+            wanted = list(COLLECTIONS)
     return wanted
 
 
@@ -312,11 +309,12 @@ def _run_cell(cell, collection, grid_cfg):
     cell failed and the row holds the error)."""
     try:
         report = run_experiment(collection, *cell[1:], grid_cfg)
-    except FalldetectError as exc:
+    except Exception as exc:  # one failed cell must not lose the others
+        text = str(exc) if isinstance(exc, FalldetectError) else f"{type(exc).__name__}: {exc}"
         cid, feature, window, classifier = cell
         row = {"collection": cid, "feature": feature, "window": int(window),
                "classifier": classifier, "status": "error",
-               "error": str(exc).replace(",", ";").replace("\n", " ")}
+               "error": text.replace(",", ";").replace("\n", " ")}
         return row, None
     return {**summary_row(report), "status": "ok"}, report
 
@@ -355,7 +353,7 @@ def cmd_run(config):
     out.mkdir(parents=True, exist_ok=True)
     wanted = config["collections"]
     if wanted is None:
-        wanted = [c for c in COLLECTION_ORDER if (out / f"collection_{c}.json").is_file()]
+        wanted = [c for c in COLLECTIONS if (out / f"collection_{c}.json").is_file()]
         if not wanted:
             raise FileNotFoundError(f"no collection manifests in {out}; run ingest first")
     paths = {cid: out / f"collection_{cid}.json" for cid in wanted}

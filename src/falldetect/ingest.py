@@ -28,6 +28,7 @@ from .errors import (
 
 FULL_WINDOW = 300
 SUB_WINDOWS = (51, 128)
+COLLECTIONS = ("C1", "C2", "C3")
 DEFAULT_RATE = 50.0
 DEFAULT_THRESHOLD_G = 1.5
 
@@ -536,7 +537,7 @@ def build_collection(cid, d1_instances, d2_instances=None, seed=0, num_folds=10)
     When a source holds fewer windows than the nominal recipe asks for, all
     available ones are used; only an empty required side is an error.
     """
-    if cid not in ("C1", "C2", "C3"):
+    if cid not in COLLECTIONS:
         raise ValueError(f"unknown collection id {cid!r}")
     d1 = list(d1_instances)
     d2 = list(d2_instances) if d2_instances is not None else []

@@ -6,6 +6,7 @@ problems, and invariances (duplicated data, determinism) that any exact
 minimizer must respect.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -172,6 +173,24 @@ class TestTrainingInterface:
         with pytest.raises(ValueError):
             cls.train_tc_svm([[0.0], [1.0]], ["ADL", "FALL"], C=1.0, gamma=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "variant, name", [("TC_SVM", "C"), ("TC_SVM", "gamma"), ("OC_SVM", "gamma")]
+    )
+    def test_non_finite_c_and_gamma_rejected(self, rng, variant, name, value):
+        # nan C used to "converge" after 0 iterations and score every row 0;
+        # nan or inf gamma ran to the iteration cap
+        X = rng.normal(0.0, 1.0, (40, 2))
+        labels = ["ADL"] * 25 + ["FALL"] * 15
+        message = f"^{name} must be finite and > 0, got {re.escape(str(value))}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            with pytest.raises(ValueError, match=message):
+                if variant == "TC_SVM":
+                    cls.train_tc_svm(X, labels, **{"C": 1.0, "gamma": "auto", name: value})
+                else:
+                    cls.train_oc_svm(X, nu=0.2, gamma=value)
+
     def test_auto_gamma_on_standardized_data(self, rng):
         X = rng.normal(3.0, 2.5, (40, 5))
         labels = ["ADL"] * 25 + ["FALL"] * 15
@@ -202,6 +221,26 @@ class TestTrainingInterface:
         assert model.training_summary["iterations"] == 1
         assert model.training_summary["gap"] > cls.SVM_TOL
 
+    def test_one_class_iteration_cap_warns_and_reports(self, rng):
+        X = rng.normal(0.0, 1.0, (24, 2))
+        with pytest.warns(ConvergenceWarning):
+            model = cls.train_oc_svm(X, nu=0.1, max_iter=1)
+        assert model.training_summary["converged"] is False
+        assert model.training_summary["iterations"] == 1
+        assert model.training_summary["gap"] > cls.SVM_TOL
+
+    @pytest.mark.parametrize("variant", ["TC_SVM", "OC_SVM"])
+    def test_default_cap_is_ten_iterations_per_row(self, rng, variant):
+        # a negative tolerance is never met, so the solver runs to the cap
+        X = rng.normal(0.0, 1.0, (24, 2))
+        with pytest.warns(ConvergenceWarning, match="stopped at 240 iterations"):
+            if variant == "TC_SVM":
+                model = cls.train_tc_svm(X, ["ADL"] * 12 + ["FALL"] * 12, C=1.0, tol=-1.0)
+            else:
+                model = cls.train_oc_svm(X, nu=0.2, tol=-1.0)
+        assert model.training_summary["iterations"] == 240
+        assert model.training_summary["converged"] is False
+
     def test_training_is_deterministic(self, rng):
         X = rng.normal(0.0, 1.0, (30, 3))
         labels = ["ADL"] * 17 + ["FALL"] * 13
@@ -217,6 +256,84 @@ class TestTrainingInterface:
         assert cls.score_batch(model, []).shape == (0,)
         with pytest.raises(DimensionError):
             cls.score_batch(model, [[1.0, 2.0, 3.0]])
+
+
+def direct_solve(prep, gamma, y, box, start, p):
+    """The solver called straight on one variant's dual, at the default cap."""
+    m = len(prep)
+    return cls._solve_pairwise_dual(
+        prep.kernel(gamma), y, np.full(m, box), np.full(m, start), np.full(m, p), cls.SVM_TOL, 10 * m
+    )
+
+
+class TestTrainedModelRecord:
+    """What each trainer hands back, rebuilt from the solver called directly
+    on the variant's dual: TC solves y = +-1, box C, alpha0 = 0, p = -1; OC
+    solves y = 1, box 1/(nu m), alpha0 = 1/m, p = 0, with rho at the edge
+    of the stopping interval."""
+
+    @staticmethod
+    def problem(rng):
+        X, labels = overlapping_problem(rng)
+        X[:, 2] = 4.0  # a constant feature, standardized with scale 1
+        return X, labels
+
+    @staticmethod
+    def check_standardization(p, X):
+        assert np.array_equal(p.mean, X.mean(axis=0))
+        assert np.array_equal(p.scale[:2], X[:, :2].std(axis=0))
+        assert p.scale[2] == 1.0
+
+    def test_two_class_record(self, rng):
+        X, labels = self.problem(rng)
+        model = cls.train_tc_svm(X, labels, C=2.0, gamma=0.5)
+        prep = cls.SvmPrep(X)
+        y = np.where(labels == "FALL", 1.0, -1.0)
+        alpha, bias, iters, converged, gap, _, _ = direct_solve(prep, 0.5, y, 2.0, 0.0, -1.0)
+        keep = alpha > cls._SV_EPS
+        assert converged and 0 < keep.sum() < len(X)
+        expected = {
+            "variant": "TC_SVM", "counts": {"ADL": 24, "FALL": 16}, "C": 2.0, "gamma": 0.5,
+            "standardized": True, "support_vectors": int(keep.sum()), "iterations": iters,
+            "converged": True, "gap": gap,
+        }
+        assert model.training_summary == expected
+        assert list(model.training_summary) == list(expected)
+        p = model.parameters
+        assert np.array_equal(p.alpha, alpha[keep])
+        assert np.array_equal(p.support_vectors, prep.Xs[keep])
+        assert np.array_equal(p.support_labels, y[keep])
+        assert set(p.support_labels.tolist()) == {-1.0, 1.0}
+        assert p.bias == bias
+        assert p.C == 2.0 and p.nu is None
+        self.check_standardization(p, X)
+
+    def test_one_class_record(self, rng):
+        X, labels = self.problem(rng)
+        X = X[labels == "ADL"]
+        m = len(X)
+        model = cls.train_oc_svm(X, nu=0.2, gamma=0.5)
+        prep = cls.SvmPrep(X)
+        alpha, _, iters, converged, gap, lo, _ = direct_solve(
+            prep, 0.5, np.ones(m), 1.0 / (0.2 * m), 1.0 / m, 0.0
+        )
+        keep = alpha > cls._SV_EPS
+        assert converged and 0 < keep.sum() < m
+        assert np.isfinite(lo)
+        expected = {
+            "variant": "OC_SVM", "counts": {"ADL": m, "FALL": 0}, "nu": 0.2, "gamma": 0.5,
+            "standardized": True, "support_vectors": int(keep.sum()), "iterations": iters,
+            "converged": True, "gap": gap,
+        }
+        assert model.training_summary == expected
+        assert list(model.training_summary) == list(expected)
+        p = model.parameters
+        assert np.array_equal(p.alpha, alpha[keep])
+        assert np.array_equal(p.support_vectors, prep.Xs[keep])
+        assert p.support_labels is None
+        assert p.bias == -lo
+        assert p.nu == 0.2 and p.C is None
+        self.check_standardization(p, X)
 
 
 def overlapping_problem(rng, n_adl=24, n_fall=16, dim=3):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from falldetect import cli
+from falldetect.errors import InsufficientData
 
 
 def run_cli(*argv):
@@ -135,6 +136,52 @@ class TestRunCommand:
         code = run_cli("run", "--dataset1", tmp_path, "--out", tmp_path / "none")
         assert code == 2
         assert "run ingest first" in capsys.readouterr().err
+
+
+class TestCellFailures:
+    """Whatever one cell raises becomes its error row; the other cells keep
+    their rows and reports."""
+
+    ARGV = ("--seed", "7", "--feature", "MAGNITUDE", "--window", "51",
+            "--classifier", "OC_KNN,TC_KNN,OC_SVM")
+
+    def test_any_exception_becomes_an_error_row(self, pipeline, monkeypatch, capsys):
+        data, work = pipeline
+        real = cli.run_experiment
+
+        def one_cell_fails(collection, feature, window, classifier, cfg):
+            if classifier == "TC_KNN":
+                raise ValueError("scores must be finite, got\nnan")
+            if classifier == "OC_SVM":
+                raise InsufficientData("too few, sorry")
+            return real(collection, feature, window, classifier, cfg)
+
+        monkeypatch.setattr(cli, "run_experiment", one_cell_fails)
+        assert run_cli("run", "--dataset1", data, "--out", work, *self.ARGV) == 1
+        lines = (work / "summary.csv").read_text().splitlines()
+        assert len(lines) == 4
+        assert lines[1].startswith("C1,MAGNITUDE,51,OC_KNN,") and lines[1].endswith(",ok,")
+        assert lines[2] == "C1,MAGNITUDE,51,TC_KNN,,,,,error,ValueError: scores must be finite; got nan"
+        # a FalldetectError keeps its bare message
+        assert lines[3] == "C1,MAGNITUDE,51,OC_SVM,,,,,error,too few; sorry"
+        assert [f.name for f in sorted(work.glob("report_*.json"))] == [
+            "report_C1_MAGNITUDE_51_OC_KNN.json"
+        ]
+        assert (work / "roc_C1_MAGNITUDE_51_OC_KNN.csv").is_file()
+        assert "TC_KNN: ERROR ValueError: scores must be finite; got nan" in capsys.readouterr().out
+        assert run_cli("report", "--out", work) == 1
+        assert (work / "summary.csv").read_text().splitlines() == lines
+
+    def test_keyboard_interrupt_escapes(self, pipeline, monkeypatch):
+        data, work = pipeline
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_experiment", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("run", "--dataset1", data, "--out", work, *self.ARGV)
+        assert not (work / "summary.csv").exists()
 
 
 def drop_source_index(doc):
