@@ -375,8 +375,15 @@ class SvmPrep:
     def __init__(self, vectors):
         X = _as_matrix(vectors)
         # per-feature mean and deviation; constant features get scale 1
-        self.mean = X.mean(axis=0)
-        scale = X.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.mean = X.mean(axis=0)
+            scale = X.std(axis=0)
+        # an overflowed spread would standardize its feature to all zeros
+        bad = np.flatnonzero(~(np.isfinite(self.mean) & np.isfinite(scale)))
+        if bad.size:
+            raise DimensionError(
+                f"feature {bad[0]} cannot be standardized: its mean or spread overflows"
+            )
         self.scale = np.where(scale > 0, scale, 1.0)
         self.Xs = standardize_apply(X, self.mean, self.scale)
         self.sq = _sq_norms(self.Xs)

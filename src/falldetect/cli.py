@@ -10,7 +10,6 @@ leave corrupt files.  Exit codes: 0 success, 1 experiment-cell failure,
 
 import argparse
 import hashlib
-import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -33,6 +32,8 @@ from .ingest import (
     COLLECTIONS,
     SUB_WINDOWS,
     _atomic_write_text,
+    _read_json,
+    _write_json,
     build_collection,
     collection_from_manifest,
     parse_dataset1,
@@ -85,7 +86,9 @@ _GRID_BOUNDS = {
 
 
 def _as_number(raw):
-    """raw as a float; nan when it is not a number."""
+    """raw as a float; nan when it is not a number (a bool is not)."""
+    if isinstance(raw, bool):
+        return math.nan
     try:
         return float(raw)
     except (TypeError, ValueError):
@@ -178,7 +181,7 @@ def load_config(args):
     into one dict; choice lists and grid settings are checked here."""
     merged = dict(_CONFIG_DEFAULTS)
     if getattr(args, "config", None):
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        doc = _read_json(args.config)
         if not isinstance(doc, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         # a stored run.json nests the actual config under "config"
@@ -230,7 +233,7 @@ def _write_run_json(out_dir, command, config, inputs):
         "config": config,
         "inputs": {str(k): v for k, v in inputs.items()},
     }
-    _atomic_write_text(Path(out_dir) / "run.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(Path(out_dir) / "run.json", doc)
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +343,20 @@ def _sorted_rows(rows):
 
 
 def _write_summary(out, rows):
+    """Write summary.csv and summary.json, print one line per row, and
+    return the exit code: 1 when any cell failed."""
     rows = _sorted_rows(rows)
     _atomic_write_text(out / "summary.csv", _summary_lines(rows))
-    _atomic_write_text(
-        out / "summary.json", json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    )
-    return rows
+    _write_json(out / "summary.json", rows)
+    for r in rows:
+        if r["status"] == "ok":
+            print(
+                f"{_cell_name(r)}: "
+                f"AUC {r['auc']:.3f} SE {r['se']:.3f} SP {r['sp']:.3f} GM {r['gm']:.3f}"
+            )
+        else:
+            print(f"{_cell_name(r)}: ERROR {r['error']}")
+    return 1 if any(r["status"] == "error" for r in rows) else 0
 
 
 def cmd_run(config):
@@ -370,6 +381,10 @@ def cmd_run(config):
     collections = {
         cid: collection_from_manifest(manifests[cid], d1, d2, paths[cid]) for cid in wanted
     }
+    for cid, collection in collections.items():
+        if collection.id != cid:
+            raise ParseError(f"id must be {cid!r}, as its file name says, got {collection.id!r}",
+                             paths[cid])
 
     cells = [
         (cid, feature, window, classifier)
@@ -390,14 +405,8 @@ def cmd_run(config):
             key = _cell_name(row, "_")
             save_report_json(report, out / f"report_{key}.json")
             write_roc_csv(report.averaged_curve, out / f"roc_{key}.csv")
-    rows = _write_summary(out, [row for row, _ in results])
     _write_run_json(out, "run", config, inputs)
-    for r in rows:
-        if r["status"] == "ok":
-            print(f"{_cell_name(r)}: AUC {r['auc']:.3f} SE {r['se']:.3f} SP {r['sp']:.3f}")
-        else:
-            print(f"{_cell_name(r)}: ERROR {r['error']}")
-    return 1 if any(r["status"] == "error" for r in rows) else 0
+    return _write_summary(out, [row for row, _ in results])
 
 
 def _summary_cells(out):
@@ -424,13 +433,6 @@ def _summary_cells(out):
     return rows
 
 
-def _read_json(path):
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not JSON ({exc})", path=path) from exc
-
-
 def cmd_report(config):
     """Re-render the summary of exactly the cells the last run wrote."""
     out = Path(config["out"])
@@ -448,17 +450,11 @@ def cmd_report(config):
             raise ParseError(f"missing key {exc}", path=path) from exc
         except (TypeError, ValueError) as exc:
             raise ParseError(f"not a report ({exc})", path=path) from exc
-        rows.append({**summary_row(report), "status": "ok"})
-    rows = _write_summary(out, rows)
-    for r in rows:
-        if r["status"] == "ok":
-            print(
-                f"{_cell_name(r)}: "
-                f"AUC {r['auc']:.3f} SE {r['se']:.3f} SP {r['sp']:.3f} GM {r['gm']:.3f}"
-            )
-        else:
-            print(f"{_cell_name(r)}: ERROR {r['error']}")
-    return 1 if any(r["status"] == "error" for r in rows) else 0
+        row = {**summary_row(report), "status": "ok"}
+        if _cell_name(row) != _cell_name(cell):
+            raise ParseError(f"a report for {_cell_name(row)}, not {_cell_name(cell)}", path=path)
+        rows.append(row)
+    return _write_summary(out, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +514,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = load_config(args)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (FalldetectError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

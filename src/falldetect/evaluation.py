@@ -8,7 +8,7 @@ cross-validation that never sees the outer test split.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import (
     InvalidK,
 )
 from .features import FeatureKind, LtpParams, extract_matrix
-from .ingest import is_fall_mask, plan_folds, window_at_length, _atomic_write_text
+from .ingest import is_fall_mask, plan_folds, window_at_length, _atomic_write_text, _write_json
 
 ROC_GRID_POINTS = 1001
 _STREAM_INNER = 303
@@ -219,23 +219,8 @@ class GridConfig:
     ltp_params: LtpParams | None = None
 
     def to_dict(self):
-        ltp = self.ltp_params
-        return {
-            "k_grid": list(self.k_grid),
-            "c_grid": list(self.c_grid),
-            "gamma_grid": list(self.gamma_grid),
-            "nu_grid": list(self.nu_grid),
-            "inner_folds": self.inner_folds,
-            "svm_tol": self.svm_tol,
-            "svm_max_iter": self.svm_max_iter,
-            "ltp_params": None
-            if ltp is None
-            else {
-                "num_neighbours": ltp.num_neighbours,
-                "step": ltp.step,
-                "m_max": ltp.m_max,
-            },
-        }
+        # lists, not tuples, so the dict equals its JSON round trip
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 @dataclass
@@ -468,28 +453,10 @@ def run_experiment(collection, feature_kind, window_len, variant, config=None):
 
 
 def report_to_dict(report):
-    return {
-        "collection_id": report.collection_id,
-        "feature_kind": report.feature_kind,
-        "window_len": report.window_len,
-        "variant": report.variant,
-        "fold_aucs": report.fold_aucs,
-        "fold_params": report.fold_params,
-        "fold_test_indices": report.fold_test_indices,
-        "mean_auc": report.mean_auc,
-        "se": report.se,
-        "sp": report.sp,
-        "gm": report.gm,
-        "threshold": report.threshold,
-        "counts": report.counts,
-        "seed": report.seed,
-        "config": report.config,
-        "averaged_curve": {
-            "fpr": report.averaged_curve.fpr.tolist(),
-            "tpr": report.averaged_curve.tpr.tolist(),
-            "thresholds": report.averaged_curve.thresholds.tolist(),
-        },
-    }
+    doc = {f.name: getattr(report, f.name) for f in fields(EvalReport)}
+    curve = report.averaged_curve
+    doc["averaged_curve"] = {f.name: getattr(curve, f.name).tolist() for f in fields(RocCurve)}
+    return doc
 
 
 def report_from_dict(doc):
@@ -519,10 +486,7 @@ def report_from_dict(doc):
 
 
 def save_report_json(report, path):
-    import json
-
-    payload = json.dumps(report_to_dict(report), indent=2, sort_keys=True)
-    _atomic_write_text(path, payload + "\n")
+    _write_json(path, report_to_dict(report))
 
 
 def write_roc_csv(curve, path):

@@ -368,10 +368,9 @@ def parse_dataset1(path, threshold_g=DEFAULT_THRESHOLD_G):
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise ParseError("missing manifest.json", manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON ({exc})", manifest_path) from None
+    manifest = _read_json(manifest_path)
+    if not isinstance(manifest, dict):
+        raise ParseError("manifest must be a JSON object", manifest_path)
     mode = manifest.get("mode")
     if mode not in ("raw", "windowed"):
         raise ParseError(f"manifest mode must be 'raw' or 'windowed', got {mode!r}", manifest_path)
@@ -605,8 +604,7 @@ def collection_to_manifest(collection):
 
 def save_manifest(collection, path):
     """Write the collection manifest as JSON, atomically."""
-    payload = json.dumps(collection_to_manifest(collection), indent=2, sort_keys=True)
-    _atomic_write_text(path, payload + "\n")
+    _write_json(path, collection_to_manifest(collection))
 
 
 def _atomic_write_text(path, text):
@@ -622,12 +620,28 @@ def _atomic_write_text(path, text):
         raise
 
 
+def _write_json(path, doc):
+    """Write doc as indented, key-sorted JSON, atomically: the one format
+    of every JSON file the package writes."""
+    _atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _read_json(path):
+    """The JSON document in path; ParseError naming path when it is not
+    JSON, or not UTF-8 text at all."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ParseError(f"not JSON ({exc})", path) from exc
+
+
 def collection_from_manifest(manifest, d1_instances, d2_instances=None, path=None):
     """Rebuild a collection from its manifest and the parsed source datasets.
 
     A manifest that lacks a field, references a window the datasets do
-    not hold, or whose fold plan does not put every instance in one of
-    its num_folds folds raises ParseError naming path.
+    not hold, has a seed that is not an integer >= 0, or whose fold plan
+    does not put every instance in one of its num_folds folds raises
+    ParseError naming path.
     """
     sources = {
         "D1": list(d1_instances),
@@ -652,12 +666,14 @@ def collection_from_manifest(manifest, d1_instances, d2_instances=None, path=Non
             )
         num_folds = manifest["num_folds"]
         assignments = manifest["fold_assignments"]
-        seed = int(manifest["seed"])
+        seed = manifest["seed"]
         cid = manifest["id"]
     except KeyError as exc:
         raise ParseError(f"missing key {exc}", path) from exc
     except (TypeError, ValueError) as exc:
         raise ParseError(f"not a collection manifest ({exc})", path) from exc
+    if type(seed) is not int or seed < 0:
+        raise ParseError(f"seed must be an integer >= 0, got {seed!r}", path)
     if type(num_folds) is not int or num_folds < 2:
         raise ParseError(f"num_folds must be an integer >= 2, got {num_folds!r}", path)
     if not isinstance(assignments, list) or len(assignments) != len(instances):

@@ -7,7 +7,6 @@ is enough to exercise ingestion, every feature, and every classifier,
 but it makes no claim of realism.
 """
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +17,7 @@ from .ingest import (
     Label,
     TriaxialWindow,
     _atomic_write_text,
+    _write_json,
 )
 
 _STREAM_SYNTH = 404
@@ -138,5 +138,5 @@ def generate_dataset(out_dir, n_adl, n_falls, seed=0):
         "seed": seed,
         "counts": {"ADL": n_adl, "FALL": n_falls},
     }
-    _atomic_write_text(root / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(root / "manifest.json", manifest)
     return manifest

@@ -212,6 +212,25 @@ class TestTrainingInterface:
         model = cls.train_tc_svm(X, labels, C=1.0)
         assert np.all(np.isfinite(cls.score_batch(model, X)))
 
+    @pytest.mark.parametrize(
+        "rows, value",
+        [([5], 1e200), ([5, 6], 1.2e154), (slice(None), 1e308)],
+        ids=["square overflows", "sum of squares overflows", "mean overflows"],
+    )
+    def test_feature_that_cannot_be_standardized_is_named(self, rng, rows, value):
+        # a finite feature whose mean or spread overflows would otherwise
+        # standardize to all zeros and train silently without it
+        X = rng.normal(0.0, 1.0, (20, 3))
+        X[rows, 1] = value
+        labels = ["ADL"] * 12 + ["FALL"] * 8
+        message = "feature 1 cannot be standardized: its mean or spread overflows"
+        with pytest.raises(DimensionError, match=message):
+            cls.SvmPrep(X)
+        with pytest.raises(DimensionError, match=message):
+            cls.train_tc_svm(X, labels, C=1.0)
+        with pytest.raises(DimensionError, match=message):
+            cls.train_oc_svm(X[:12], nu=0.1)
+
     def test_iteration_cap_warns_and_reports(self, rng):
         X = rng.normal(0.0, 1.0, (24, 2))
         labels = ["ADL"] * 12 + ["FALL"] * 12

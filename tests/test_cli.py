@@ -73,6 +73,14 @@ class TestIngestCommand:
         for cid in ("C1", "C2", "C3"):
             assert (work / f"collection_{cid}.json").is_file()
 
+    def test_non_object_dataset_manifest_is_named(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run_cli("synth", "--out", data, "--adl", "4", "--falls", "2") == 0
+        (data / "manifest.json").write_text("[1, 2]")
+        assert run_cli("ingest", "--dataset1", data, "--out", tmp_path / "work") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {data / 'manifest.json'}: manifest must be a JSON object\n"
+
     def test_empty_dataset_is_an_input_error(self, tmp_path, capsys):
         data = tmp_path / "empty"
         (data / "adl").mkdir(parents=True)
@@ -172,6 +180,25 @@ class TestCellFailures:
         assert run_cli("report", "--out", work) == 1
         assert (work / "summary.csv").read_text().splitlines() == lines
 
+    def test_feature_whose_spread_overflows_is_an_error_row(self, pipeline, capsys):
+        data, work = pipeline
+        # two ADL windows peak at 1.2e154 on x: each square is finite, so
+        # ingest and the peak search accept them, but the RAW column's sum
+        # of squared deviations overflows
+        for name in ("adl_0000.csv", "adl_0001.csv"):
+            path = data / "adl" / name
+            lines = path.read_text().splitlines()
+            lines[150] = "1.2e154,0.0,1.0"
+            path.write_text("\n".join(lines) + "\n")
+        code = run_cli("run", "--dataset1", data, "--out", work, "--seed", "7",
+                       "--feature", "RAW", "--window", "51", "--classifier", "OC_SVM")
+        assert code == 1
+        (line,) = (work / "summary.csv").read_text().splitlines()[1:]
+        assert line.startswith("C1,RAW,51,OC_SVM,,,,,error,")
+        assert "cannot be standardized: its mean or spread overflows" in line
+        assert not list(work.glob("report_*.json"))
+        assert "OC_SVM: ERROR " in capsys.readouterr().out
+
     def test_keyboard_interrupt_escapes(self, pipeline, monkeypatch):
         data, work = pipeline
 
@@ -223,9 +250,15 @@ class TestDamagedManifest:
             (fold_99, "fold_assignments holds 99, not a fold in [0, 10)"),
             (one_fold, "num_folds must be an integer >= 2, got 1"),
             (fractional_folds, "num_folds must be an integer >= 2, got 10.5"),
+            (lambda doc: doc.update(id="C2"), "id must be 'C1', as its file name says, got 'C2'"),
+            (lambda doc: doc.update(id="C9"), "id must be 'C1', as its file name says, got 'C9'"),
+            (lambda doc: doc.update(seed=1.9), "seed must be an integer >= 0, got 1.9"),
+            (lambda doc: doc.update(seed=True), "seed must be an integer >= 0, got True"),
+            (lambda doc: doc.update(seed=-1), "seed must be an integer >= 0, got -1"),
         ],
         ids=["not JSON", "a list", "no source_index", "far index", "one short", "fold 99",
-             "one fold", "fractional folds"],
+             "one fold", "fractional folds", "another collection's id", "unknown id",
+             "fractional seed", "bool seed", "negative seed"],
     )
     def test_damaged_manifest_is_named(self, pipeline, capsys, damage, message):
         data, work = pipeline
@@ -303,17 +336,28 @@ class TestReportCommand:
              ": missing key 'averaged_curve'"),
             (lambda doc: json.dumps([doc]), ": not a report ("),
             (lambda doc: json.dumps({**doc, "mean_auc": "high"}), ": not a report ("),
+            (lambda doc: json.dumps({**doc, "variant": "TC_KNN"}),
+             ": a report for C1 RAW 51 TC_KNN, not C1 RAW 51 OC_KNN"),
+            (lambda doc: json.dumps({**doc, "collection_id": "C2"}),
+             ": a report for C2 RAW 51 OC_KNN, not C1 RAW 51 OC_KNN"),
+            (lambda doc: json.dumps({**doc, "feature_kind": "MAGNITUDE"}),
+             ": a report for C1 MAGNITUDE 51 OC_KNN, not C1 RAW 51 OC_KNN"),
+            (lambda doc: json.dumps({**doc, "window_len": 128}),
+             ": a report for C1 RAW 128 OC_KNN, not C1 RAW 51 OC_KNN"),
         ],
-        ids=["not JSON", "missing key", "a list", "a bad value"],
+        ids=["not JSON", "missing key", "a list", "a bad value", "another variant",
+             "another collection", "another feature", "another window"],
     )
     def test_damaged_listed_report_is_named(self, pipeline, capsys, damage, message):
         data, work = pipeline
-        assert self.run_oc_knn(data, work, "--feature", "RAW", "--window", "51") == 0
+        assert self.run_oc_knn(data, work, "--feature", "RAW", "--window", "all") == 0
         path = work / "report_C1_RAW_51_OC_KNN.json"
         path.write_text(damage(json.loads(path.read_text())))
+        before = file_bytes(work)
         capsys.readouterr()
         assert run_cli("report", "--out", work) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}{message}")
+        assert file_bytes(work) == before
 
     def test_ingest_after_run_leaves_the_runs_cells(self, pipeline):
         data, work = pipeline
@@ -325,8 +369,9 @@ class TestReportCommand:
         assert run_cli("report", "--out", work) == 0
         assert (work / "summary.csv").read_bytes() == saved
 
-    def test_unreadable_summary_is_named(self, tmp_path, capsys):
-        (tmp_path / "summary.json").write_text("{not json")
+    @pytest.mark.parametrize("text", [b"{not json", b"\xff\xfe[]"], ids=["not JSON", "not UTF-8"])
+    def test_unreadable_summary_is_named(self, tmp_path, capsys, text):
+        (tmp_path / "summary.json").write_bytes(text)
         assert run_cli("report", "--out", tmp_path) == 2
         assert "summary.json: not JSON" in capsys.readouterr().err
 
@@ -395,10 +440,11 @@ class TestConfigHandling:
         assert run_cli("synth", "--config", cfg, "--out", tmp_path / "o") == 2
         assert "unknown config keys" in capsys.readouterr().err
 
-    def test_malformed_config_rejected(self, tmp_path):
+    def test_malformed_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert run_cli("synth", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: not JSON (")
 
     @pytest.mark.parametrize("doc", ["[1, 2]", "3", "null", '"seed"'])
     def test_non_object_config_rejected(self, tmp_path, capsys, doc):
@@ -480,6 +526,17 @@ class TestInputErrorsBeforeAnyCell:
             ("seed", 1.9),
             ("jobs", 0),
             ("jobs", "two"),
+            # a bool is not a number, though Python counts True as 1
+            ("jobs", True),
+            ("seed", True),
+            ("svm_tol", True),
+            ("svm_max_iter", True),
+            ("ltp_neighbours", True),
+            ("ltp_step", True),
+            ("k_grid", [True, 2]),
+            ("c_grid", [True]),
+            ("nu_grid", [True]),
+            ("gamma_grid", [True]),
         ],
     )
     def test_out_of_range_grid_setting_names_the_key(self, pipeline, tmp_path, capsys, key, value):
@@ -511,3 +568,46 @@ class TestInputErrorsBeforeAnyCell:
         assert (report["config"]["svm_tol"], report["config"]["svm_max_iter"]) == (1e-2, 50)
         assert report["config"]["ltp_params"] == {"num_neighbours": 4, "step": 0.5, "m_max": None}
         assert all(p["k"] == 5 for p in report["fold_params"])
+
+
+def is_canonical_json(path):
+    text = path.read_text(encoding="utf-8")
+    return text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+class TestRecordFormat:
+    """Every JSON record is written in one format, and run and report
+    print the same line for each summary row."""
+
+    def test_every_json_file_is_indented_and_key_sorted(self, pipeline):
+        data, work = pipeline
+        assert run_cli("run", "--dataset1", data, "--out", work, "--seed", "7",
+                       "--feature", "MAGNITUDE", "--window", "51", "--classifier", "OC_KNN") == 0
+        written = [data / "manifest.json", data / "run.json", *sorted(work.glob("*.json"))]
+        names = {p.name for p in written}
+        assert {"collection_C1.json", "report_C1_MAGNITUDE_51_OC_KNN.json",
+                "summary.json", "run.json", "manifest.json"} <= names
+        assert run_cli("report", "--out", work) == 0
+        for path in written:
+            assert is_canonical_json(path), path
+
+    def test_run_and_report_print_the_same_lines(self, pipeline, monkeypatch, capsys):
+        data, work = pipeline
+        real = cli.run_experiment
+
+        def tc_knn_fails(collection, feature, window, classifier, cfg):
+            if classifier == "TC_KNN":
+                raise InsufficientData("too few, sorry")
+            return real(collection, feature, window, classifier, cfg)
+
+        monkeypatch.setattr(cli, "run_experiment", tc_knn_fails)
+        capsys.readouterr()
+        assert run_cli("run", "--dataset1", data, "--out", work, "--seed", "7", "--feature",
+                       "MAGNITUDE", "--window", "51", "--classifier", "OC_KNN,TC_KNN") == 1
+        run_lines = capsys.readouterr().out.splitlines()
+        assert run_cli("report", "--out", work) == 1
+        assert capsys.readouterr().out.splitlines() == run_lines
+        assert len(run_lines) == 2
+        assert run_lines[0].startswith("C1 MAGNITUDE 51 OC_KNN: AUC ")
+        assert " GM " in run_lines[0]
+        assert run_lines[1] == "C1 MAGNITUDE 51 TC_KNN: ERROR too few; sorry"

@@ -13,6 +13,7 @@ import pytest
 from falldetect import evaluation as ev
 from falldetect.errors import DegenerateLabels, InsufficientData, InvalidK
 from falldetect.evaluation import GridConfig, RocCurve
+from falldetect.features import LtpParams
 from falldetect.ingest import Label
 
 
@@ -331,6 +332,44 @@ class TestReportIo:
         assert np.array_equal(values[:, 0], curve.fpr)
         assert np.array_equal(values[:, 1], curve.tpr)
         assert np.array_equal(values[:, 2], curve.thresholds)
+
+    def test_report_dict_has_exactly_the_report_fields(self, small_collection):
+        from dataclasses import fields
+
+        cfg = GridConfig(k_grid=(2,))
+        report = ev.run_experiment(small_collection, "MAGNITUDE", 51, "OC_KNN", cfg)
+        doc = ev.report_to_dict(report)
+        assert sorted(doc) == sorted(f.name for f in fields(ev.EvalReport))
+        assert doc["averaged_curve"] == {
+            "fpr": report.averaged_curve.fpr.tolist(),
+            "tpr": report.averaged_curve.tpr.tolist(),
+            "thresholds": report.averaged_curve.thresholds.tolist(),
+        }
+
+    @pytest.mark.parametrize(
+        "cfg, ltp",
+        [
+            (GridConfig(), None),
+            (GridConfig(ltp_params=LtpParams(num_neighbours=4, step=0.5)),
+             {"num_neighbours": 4, "step": 0.5, "m_max": None}),
+        ],
+        ids=["defaults", "ltp params"],
+    )
+    def test_config_dict_is_json_ready(self, cfg, ltp):
+        doc = cfg.to_dict()
+        assert doc == {
+            "k_grid": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+            "c_grid": [0.1, 1.0, 10.0, 100.0],
+            "gamma_grid": ["auto", 0.01, 0.1, 1.0],
+            "nu_grid": [0.01, 0.05, 0.1, 0.2],
+            "inner_folds": 10,
+            "svm_tol": 1e-3,
+            "svm_max_iter": None,
+            "ltp_params": ltp,
+        }
+        # lists, not tuples, so the dict survives a JSON round trip unchanged
+        assert all(type(doc[k]) is list for k in ("k_grid", "c_grid", "gamma_grid", "nu_grid"))
+        assert json.loads(json.dumps(doc)) == doc
 
     def test_summary_row_fields(self, small_collection):
         cfg = GridConfig(k_grid=(1,))
