@@ -55,19 +55,6 @@ def _as_matrix(vectors):
 # Nearest-neighbour machinery
 
 
-def _distances_to_all(train, query):
-    # The one Euclidean kernel every kNN path shares, so results agree
-    # bit for bit regardless of how the k smallest are then selected.
-    return np.sqrt(((train - query) ** 2).sum(axis=1))
-
-
-def knn_bruteforce_oracle(train, query, k):
-    """Sorted k smallest Euclidean distances by exhaustive scan and full sort."""
-    train = _as_matrix(train)
-    d = _distances_to_all(train, np.asarray(query, dtype=np.float64))
-    return np.sort(d)[:k]
-
-
 def _chunk_rows(train):
     """Queries per chunk whose differences to train fit _DIST_CHUNK_BYTES."""
     return max(1, int(_DIST_CHUNK_BYTES // max(8 * train.size, 1)))
@@ -75,9 +62,9 @@ def _chunk_rows(train):
 
 def _distance_block(train, queries):
     """Euclidean distances from every query to every training row:
-    block[q, i] is _distances_to_all(train, queries[q])[i], bit for bit,
-    as each entry is the same pairwise sum over one row.  Queries go in
-    chunks whose difference arrays stay within _DIST_CHUNK_BYTES."""
+    block[q] is np.sqrt(((train - queries[q]) ** 2).sum(axis=1)) bit for
+    bit, as each entry is the same pairwise sum over one row.  Queries go
+    in chunks whose difference arrays stay within _DIST_CHUNK_BYTES."""
     step = _chunk_rows(train)
     block = np.empty((len(queries), len(train)))
     for b in range(0, len(queries), step):
@@ -111,10 +98,6 @@ def _k_smallest_rows(block, k):
     return np.sort(block, axis=1)
 
 
-def _k_smallest_sorted(train, query, k):
-    return _k_smallest_rows(_distance_block(train, query[None, :]), k)[0]
-
-
 def _mean_k_smallest(block, k_max):
     """Entry [q, k-1]: the mean of the k smallest entries of block[q].
 
@@ -134,19 +117,13 @@ def knn_mean_distances_all_k(train, queries, k_max):
 
     Shares one distance block across the whole k grid; entry [q, k-1] is
     the mean of the k smallest distances from queries[q] to the rows of
-    train.  Every kNN score computed outside a KnnPrep comes from here.
+    train.  score_batch scores the kNN models from here.
     """
     train = _as_matrix(train)
     if not 1 <= k_max <= len(train):
         raise InvalidK(f"k_max={k_max} needs 1 <= k_max <= {len(train)} training vectors")
     queries = np.asarray(queries, dtype=np.float64)
     return _mean_k_smallest(_distance_block(train, queries), k_max)
-
-
-def knn_mean_distance(train, query, k):
-    """Mean distance from query to its k nearest rows of train: entry
-    [0, k-1] of the one-query table."""
-    return float(knn_mean_distances_all_k(train, np.asarray(query)[None, :], k)[0, k - 1])
 
 
 def _knn_scores(da, df):
@@ -156,18 +133,6 @@ def _knn_scores(da, df):
         return da
     tot = da + df
     return np.where(tot == 0, 0.5, da / np.where(tot == 0, 1.0, tot))
-
-
-def knn_scores_all_k(adl, fall, queries, k_max):
-    """kNN scores of queries for every k in 1..k_max, column k-1 for k.
-
-    With fall None, the one-class score: the mean distance dA to the k
-    nearest ADL rows.  Otherwise the two-class score dA / (dA + dF), dF
-    taken over the FALL rows.
-    """
-    da = knn_mean_distances_all_k(adl, queries, k_max)
-    df = None if fall is None else knn_mean_distances_all_k(fall, queries, k_max)
-    return _knn_scores(da, df)
 
 
 class KnnPrep:
@@ -190,8 +155,9 @@ class KnnPrep:
         return self._D[np.ix_(queries, train)]
 
     def scores_all_k(self, adl, fall, queries, k_max):
-        """knn_scores_all_k over the rows of the matrix indexed by adl,
-        fall (None for one-class) and queries."""
+        """_knn_scores of the rows at indices queries, a column per k in
+        1..k_max, against the ADL rows at indices adl and the FALL rows at
+        indices fall (None for one-class)."""
         pool = len(adl) if fall is None else min(len(adl), len(fall))
         if not 1 <= k_max <= pool:
             raise InvalidK(f"k_max={k_max} needs 1 <= k_max <= {pool}, the smallest class pool")
@@ -203,11 +169,13 @@ class KnnPrep:
 @dataclass
 class KnnModel:
     k: int
-    train_vectors: np.ndarray
-    train_labels: np.ndarray | None = None  # is-FALL mask, two-class only
+    adl: np.ndarray
+    fall: np.ndarray | None = None  # two-class only
 
     def __post_init__(self):
-        self.train_vectors = _as_matrix(self.train_vectors)
+        self.adl = _as_matrix(self.adl)
+        if self.fall is not None:
+            self.fall = _as_matrix(self.fall)
 
 
 @dataclass
@@ -243,7 +211,7 @@ class TrainedModel:
     def dim(self):
         p = self.parameters
         if isinstance(p, KnnModel):
-            return p.train_vectors.shape[1]
+            return p.adl.shape[1]
         return p.support_vectors.shape[1]
 
     def score(self, vector):
@@ -256,7 +224,7 @@ def train_oc_knn(adl_vectors, k):
     k = int(k)
     if not 1 <= k <= len(train):
         raise InvalidK(f"k={k} needs 1 <= k <= {len(train)} training vectors")
-    params = KnnModel(k=k, train_vectors=train)
+    params = KnnModel(k=k, adl=train)
     summary = {"variant": "OC_KNN", "k": k, "counts": {"ADL": len(train), "FALL": 0}}
     return TrainedModel(Variant.OC_KNN, params, summary)
 
@@ -272,7 +240,7 @@ def train_tc_knn(vectors, labels, k):
     n_adl = len(is_fall) - n_fall
     if k < 1 or k > min(n_adl, n_fall):
         raise InvalidK(f"k={k} needs 1 <= k <= per-class count (ADL {n_adl}, FALL {n_fall})")
-    params = KnnModel(k=k, train_vectors=train, train_labels=is_fall)
+    params = KnnModel(k=k, adl=train[~is_fall], fall=train[is_fall])
     summary = {"variant": "TC_KNN", "k": k, "counts": {"ADL": n_adl, "FALL": n_fall}}
     return TrainedModel(Variant.TC_KNN, params, summary)
 
@@ -605,11 +573,9 @@ def score_batch(model, vectors):
             f"query dimension {vectors.shape[1]} does not match training dimension {model.dim}"
         )
     p = model.parameters
-    if model.variant is Variant.OC_KNN:
-        return knn_scores_all_k(p.train_vectors, None, vectors, p.k)[:, p.k - 1]
-    if model.variant is Variant.TC_KNN:
-        adl, fall = p.train_vectors[~p.train_labels], p.train_vectors[p.train_labels]
-        return knn_scores_all_k(adl, fall, vectors, p.k)[:, p.k - 1]
+    if isinstance(p, KnnModel):
+        df = None if p.fall is None else knn_mean_distances_all_k(p.fall, vectors, p.k)
+        return _knn_scores(knn_mean_distances_all_k(p.adl, vectors, p.k), df)[:, p.k - 1]
     if model.variant is Variant.TC_SVM:
         return _kernel_expansion(p, vectors, p.alpha * p.support_labels) + p.bias
     if model.variant is Variant.OC_SVM:

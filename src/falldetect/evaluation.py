@@ -459,29 +459,42 @@ def report_to_dict(report):
     return doc
 
 
+def _exact(value, kind, name):
+    """value when its type is exactly kind, as run writes it: an int is
+    not a float, nor a bool an int.  TypeError naming the key otherwise."""
+    if type(value) is not kind:
+        raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _floats(values, name):
+    if type(values) is not list:
+        raise TypeError(f"{name} must be a list of floats, got {values!r}")
+    return [_exact(v, float, name) for v in values]
+
+
 def report_from_dict(doc):
-    curve = RocCurve(
-        np.asarray(doc["averaged_curve"]["fpr"], dtype=np.float64),
-        np.asarray(doc["averaged_curve"]["tpr"], dtype=np.float64),
-        np.asarray(doc["averaged_curve"]["thresholds"], dtype=np.float64),
-    )
+    """The report report_to_dict wrote as doc.  window_len and seed must be
+    ints, and the AUCs, rates, threshold and curve floats; anything else
+    raises TypeError naming the key."""
+    c = doc["averaged_curve"]
+    curve = RocCurve(*(np.array(_floats(c[f.name], f"averaged_curve.{f.name}"), dtype=np.float64)
+                       for f in fields(RocCurve)))
+    rates = {name: _exact(doc[name], float, name)
+             for name in ("mean_auc", "se", "sp", "gm", "threshold")}
     return EvalReport(
         collection_id=doc["collection_id"],
         feature_kind=doc["feature_kind"],
-        window_len=int(doc["window_len"]),
+        window_len=_exact(doc["window_len"], int, "window_len"),
         variant=doc["variant"],
-        fold_aucs=[float(a) for a in doc["fold_aucs"]],
+        fold_aucs=_floats(doc["fold_aucs"], "fold_aucs"),
         fold_params=doc["fold_params"],
         fold_test_indices=doc["fold_test_indices"],
-        mean_auc=float(doc["mean_auc"]),
-        se=float(doc["se"]),
-        sp=float(doc["sp"]),
-        gm=float(doc["gm"]),
-        threshold=float(doc["threshold"]),
         averaged_curve=curve,
         counts=doc["counts"],
-        seed=int(doc["seed"]),
+        seed=_exact(doc["seed"], int, "seed"),
         config=doc.get("config", {}),
+        **rates,
     )
 
 

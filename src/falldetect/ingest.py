@@ -198,6 +198,18 @@ def detect_peaks(trace, threshold_g=DEFAULT_THRESHOLD_G, refractory_s=6.0):
     return peaks
 
 
+def _centred_cut(source, peak, length, sample_rate=DEFAULT_RATE):
+    """The length-L window of a trace or window centred on sample peak: it
+    starts at peak - floor(L/2), clamped so it lies fully inside the
+    source, and its peak_index is re-based."""
+    start = min(max(peak - length // 2, 0), len(source) - length)
+    cut = slice(start, start + length)
+    return TriaxialWindow(
+        source.x[cut], source.y[cut], source.z[cut], sample_rate=sample_rate,
+        peak_index=peak - start, source_id=source.source_id,
+    )
+
+
 def cut_subwindow(window, length):
     """Cut the length-L slice of a window centred on its peak.
 
@@ -210,15 +222,7 @@ def cut_subwindow(window, length):
     length = int(length)
     if not 1 <= length <= n:
         raise LengthError(f"cannot cut {length} samples from a window of {n}")
-    start = min(max(window.peak_index - length // 2, 0), n - length)
-    return TriaxialWindow(
-        window.x[start : start + length],
-        window.y[start : start + length],
-        window.z[start : start + length],
-        sample_rate=window.sample_rate,
-        peak_index=window.peak_index - start,
-        source_id=window.source_id,
-    )
+    return _centred_cut(window, window.peak_index, length, window.sample_rate)
 
 
 def window_at_length(window, length):
@@ -234,36 +238,16 @@ def window_at_length(window, length):
     if n < length:
         raise LengthError(f"window of {n} samples cannot yield {length}")
     if window.peak_index is None:
-        window = TriaxialWindow(
-            window.x,
-            window.y,
-            window.z,
-            sample_rate=window.sample_rate,
-            peak_index=int(np.argmax(window.magnitude())),
-            source_id=window.source_id,
-        )
+        peak = int(np.argmax(window.magnitude()))
+        return _centred_cut(window, peak, length, window.sample_rate)
     return cut_subwindow(window, length)
 
 
 def _windows_from_trace(trace, threshold_g, window_len=FULL_WINDOW):
     """Peak-triggered fixed-length windows from a uniform-rate trace."""
-    n = len(trace)
-    out = []
-    if n < window_len:
-        return out
-    for p in detect_peaks(trace, threshold_g):
-        start = min(max(p - window_len // 2, 0), n - window_len)
-        out.append(
-            TriaxialWindow(
-                trace.x[start : start + window_len],
-                trace.y[start : start + window_len],
-                trace.z[start : start + window_len],
-                sample_rate=DEFAULT_RATE,
-                peak_index=p - start,
-                source_id=trace.source_id,
-            )
-        )
-    return out
+    if len(trace) < window_len:
+        return []
+    return [_centred_cut(trace, p, window_len) for p in detect_peaks(trace, threshold_g)]
 
 
 def _data_lines(fh, skip_header):
@@ -336,6 +320,21 @@ def _walk_rows(path, expected_cols, skip_header, length_error):
     return np.array(rows, dtype=np.float64).reshape(-1, expected_cols)
 
 
+def _refuse_overflow(axes, skip_header=False):
+    """ParseError at path:line of the first row holding a sample whose
+    x^2 + y^2 + z^2 is not finite.  axes holds (path, values) for x, y
+    and z, values a sample per row (1-d) or a window per row (2-d); the
+    file of the sample's largest axis is the one named."""
+    (_, x), (_, y), (_, z) = axes
+    with np.errstate(over="ignore"):
+        bad = np.argwhere(~np.isfinite(x ** 2 + y ** 2 + z ** 2))
+    if len(bad):
+        at = tuple(bad[0])
+        path = max(axes, key=lambda axis: abs(axis[1][at]))[0]
+        line = _line_of_row(path, int(at[0]), skip_header)
+        raise ParseError("x^2 + y^2 + z^2 overflows", path, line)
+
+
 def _labeled_files(root):
     """(path, Label) pairs from adl/ and fall/ subdirectories, sorted."""
     root = Path(root)
@@ -381,6 +380,7 @@ def parse_dataset1(path, threshold_g=DEFAULT_THRESHOLD_G):
             data = _read_rows(f, expected_cols=3)
             if len(data) != FULL_WINDOW:
                 raise LengthError(f"{f}: expected {FULL_WINDOW} rows, got {len(data)}")
+            _refuse_overflow([(f, data[:, c]) for c in range(3)])
             peak = int(np.argmax(np.sqrt((data ** 2).sum(axis=1))))
             window = TriaxialWindow(
                 data[:, 0],
@@ -399,6 +399,7 @@ def parse_dataset1(path, threshold_g=DEFAULT_THRESHOLD_G):
             data = _read_rows(f, expected_cols=4, skip_header=True)
             if len(data) < 2:
                 raise InvalidTrace(f"{f}: trace needs at least 2 samples")
+            _refuse_overflow([(f, data[:, c]) for c in range(1, 4)], skip_header=True)
             t = data[:, 0]
             back = np.flatnonzero(t[1:] < t[:-1])
             if back.size:
@@ -438,6 +439,7 @@ def parse_dataset2(path):
     counts["labels"] = len(tokens)
     if len(set(counts.values())) != 1:
         raise ParseError(f"row counts disagree across files: {counts}", root)
+    _refuse_overflow([(root / f"{axis}.csv", rows) for axis, rows in axis_rows.items()])
 
     instances = []
     for i, token in enumerate(tokens):

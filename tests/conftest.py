@@ -1,4 +1,5 @@
-"""Shared fixtures plus a summary section for the acceptance checks.
+"""Shared fixtures and oracles, plus a summary section for the acceptance
+checks.
 
 Tests in test_acceptance.py are named test_criterion_NN_*; their outcomes
 are collected and echoed as one PASS/FAIL/SKIP line each at the end of the
@@ -58,6 +59,36 @@ def random_window(rng, length, scale=1.0):
         rng.uniform(-scale, scale, length),
         rng.uniform(-scale, scale, length),
     )
+
+
+def distances_to_all(train, query):
+    """Euclidean distance from query to every row of train, one row at a
+    time: the reference every kNN distance is checked against bit for bit."""
+    return np.sqrt(((train - query) ** 2).sum(axis=1))
+
+
+def knn_bruteforce_oracle(train, query, k):
+    """Sorted k smallest Euclidean distances by exhaustive scan and full sort."""
+    train = np.asarray(train, dtype=np.float64)
+    return np.sort(distances_to_all(train, np.asarray(query, dtype=np.float64)))[:k]
+
+
+def knn_oracle_scores(adl, fall, queries, k_max):
+    """kNN scores from the oracle's means, column k-1 for k: the mean
+    distance dA to the k nearest ADL rows, or with FALL rows the two-class
+    dA / (dA + dF), 0.5 where both means are 0."""
+    out = np.empty((len(queries), k_max))
+    for qi, q in enumerate(queries):
+        da = knn_bruteforce_oracle(adl, q, k_max)
+        df = None if fall is None else knn_bruteforce_oracle(fall, q, k_max)
+        for k in range(1, k_max + 1):
+            a = da[:k].sum() / k
+            if df is None:
+                out[qi, k - 1] = a
+            else:
+                b = df[:k].sum() / k
+                out[qi, k - 1] = 0.5 if a + b == 0 else a / (a + b)
+    return out
 
 
 @pytest.fixture

@@ -15,17 +15,19 @@ import warnings
 import numpy as np
 import pytest
 
-from tests.conftest import random_window
-from falldetect import cli, synth
+from tests.conftest import knn_bruteforce_oracle, knn_oracle_scores, random_window
+from falldetect import cli, classifiers, synth
 from falldetect.classifiers import (
     ConvergenceWarning,
-    _k_smallest_sorted,
-    knn_bruteforce_oracle,
-    knn_mean_distance,
+    KnnPrep,
+    _distance_block,
+    _k_smallest_rows,
     knn_mean_distances_all_k,
     score_batch,
     standardize_apply,
+    train_oc_knn,
     train_oc_svm,
+    train_tc_knn,
     train_tc_svm,
 )
 from falldetect.evaluation import (
@@ -151,7 +153,10 @@ def test_criterion_03_ltp_matches_bruteforce_oracle():
             assert np.array_equal(produced, ltp_bruteforce(w, params))
 
 
-def test_criterion_04_knn_matches_exhaustive_oracle():
+def test_criterion_04_knn_matches_exhaustive_oracle(monkeypatch):
+    # Every kNN route, the library trainers and the KnnPrep every reported
+    # AUC comes from, in and over its matrix budget, equals the oracle bit
+    # for bit for every k.
     rng = np.random.default_rng(44)
     checked = 0
     for _ in range(10):
@@ -159,18 +164,42 @@ def test_criterion_04_knn_matches_exhaustive_oracle():
         d = int(rng.integers(2, 11))
         train = rng.normal(0.0, 1.0, (m, d))
         queries = rng.normal(0.0, 1.0, (20, d))
+        fall = rng.normal(0.5, 1.0, (int(rng.integers(10, 31)), d))
+        # the last query sits on a row of both pools: dA = dF = 0 at k = 1
+        fall[0] = train[0]
+        queries = np.vstack([queries, train[0]])
         table = knn_mean_distances_all_k(train, queries, 10)
+        block = _distance_block(train, queries)
+        nearest = {k: _k_smallest_rows(block, k) for k in range(1, 11)}
+        oc = knn_oracle_scores(train, None, queries, 10)
+        tc = knn_oracle_scores(train, fall, queries, 10)
         for qi in range(len(queries)):
             oracle = knn_bruteforce_oracle(train, queries[qi], 10)
             for k in range(1, 11):
-                assert np.array_equal(
-                    _k_smallest_sorted(train, queries[qi], k), oracle[:k]
-                )
-                mean_ref = float(oracle[:k].sum() / k)
-                assert knn_mean_distance(train, queries[qi], k) == mean_ref
-                assert table[qi, k - 1] == mean_ref
+                assert np.array_equal(nearest[k][qi], oracle[:k])
+                assert table[qi, k - 1] == oracle[:k].sum() / k == oc[qi, k - 1]
             checked += 1
-    assert checked == 200
+        assert tc[-1, 0] == 0.5
+
+        both = np.vstack([train, fall])
+        labels = ["ADL"] * m + ["FALL"] * len(fall)
+        for k in range(1, 11):
+            assert np.array_equal(score_batch(train_oc_knn(train, k), queries), oc[:, k - 1])
+            assert np.array_equal(score_batch(train_tc_knn(both, labels, k), queries), tc[:, k - 1])
+
+        rows = np.vstack([train, fall, queries])
+        adl_at = np.arange(m)
+        fall_at = m + np.arange(len(fall))
+        query_at = m + len(fall) + np.arange(len(queries))
+        for over_budget in (False, True):
+            with monkeypatch.context() as mp:
+                if over_budget:
+                    mp.setattr(classifiers, "_CACHE_BUDGET_BYTES", 0)
+                prep = KnnPrep(rows)
+                assert (prep._D is None) == over_budget
+                assert np.array_equal(prep.scores_all_k(adl_at, None, query_at, 10), oc)
+                assert np.array_equal(prep.scores_all_k(adl_at, fall_at, query_at, 10), tc)
+    assert checked == 210
 
 
 def test_criterion_05_auc_dual_route_agreement():

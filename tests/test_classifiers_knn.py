@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tests.conftest import distances_to_all, knn_bruteforce_oracle, knn_oracle_scores
 from falldetect import classifiers as cls
 from falldetect.errors import DimensionError, InvalidK
 
@@ -18,12 +19,12 @@ def random_case(rng, n_train, dim):
 
 class TestOracle:
     def test_single_point_distance(self):
-        got = cls.knn_bruteforce_oracle([[0.0, 0.0]], [3.0, 4.0], 1)
+        got = knn_bruteforce_oracle([[0.0, 0.0]], [3.0, 4.0], 1)
         assert got.tolist() == [5.0]
 
     def test_orders_distances(self):
         train = [[0.0], [10.0], [2.0]]
-        got = cls.knn_bruteforce_oracle(train, [0.0], 3)
+        got = knn_bruteforce_oracle(train, [0.0], 3)
         assert got.tolist() == [0.0, 2.0, 10.0]
 
 
@@ -33,8 +34,8 @@ class TestProductionMatchesOracle:
             n = int(rng.integers(5, 40))
             train, q = random_case(rng, n, int(rng.integers(2, 12)))
             for k in range(1, min(10, n) + 1):
-                fast = cls._k_smallest_sorted(train, q, k)
-                slow = cls.knn_bruteforce_oracle(train, q, k)
+                fast = cls._k_smallest_rows(cls._distance_block(train, q[None, :]), k)[0]
+                slow = knn_bruteforce_oracle(train, q, k)
                 assert np.array_equal(fast, slow)
 
     def test_mean_distance_equals_oracle_mean(self, rng):
@@ -42,17 +43,20 @@ class TestProductionMatchesOracle:
             n = int(rng.integers(3, 30))
             train, q = random_case(rng, n, 5)
             k = int(rng.integers(1, n + 1))
-            oracle = cls.knn_bruteforce_oracle(train, q, k)
-            assert cls.knn_mean_distance(train, q, k) == float(oracle[:k].sum() / k)
+            oracle = knn_bruteforce_oracle(train, q, k)
+            mean = float(oracle[:k].sum() / k)
+            assert cls.knn_mean_distances_all_k(train, q[None, :], k)[0, k - 1] == mean
+            assert cls.train_oc_knn(train, k).score(q) == mean
 
-    def test_all_k_matrix_matches_per_k_calls(self, rng):
+    def test_all_k_matrix_matches_oracle_means(self, rng):
         train = rng.normal(0.0, 1.0, (25, 4))
         queries = rng.normal(0.0, 1.0, (6, 4))
         table = cls.knn_mean_distances_all_k(train, queries, 10)
         assert table.shape == (6, 10)
         for qi, q in enumerate(queries):
+            oracle = knn_bruteforce_oracle(train, q, 10)
             for k in range(1, 11):
-                assert table[qi, k - 1] == cls.knn_mean_distance(train, q, k)
+                assert table[qi, k - 1] == oracle[:k].sum() / k
 
 
 class TestOneClassKnn:
@@ -191,8 +195,14 @@ class TestScoringSharesTheInnerSearchTable:
         X[1] = X[0]  # one ADL row coincides with a FALL row
         queries = np.vstack([rng.normal(0.0, 1.5, (15, 4)), X[:1]])
         adl, fall = X[~is_fall], X[is_fall]
-        oc_table = cls.knn_scores_all_k(adl, None, queries, 10)
-        tc_table = cls.knn_scores_all_k(adl, fall, queries, 10)
+        oc_table = knn_oracle_scores(adl, None, queries, 10)
+        tc_table = knn_oracle_scores(adl, fall, queries, 10)
+        # the inner search's table over the same rows
+        prep = cls.KnnPrep(np.vstack([X, queries]))
+        at = np.arange(40)
+        query_at = 40 + np.arange(len(queries))
+        assert np.array_equal(prep.scores_all_k(at[~is_fall], None, query_at, 10), oc_table)
+        assert np.array_equal(prep.scores_all_k(at[~is_fall], at[is_fall], query_at, 10), tc_table)
         for k in range(1, 11):
             oc = cls.score_batch(cls.train_oc_knn(adl, k), queries)
             tc = cls.score_batch(cls.train_tc_knn(X, is_fall, k), queries)
@@ -213,12 +223,12 @@ class TestBatchedDistanceBlock:
             monkeypatch.setattr(cls, "_DIST_CHUNK_BYTES", 8 * train.size * chunk_rows)
         block = cls._distance_block(train, queries)
         for qi, q in enumerate(queries):
-            assert np.array_equal(block[qi], cls._distances_to_all(train, q))
+            assert np.array_equal(block[qi], distances_to_all(train, q))
         assert block[-1, 7] == 0.0
         m = len(train)
         table = cls.knn_mean_distances_all_k(train, queries, m)
         for qi, q in enumerate(queries):
-            oracle = cls.knn_bruteforce_oracle(train, q, m)
+            oracle = knn_bruteforce_oracle(train, q, m)
             for k in range(1, m + 1):
                 assert table[qi, k - 1] == oracle[:k].sum() / k
 
@@ -278,7 +288,7 @@ class TestInnerSearchSharesOneMatrix:
         adl, fall = np.flatnonzero(~is_fall)[:70], np.flatnonzero(is_fall)[:20]
         queries = np.r_[np.flatnonzero(~is_fall)[70:], np.flatnonzero(is_fall)[20:], 3]
         for fall_rows in (None, fall):
-            expected = cls.knn_scores_all_k(
+            expected = knn_oracle_scores(
                 X[adl], None if fall_rows is None else X[fall_rows], X[queries], 10
             )
             in_budget = cls.KnnPrep(X)
@@ -301,7 +311,7 @@ class TestInnerSearchSharesOneMatrix:
         def recomputed(tr, val):
             # each split's tables from its own gathered rows, no shared matrix
             adl, fall = Xtr[tr][~ftr[tr]], Xtr[tr][ftr[tr]] if two_class else None
-            return cls.knn_scores_all_k(adl, fall, Xtr[val], 10)
+            return knn_oracle_scores(adl, fall, Xtr[val], 10)
 
         splits = _inner_splits(ftr, cfg, 5, two_class)
         expected = _best_candidate(list(range(1, 11)), ftr, splits, recomputed)
@@ -417,6 +427,6 @@ def test_table_equals_oracle_prefix_mean_exactly(case, k_frac, chunk_rows):
         mp.setattr(cls, "_DIST_CHUNK_BYTES", 8 * train.size * chunk_rows)
         table = cls.knn_mean_distances_all_k(train, queries, k_max)
     for qi, q in enumerate(queries):
-        oracle = cls.knn_bruteforce_oracle(train, q, k_max)
+        oracle = knn_bruteforce_oracle(train, q, k_max)
         for k in range(1, k_max + 1):
             assert table[qi, k - 1] == oracle[:k].sum() / k

@@ -344,9 +344,32 @@ class TestReportCommand:
              ": a report for C1 MAGNITUDE 51 OC_KNN, not C1 RAW 51 OC_KNN"),
             (lambda doc: json.dumps({**doc, "window_len": 128}),
              ": a report for C1 RAW 128 OC_KNN, not C1 RAW 51 OC_KNN"),
+            # values run never writes: each must have the exact type it has
+            (lambda doc: json.dumps({**doc, "window_len": 51.9}),
+             ": not a report (window_len must be int, got 51.9)"),
+            (lambda doc: json.dumps({**doc, "window_len": True}),
+             ": not a report (window_len must be int, got True)"),
+            (lambda doc: json.dumps({**doc, "seed": "3"}),
+             ": not a report (seed must be int, got '3')"),
+            (lambda doc: json.dumps({**doc, "seed": 7.0}),
+             ": not a report (seed must be int, got 7.0)"),
+            (lambda doc: json.dumps({**doc, "mean_auc": "0.5"}),
+             ": not a report (mean_auc must be float, got '0.5')"),
+            (lambda doc: json.dumps({**doc, "se": 1}), ": not a report (se must be float, got 1)"),
+            (lambda doc: json.dumps({**doc, "threshold": None}),
+             ": not a report (threshold must be float, got None)"),
+            (lambda doc: json.dumps({**doc, "fold_aucs": [1] + doc["fold_aucs"][1:]}),
+             ": not a report (fold_aucs must be float, got 1)"),
+            (lambda doc: json.dumps({**doc, "fold_aucs": 0.5}),
+             ": not a report (fold_aucs must be a list of floats, got 0.5)"),
+            (lambda doc: json.dumps(
+                {**doc, "averaged_curve": {**doc["averaged_curve"], "tpr": ["1.0"] * 1001}}),
+             ": not a report (averaged_curve.tpr must be float, got '1.0')"),
         ],
         ids=["not JSON", "missing key", "a list", "a bad value", "another variant",
-             "another collection", "another feature", "another window"],
+             "another collection", "another feature", "another window", "a float window",
+             "a bool window", "a string seed", "a float seed", "a string AUC", "an int rate",
+             "a null threshold", "an int fold AUC", "a fold AUC", "a string curve"],
     )
     def test_damaged_listed_report_is_named(self, pipeline, capsys, damage, message):
         data, work = pipeline

@@ -1,8 +1,11 @@
-"""Property tests of the inner-search AUCs, drawn by hypothesis.
+"""Property tests of the inner-search AUCs and the report record, drawn by
+hypothesis.
 
 Kept apart from test_evaluation.py so that the rest of the evaluation
 tests still run where hypothesis is not installed.
 """
+
+import json
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from falldetect import evaluation as ev
+from falldetect.features import LtpParams
 
 
 def one_column_auc(scores, pos):
@@ -50,3 +54,57 @@ def test_every_column_auc_equals_its_swept_curve_exactly(case):
         assert aucs[c] == ev.auc(ev.roc_curve(col, pos))
         assert aucs[c] == one_column_auc(col, pos)
         assert abs(aucs[c] - ev.pairwise_auc(col, pos)) <= 1e-12
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def reports(draw):
+    """An EvalReport with the field types run writes: any rates in [0, 1]
+    with gm = sqrt(se * sp), a valid curve, and large seeds."""
+    n = draw(st.integers(2, 30))
+    fpr = np.r_[0.0, np.sort(draw(arrays(np.float64, n - 2, elements=unit))), 1.0]
+    tpr = np.sort(draw(arrays(np.float64, n, elements=unit)))
+    thresholds = draw(arrays(np.float64, n, elements=st.floats(allow_nan=False)))
+    se, sp = draw(unit), draw(unit)
+    folds = draw(st.integers(1, 10))
+    cfg = draw(st.sampled_from([
+        ev.GridConfig(), ev.GridConfig(k_grid=(3,), ltp_params=LtpParams(4, 0.5, 2.0)),
+    ]))
+    return ev.EvalReport(
+        collection_id=draw(st.sampled_from(["C1", "C2", "C3"])),
+        feature_kind=draw(st.sampled_from(["RAW", "MAGNITUDE", "ACCEL_FEATURES", "LTP"])),
+        window_len=draw(st.sampled_from([51, 128])),
+        variant=draw(st.sampled_from(["OC_KNN", "TC_KNN", "OC_SVM", "TC_SVM"])),
+        fold_aucs=draw(st.lists(unit, min_size=folds, max_size=folds)),
+        fold_params=[{"k": draw(st.integers(1, 10)), "inner_mean_auc": draw(st.none() | unit)}
+                     for _ in range(folds)],
+        fold_test_indices=draw(st.lists(st.lists(st.integers(0, 10 ** 4)), min_size=folds,
+                                        max_size=folds)),
+        mean_auc=draw(unit),
+        se=se,
+        sp=sp,
+        gm=float(np.sqrt(se * sp)),
+        threshold=draw(st.floats(allow_nan=False)),
+        averaged_curve=ev.RocCurve(fpr, tpr, thresholds),
+        counts={"ADL": draw(st.integers(0, 10 ** 4)), "FALL": draw(st.integers(0, 10 ** 4))},
+        seed=draw(st.integers(0, 2 ** 64)),
+        config=cfg.to_dict(),
+    )
+
+
+def record(report):
+    """The report as the text save_report_json writes."""
+    return json.dumps(ev.report_to_dict(report), indent=2, sort_keys=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(report=reports())
+def test_report_survives_its_json_record(report):
+    back = ev.report_from_dict(json.loads(record(report)))
+    # equal text: every value, its type and every float's bits
+    assert record(back) == record(report)
+    for name in ("fpr", "tpr", "thresholds"):
+        a, b = getattr(back.averaged_curve, name), getattr(report.averaged_curve, name)
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))

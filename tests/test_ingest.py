@@ -265,6 +265,22 @@ class TestParseDataset1Windowed:
         assert str(err.value) == f"{f}:100: non-finite value"
         assert err.value.line == 100
 
+    @pytest.mark.parametrize("row", ["1e200,0.0,0.0", "0.0,0.0,-1e200", "1e154,1e154,1e154"])
+    def test_sample_whose_square_overflows_names_file_and_line(self, tmp_path, row):
+        write_windowed_dataset1(tmp_path, {("adl", "a0.csv"): np.zeros((300, 3))})
+        f = tmp_path / "adl" / "a0.csv"
+        lines = f.read_text().splitlines()
+        lines[99] = row
+        lines[200] = "1e153,1e153,1e153"  # large, but its magnitude is finite
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            ingest.parse_dataset1(tmp_path)
+        assert str(err.value) == f"{f}:100: x^2 + y^2 + z^2 overflows"
+        lines[99] = "0.0,0.0,0.0"
+        f.write_text("\n".join(lines) + "\n")
+        (window, _), = ingest.parse_dataset1(tmp_path)
+        assert np.isfinite(window.magnitude()).all()
+
 
 class TestParseDataset1Raw:
     def test_trace_becomes_one_peak_window(self, tmp_path):
@@ -317,6 +333,16 @@ class TestParseDataset1Raw:
         with pytest.raises(ParseError) as err:
             ingest.parse_dataset1(tmp_path)
         assert str(err.value) == f"{d / 'rec.csv'}:201: non-finite value"
+
+    @pytest.mark.parametrize("xyz", ["0.0,1e200,1.0", "-1e154,1e154,1e154"])
+    def test_sample_whose_square_overflows_names_file_and_line(self, tmp_path, xyz):
+        rows = [f"{i / 50.0!r},0.0,0.0,1.0" for i in range(400)]
+        rows[10] = ""  # blank lines hold no row but still count as lines
+        rows[200] = f"4.0,{xyz}"
+        f = self.write_raw(tmp_path, rows)
+        with pytest.raises(ParseError) as err:
+            ingest.parse_dataset1(tmp_path)
+        assert str(err.value) == f"{f}:202: x^2 + y^2 + z^2 overflows"
 
     def write_raw(self, root, rows):
         (root / "manifest.json").write_text(json.dumps({"mode": "raw"}))
@@ -396,6 +422,25 @@ class TestParseDataset2:
         with pytest.raises(ParseError) as err:
             ingest.parse_dataset2(tmp_path)
         assert str(err.value) == f"{f}:3: non-finite value"
+
+    @pytest.mark.parametrize(
+        "values, named",
+        [({"y": 1e200}, "y"), ({"x": 1e154, "y": 1e154, "z": -1.1e154}, "z")],
+        ids=["one axis", "the sum"],
+    )
+    def test_sample_whose_square_overflows_names_file_and_line(self, tmp_path, values, named):
+        write_dataset2(tmp_path, 3, ["a", "b", "c"])
+        for axis, value in values.items():
+            f = tmp_path / f"{axis}.csv"
+            lines = f.read_text().splitlines()
+            row = lines[1].split()
+            row[7] = repr(value)
+            lines[1] = " ".join(row)
+            f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            ingest.parse_dataset2(tmp_path)
+        # the file of the sample's largest axis
+        assert str(err.value) == f"{tmp_path / named}.csv:2: x^2 + y^2 + z^2 overflows"
 
 
 def read_rows_both_ways(path, cols, skip_header=False, length_error=False):

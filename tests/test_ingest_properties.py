@@ -1,4 +1,5 @@
-"""Property tests of the dataset CSV reader, drawn by hypothesis.
+"""Property tests of the dataset CSV reader and the sub-window cut, drawn by
+hypothesis.
 
 Kept apart from test_ingest.py so that the rest of the ingest tests still
 run where hypothesis is not installed.
@@ -80,3 +81,33 @@ def test_decimal_tokens_read_like_float(rows):
     text = "\n".join(",".join(row) for row in rows) + "\n"
     expected = np.array(float_oracle(text, False), dtype=np.float64)
     assert same_bits(read(text, 3, False), expected)
+
+
+@st.composite
+def cuts(draw):
+    """A window length n, a peak sample and a cut length L <= n."""
+    n = draw(st.integers(1, 400))
+    return n, draw(st.integers(0, n - 1)), draw(st.integers(1, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=cuts())
+def test_sub_window_lies_inside_its_parent_around_the_peak(case):
+    n, peak, length = case
+    x = np.arange(n, dtype=np.float64)  # each sample's x is its index
+    z = np.zeros(n)
+    z[peak] = 10.0 * n  # the one magnitude maximum
+    routes = [ingest.cut_subwindow(ingest.TriaxialWindow(x, -x, z, peak_index=peak), length)]
+    if length < n:
+        # a window without a peak is cut around its magnitude maximum
+        routes.append(ingest.window_at_length(ingest.TriaxialWindow(x, -x, z), length))
+    for cut in routes:
+        start = int(cut.x[0])
+        assert len(cut) == length
+        assert 0 <= start and start + length <= n
+        assert np.array_equal(cut.x, x[start:start + length])
+        assert np.array_equal(cut.y, -x[start:start + length])
+        assert np.array_equal(cut.z, z[start:start + length])
+        assert start + cut.peak_index == peak
+        # centred, unless that would cross an edge of the parent
+        assert cut.peak_index == length // 2 or start in (0, n - length)
