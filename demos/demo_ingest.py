@@ -25,7 +25,7 @@ def main():
     print(f"parsed {len(pairs)} windows")
 
     w, label = pairs[0]
-    print(f"first window: {label.value}, {len(w)} samples at {w.sample_rate:g} Hz, "
+    print(f"first window: {label.value}, {len(w)} samples at {ingest.SAMPLE_RATE:g} Hz, "
           f"peak magnitude {w.magnitude().max():.3f} g")
 
     # Peak-triggered windowing also works on continuous traces.  Build one
@@ -44,7 +44,7 @@ def main():
     full = ingest.TriaxialWindow(
         trace.x[seg], trace.y[seg], trace.z[seg], peak_index=peaks[0] - start
     )
-    window = ingest.cut_subwindow(full, 51)
+    window = ingest.window_at_length(full, 51)
     print(f"cut to {len(window)} samples, peak re-based to index {window.peak_index}")
 
     # Collections pair the windows with a reproducible 10-fold plan.

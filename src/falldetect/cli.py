@@ -13,6 +13,7 @@ import hashlib
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from itertools import repeat
 from pathlib import Path
 
@@ -52,104 +53,74 @@ _CELL_CHOICES = {
     "classifier": CLASSIFIER_ORDER,
 }
 
+
+def _integer(low):
+    return int, lambda x: x >= low and x.is_integer(), f"an integer >= {low}"
+
+
+_POSITIVE = (float, lambda x: x > 0, "a number > 0")
+_GRID = GridConfig()
+_LTP = LtpParams()
+
+# Each checked setting: its default, its cast, its test and the words of
+# its error.  A grid is a non-empty list of such values.
+_SETTINGS = {
+    "seed": (0, *_integer(0)),
+    "jobs": (1, *_integer(1)),
+    "adl": (200, *_integer(0)),
+    "falls": (20, *_integer(0)),
+    "inner_folds": (_GRID.inner_folds, *_integer(2)),
+    "svm_tol": (_GRID.svm_tol, *_POSITIVE),
+    "svm_max_iter": (_GRID.svm_max_iter, *_integer(1)),
+    "ltp_neighbours": (_LTP.num_neighbours, *_integer(1)),
+    "ltp_step": (_LTP.step, *_POSITIVE),
+    "k_grid": (_GRID.k_grid, *_integer(1)),
+    "c_grid": (_GRID.c_grid, *_POSITIVE),
+    "gamma_grid": (_GRID.gamma_grid, float, lambda x: x > 0, '"auto" or a number > 0'),
+    "nu_grid": (_GRID.nu_grid, float, lambda x: 0 < x <= 1, "a number in (0, 1]"),
+}
+
 _CONFIG_DEFAULTS = {
     "dataset1": None,
     "dataset2": None,
-    "collections": None,
-    "features": list(FEATURE_ORDER),
-    "windows": list(SUB_WINDOWS),
-    "classifiers": list(CLASSIFIER_ORDER),
-    "seed": 0,
     "out": "out",
-    "jobs": 1,
-    "adl": 200,
-    "falls": 20,
-    "k_grid": None,
-    "c_grid": None,
-    "gamma_grid": None,
-    "nu_grid": None,
-    "inner_folds": 10,
-    "svm_tol": None,
-    "svm_max_iter": None,
-    "ltp_neighbours": 6,
-    "ltp_step": 1.0,
+    **{what + "s": list(choices) for what, choices in _CELL_CHOICES.items()},
+    "collections": None,  # None: what the configured dataset paths support
+    **{key: spec[0] for key, spec in _SETTINGS.items()},
 }
 
 
-# Each grid's value bounds, as a test and as the words of the error.
-_GRID_BOUNDS = {
-    "k_grid": (lambda x: x >= 1 and x.is_integer(), "integers >= 1"),
-    "c_grid": (lambda x: x > 0, "numbers > 0"),
-    "gamma_grid": (lambda x: x > 0, '"auto" or numbers > 0'),
-    "nu_grid": (lambda x: 0 < x <= 1, "numbers in (0, 1]"),
-}
-
-
-def _as_number(raw):
-    """raw as a float; nan when it is not a number (a bool is not)."""
-    if isinstance(raw, bool):
-        return math.nan
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        return math.nan
-
-
-def _grid_values(key, raw):
-    """The values of one hyperparameter grid, checked against its bounds."""
-    ok, wanted = _GRID_BOUNDS[key]
-    if not isinstance(raw, (list, tuple)) or not raw:
-        raise ValueError(f"{key} must be a non-empty list of {wanted}, got {raw!r}")
+def _checked(key, raw):
+    """Setting key's value from raw, its default when raw is None;
+    ValueError naming the key when raw is out of bounds.  A bool is not
+    a number, and an int stays exact past 2**53, where a float rounds."""
+    default, cast, ok, wanted = _SETTINGS[key]
+    if raw is None:
+        return default
+    grid = isinstance(default, tuple)
+    words = f"a non-empty list, each entry {wanted}" if grid else wanted
+    if grid and (not isinstance(raw, (list, tuple)) or not raw):
+        raise ValueError(f"{key} must be {words}, got {raw!r}")
     out = []
-    for v in raw:
+    for v in raw if grid else [raw]:
         if key == "gamma_grid" and v == "auto":
             out.append(v)
             continue
-        x = _as_number(v)
+        try:
+            x = math.nan if isinstance(v, bool) else float(v)
+        except (TypeError, ValueError):
+            x = math.nan
         if not (math.isfinite(x) and ok(x)):
-            raise ValueError(f"{key} must hold {wanted}, got {v!r}")
-        out.append(int(x) if key == "k_grid" else x)
-    return tuple(out)
-
-
-# Each scalar setting's type, bounds and the words of the error.
-_SETTING_BOUNDS = {
-    "seed": (int, lambda x: x >= 0 and x.is_integer(), "an integer >= 0"),
-    "jobs": (int, lambda x: x >= 1 and x.is_integer(), "an integer >= 1"),
-    "inner_folds": (int, lambda x: x >= 2 and x.is_integer(), "an integer >= 2"),
-    "svm_tol": (float, lambda x: x > 0, "a number > 0"),
-    "svm_max_iter": (int, lambda x: x >= 1 and x.is_integer(), "an integer >= 1"),
-    "ltp_neighbours": (int, lambda x: x >= 1 and x.is_integer(), "an integer >= 1"),
-    "ltp_step": (float, lambda x: x > 0, "a number > 0"),
-}
-
-
-def _setting(config, key):
-    """One scalar setting, checked against its bounds."""
-    cast, ok, wanted = _SETTING_BOUNDS[key]
-    raw = config[key]
-    x = _as_number(raw)
-    if not (math.isfinite(x) and ok(x)):
-        raise ValueError(f"{key} must be {wanted}, got {raw!r}")
-    if cast is int and isinstance(raw, int):
-        return int(raw)  # exact past 2**53, where the float rounds
-    return cast(x)
+            raise ValueError(f"{key} must be {words}, got {raw!r}")
+        out.append(int(v) if cast is int and isinstance(v, int) else cast(x))
+    return tuple(out) if grid else out[0]
 
 
 def grid_config(config):
-    """GridConfig from the merged settings; ValueError naming the key when
-    a value is out of range."""
-    kwargs = {
-        key: _grid_values(key, config[key]) for key in _GRID_BOUNDS if config[key] is not None
-    }
-    kwargs["inner_folds"] = _setting(config, "inner_folds")
-    for key in ("svm_tol", "svm_max_iter"):
-        if config[key] is not None:
-            kwargs[key] = _setting(config, key)
-    kwargs["ltp_params"] = LtpParams(
-        num_neighbours=_setting(config, "ltp_neighbours"), step=_setting(config, "ltp_step")
-    )
-    return GridConfig(**kwargs)
+    """GridConfig from the checked settings of load_config."""
+    kwargs = {f.name: config[f.name] for f in fields(GridConfig) if f.name in config}
+    ltp = LtpParams(num_neighbours=config["ltp_neighbours"], step=config["ltp_step"])
+    return GridConfig(**kwargs, ltp_params=ltp)
 
 
 def _parse_choices(raw, universe, what):
@@ -178,7 +149,8 @@ def _parse_choices(raw, universe, what):
 
 def load_config(args):
     """Merge defaults, the optional config file, and command-line flags
-    into one dict; choice lists and grid settings are checked here."""
+    into one dict; choice lists and settings are checked here, and a null
+    setting means its default."""
     merged = dict(_CONFIG_DEFAULTS)
     if getattr(args, "config", None):
         doc = _read_json(args.config)
@@ -197,9 +169,8 @@ def load_config(args):
             merged[key] = flag
     for what, universe in _CELL_CHOICES.items():
         merged[what + "s"] = _parse_choices(merged[what + "s"], universe, what)
-    for key in ("seed", "jobs"):
-        merged[key] = _setting(merged, key)
-    grid_config(merged)
+    for key in _SETTINGS:
+        merged[key] = _checked(key, merged[key])
     return merged
 
 
@@ -244,7 +215,7 @@ def cmd_synth(config):
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     manifest = synth.generate_dataset(
-        out, n_adl=int(config["adl"]), n_falls=int(config["falls"]), seed=config["seed"]
+        out, n_adl=config["adl"], n_falls=config["falls"], seed=config["seed"]
     )
     _write_run_json(out, "synth", config, {})
     print(f"wrote {manifest['counts']['ADL']} ADL + {manifest['counts']['FALL']} FALL "
@@ -252,21 +223,23 @@ def cmd_synth(config):
     return 0
 
 
-def _load_datasets(config, need_d1, need_d2):
-    d1 = d2 = None
-    if need_d1:
-        if not config["dataset1"]:
-            raise FileNotFoundError("dataset1 path required but not configured")
-        d1 = parse_dataset1(config["dataset1"])
-        if not d1:
-            raise FileNotFoundError(f"no instances found in {config['dataset1']}")
-    if need_d2:
-        if not config["dataset2"]:
-            raise FileNotFoundError("dataset2 path required but not configured")
-        d2 = parse_dataset2(config["dataset2"])
-        if not d2:
-            raise FileNotFoundError(f"no instances found in {config['dataset2']}")
-    return d1, d2
+def _load_datasets(config, need_d2):
+    """The instances of dataset1 and of dataset2 (None unless need_d2),
+    and the digest of each tree parsed, by its configured path."""
+    digests = {}
+
+    def load(key, parse):
+        if not config[key]:
+            raise FileNotFoundError(f"{key} path required but not configured")
+        instances = parse(config[key])
+        if not instances:
+            raise FileNotFoundError(f"no instances found in {config[key]}")
+        digests[config[key]] = _digest_tree(config[key])
+        return instances
+
+    d1 = load("dataset1", parse_dataset1)
+    d2 = load("dataset2", parse_dataset2) if need_d2 else None
+    return d1, d2, digests
 
 
 def _wanted_collections(config):
@@ -284,10 +257,7 @@ def cmd_ingest(config):
     out.mkdir(parents=True, exist_ok=True)
     wanted = _wanted_collections(config)
     need_d2 = any(c in ("C2", "C3") for c in wanted)
-    d1, d2 = _load_datasets(config, need_d1=True, need_d2=need_d2)
-    inputs = {config["dataset1"]: _digest_tree(config["dataset1"])}
-    if need_d2:
-        inputs[config["dataset2"]] = _digest_tree(config["dataset2"])
+    d1, d2, inputs = _load_datasets(config, need_d2)
     for cid in wanted:
         collection = build_collection(cid, d1, d2, seed=config["seed"])
         save_manifest(collection, out / f"collection_{cid}.json")
@@ -377,7 +347,8 @@ def cmd_run(config):
         inputs[str(mpath)] = _digest_file(mpath)
 
     need_d2 = any(_references_d2(m) for m in manifests.values())
-    d1, d2 = _load_datasets(config, need_d1=True, need_d2=need_d2)
+    d1, d2, digests = _load_datasets(config, need_d2)
+    inputs.update(digests)
     collections = {
         cid: collection_from_manifest(manifests[cid], d1, d2, paths[cid]) for cid in wanted
     }
@@ -467,16 +438,19 @@ def build_parser():
         description="Fall-detection experiments on triaxial accelerometer windows.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = _CONFIG_DEFAULTS
 
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
-        p.add_argument("--out", help="output directory (default ./out)")
+        p.add_argument("--seed", type=int, help=f"master seed (default {defaults['seed']})")
+        p.add_argument("--out", help=f"output directory (default {defaults['out']})")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic windowed dataset")
     common(p_synth)
-    p_synth.add_argument("--adl", type=int, help="number of ADL windows (default 200)")
-    p_synth.add_argument("--falls", type=int, help="number of fall windows (default 20)")
+    p_synth.add_argument("--adl", type=int,
+                         help=f"number of ADL windows (default {defaults['adl']})")
+    p_synth.add_argument("--falls", type=int,
+                         help=f"number of fall windows (default {defaults['falls']})")
     p_synth.set_defaults(func=cmd_synth)
 
     p_ingest = sub.add_parser("ingest", help="parse datasets and write collection manifests")
@@ -499,7 +473,8 @@ def build_parser():
                        help="window length (51/128 or all)")
     p_run.add_argument("--classifier", dest="classifiers", action="append",
                        help="classifier (OC_KNN/TC_KNN/OC_SVM/TC_SVM or all)")
-    p_run.add_argument("--jobs", type=int, help="parallel experiment cells (default 1)")
+    p_run.add_argument("--jobs", type=int,
+                       help=f"parallel experiment cells (default {defaults['jobs']})")
     p_run.set_defaults(func=cmd_run)
 
     p_report = sub.add_parser("report", help="re-render the summary from stored reports")

@@ -9,10 +9,6 @@ class InvalidTrace(FalldetectError):
     """A raw trace is too short or structurally unusable."""
 
 
-class MissingPeak(FalldetectError):
-    """A window operation needed a peak index the window does not carry."""
-
-
 class ParseError(FalldetectError):
     """A dataset file could not be parsed.
 

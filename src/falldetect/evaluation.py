@@ -8,7 +8,7 @@ cross-validation that never sees the outer test split.
 """
 
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -242,7 +242,7 @@ class EvalReport:
     averaged_curve: RocCurve
     counts: dict
     seed: int
-    config: dict = field(default_factory=dict)
+    config: dict
 
     def __post_init__(self):
         for name in ("mean_auc", "se", "sp", "gm"):
@@ -475,8 +475,8 @@ def _floats(values, name):
 
 def report_from_dict(doc):
     """The report report_to_dict wrote as doc.  window_len and seed must be
-    ints, and the AUCs, rates, threshold and curve floats; anything else
-    raises TypeError naming the key."""
+    ints, config a dict, and the AUCs, rates, threshold and curve floats;
+    anything else raises TypeError naming the key."""
     c = doc["averaged_curve"]
     curve = RocCurve(*(np.array(_floats(c[f.name], f"averaged_curve.{f.name}"), dtype=np.float64)
                        for f in fields(RocCurve)))
@@ -493,7 +493,7 @@ def report_from_dict(doc):
         averaged_curve=curve,
         counts=doc["counts"],
         seed=_exact(doc["seed"], int, "seed"),
-        config=doc.get("config", {}),
+        config=_exact(doc["config"], dict, "config"),
         **rates,
     )
 

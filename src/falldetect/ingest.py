@@ -22,15 +22,16 @@ from .errors import (
     InsufficientData,
     InvalidTrace,
     LengthError,
-    MissingPeak,
     ParseError,
 )
 
 FULL_WINDOW = 300
 SUB_WINDOWS = (51, 128)
 COLLECTIONS = ("C1", "C2", "C3")
-DEFAULT_RATE = 50.0
-DEFAULT_THRESHOLD_G = 1.5
+SAMPLE_RATE = 50.0  # Hz, of every window
+THRESHOLD_G = 1.5  # a peak's magnitude is strictly above this
+REFRACTORY_S = 6.0  # the least gap between two emitted peaks
+NUM_FOLDS = 10  # outer cross-validation folds of every collection
 
 # Independent seed streams so unrelated draws never alias.
 _STREAM_C2_SELECT = 101
@@ -112,7 +113,7 @@ class RawTrace:
 
 @dataclass
 class TriaxialWindow:
-    """Fixed-length window of triaxial acceleration at a uniform rate.
+    """Fixed-length window of triaxial acceleration at SAMPLE_RATE.
 
     peak_index marks the triggering magnitude peak when the window came from
     peak detection; windows from pre-segmented sources may not have one.
@@ -121,7 +122,6 @@ class TriaxialWindow:
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    sample_rate: float = DEFAULT_RATE
     peak_index: int | None = None
     source_id: str = ""
 
@@ -148,38 +148,35 @@ class TriaxialWindow:
         return np.sqrt(self.x ** 2 + self.y ** 2 + self.z ** 2)
 
 
-def resample_trace(trace, target_rate=DEFAULT_RATE, remove_offset=True):
-    """Linearly resample a trace onto a uniform grid at target_rate.
+def resample_trace(trace):
+    """Linearly resample a trace onto a uniform grid at SAMPLE_RATE.
 
-    The grid spans [first, last] timestamp at spacing 1/target_rate; each
-    axis is interpolated independently.  With remove_offset (the default)
-    the per-axis mean over the whole input trace is subtracted first.
+    The per-axis mean over the whole input trace is subtracted first.  The
+    grid spans [first, last] timestamp at spacing 1/SAMPLE_RATE; each axis
+    is interpolated independently.
     """
-    if target_rate <= 0:
-        raise ValueError("target_rate must be positive")
     if len(trace) < 2:
         raise InvalidTrace("trace needs at least 2 samples to resample")
     t0 = trace.timestamps[0]
     span = trace.timestamps[-1] - t0
     # Small slack so an exact multiple of the spacing is not lost to rounding.
-    n_out = int(np.floor(span * target_rate + 1e-9)) + 1
-    t_new = t0 + np.arange(n_out) / target_rate
+    n_out = int(np.floor(span * SAMPLE_RATE + 1e-9)) + 1
+    t_new = t0 + np.arange(n_out) / SAMPLE_RATE
     axes = []
     for a in (trace.x, trace.y, trace.z):
-        values = a - a.mean() if remove_offset else a
-        axes.append(np.interp(t_new, trace.timestamps, values))
+        axes.append(np.interp(t_new, trace.timestamps, a - a.mean()))
     return RawTrace(t_new, *axes, source_id=trace.source_id)
 
 
-def detect_peaks(trace, threshold_g=DEFAULT_THRESHOLD_G, refractory_s=6.0):
-    """Indices of magnitude peaks above threshold_g, one per event.
+def detect_peaks(trace):
+    """Indices of magnitude peaks above THRESHOLD_G, one per event.
 
     A peak is a local maximum (>= both neighbours, missing neighbours count
     as satisfied) with magnitude strictly above the threshold.  Peaks closer
-    than refractory_s seconds to the previously emitted one are suppressed.
+    than REFRACTORY_S seconds to the previously emitted one are suppressed.
     """
     m = trace.magnitude()
-    above = m > threshold_g
+    above = m > THRESHOLD_G
     left_ok = np.empty(len(m), dtype=bool)
     right_ok = np.empty(len(m), dtype=bool)
     left_ok[0] = True
@@ -191,63 +188,49 @@ def detect_peaks(trace, threshold_g=DEFAULT_THRESHOLD_G, refractory_s=6.0):
     last_t = None
     for i in candidates:
         t_i = trace.timestamps[i]
-        if last_t is not None and t_i - last_t < refractory_s:
+        if last_t is not None and t_i - last_t < REFRACTORY_S:
             continue
         peaks.append(int(i))
         last_t = t_i
     return peaks
 
 
-def _centred_cut(source, peak, length, sample_rate=DEFAULT_RATE):
+def _centred_cut(source, peak, length):
     """The length-L window of a trace or window centred on sample peak: it
     starts at peak - floor(L/2), clamped so it lies fully inside the
     source, and its peak_index is re-based."""
     start = min(max(peak - length // 2, 0), len(source) - length)
     cut = slice(start, start + length)
     return TriaxialWindow(
-        source.x[cut], source.y[cut], source.z[cut], sample_rate=sample_rate,
-        peak_index=peak - start, source_id=source.source_id,
+        source.x[cut], source.y[cut], source.z[cut], peak_index=peak - start,
+        source_id=source.source_id,
     )
 
 
-def cut_subwindow(window, length):
-    """Cut the length-L slice of a window centred on its peak.
-
-    The slice starts at peak_index - floor(L/2), clamped so it lies fully
-    inside the parent; the returned window's peak_index is re-based.
-    """
-    if window.peak_index is None:
-        raise MissingPeak("window has no peak_index to centre on")
-    n = len(window)
-    length = int(length)
-    if not 1 <= length <= n:
-        raise LengthError(f"cannot cut {length} samples from a window of {n}")
-    return _centred_cut(window, window.peak_index, length, window.sample_rate)
-
-
 def window_at_length(window, length):
-    """Return the window at the requested length, cutting around a peak if needed.
-
-    Windows without a recorded peak are cut around their magnitude maximum.
-    A window shorter than the request cannot be extended.
+    """The window at the requested length: itself, or the length-L slice
+    centred on its peak_index, or on its magnitude maximum when it has no
+    peak.  The slice starts at the peak - floor(L/2), clamped so it lies
+    fully inside the window, and its peak_index is re-based.  A window
+    shorter than the request cannot be extended.
     """
     length = int(length)
     n = len(window)
     if n == length:
         return window
-    if n < length:
+    if not 1 <= length < n:
         raise LengthError(f"window of {n} samples cannot yield {length}")
-    if window.peak_index is None:
+    peak = window.peak_index
+    if peak is None:
         peak = int(np.argmax(window.magnitude()))
-        return _centred_cut(window, peak, length, window.sample_rate)
-    return cut_subwindow(window, length)
+    return _centred_cut(window, peak, length)
 
 
-def _windows_from_trace(trace, threshold_g, window_len=FULL_WINDOW):
-    """Peak-triggered fixed-length windows from a uniform-rate trace."""
-    if len(trace) < window_len:
+def _windows_from_trace(trace):
+    """Peak-triggered FULL_WINDOW-sample windows from a uniform-rate trace."""
+    if len(trace) < FULL_WINDOW:
         return []
-    return [_centred_cut(trace, p, window_len) for p in detect_peaks(trace, threshold_g)]
+    return [_centred_cut(trace, p, FULL_WINDOW) for p in detect_peaks(trace)]
 
 
 def _data_lines(fh, skip_header):
@@ -354,14 +337,15 @@ def _labeled_files(root):
     return pairs
 
 
-def parse_dataset1(path, threshold_g=DEFAULT_THRESHOLD_G):
+def parse_dataset1(path):
     """Parse a dataset1-style directory into labeled 300-sample windows.
 
     The root holds a manifest.json declaring the mode plus adl/ and fall/
     subdirectories of CSV files.  In "raw" mode each file is a t,x,y,z
     recording that gets resampled to 50 Hz and windowed around magnitude
-    peaks; in "windowed" mode each file is a headerless 300-row x,y,z
-    window whose peak is taken at the magnitude maximum.
+    peaks (a trace whose x^2 + y^2 + z^2 overflows once its offset is
+    removed is refused); in "windowed" mode each file is a headerless
+    300-row x,y,z window whose peak is taken at the magnitude maximum.
     """
     root = Path(path)
     manifest_path = root / "manifest.json"
@@ -386,7 +370,6 @@ def parse_dataset1(path, threshold_g=DEFAULT_THRESHOLD_G):
                 data[:, 0],
                 data[:, 1],
                 data[:, 2],
-                sample_rate=DEFAULT_RATE,
                 peak_index=peak,
                 source_id=f.stem,
             )
@@ -408,8 +391,14 @@ def parse_dataset1(path, threshold_g=DEFAULT_THRESHOLD_G):
             if t[0] == t[-1]:
                 raise ParseError("trace needs at least 2 distinct timestamps", f)
             trace = RawTrace(t, data[:, 1], data[:, 2], data[:, 3], source_id=f.stem)
-            uniform = resample_trace(trace, DEFAULT_RATE)
-            for window in _windows_from_trace(uniform, threshold_g):
+            uniform = resample_trace(trace)
+            with np.errstate(over="ignore"):
+                bad = np.flatnonzero(~np.isfinite(uniform.magnitude()))
+            if bad.size:
+                row = min(int(np.searchsorted(t, uniform.timestamps[bad[0]])), len(t) - 1)
+                line = _line_of_row(f, row, True)
+                raise ParseError("x^2 + y^2 + z^2 overflows once the offset is removed", f, line)
+            for window in _windows_from_trace(uniform):
                 instances.append((window, label))
     return instances
 
@@ -449,7 +438,6 @@ def parse_dataset2(path):
             axis_rows["x"][i],
             axis_rows["y"][i],
             axis_rows["z"][i],
-            sample_rate=DEFAULT_RATE,
             source_id=f"row{i}",
         )
         instances.append((window, Label.ADL))
@@ -529,8 +517,8 @@ def _split_by_label(pairs):
     return adl, fall
 
 
-def build_collection(cid, d1_instances, d2_instances=None, seed=0, num_folds=10):
-    """Assemble collection C1, C2, or C3 with a stratified fold plan.
+def build_collection(cid, d1_instances, d2_instances=None, seed=0):
+    """Assemble collection C1, C2, or C3 with a stratified NUM_FOLDS-fold plan.
 
     C1 takes everything from dataset1.  C2 keeps dataset1's falls and mixes
     its ADL half-and-half (+-1) from the two datasets, the halves chosen at
@@ -581,7 +569,7 @@ def build_collection(cid, d1_instances, d2_instances=None, seed=0, num_folds=10)
         )
         for src, idx in chosen
     ]
-    plan = plan_folds([inst.label for inst in instances], num_folds=num_folds, seed=seed)
+    plan = plan_folds([inst.label for inst in instances], num_folds=NUM_FOLDS, seed=seed)
     return Collection(id=cid, instances=instances, fold_plan=plan, seed=seed)
 
 

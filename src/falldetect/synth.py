@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import (
-    DEFAULT_RATE,
     FULL_WINDOW,
+    SAMPLE_RATE,
     Label,
     TriaxialWindow,
     _atomic_write_text,
@@ -29,7 +29,7 @@ def _unit(v):
 
 def _oscillation(rng, n):
     """Smooth activity around a gravity vector, magnitude kept below 1.4 g."""
-    t = np.arange(n) / DEFAULT_RATE
+    t = np.arange(n) / SAMPLE_RATE
     gravity = _unit(np.array([rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2), 1.0]))
     axes = []
     for i in range(3):
@@ -110,7 +110,6 @@ def _to_window(axes, source_id):
         axes[0],
         axes[1],
         axes[2],
-        sample_rate=DEFAULT_RATE,
         peak_index=int(np.argmax(mag)),
         source_id=source_id,
     )

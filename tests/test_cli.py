@@ -37,6 +37,12 @@ class TestSynthCommand:
         assert record["config"]["adl"] == 3
         assert "3 ADL + 2 FALL" in capsys.readouterr().out
 
+    def test_negative_count_names_the_key(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert run_cli("synth", "--out", out, "--adl", "-3", "--falls", "2") == 2
+        assert capsys.readouterr().err == "error: adl must be an integer >= 0, got -3\n"
+        assert not out.exists()
+
 
 class TestIngestCommand:
     def test_defaults_to_c1(self, pipeline, capsys):
@@ -115,6 +121,20 @@ class TestRunCommand:
         assert record["command"] == "run"
         assert any("collection_C1.json" in k for k in record["inputs"])
         assert "AUC" in capsys.readouterr().out
+
+    def test_run_json_digests_the_datasets_it_reads(self, pipeline):
+        data, work = pipeline
+        ingested = json.loads((work / "run.json").read_text())["inputs"][str(data)]
+        argv = ("run", "--dataset1", data, "--out", work, "--seed", "7",
+                "--feature", "MAGNITUDE", "--window", "51", "--classifier", "OC_KNN")
+        assert run_cli(*argv) == 0
+        assert json.loads((work / "run.json").read_text())["inputs"][str(data)] == ingested
+        path = data / "adl" / "adl_0003.csv"
+        lines = path.read_text().splitlines()
+        lines[7] = "0.25,0.5,0.75"
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli(*argv) == 0
+        assert json.loads((work / "run.json").read_text())["inputs"][str(data)] != ingested
 
     def test_rerun_reproduces_summary_bytes(self, pipeline):
         data, work = pipeline
@@ -334,6 +354,10 @@ class TestReportCommand:
             (lambda doc: "{not json", ": not JSON ("),
             (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "averaged_curve"}),
              ": missing key 'averaged_curve'"),
+            (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "config"}),
+             ": missing key 'config'"),
+            (lambda doc: json.dumps({**doc, "config": []}),
+             ": not a report (config must be dict, got [])"),
             (lambda doc: json.dumps([doc]), ": not a report ("),
             (lambda doc: json.dumps({**doc, "mean_auc": "high"}), ": not a report ("),
             (lambda doc: json.dumps({**doc, "variant": "TC_KNN"}),
@@ -366,8 +390,9 @@ class TestReportCommand:
                 {**doc, "averaged_curve": {**doc["averaged_curve"], "tpr": ["1.0"] * 1001}}),
              ": not a report (averaged_curve.tpr must be float, got '1.0')"),
         ],
-        ids=["not JSON", "missing key", "a list", "a bad value", "another variant",
-             "another collection", "another feature", "another window", "a float window",
+        ids=["not JSON", "missing key", "no config", "a list config", "a list", "a bad value",
+             "another variant", "another collection", "another feature", "another window",
+             "a float window",
              "a bool window", "a string seed", "a float seed", "a string AUC", "an int rate",
              "a null threshold", "an int fold AUC", "a fold AUC", "a string curve"],
     )
@@ -496,7 +521,7 @@ class TestConfigHandling:
 
 
 class TestInputErrorsBeforeAnyCell:
-    """Bad selections and grid settings exit 2 while the config loads."""
+    """Bad selections and settings exit 2 while the config loads."""
 
     def run_one_cell(self, data, work, *extra):
         # no --seed flag, which would override a config's seed; run takes
@@ -560,6 +585,9 @@ class TestInputErrorsBeforeAnyCell:
             ("c_grid", [True]),
             ("nu_grid", [True]),
             ("gamma_grid", [True]),
+            ("adl", -3),
+            ("falls", 2.7),
+            ("adl", "many"),
         ],
     )
     def test_out_of_range_grid_setting_names_the_key(self, pipeline, tmp_path, capsys, key, value):

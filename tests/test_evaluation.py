@@ -226,6 +226,7 @@ class TestEvalReportValidation:
             averaged_curve=curve,
             counts={"ADL": 1, "FALL": 1},
             seed=0,
+            config={},
         )
         base.update(overrides)
         return ev.EvalReport(**base)

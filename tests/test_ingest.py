@@ -10,7 +10,6 @@ from falldetect.errors import (
     InsufficientData,
     InvalidTrace,
     LengthError,
-    MissingPeak,
     ParseError,
 )
 from falldetect.ingest import Label
@@ -75,18 +74,18 @@ class TestTriaxialWindow:
 
 
 class TestResample:
-    def test_midpoint_interpolation_without_offset_removal(self):
-        # Two samples 0.04 s apart; at 50 Hz the grid lands on 0, 0.02, 0.04
-        # and the middle value interpolates linearly.
-        tr = make_trace([0.0, 0.04], x=[0.0, 0.04])
-        out = ingest.resample_trace(tr, 50.0, remove_offset=False)
+    def test_midpoint_interpolation_after_offset_removal(self):
+        # Two samples 0.04 s apart, mean 0.03; at 50 Hz the grid lands on
+        # 0, 0.02, 0.04 and the middle value interpolates linearly.
+        tr = make_trace([0.0, 0.04], x=[0.01, 0.05])
+        out = ingest.resample_trace(tr)
         assert len(out) == 3
         assert out.timestamps == pytest.approx([0.0, 0.02, 0.04], abs=1e-12)
-        assert out.x[1] == pytest.approx(0.02, abs=1e-12)
+        assert out.x == pytest.approx([-0.02, 0.0, 0.02], abs=1e-12)
 
     def test_constant_axis_vanishes_under_offset_removal(self):
         tr = make_trace([0.0, 0.3, 0.35, 1.0], x=[0.7, 0.7, 0.7, 0.7])
-        out = ingest.resample_trace(tr, 50.0)
+        out = ingest.resample_trace(tr)
         assert np.all(np.abs(out.x) <= 1e-12)
 
     def test_uniform_zero_mean_trace_is_a_fixed_point(self):
@@ -94,20 +93,16 @@ class TestResample:
         raw = np.sin(2 * np.pi * 1.3 * t) + 0.2 * np.cos(2 * np.pi * 4.1 * t)
         x = raw - raw.mean()
         tr = make_trace(t, x=x)
-        out = ingest.resample_trace(tr, 50.0)
+        out = ingest.resample_trace(tr)
         assert len(out) == 300
         assert np.max(np.abs(out.x - x)) <= 1e-12
         assert np.max(np.abs(out.timestamps - t)) <= 1e-12
 
     def test_grid_spacing_and_span(self):
         tr = make_trace(np.linspace(0.0, 2.0, 37))
-        out = ingest.resample_trace(tr, 50.0)
+        out = ingest.resample_trace(tr)
         assert len(out) == 101
         assert np.max(np.abs(np.diff(out.timestamps) - 0.02)) <= 1e-12
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            ingest.resample_trace(make_trace([0.0, 1.0]), 0.0)
 
 
 class TestDetectPeaks:
@@ -151,34 +146,30 @@ def indexed_window(n=300, peak=None):
 
 class TestCutSubwindow:
     def test_centred_cut(self):
-        out = ingest.cut_subwindow(indexed_window(peak=150), 51)
+        out = ingest.window_at_length(indexed_window(peak=150), 51)
         assert out.x.tolist() == list(range(125, 176))
         assert out.peak_index == 25
 
     def test_clamped_at_left_edge(self):
-        out = ingest.cut_subwindow(indexed_window(peak=10), 128)
+        out = ingest.window_at_length(indexed_window(peak=10), 128)
         assert out.x[0] == 0.0
         assert len(out) == 128
         assert out.peak_index == 10
 
     def test_long_cut_around_centre_peak(self):
-        out = ingest.cut_subwindow(indexed_window(peak=150), 128)
+        out = ingest.window_at_length(indexed_window(peak=150), 128)
         assert out.x[0] == 86.0
         assert out.peak_index == 64
 
     def test_clamped_at_right_edge(self):
-        out = ingest.cut_subwindow(indexed_window(peak=295), 51)
+        out = ingest.window_at_length(indexed_window(peak=295), 51)
         assert out.x[0] == 249.0
         assert out.peak_index == 46
-
-    def test_requires_peak(self):
-        with pytest.raises(MissingPeak):
-            ingest.cut_subwindow(indexed_window(peak=None), 51)
 
     def test_rejects_oversized_cut(self):
         w = indexed_window(n=50, peak=10)
         with pytest.raises(LengthError):
-            ingest.cut_subwindow(w, 51)
+            ingest.window_at_length(w, 51)
 
 
 class TestWindowAtLength:
@@ -333,6 +324,17 @@ class TestParseDataset1Raw:
         with pytest.raises(ParseError) as err:
             ingest.parse_dataset1(tmp_path)
         assert str(err.value) == f"{d / 'rec.csv'}:201: non-finite value"
+
+    def test_square_that_overflows_once_the_offset_is_removed_names_its_line(self, tmp_path):
+        # each raw square is finite, but with the x mean 4e153 removed every
+        # third sample sits at -1.6e154, whose square overflows
+        xs = ["1.2e154", "1.2e154", "-1.2e154"]
+        rows = [f"{i / 50.0!r},{xs[i % 3]},0.0,0.0" for i in range(400)]
+        rows.insert(1, "")  # blank lines hold no row but still count as lines
+        f = self.write_raw(tmp_path, rows)
+        with pytest.raises(ParseError) as err:
+            ingest.parse_dataset1(tmp_path)
+        assert str(err.value) == f"{f}:5: x^2 + y^2 + z^2 overflows once the offset is removed"
 
     @pytest.mark.parametrize("xyz", ["0.0,1e200,1.0", "-1e154,1e154,1e154"])
     def test_sample_whose_square_overflows_names_file_and_line(self, tmp_path, xyz):

@@ -97,7 +97,7 @@ def test_sub_window_lies_inside_its_parent_around_the_peak(case):
     x = np.arange(n, dtype=np.float64)  # each sample's x is its index
     z = np.zeros(n)
     z[peak] = 10.0 * n  # the one magnitude maximum
-    routes = [ingest.cut_subwindow(ingest.TriaxialWindow(x, -x, z, peak_index=peak), length)]
+    routes = [ingest.window_at_length(ingest.TriaxialWindow(x, -x, z, peak_index=peak), length)]
     if length < n:
         # a window without a peak is cut around its magnitude maximum
         routes.append(ingest.window_at_length(ingest.TriaxialWindow(x, -x, z), length))

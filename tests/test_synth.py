@@ -15,7 +15,6 @@ class TestSynthWindows:
         assert [lab for _, lab in pairs] == [Label.ADL] * 8 + [Label.FALL] * 3
         for window, _ in pairs:
             assert len(window) == 300
-            assert window.sample_rate == 50.0
             assert window.peak_index is not None
 
     def test_fall_windows_carry_a_trigger_peak(self):
