@@ -10,7 +10,7 @@ written here.
 import enum
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -189,6 +189,10 @@ class SvmModel:
     nu: float | None = None
     mean: np.ndarray | None = None
     scale: np.ndarray | None = None
+    multipliers: np.ndarray | None = None  # every training row's, in row order
+    # (token of the SvmPrep, labels of its rows) the solve ran on: what
+    # train_tc_svm checks a warm start against
+    _source: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
@@ -301,6 +305,12 @@ def _rbf(d2, gamma):
     return np.exp(d2, out=d2)
 
 
+def _rbf_block(qs, X, sq, gamma):
+    """RBF kernel between the standardized query rows qs and the rows of
+    X, whose squared norms are sq: a query x row block."""
+    return _rbf(_sq_dists(qs, _sq_norms(qs), X, sq), gamma)
+
+
 class _KernelRows:
     """RBF kernel rows computed on demand, for problems whose kernel matrix
     does not fit the memory budget.  Holds up to _CACHE_BUDGET_BYTES of
@@ -360,9 +370,21 @@ class SvmPrep:
         self.d2 = _sq_dist_rows(self.Xs, self.sq, 0, m) if fits else None
         self._gamma = None
         self._kernel = None
+        self._auto_gamma = None
+        # names this preparation in the models trained on it, without
+        # keeping its matrices alive for as long as a model is kept
+        self._token = object()
 
     def __len__(self):
         return len(self.Xs)
+
+    def resolve_gamma(self, gamma):
+        """resolve_gamma(gamma, self.Xs); "auto" is worked out once."""
+        if gamma != "auto":
+            return resolve_gamma(gamma, self.Xs)
+        if self._auto_gamma is None:
+            self._auto_gamma = resolve_gamma(gamma, self.Xs)
+        return self._auto_gamma
 
     def kernel(self, gamma):
         """Kernel for resolved gamma: a matrix, or _KernelRows over budget."""
@@ -392,18 +414,26 @@ def _solve_pairwise_dual(K, y, box, alpha, p, tol, max_iter):
     # Offsets that mask s for the pair selection: 0 where a multiplier
     # may still move that way, -inf (up) or +inf (low) where it may not.
     # Adding one costs less than np.where.
-    up = np.where(np.where(y > 0, alpha < box, alpha > 0), 0.0, -np.inf)
-    low = np.where(np.where(y > 0, alpha > 0, alpha < box), 0.0, np.inf)
+    inf = float("inf")
+    up = np.where(np.where(y > 0, alpha < box, alpha > 0), 0.0, -inf)
+    low = np.where(np.where(y > 0, alpha > 0, alpha < box), 0.0, inf)
     # scalars are read from lists: indexing a list is cheaper than an array
     yl = y.tolist()
     bl = box.tolist()
     a = alpha.tolist()
+    # Every iteration writes its masked s and its step into these, through
+    # local ufuncs given the buffer positionally: a call then costs less.
+    s_up = np.empty_like(s)
+    s_low = np.empty_like(s)
+    step_i = np.empty_like(s)
+    step_j = np.empty_like(s)
+    add, multiply = np.add, np.multiply
 
     iterations = 0
     converged = False
     while True:
-        s_up = s + up
-        s_low = s + low
+        add(s, up, s_up)
+        add(s, low, s_low)
         i = int(s_up.argmax())
         j = int(s_low.argmin())
         lo = float(s_up[i])
@@ -422,19 +452,42 @@ def _solve_pairwise_dual(K, y, box, alpha, p, tol, max_iter):
             eta = _SV_EPS
         yi, yj = yl[i], yl[j]
         old_i, old_j = a[i], a[j]
-        # largest step keeping both multipliers inside their boxes
-        room_i = bl[i] - old_i if yi > 0 else old_i
-        room_j = old_j if yj > 0 else bl[j] - old_j
-        t = min(gap / eta, room_i, room_j)
+        bi, bj = bl[i], bl[j]
+        # the largest step keeping both multipliers inside their boxes;
+        # each comparison keeps the earlier value on a tie, as min() does
+        t = gap / eta
+        room = bi - old_i if yi > 0 else old_i
+        if room < t:
+            t = room
+        room = old_j if yj > 0 else bj - old_j
+        if room < t:
+            t = room
+        # min(max(v, 0.0), box), spelled out
+        new_i = old_i + yi * t
+        if new_i < 0.0:
+            new_i = 0.0
+        if bi < new_i:
+            new_i = bi
+        new_j = old_j - yj * t
+        if new_j < 0.0:
+            new_j = 0.0
+        if bj < new_j:
+            new_j = bj
+        a[i] = new_i
+        a[j] = new_j
 
-        new_i = a[i] = min(max(old_i + yi * t, 0.0), bl[i])
-        new_j = a[j] = min(max(old_j - yj * t, 0.0), bl[j])
-        s -= (new_i - old_i) * yi * ki + (new_j - old_j) * yj * kj
-        for k, ak in ((i, new_i), (j, new_j)):
-            below_box, above_zero = ak < bl[k], ak > 0.0
-            in_up, in_low = (below_box, above_zero) if yl[k] > 0 else (above_zero, below_box)
-            up[k] = 0.0 if in_up else -np.inf
-            low[k] = 0.0 if in_low else np.inf
+        # s -= (new_i - old_i) * yi * ki + (new_j - old_j) * yj * kj
+        multiply(ki, (new_i - old_i) * yi, step_i)
+        multiply(kj, (new_j - old_j) * yj, step_j)
+        step_i += step_j
+        s -= step_i
+        # i before j, so j's masks win when i == j
+        in_up, in_low = (new_i < bi, new_i > 0.0) if yi > 0 else (new_i > 0.0, new_i < bi)
+        up[i] = 0.0 if in_up else -inf
+        low[i] = 0.0 if in_low else inf
+        in_up, in_low = (new_j < bj, new_j > 0.0) if yj > 0 else (new_j > 0.0, new_j < bj)
+        up[j] = 0.0 if in_up else -inf
+        low[j] = 0.0 if in_low else inf
         iterations += 1
 
     alpha = np.array(a)
@@ -453,17 +506,18 @@ _SvmFit = namedtuple("_SvmFit", "gamma alpha keep bias lo hi stats")
 def _solve_svm(prep, gamma, y, box, start, p, tol, max_iter):
     """Solve one SVM dual on the kernel of prep's rows.
 
-    y labels the rows; box, start and p are the multipliers' upper bound,
-    starting value and linear term, the same for every row.  max_iter
-    defaults to 10 m, and a solve it stops warns.  keep marks the support
-    vectors, and (lo, hi) is the solver's stopping interval.
+    y labels the rows and start holds their multipliers' starting values;
+    box and p are the multipliers' upper bound and linear term, the same
+    for every row.  max_iter defaults to 10 m, and a solve it stops warns.
+    keep marks the support vectors, and (lo, hi) is the solver's stopping
+    interval.
     """
-    gamma = resolve_gamma(gamma, prep.Xs)
+    gamma = prep.resolve_gamma(gamma)
     m = len(prep)
     if max_iter is None:
         max_iter = 10 * m
     alpha, bias, iters, converged, gap, lo, hi = _solve_pairwise_dual(
-        prep.kernel(gamma), y, np.full(m, box), np.full(m, start), np.full(m, p), tol, max_iter
+        prep.kernel(gamma), y, np.full(m, box), start, np.full(m, p), tol, max_iter
     )
     if not converged:
         warnings.warn(
@@ -474,13 +528,17 @@ def _solve_svm(prep, gamma, y, box, start, p, tol, max_iter):
     return _SvmFit(gamma, alpha, alpha > _SV_EPS, bias, lo, hi, stats)
 
 
-def _svm_model(variant, prep, fit, bias, counts, hyper, support_labels=None):
-    """The trained model of one solve: the kept support vectors and their
-    multipliers, and the variant's class counts and hyper, its C or nu."""
+def _svm_model(variant, prep, fit, y, bias, counts, hyper):
+    """The trained model of one solve with labels y: the kept support
+    vectors and their multipliers, every row's multiplier, and the
+    variant's class counts and hyper, its C or nu."""
+    support_labels = y[fit.keep] if variant is Variant.TC_SVM else None
     params = SvmModel(
         gamma=fit.gamma, alpha=fit.alpha[fit.keep], support_vectors=prep.Xs[fit.keep], bias=bias,
-        support_labels=support_labels, mean=prep.mean, scale=prep.scale, **hyper,
+        support_labels=support_labels, mean=prep.mean, scale=prep.scale, multipliers=fit.alpha,
+        **hyper,
     )
+    params._source = (prep._token, y)
     summary = {
         "variant": variant.value, "counts": counts, **hyper, "gamma": fit.gamma,
         "standardized": True, "support_vectors": int(fit.keep.sum()), **fit.stats,
@@ -488,13 +546,39 @@ def _svm_model(variant, prep, fit, bias, counts, hyper, support_labels=None):
     return TrainedModel(variant, params, summary)
 
 
-def train_tc_svm(vectors, labels, C, gamma="auto", tol=SVM_TOL, max_iter=None):
+def _warm_start(start, prep, y, C):
+    """The multipliers of start that a two-class solve of C on prep's rows
+    labelled y may begin from; ValueError naming why start cannot be one."""
+    got = start.variant.value if isinstance(start, TrainedModel) else type(start).__name__
+    if got != Variant.TC_SVM.value:
+        raise ValueError(f"start must be a TC_SVM model, got {got}")
+    p = start.parameters
+    rows = len(p.multipliers)
+    if rows != len(prep):
+        raise ValueError(f"start was trained on {rows} rows, not {len(prep)}")
+    token, labels = p._source
+    if token is not prep._token:
+        raise ValueError("start was trained on another SvmPrep")
+    if not np.array_equal(labels, y):
+        raise ValueError("start was trained on other labels")
+    if p.C > C:
+        raise ValueError(f"start was trained with C={p.C}, larger than C={C}")
+    return p.multipliers
+
+
+def train_tc_svm(vectors, labels, C, gamma="auto", tol=SVM_TOL, max_iter=None, *, start=None):
     """Soft-margin RBF SVM on both classes; score is the decision value.
 
     FALL maps to y = +1, so the raw decision value is already oriented
     with fall-likeness.  Features are z-scored with training statistics.
     vectors may be an SvmPrep of the training matrix, shared between
     calls on the same rows.
+
+    Multipliers start at 0, or warm at those of start: a TC_SVM model
+    trained before on the same SvmPrep and labels with a C no larger than
+    this one.  They stay inside the larger box and keep sum(alpha * y) at
+    0, so the solve only has to move them on from there (DeCoste &
+    Wagstaff 2000).  Any other start raises ValueError saying why.
     """
     prep = vectors if isinstance(vectors, SvmPrep) else SvmPrep(vectors)
     is_fall = is_fall_mask(labels)
@@ -509,9 +593,10 @@ def train_tc_svm(vectors, labels, C, gamma="auto", tol=SVM_TOL, max_iter=None):
         raise ValueError(f"C must be finite and > 0, got {C}")
 
     y = np.where(is_fall, 1.0, -1.0)
-    fit = _solve_svm(prep, gamma, y, C, 0.0, -1.0, tol, max_iter)
+    alpha0 = np.zeros(len(prep)) if start is None else _warm_start(start, prep, y, C)
+    fit = _solve_svm(prep, gamma, y, C, alpha0, -1.0, tol, max_iter)
     counts = {"ADL": n_adl, "FALL": n_fall}
-    return _svm_model(Variant.TC_SVM, prep, fit, fit.bias, counts, {"C": C}, y[fit.keep])
+    return _svm_model(Variant.TC_SVM, prep, fit, y, fit.bias, counts, {"C": C})
 
 
 def train_oc_svm(adl_vectors, nu, gamma="auto", tol=SVM_TOL, max_iter=None):
@@ -533,7 +618,8 @@ def train_oc_svm(adl_vectors, nu, gamma="auto", tol=SVM_TOL, max_iter=None):
     if m < 2:
         raise InsufficientData("one-class SVM needs at least 2 vectors")
 
-    fit = _solve_svm(prep, gamma, np.ones(m), 1.0 / (nu * m), 1.0 / m, 0.0, tol, max_iter)
+    y = np.ones(m)
+    fit = _solve_svm(prep, gamma, y, 1.0 / (nu * m), np.full(m, 1.0 / m), 0.0, tol, max_iter)
     # Any offset inside the solver's stopping interval satisfies the
     # optimality conditions at tolerance.  Take the edge where no point
     # still free to grow its multiplier scores positive: outliers are then
@@ -544,7 +630,7 @@ def train_oc_svm(adl_vectors, nu, gamma="auto", tol=SVM_TOL, max_iter=None):
         rho = -fit.hi
     else:
         rho = 0.0
-    return _svm_model(Variant.OC_SVM, prep, fit, rho, {"ADL": m, "FALL": 0}, {"nu": nu})
+    return _svm_model(Variant.OC_SVM, prep, fit, y, rho, {"ADL": m, "FALL": 0}, {"nu": nu})
 
 
 def _kernel_expansion(p, vectors, coef):
@@ -556,9 +642,45 @@ def _kernel_expansion(p, vectors, coef):
     step = max(1, int(_CACHE_BUDGET_BYTES / (16 * max(1, len(sv)))))
     out = np.empty(len(qs))
     for b in range(0, len(qs), step):
-        q = qs[b:b + step]
-        out[b:b + step] = _rbf(_sq_dists(q, _sq_norms(q), sv, sv_sq), p.gamma) @ coef
+        out[b:b + step] = _rbf_block(qs[b:b + step], sv, sv_sq, p.gamma) @ coef
     return out
+
+
+def _svm_scores(model, expansion):
+    """An SVM model's scores from expansion(coef), the sums
+    sum_i coef_i K(sv_i, q) over its support vectors for every query q."""
+    p = model.parameters
+    if model.variant is Variant.TC_SVM:
+        return expansion(p.alpha * p.support_labels) + p.bias
+    return p.bias - expansion(p.alpha)
+
+
+class SvmQueryBlock:
+    """The RBF kernel between query rows and an SvmPrep's training rows at
+    one gamma, which scores every model trained on that SvmPrep and gamma.
+
+    A model's scores take the block's columns at its support vectors: the
+    score_batch values up to rounding, without rebuilding the kernel per
+    model.  A block over _CACHE_BUDGET_BYTES is not built; each model is
+    then scored by score_batch, chunk by chunk.
+    """
+
+    def __init__(self, prep, vectors, gamma):
+        self.prep = prep
+        self.vectors = np.asarray(vectors, dtype=np.float64)
+        self.gamma = prep.resolve_gamma(gamma)
+        self.block = None
+        if 16.0 * len(self.vectors) * len(prep) <= _CACHE_BUDGET_BYTES:
+            qs = standardize_apply(self.vectors, prep.mean, prep.scale)
+            self.block = _rbf_block(qs, prep.Xs, prep.sq, self.gamma)
+
+    def scores(self, model):
+        p = model.parameters
+        if p.gamma != self.gamma or p._source[0] is not self.prep._token:
+            raise ValueError("model was not trained on this block's SvmPrep and gamma")
+        if self.block is None:
+            return score_batch(model, self.vectors)
+        return _svm_scores(model, self.block[:, p.multipliers > _SV_EPS].__matmul__)
 
 
 def score_batch(model, vectors):
@@ -576,8 +698,6 @@ def score_batch(model, vectors):
     if isinstance(p, KnnModel):
         df = None if p.fall is None else knn_mean_distances_all_k(p.fall, vectors, p.k)
         return _knn_scores(knn_mean_distances_all_k(p.adl, vectors, p.k), df)[:, p.k - 1]
-    if model.variant is Variant.TC_SVM:
-        return _kernel_expansion(p, vectors, p.alpha * p.support_labels) + p.bias
-    if model.variant is Variant.OC_SVM:
-        return p.bias - _kernel_expansion(p, vectors, p.alpha)
+    if model.variant in (Variant.TC_SVM, Variant.OC_SVM):
+        return _svm_scores(model, lambda coef: _kernel_expansion(p, vectors, coef))
     raise ValueError(f"unknown variant {model.variant!r}")

@@ -332,14 +332,45 @@ def _svm_prep(variant, X, is_fall):
     return classifiers.SvmPrep(rows)
 
 
-def _train_svm(variant, prep, is_fall, params, cfg):
+def _train_svm(variant, prep, is_fall, params, cfg, start=None):
     if variant is Variant.TC_SVM:
         return classifiers.train_tc_svm(
-            prep, is_fall, C=params[0], gamma=params[1], tol=cfg.svm_tol, max_iter=cfg.svm_max_iter
+            prep, is_fall, C=params[0], gamma=params[1], tol=cfg.svm_tol, max_iter=cfg.svm_max_iter,
+            start=start,
         )
     return classifiers.train_oc_svm(
         prep, nu=params[0], gamma=params[1], tol=cfg.svm_tol, max_iter=cfg.svm_max_iter
     )
+
+
+def _svm_grid_scores(variant, X, is_fall, cfg, tr, val):
+    """Validation scores of one inner split, trained on the rows of X at
+    indices tr and scored at val: a column per candidate (C or nu, gamma),
+    in the order of the grids.
+
+    One preparation of the training rows serves the whole grid, visited
+    gamma by gamma, so each kernel and each validation block is built
+    once.  Within a gamma the C or nu values are visited from the smallest
+    up, each distinct value trained once, and every two-class solve after
+    the first starts warm from the previous C's.  Each candidate keeps its
+    column, so ties still go to the earliest in the grid's order.
+    """
+    first = cfg.c_grid if variant is Variant.TC_SVM else cfg.nu_grid
+    n_gamma = len(cfg.gamma_grid)
+    prep = _svm_prep(variant, X[tr], is_fall[tr])
+    warm = variant is Variant.TC_SVM
+    table = np.empty((len(val), len(first) * n_gamma))
+    for gi, gamma in enumerate(cfg.gamma_grid):
+        queries = classifiers.SvmQueryBlock(prep, X[val], gamma)
+        model = value = None
+        for a in sorted(range(len(first)), key=first.__getitem__):
+            if first[a] != value:
+                value = first[a]
+                start = model if warm else None
+                model = _train_svm(variant, prep, is_fall[tr], (value, gamma), cfg, start)
+                scores = queries.scores(model)
+            table[:, a * n_gamma + gi] = scores
+    return table
 
 
 def _select_svm_params(variant, X, is_fall, cfg, seed):
@@ -348,18 +379,9 @@ def _select_svm_params(variant, X, is_fall, cfg, seed):
     if len(candidates) == 1:
         return candidates[0], None
     splits = _inner_splits(is_fall, cfg, seed, two_class=variant is Variant.TC_SVM)
-    n_gamma = len(cfg.gamma_grid)
 
     def scored(tr, val):
-        # One preparation per split serves the whole grid, visited gamma
-        # by gamma to build each kernel once.
-        prep = _svm_prep(variant, X[tr], is_fall[tr])
-        table = np.empty((len(val), len(candidates)))
-        for gi in range(n_gamma):
-            for c in range(gi, len(candidates), n_gamma):
-                model = _train_svm(variant, prep, is_fall[tr], candidates[c], cfg)
-                table[:, c] = score_batch(model, X[val])
-        return table
+        return _svm_grid_scores(variant, X, is_fall, cfg, tr, val)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)

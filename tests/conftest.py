@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from falldetect import ingest, synth
+from falldetect import classifiers, ingest, synth
 
 try:
     from hypothesis import settings
@@ -89,6 +89,65 @@ def knn_oracle_scores(adl, fall, queries, k_max):
                 b = df[:k].sum() / k
                 out[qi, k - 1] = 0.5 if a + b == 0 else a / (a + b)
     return out
+
+
+def pairwise_dual_oracle(K, y, box, alpha, p, tol, max_iter):
+    """classifiers._solve_pairwise_dual as it was written first, with a new
+    array per iteration and min/max builtins: the reference the solver is
+    checked against bit for bit."""
+    G = y * (K @ (alpha * y)) + p
+    s = -y * G
+    up = np.where(np.where(y > 0, alpha < box, alpha > 0), 0.0, -np.inf)
+    low = np.where(np.where(y > 0, alpha > 0, alpha < box), 0.0, np.inf)
+    yl = y.tolist()
+    bl = box.tolist()
+    a = alpha.tolist()
+
+    iterations = 0
+    converged = False
+    while True:
+        s_up = s + up
+        s_low = s + low
+        i = int(s_up.argmax())
+        j = int(s_low.argmin())
+        lo = float(s_up[i])
+        hi = float(s_low[j])
+        gap = lo - hi
+        if gap <= tol:
+            converged = True
+            break
+        if iterations >= max_iter:
+            break
+
+        ki = K[i]
+        kj = K[j]
+        eta = float(ki[i] + kj[j] - 2.0 * ki[j])
+        if eta <= classifiers._SV_EPS:
+            eta = classifiers._SV_EPS
+        yi, yj = yl[i], yl[j]
+        old_i, old_j = a[i], a[j]
+        room_i = bl[i] - old_i if yi > 0 else old_i
+        room_j = old_j if yj > 0 else bl[j] - old_j
+        t = min(gap / eta, room_i, room_j)
+
+        new_i = a[i] = min(max(old_i + yi * t, 0.0), bl[i])
+        new_j = a[j] = min(max(old_j - yj * t, 0.0), bl[j])
+        s -= (new_i - old_i) * yi * ki + (new_j - old_j) * yj * kj
+        for k, ak in ((i, new_i), (j, new_j)):
+            below_box, above_zero = ak < bl[k], ak > 0.0
+            in_up, in_low = (below_box, above_zero) if yl[k] > 0 else (above_zero, below_box)
+            up[k] = 0.0 if in_up else -np.inf
+            low[k] = 0.0 if in_low else np.inf
+        iterations += 1
+
+    alpha = np.array(a)
+    free = (alpha > 0) & (alpha < box)
+    if free.any():
+        bias = float(s[free].mean())
+    else:
+        finite = [v for v in (lo, hi) if np.isfinite(v)]
+        bias = float(np.mean(finite)) if finite else 0.0
+    return alpha, bias, iterations, converged, gap, lo, hi
 
 
 @pytest.fixture

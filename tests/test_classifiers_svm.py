@@ -21,6 +21,7 @@ from falldetect.errors import (
     InsufficientData,
     InvalidNu,
 )
+from tests.conftest import pairwise_dual_oracle
 
 
 class TestTwoClassToyProblems:
@@ -436,3 +437,213 @@ class TestBatchedScoring:
                     mp.setattr(cls, "_CACHE_BUDGET_BYTES", 3 * 16 * n_sv)
                     chunked = cls.score_batch(model, batch)
                 assert np.max(np.abs(chunked - expected)) <= 1e-12
+
+
+def same_bits(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_solve(got, expected):
+    """The results of two solver calls, equal bit for bit: multipliers,
+    bias, iterations, converged, gap, lo and hi."""
+    assert same_bits(got[0], expected[0])
+    assert same_bits(got[1], expected[1])
+    assert type(got[2]) is int and got[2] == expected[2]
+    assert got[3] is expected[3]
+    for g, e in zip(got[4:], expected[4:]):
+        assert same_bits(g, e)
+
+
+class TestSolverMatchesOracle:
+    """The solver against its first, allocating version, kept in conftest,
+    on the duals the two trainers pose: same inputs, same bits out."""
+
+    @staticmethod
+    def problems(rng, count=6):
+        for _ in range(count):
+            n_adl, n_fall = int(rng.integers(15, 30)), int(rng.integers(8, 20))
+            X, labels = overlapping_problem(rng, n_adl, n_fall)
+            X[:3] = X[3:6]  # duplicated rows: pairs with eta at the floor
+            yield X, np.where(labels == "FALL", 1.0, -1.0)
+
+    @staticmethod
+    def both(prep, gamma, y, box, start, p, tol=cls.SVM_TOL, max_iter=None):
+        m = len(prep)
+        args = (prep.kernel(gamma), y, np.full(m, box), start, np.full(m, p), tol,
+                10 * m if max_iter is None else max_iter)
+        return cls._solve_pairwise_dual(*args), pairwise_dual_oracle(*args)
+
+    def check(self, rng, max_iter=None, tol=cls.SVM_TOL, rows_on_demand=False):
+        converged = set()
+        for X, y in self.problems(rng):
+            tc, oc = cls.SvmPrep(X), cls.SvmPrep(X[y < 0])
+            m_oc = len(oc)
+            for gamma in (0.2, 1.5):
+                for prep in (tc, oc):
+                    assert isinstance(prep.kernel(gamma), cls._KernelRows) is rows_on_demand
+                # two-class: a cold solve, then warm up the C path from it
+                alpha = np.zeros(len(tc))
+                for C in (0.5, 5.0, 50.0):
+                    got, expected = self.both(tc, gamma, y, C, alpha, -1.0, tol, max_iter)
+                    assert_same_solve(got, expected)
+                    converged.add(got[3])
+                    alpha = got[0]
+                for nu in (0.1, 0.5):
+                    got, expected = self.both(
+                        oc, gamma, np.ones(m_oc), 1.0 / (nu * m_oc), np.full(m_oc, 1.0 / m_oc), 0.0,
+                        tol, max_iter,
+                    )
+                    assert_same_solve(got, expected)
+                    converged.add(got[3])
+        return converged
+
+    def test_cold_and_warm_solves(self, rng):
+        assert True in self.check(rng)
+
+    def test_iteration_capped_solves(self, rng):
+        # a tolerance that is never met: every solve runs to its cap
+        assert self.check(rng, max_iter=7, tol=-1.0) == {False}
+
+    def test_kernel_rows_over_budget(self, rng, monkeypatch):
+        # room for two or three cached rows: rows are evicted and rebuilt
+        # mid-solve
+        monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 4 * 8 * 20)
+        assert True in self.check(rng, rows_on_demand=True)
+
+
+class TestWarmStart:
+    C_PATH = (0.1, 1.0, 10.0, 100.0)
+
+    def test_c_ascending_chain_stays_feasible_and_optimal(self, rng):
+        X, labels = overlapping_problem(rng)
+        prep = cls.SvmPrep(X)
+        y = np.where(labels == "FALL", 1.0, -1.0)
+        for gamma in ("auto", 0.5):
+            model = None
+            for C in self.C_PATH:
+                model = cls.train_tc_svm(prep, labels, C, gamma=gamma, max_iter=100000, start=model)
+                a = model.parameters.multipliers
+                assert model.training_summary["converged"]
+                assert np.all(a >= 0.0) and np.all(a <= C)
+                assert abs(float(a @ y)) <= 1e-12
+                assert kkt_violations_full(model, X, labels).max() <= 1.001e-3
+
+    def test_warm_solve_starts_from_the_previous_multipliers(self, rng):
+        X, labels = overlapping_problem(rng)
+        prep = cls.SvmPrep(X)
+        y = np.where(labels == "FALL", 1.0, -1.0)
+        cold = cls.train_tc_svm(prep, labels, 1.0, gamma=0.5)
+        kept = cold.parameters.multipliers > cls._SV_EPS
+        assert np.array_equal(cold.parameters.multipliers[kept], cold.parameters.alpha)
+        warm = cls.train_tc_svm(prep, labels, 10.0, gamma=0.5, start=cold)
+        m = len(prep)
+        expected = cls._solve_pairwise_dual(
+            prep.kernel(0.5), y, np.full(m, 10.0), cold.parameters.multipliers, np.full(m, -1.0),
+            cls.SVM_TOL, 10 * m,
+        )
+        assert same_bits(warm.parameters.multipliers, expected[0])
+        assert same_bits(warm.parameters.bias, expected[1])
+        assert warm.training_summary["iterations"] == expected[2]
+        # the same C again is allowed
+        cls.train_tc_svm(prep, labels, 10.0, gamma=0.5, start=warm)
+
+    def test_refused_starts_name_the_reason(self, rng):
+        X, labels = overlapping_problem(rng)
+        prep = cls.SvmPrep(X)
+        start = cls.train_tc_svm(prep, labels, 10.0, gamma=0.5)
+        one_class = cls.train_oc_svm(prep, 0.2, gamma=0.5)
+        cases = [
+            (prep, labels, 1.0, start, "start was trained with C=10.0, larger than C=1.0"),
+            (cls.SvmPrep(X), labels, 10.0, start, "start was trained on another SvmPrep"),
+            (X, labels, 10.0, start, "start was trained on another SvmPrep"),
+            (cls.SvmPrep(X[1:]), labels[1:], 10.0, start, "start was trained on 40 rows, not 39"),
+            (prep, labels[::-1], 10.0, start, "start was trained on other labels"),
+            (prep, labels, 10.0, one_class, "start must be a TC_SVM model, got OC_SVM"),
+            (prep, labels, 10.0, start.parameters, "start must be a TC_SVM model, got SvmModel"),
+        ]
+        for vectors, rows_labels, C, bad, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                cls.train_tc_svm(vectors, rows_labels, C, gamma=0.5, start=bad)
+
+
+class TestInnerGrid:
+    """The inner search's score table: one column per (C or nu, gamma)
+    candidate in the grids' order, scored from one block per gamma."""
+
+    GAMMAS = ("auto", 0.5)
+    GRIDS = {
+        "TC_SVM": ("c_grid", (0.1, 10.0, 100.0)),
+        "OC_SVM": ("nu_grid", (0.05, 0.2, 0.5)),
+    }
+
+    @staticmethod
+    def split(rng):
+        X, labels = overlapping_problem(rng)
+        val = np.arange(0, len(X), 4)  # 6 ADL and 4 FALL rows
+        tr = np.setdiff1d(np.arange(len(X)), val)
+        return X, labels == "FALL", tr, val
+
+    def table(self, variant, X, is_fall, tr, val, grid):
+        key = self.GRIDS[variant][0]
+        cfg = ev.GridConfig(gamma_grid=self.GAMMAS, **{key: grid})
+        with warnings.catch_warnings():
+            # the search silences the solves its cap stops, as here
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            return ev._svm_grid_scores(cls.Variant(variant), X, is_fall, cfg, tr, val)
+
+    @pytest.mark.parametrize("variant", ["TC_SVM", "OC_SVM"])
+    def test_grid_order_only_permutes_columns(self, rng, variant):
+        X, is_fall, tr, val = self.split(rng)
+        ordered = self.GRIDS[variant][1]
+        low, mid, high = ordered
+        reference = self.table(variant, X, is_fall, tr, val, ordered)
+        n_gamma = len(self.GAMMAS)
+        for grid in ((high, low, mid), (high, low, mid, low), (low, high, low, mid, high)):
+            got = self.table(variant, X, is_fall, tr, val, grid)
+            columns = [ordered.index(v) * n_gamma + g for v in grid for g in range(n_gamma)]
+            assert same_bits(got, reference[:, columns])
+
+    @pytest.mark.parametrize("variant", ["TC_SVM", "OC_SVM"])
+    def test_selection_ignores_grid_order_and_ties_go_first(self, rng, variant):
+        X, is_fall, _, _ = self.split(rng)
+        key, ordered = self.GRIDS[variant]
+        low, mid, high = ordered
+        picks = []
+        for grid in (ordered, (high, low, mid), (high, low, mid, low)):
+            cfg = ev.GridConfig(gamma_grid=self.GAMMAS, inner_folds=3, **{key: grid})
+            picks.append(ev._select_svm_params(cls.Variant(variant), X, is_fall, cfg, seed=5))
+        assert picks[1] == picks[0] and same_bits(picks[1][1], picks[0][1])
+        assert picks[2] == picks[0] and same_bits(picks[2][1], picks[0][1])
+        # equal values tie: the earlier one in the grid is picked
+        for grid in ((1.0, 1), (1, 1.0)):
+            cfg = ev.GridConfig(gamma_grid=("auto",), inner_folds=3, **{key: grid})
+            (picked, _), _ = ev._select_svm_params(cls.Variant(variant), X, is_fall, cfg, seed=5)
+            assert type(picked) is type(grid[0])
+
+    @pytest.mark.parametrize("over_budget", [False, True], ids=["in budget", "over budget"])
+    def test_block_scores_match_score_batch(self, rng, monkeypatch, over_budget):
+        X, labels = overlapping_problem(rng)
+        queries = rng.normal(0.3, 1.5, (9, 3))
+        if over_budget:
+            # below the smaller (one-class) block
+            monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 16 * len(queries) * 24 - 1)
+        preps = {"TC_SVM": cls.SvmPrep(X), "OC_SVM": cls.SvmPrep(X[labels == "ADL"])}
+        for gamma in ("auto", 0.4):
+            for variant, prep in preps.items():
+                block = cls.SvmQueryBlock(prep, queries, gamma)
+                assert (block.block is None) is over_budget
+                model = None
+                for a in (0.2, 0.5):
+                    if variant == "TC_SVM":
+                        model = cls.train_tc_svm(prep, labels, 10 * a, gamma=gamma, start=model)
+                    else:
+                        model = cls.train_oc_svm(prep, a, gamma=gamma)
+                    expected = cls.score_batch(model, queries)
+                    assert np.max(np.abs(block.scores(model) - expected)) <= 1e-12
+        other = cls.train_tc_svm(X, labels, 1.0, gamma=0.4)
+        with pytest.raises(ValueError, match="not trained on this block's SvmPrep and gamma"):
+            cls.SvmQueryBlock(preps["TC_SVM"], queries, 0.4).scores(other)
+        with pytest.raises(ValueError, match="not trained on this block's SvmPrep and gamma"):
+            cls.SvmQueryBlock(preps["TC_SVM"], queries, 0.5).scores(model)

@@ -1,5 +1,5 @@
-"""Property tests of the dataset CSV reader and the sub-window cut, drawn by
-hypothesis.
+"""Property tests of the dataset CSV reader, the sub-window cut and the
+stratified fold plan, drawn by hypothesis.
 
 Kept apart from test_ingest.py so that the rest of the ingest tests still
 run where hypothesis is not installed.
@@ -9,11 +9,13 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from falldetect import ingest
+from falldetect import evaluation, ingest
+from falldetect.errors import InsufficientData
 
 
 def float_oracle(text, skip_header):
@@ -111,3 +113,62 @@ def test_sub_window_lies_inside_its_parent_around_the_peak(case):
         assert start + cut.peak_index == peak
         # centred, unless that would cross an edge of the parent
         assert cut.peak_index == length // 2 or start in (0, n - length)
+
+
+fold_cases = st.tuples(
+    st.lists(st.booleans(), min_size=1, max_size=80),  # True marks a FALL
+    st.integers(2, 12),  # folds
+    st.integers(0, 2 ** 63 - 1),  # seed
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=fold_cases)
+def test_fold_plan_is_stratified_and_pure(case):
+    falls, folds, seed = case
+    is_fall = np.array(falls)
+    labels = ["FALL" if f else "ADL" for f in falls]
+    plan = ingest.plan_folds(labels, num_folds=folds, seed=seed)
+    tests = [plan.test_indices(g) for g in range(folds)]
+    # every index lies in exactly one test fold, and trains in every other
+    assert np.array_equal(np.sort(np.concatenate(tests)), np.arange(len(falls)))
+    for g, test in enumerate(tests):
+        assert np.array_equal(np.sort(np.r_[test, plan.train_indices(g)]), np.arange(len(falls)))
+    # within each class, test-fold sizes differ by at most 1
+    for members in (is_fall, ~is_fall):
+        sizes = [int(members[test].sum()) for test in tests]
+        assert max(sizes) - min(sizes) <= 1
+    # a pure function of (labels, folds, seed), whatever form the labels take
+    again = ingest.plan_folds(is_fall.copy(), num_folds=folds, seed=seed)
+    assert np.array_equal(again.assignments, plan.assignments)
+    assert (again.num_folds, again.seed) == (folds, seed)
+
+
+def both_classes(is_fall):
+    return 0 < is_fall.sum() < len(is_fall)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=fold_cases, two_class=st.booleans())
+def test_inner_splits_hold_both_classes(case, two_class):
+    falls, folds, seed = case
+    is_fall = np.array(falls)
+    plan = ingest.plan_folds(is_fall, num_folds=folds, seed=seed)
+    usable = [
+        g for g in range(folds)
+        if both_classes(is_fall[plan.test_indices(g)])
+        and (not two_class or both_classes(is_fall[plan.train_indices(g)]))
+    ]
+    cfg = evaluation.GridConfig(inner_folds=folds)
+    if not usable:
+        with pytest.raises(InsufficientData):
+            evaluation._inner_splits(is_fall, cfg, seed, two_class)
+        return
+    splits = evaluation._inner_splits(is_fall, cfg, seed, two_class)
+    # the usable folds of the plan, in fold order
+    assert len(splits) == len(usable)
+    for (tr, val), g in zip(splits, usable):
+        assert np.array_equal(val, plan.test_indices(g))
+        assert np.array_equal(tr, plan.train_indices(g))
+        assert both_classes(is_fall[val])
+        assert both_classes(is_fall[tr]) or not two_class
