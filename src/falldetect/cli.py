@@ -13,8 +13,8 @@ import hashlib
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
-from itertools import repeat
 from pathlib import Path
 
 from . import __version__, synth
@@ -22,8 +22,11 @@ from .classifiers import Variant
 from .errors import FalldetectError, ParseError
 from .evaluation import (
     GridConfig,
+    assemble_report,
+    cell_inputs,
     report_from_dict,
     run_experiment,
+    run_fold,
     save_report_json,
     summary_row,
     write_roc_csv,
@@ -277,19 +280,89 @@ def _references_d2(manifest):
     )
 
 
-def _run_cell(cell, collection, grid_cfg):
-    """One experiment cell: its summary row, and its report (None when the
-    cell failed and the row holds the error)."""
+def _error_row(cell, exc):
+    """The summary row of a cell that raised exc.  A FalldetectError keeps
+    its bare message, any other exception is named by its type."""
+    text = str(exc) if isinstance(exc, FalldetectError) else f"{type(exc).__name__}: {exc}"
+    cid, feature, window, classifier = cell
+    return {"collection": cid, "feature": feature, "window": int(window),
+            "classifier": classifier, "status": "error",
+            "error": text.replace(",", ";").replace("\n", " ")}
+
+
+def _cell_outcome(cell, build):
+    """The summary row of cell and the report build() returns, or its
+    error row and None when build raises."""
     try:
-        report = run_experiment(collection, *cell[1:], grid_cfg)
+        report = build()
     except Exception as exc:  # one failed cell must not lose the others
-        text = str(exc) if isinstance(exc, FalldetectError) else f"{type(exc).__name__}: {exc}"
-        cid, feature, window, classifier = cell
-        row = {"collection": cid, "feature": feature, "window": int(window),
-               "classifier": classifier, "status": "error",
-               "error": text.replace(",", ";").replace("\n", " ")}
-        return row, None
+        return _error_row(cell, exc), None
     return {**summary_row(report), "status": "ok"}, report
+
+
+def _run_serial(cells, collections, grid_cfg):
+    """Each cell's row and report, one run_experiment call per cell."""
+    for cell in cells:
+        collection = collections[cell[0]]
+        yield _cell_outcome(cell, lambda: run_experiment(collection, *cell[1:], grid_cfg))
+
+
+# The state of a pool worker process, set by _init_worker when the worker
+# starts: the collections and grid config of the run, and the shared
+# inputs of the one cell the worker last served.
+_worker = {}
+
+
+def _init_worker(collections, grid_cfg):
+    _worker.update(collections=collections, grid_cfg=grid_cfg, cell=None, inputs=None)
+
+
+def _run_fold_unit(cell, f):
+    """Outer fold f of cell in a pool worker: its FoldResult and None, or
+    None and the error row of whatever failed."""
+    grid_cfg = _worker["grid_cfg"]
+    try:
+        if _worker["cell"] != cell:
+            _worker.update(cell=None, inputs=None)  # drop the last cell's inputs first
+            _worker["inputs"] = cell_inputs(_worker["collections"][cell[0]], *cell[1:], grid_cfg)
+            _worker["cell"] = cell
+        return run_fold(_worker["inputs"], f, grid_cfg), None
+    except Exception as exc:  # the parent turns it into the cell's row
+        return None, _error_row(cell, exc)
+
+
+def _gather_cell(cell, futures, collection, grid_cfg):
+    """cell's row and report from its fold units' futures, read in fold
+    order: the first fold that failed or was lost to a dead worker gives
+    the error row, and the later folds are cancelled."""
+    folds = []
+    for f, future in enumerate(futures):
+        try:
+            fold, row = future.result()
+        except BrokenProcessPool:
+            lost = BrokenProcessPool(f"outer fold {f} was lost when a pool worker process died")
+            fold, row = None, _error_row(cell, lost)
+        if row is not None:
+            for later in futures[f + 1:]:
+                later.cancel()
+            return row, None
+        folds.append(fold)
+    return _cell_outcome(cell, lambda: assemble_report(collection, *cell[1:], folds, grid_cfg))
+
+
+def _run_pool(cells, collections, grid_cfg, jobs):
+    """Each cell's row and report, in the order of cells, from (cell, outer
+    fold) units run on jobs worker processes in cell-major order.  Every
+    worker gets the collections and grid config once, when it starts; a
+    cell is yielded as soon as its folds are in."""
+    pool = ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(collections, grid_cfg))
+    try:
+        units = [[pool.submit(_run_fold_unit, cell, f)
+                  for f in range(collections[cell[0]].fold_plan.num_folds)] for cell in cells]
+        for cell, futures in zip(cells, units):
+            yield _gather_cell(cell, futures, collections[cell[0]], grid_cfg)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _cell_name(row, sep=" "):
@@ -364,20 +437,21 @@ def cmd_run(config):
         for window in config["windows"]
         for classifier in config["classifiers"]
     ]
-    args = (cells, [collections[cell[0]] for cell in cells], repeat(grid_config(config)))
+    grid_cfg = grid_config(config)
     if config["jobs"] > 1:
-        with ProcessPoolExecutor(max_workers=config["jobs"]) as pool:
-            results = list(pool.map(_run_cell, *args))
+        results = _run_pool(cells, collections, grid_cfg, config["jobs"])
     else:
-        results = list(map(_run_cell, *args))
-
+        results = _run_serial(cells, collections, grid_cfg)
+    rows = []
     for row, report in results:
+        # each cell's files are written as soon as it is done
         if report is not None:
             key = _cell_name(row, "_")
             save_report_json(report, out / f"report_{key}.json")
             write_roc_csv(report.averaged_curve, out / f"roc_{key}.csv")
+        rows.append(row)
     _write_run_json(out, "run", config, inputs)
-    return _write_summary(out, [row for row, _ in results])
+    return _write_summary(out, rows)
 
 
 def _summary_cells(out):
@@ -474,7 +548,8 @@ def build_parser():
     p_run.add_argument("--classifier", dest="classifiers", action="append",
                        help="classifier (OC_KNN/TC_KNN/OC_SVM/TC_SVM or all)")
     p_run.add_argument("--jobs", type=int,
-                       help=f"parallel experiment cells (default {defaults['jobs']})")
+                       help="worker processes that run the cells' outer folds in parallel "
+                            f"(default {defaults['jobs']})")
     p_run.set_defaults(func=cmd_run)
 
     p_report = sub.add_parser("report", help="re-render the summary from stored reports")

@@ -30,7 +30,14 @@ from .errors import (
     InvalidK,
 )
 from .features import FeatureKind, LtpParams, extract_matrix
-from .ingest import is_fall_mask, plan_folds, window_at_length, _atomic_write_text, _write_json
+from .ingest import (
+    FoldPlan,
+    is_fall_mask,
+    plan_folds,
+    window_at_length,
+    _atomic_write_text,
+    _write_json,
+)
 
 ROC_GRID_POINTS = 1001
 _STREAM_INNER = 303
@@ -388,86 +395,132 @@ def _select_svm_params(variant, X, is_fall, cfg, seed):
         return _best_candidate(candidates, is_fall, splits, scored)
 
 
-def run_experiment(collection, feature_kind, window_len, variant, config=None):
-    """Nested cross-validation for one (collection, feature, window, variant) cell.
+@dataclass
+class CellInputs:
+    """What every outer fold of one cell reads, built once per cell: the
+    feature matrix of the windows at the cell's length, the FALL mask,
+    the fold plan and, for kNN variants, the distances between the rows."""
 
-    Per outer fold, an inner cross-validation over the outer-training split
-    picks the hyperparameters with the best total inner AUC; the winner is
-    retrained on the whole outer-training split (ADL only for one-class
-    variants) and scored on the untouched outer test fold.  Fold curves are
-    averaged and the operating point picked on the averaged curve.
-    """
+    variant: Variant
+    X: np.ndarray
+    is_fall: np.ndarray
+    plan: FoldPlan
+    seed: int
+    knn_prep: classifiers.KnnPrep | None
+
+
+@dataclass
+class FoldResult:
+    """One outer fold's test curve, its AUC, the chosen hyperparameters
+    and the test rows."""
+
+    curve: RocCurve
+    auc: float
+    params: dict
+    test_indices: list
+
+
+def _cell_key(feature_kind, window_len, variant):
+    return FeatureKind(feature_kind), int(window_len), Variant(variant)
+
+
+def cell_inputs(collection, feature_kind, window_len, variant, config=None):
+    """The shared inputs of one (collection, feature, window, variant) cell."""
     cfg = config if config is not None else GridConfig()
-    kind = FeatureKind(feature_kind) if not isinstance(feature_kind, FeatureKind) else feature_kind
-    var = Variant(variant) if not isinstance(variant, Variant) else variant
-    window_len = int(window_len)
-
+    kind, window_len, var = _cell_key(feature_kind, window_len, variant)
     windows = [window_at_length(inst.window, window_len) for inst in collection.instances]
     X = extract_matrix(windows, kind, cfg.ltp_params)
-    is_fall = is_fall_mask([inst.label for inst in collection.instances])
-    plan = collection.fold_plan
     is_knn = var in (Variant.OC_KNN, Variant.TC_KNN)
-    # distances between the cell's rows, read by every inner split and
-    # every outer fold
-    knn_prep = classifiers.KnnPrep(X) if is_knn else None
+    return CellInputs(
+        variant=var,
+        X=X,
+        is_fall=is_fall_mask([inst.label for inst in collection.instances]),
+        plan=collection.fold_plan,
+        seed=collection.seed,
+        # distances between the cell's rows, read by every inner split and
+        # every outer fold
+        knn_prep=classifiers.KnnPrep(X) if is_knn else None,
+    )
 
-    curves = []
-    fold_aucs = []
-    fold_params = []
-    fold_tests = []
-    for f in range(plan.num_folds):
-        try:
-            test_idx = plan.test_indices(f)
-            train_idx = plan.train_indices(f)
-            ftr = is_fall[train_idx]
-            seed_f = _inner_seed(collection.seed, f)
-            if is_knn:
-                k, inner_auc = _select_k(var, knn_prep, train_idx, ftr, cfg, seed_f)
-                scores = _knn_table(var, knn_prep, train_idx, ftr, test_idx, k)[:, k - 1]
-                chosen = {"k": k}
-            else:
-                Xtr = X[train_idx]
-                params, inner_auc = _select_svm_params(var, Xtr, ftr, cfg, seed_f)
-                model = _train_svm(var, _svm_prep(var, Xtr, ftr), ftr, params, cfg)
-                key = "C" if var is Variant.TC_SVM else "nu"
-                chosen = {
-                    key: params[0],
-                    "gamma": params[1],
-                    "gamma_resolved": model.training_summary["gamma"],
-                    "converged": model.training_summary["converged"],
-                    "iterations": model.training_summary["iterations"],
-                }
-                scores = score_batch(model, X[test_idx])
-            curve = roc_curve(scores, is_fall[test_idx])
-            curves.append(curve)
-            fold_aucs.append(auc(curve))
-            chosen["inner_mean_auc"] = inner_auc
-            fold_params.append(chosen)
-            fold_tests.append([int(i) for i in test_idx])
-        except FalldetectError as exc:
-            raise type(exc)(f"outer fold {f}: {exc}") from exc
 
-    averaged = average_roc(curves)
+def run_fold(inputs, f, config=None):
+    """Outer fold f of a cell: an inner cross-validation over the fold's
+    training split picks the hyperparameters with the best total inner
+    AUC; the winner is retrained on the whole training split (ADL only for
+    one-class variants) and scored on the untouched test fold.  A
+    FalldetectError is raised again with the fold named."""
+    cfg = config if config is not None else GridConfig()
+    try:
+        return _outer_fold(inputs, f, cfg)
+    except FalldetectError as exc:
+        raise type(exc)(f"outer fold {f}: {exc}") from exc
+
+
+def _outer_fold(inputs, f, cfg):
+    var, X, is_fall = inputs.variant, inputs.X, inputs.is_fall
+    test_idx = inputs.plan.test_indices(f)
+    train_idx = inputs.plan.train_indices(f)
+    ftr = is_fall[train_idx]
+    seed_f = _inner_seed(inputs.seed, f)
+    if inputs.knn_prep is not None:
+        k, inner_auc = _select_k(var, inputs.knn_prep, train_idx, ftr, cfg, seed_f)
+        scores = _knn_table(var, inputs.knn_prep, train_idx, ftr, test_idx, k)[:, k - 1]
+        chosen = {"k": k}
+    else:
+        Xtr = X[train_idx]
+        params, inner_auc = _select_svm_params(var, Xtr, ftr, cfg, seed_f)
+        model = _train_svm(var, _svm_prep(var, Xtr, ftr), ftr, params, cfg)
+        key = "C" if var is Variant.TC_SVM else "nu"
+        chosen = {
+            key: params[0],
+            "gamma": params[1],
+            "gamma_resolved": model.training_summary["gamma"],
+            "converged": model.training_summary["converged"],
+            "iterations": model.training_summary["iterations"],
+        }
+        scores = score_batch(model, X[test_idx])
+    curve = roc_curve(scores, is_fall[test_idx])
+    chosen["inner_mean_auc"] = inner_auc
+    return FoldResult(curve, auc(curve), chosen, [int(i) for i in test_idx])
+
+
+def assemble_report(collection, feature_kind, window_len, variant, folds, config=None):
+    """The cell's EvalReport from its outer folds' results, in fold order:
+    the fold curves are averaged and the operating point picked on the
+    averaged curve."""
+    cfg = config if config is not None else GridConfig()
+    kind, window_len, var = _cell_key(feature_kind, window_len, variant)
+    averaged = average_roc([fold.curve for fold in folds])
     op = select_operating_point(averaged)
-    counts = {"ADL": int((~is_fall).sum()), "FALL": int(is_fall.sum())}
+    fold_aucs = [fold.auc for fold in folds]
+    n_fall = int(is_fall_mask([inst.label for inst in collection.instances]).sum())
     return EvalReport(
         collection_id=collection.id,
         feature_kind=kind.value,
         window_len=window_len,
         variant=var.value,
-        fold_aucs=[float(a) for a in fold_aucs],
-        fold_params=fold_params,
-        fold_test_indices=fold_tests,
+        fold_aucs=fold_aucs,
+        fold_params=[fold.params for fold in folds],
+        fold_test_indices=[fold.test_indices for fold in folds],
         mean_auc=float(np.mean(fold_aucs)),
         se=op.se,
         sp=op.sp,
         gm=op.gm,
         threshold=op.threshold,
         averaged_curve=averaged,
-        counts=counts,
+        counts={"ADL": len(collection.instances) - n_fall, "FALL": n_fall},
         seed=collection.seed,
         config=cfg.to_dict(),
     )
+
+
+def run_experiment(collection, feature_kind, window_len, variant, config=None):
+    """Nested cross-validation for one (collection, feature, window, variant)
+    cell: its shared inputs, then each outer fold in order (run_fold), then
+    the assembly of the report (assemble_report)."""
+    inputs = cell_inputs(collection, feature_kind, window_len, variant, config)
+    folds = [run_fold(inputs, f, config) for f in range(inputs.plan.num_folds)]
+    return assemble_report(collection, feature_kind, window_len, variant, folds, config)
 
 
 # ---------------------------------------------------------------------------

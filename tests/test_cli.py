@@ -1,10 +1,14 @@
 """Command-line pipeline: synth, ingest, run, report; exit codes; configs."""
 
 import json
+import multiprocessing
+import os
+import time
 
 import pytest
 
-from falldetect import cli
+from falldetect import cli, evaluation
+from falldetect.classifiers import Variant
 from falldetect.errors import InsufficientData
 
 
@@ -24,6 +28,11 @@ def pipeline(tmp_path):
 
 def file_bytes(directory):
     return {f.name: f.read_bytes() for f in directory.iterdir() if f.is_file()}
+
+
+def without_run_json(files):
+    """Every output but run.json, which records the --jobs it was given."""
+    return {name: data for name, data in files.items() if name != "run.json"}
 
 
 class TestSynthCommand:
@@ -147,18 +156,29 @@ class TestRunCommand:
         assert run_cli(*argv) == 0
         assert (work / "summary.csv").read_bytes() == first
 
-    def test_parallel_jobs_match_serial(self, pipeline, tmp_path):
+    def test_parallel_jobs_match_serial(self, pipeline, tmp_path, capsys):
         data, work = pipeline
-        work2 = tmp_path / "work2"
-        assert run_cli("ingest", "--dataset1", data, "--out", work2, "--seed", "7") == 0
+        config = tmp_path / "grids.json"
+        config.write_text(json.dumps({"c_grid": [1, 10], "nu_grid": [0.1, 0.5],
+                                      "gamma_grid": ["auto", 0.1], "inner_folds": 4}))
         base = (
-            "--dataset1", data, "--seed", "7",
+            "--dataset1", data, "--seed", "7", "--config", config,
             "--feature", "ACCEL_FEATURES", "--window", "51",
             "--classifier", "OC_KNN", "--classifier", "TC_KNN",
+            "--classifier", "OC_SVM", "--classifier", "TC_SVM",
         )
         assert run_cli("run", "--out", work, *base, "--jobs", "1") == 0
-        assert run_cli("run", "--out", work2, *base, "--jobs", "2") == 0
-        assert (work / "summary.csv").read_bytes() == (work2 / "summary.csv").read_bytes()
+        serial = capsys.readouterr().out
+        written = without_run_json(file_bytes(work))
+        assert len([n for n in written if n.startswith(("report_", "roc_"))]) == 8
+        for jobs in (2, 3):
+            work2 = tmp_path / f"work{jobs}"
+            assert run_cli("ingest", "--dataset1", data, "--out", work2, "--seed", "7") == 0
+            capsys.readouterr()
+            assert run_cli("run", "--out", work2, *base, "--jobs", jobs) == 0
+            assert (work / "summary.csv").read_bytes() == (work2 / "summary.csv").read_bytes()
+            assert without_run_json(file_bytes(work2)) == written
+            assert capsys.readouterr().out == serial
 
     def test_run_without_manifests_fails_cleanly(self, tmp_path, capsys):
         code = run_cli("run", "--dataset1", tmp_path, "--out", tmp_path / "none")
@@ -229,6 +249,85 @@ class TestCellFailures:
         with pytest.raises(KeyboardInterrupt):
             run_cli("run", "--dataset1", data, "--out", work, *self.ARGV)
         assert not (work / "summary.csv").exists()
+
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched fold step reaches pool workers only when they are forked",
+)
+
+
+class TestFoldPool:
+    """--jobs N runs (cell, outer fold) units; a failed or lost fold gives
+    its cell the same error row a serial run gives, and the other cells
+    keep theirs."""
+
+    ARGV = ("--seed", "7", "--feature", "MAGNITUDE", "--window", "51",
+            "--classifier", "OC_KNN,TC_KNN,OC_SVM")
+
+    @fork_only
+    @pytest.mark.parametrize("error, text", [
+        (InsufficientData("too few, sorry"), "outer fold 3: too few; sorry"),
+        (ValueError("scores must be finite, got\nnan"),
+         "ValueError: scores must be finite; got nan"),
+    ])
+    def test_fold_failure_rows_match_serial(self, pipeline, tmp_path, monkeypatch, capsys,
+                                            error, text):
+        data, work = pipeline
+        real = evaluation._outer_fold
+
+        def fails_from_fold_3(inputs, f, cfg):
+            if inputs.variant is Variant.TC_KNN and f >= 3:
+                raise error
+            return real(inputs, f, cfg)
+
+        monkeypatch.setattr(evaluation, "_outer_fold", fails_from_fold_3)
+        work2 = tmp_path / "work2"
+        assert run_cli("ingest", "--dataset1", data, "--out", work2, "--seed", "7") == 0
+        capsys.readouterr()
+        assert run_cli("run", "--dataset1", data, "--out", work, *self.ARGV, "--jobs", "1") == 1
+        serial = capsys.readouterr().out
+        assert run_cli("run", "--dataset1", data, "--out", work2, *self.ARGV, "--jobs", "2") == 1
+        assert capsys.readouterr().out == serial
+        lines = (work / "summary.csv").read_text().splitlines()
+        assert (work2 / "summary.csv").read_text().splitlines() == lines
+        assert lines[2] == f"C1,MAGNITUDE,51,TC_KNN,,,,,error,{text}"
+        assert f"C1 MAGNITUDE 51 TC_KNN: ERROR {text}" in serial.splitlines()
+        assert without_run_json(file_bytes(work2)) == without_run_json(file_bytes(work))
+
+    @fork_only
+    def test_dead_worker_loses_only_unfinished_cells(self, pipeline, monkeypatch, capsys):
+        data, work = pipeline
+        real = evaluation._outer_fold
+        first_report = work / "report_C1_MAGNITUDE_51_OC_KNN.json"
+
+        def worker_dies(inputs, f, cfg):
+            if inputs.variant is Variant.TC_KNN and f == 2:
+                # die once the first cell is written, so that it is finished
+                deadline = time.monotonic() + 60
+                while not first_report.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                os._exit(1)
+            return real(inputs, f, cfg)
+
+        monkeypatch.setattr(evaluation, "_outer_fold", worker_dies)
+        assert run_cli("run", "--dataset1", data, "--out", work, *self.ARGV, "--jobs", "2") == 1
+        rows = json.loads((work / "summary.json").read_text())
+        assert [r["classifier"] for r in rows] == ["OC_KNN", "TC_KNN", "OC_SVM"]
+        assert rows[0]["status"] == "ok"
+        assert rows[1]["status"] == "error"
+        assert rows[1]["error"].startswith("BrokenProcessPool: outer fold ")
+        assert rows[1]["error"].endswith(" was lost when a pool worker process died")
+        for row in rows:
+            key = "_".join(str(row[k]) for k in ("collection", "feature", "window", "classifier"))
+            written = (work / f"report_{key}.json").is_file(), (work / f"roc_{key}.csv").is_file()
+            assert written == ((row["status"] == "ok"),) * 2
+        assert (work / "run.json").is_file()
+        ran = (work / "summary.csv").read_bytes()
+        out = capsys.readouterr().out
+        assert "TC_KNN: ERROR BrokenProcessPool: outer fold " in out
+        assert run_cli("report", "--out", work) == 1
+        assert (work / "summary.csv").read_bytes() == ran
 
 
 def drop_source_index(doc):

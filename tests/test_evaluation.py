@@ -305,6 +305,25 @@ class TestRunExperiment:
         with pytest.raises(InvalidK, match="outer fold 0"):
             ev.run_experiment(small_collection, "MAGNITUDE", 51, "OC_KNN", cfg)
 
+    @pytest.mark.parametrize("variant", ["OC_KNN", "TC_KNN", "OC_SVM", "TC_SVM"])
+    def test_run_experiment_is_its_composition(self, small_collection, variant):
+        """The shared inputs, each fold step and the assembly give the
+        report bit for bit, whatever order the folds run in."""
+        cfg = GridConfig(k_grid=(1, 2, 3), c_grid=(1.0, 10.0), nu_grid=(0.1, 0.5),
+                         gamma_grid=("auto", 0.1), inner_folds=4)
+        cell = (small_collection, "ACCEL_FEATURES", 51, variant)
+        whole = ev.run_experiment(*cell, cfg)
+        inputs = ev.cell_inputs(*cell, cfg)
+        n = inputs.plan.num_folds
+        folds = {f: ev.run_fold(inputs, f, cfg) for f in reversed(range(n))}
+        parts = ev.assemble_report(*cell, [folds[f] for f in range(n)], cfg)
+        assert json.dumps(ev.report_to_dict(parts), sort_keys=True) == json.dumps(
+            ev.report_to_dict(whole), sort_keys=True
+        )
+        for f, fold in folds.items():
+            assert fold.auc == whole.fold_aucs[f]
+            assert fold.params == whole.fold_params[f]
+
     def test_custom_ltp_params_are_used(self, small_collection):
         from falldetect.features import LtpParams
 
