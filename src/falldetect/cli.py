@@ -226,9 +226,9 @@ def cmd_synth(config):
     return 0
 
 
-def _load_datasets(config, need_d2):
-    """The instances of dataset1 and of dataset2 (None unless need_d2),
-    and the digest of each tree parsed, by its configured path."""
+def _load_datasets(config, wanted):
+    """The instances of dataset1 and of dataset2 (None unless wanted holds
+    C2 or C3), and the digest of each tree parsed, by its configured path."""
     digests = {}
 
     def load(key, parse):
@@ -241,7 +241,7 @@ def _load_datasets(config, need_d2):
         return instances
 
     d1 = load("dataset1", parse_dataset1)
-    d2 = load("dataset2", parse_dataset2) if need_d2 else None
+    d2 = load("dataset2", parse_dataset2) if {"C2", "C3"} & set(wanted) else None
     return d1, d2, digests
 
 
@@ -259,8 +259,7 @@ def cmd_ingest(config):
     out = Path(config["out"])
     out.mkdir(parents=True, exist_ok=True)
     wanted = _wanted_collections(config)
-    need_d2 = any(c in ("C2", "C3") for c in wanted)
-    d1, d2, inputs = _load_datasets(config, need_d2)
+    d1, d2, inputs = _load_datasets(config, wanted)
     for cid in wanted:
         collection = build_collection(cid, d1, d2, seed=config["seed"])
         save_manifest(collection, out / f"collection_{cid}.json")
@@ -269,15 +268,6 @@ def cmd_ingest(config):
         print(f"{cid}: {len(collection)} instances ({parts})")
     _write_run_json(out, "ingest", config, inputs)
     return 0
-
-
-def _references_d2(manifest):
-    """Whether a manifest draws on dataset2.  A malformed one is refused,
-    naming its file, once the collection is rebuilt from it."""
-    entries = manifest.get("instances") if isinstance(manifest, dict) else None
-    return isinstance(entries, list) and any(
-        isinstance(e, dict) and e.get("source_dataset") == "D2" for e in entries
-    )
 
 
 def _error_row(cell, exc):
@@ -308,13 +298,13 @@ def _run_serial(cells, collections, grid_cfg):
 
 
 # The state of a pool worker process, set by _init_worker when the worker
-# starts: the collections and grid config of the run, and the shared
-# inputs of the one cell the worker last served.
+# starts: the collections and grid config of the run, and the inputs of
+# the one (collection, feature, window) triple the worker last served.
 _worker = {}
 
 
 def _init_worker(collections, grid_cfg):
-    _worker.update(collections=collections, grid_cfg=grid_cfg, cell=None, inputs=None)
+    _worker.update(collections=collections, grid_cfg=grid_cfg, triple=None, inputs=None)
 
 
 def _run_fold_unit(cell, f):
@@ -322,11 +312,11 @@ def _run_fold_unit(cell, f):
     None and the error row of whatever failed."""
     grid_cfg = _worker["grid_cfg"]
     try:
-        if _worker["cell"] != cell:
-            _worker.update(cell=None, inputs=None)  # drop the last cell's inputs first
-            _worker["inputs"] = cell_inputs(_worker["collections"][cell[0]], *cell[1:], grid_cfg)
-            _worker["cell"] = cell
-        return run_fold(_worker["inputs"], f, grid_cfg), None
+        if _worker["triple"] != cell[:3]:
+            _worker.update(triple=None, inputs=None)  # drop the last triple's inputs first
+            _worker["inputs"] = cell_inputs(_worker["collections"][cell[0]], *cell[1:3], grid_cfg)
+            _worker["triple"] = cell[:3]
+        return run_fold(_worker["inputs"], cell[3], f, grid_cfg), None
     except Exception as exc:  # the parent turns it into the cell's row
         return None, _error_row(cell, exc)
 
@@ -352,13 +342,16 @@ def _gather_cell(cell, futures, collection, grid_cfg):
 
 def _run_pool(cells, collections, grid_cfg, jobs):
     """Each cell's row and report, in the order of cells, from (cell, outer
-    fold) units run on jobs worker processes in cell-major order.  Every
-    worker gets the collections and grid config once, when it starts; a
-    cell is yielded as soon as its folds are in."""
-    pool = ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(collections, grid_cfg))
+    fold) units run in cell-major order on jobs worker processes, never
+    more than units.  Every worker gets the collections and grid config
+    once, when it starts; a cell is yielded as soon as its folds are in."""
+    num_folds = [collections[cell[0]].fold_plan.num_folds for cell in cells]
+    # a fork pool starts all of its workers at the first submit
+    pool = ProcessPoolExecutor(min(jobs, sum(num_folds)), initializer=_init_worker,
+                               initargs=(collections, grid_cfg))
     try:
-        units = [[pool.submit(_run_fold_unit, cell, f)
-                  for f in range(collections[cell[0]].fold_plan.num_folds)] for cell in cells]
+        units = [[pool.submit(_run_fold_unit, cell, f) for f in range(n)]
+                 for cell, n in zip(cells, num_folds)]
         for cell, futures in zip(cells, units):
             yield _gather_cell(cell, futures, collections[cell[0]], grid_cfg)
     finally:
@@ -416,19 +409,18 @@ def cmd_run(config):
     for cid, mpath in paths.items():
         if not mpath.is_file():
             raise FileNotFoundError(f"missing manifest {mpath}; run ingest first")
-        manifests[cid] = _read_json(mpath)
+        manifest = manifests[cid] = _read_json(mpath)
         inputs[str(mpath)] = _digest_file(mpath)
+        # the collection is rebuilt from the id, so the id must be the file's
+        if isinstance(manifest, dict) and manifest.get("id", cid) != cid:
+            raise ParseError(f"id must be {cid!r}, as its file name says, got {manifest['id']!r}",
+                             mpath)
 
-    need_d2 = any(_references_d2(m) for m in manifests.values())
-    d1, d2, digests = _load_datasets(config, need_d2)
+    d1, d2, digests = _load_datasets(config, wanted)
     inputs.update(digests)
     collections = {
         cid: collection_from_manifest(manifests[cid], d1, d2, paths[cid]) for cid in wanted
     }
-    for cid, collection in collections.items():
-        if collection.id != cid:
-            raise ParseError(f"id must be {cid!r}, as its file name says, got {collection.id!r}",
-                             paths[cid])
 
     cells = [
         (cid, feature, window, classifier)

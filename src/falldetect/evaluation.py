@@ -9,6 +9,7 @@ cross-validation that never sees the outer test split.
 
 import warnings
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -397,16 +398,19 @@ def _select_svm_params(variant, X, is_fall, cfg, seed):
 
 @dataclass
 class CellInputs:
-    """What every outer fold of one cell reads, built once per cell: the
-    feature matrix of the windows at the cell's length, the FALL mask,
-    the fold plan and, for kNN variants, the distances between the rows."""
+    """What every outer fold of every variant of one (collection, feature,
+    window) triple reads: the feature matrix of the windows at the
+    window's length, the FALL mask, the fold plan and, built when a kNN
+    fold first asks, the distances between the rows."""
 
-    variant: Variant
     X: np.ndarray
     is_fall: np.ndarray
     plan: FoldPlan
     seed: int
-    knn_prep: classifiers.KnnPrep | None
+
+    @cached_property
+    def knn_prep(self):
+        return classifiers.KnnPrep(self.X)
 
 
 @dataclass
@@ -420,30 +424,19 @@ class FoldResult:
     test_indices: list
 
 
-def _cell_key(feature_kind, window_len, variant):
-    return FeatureKind(feature_kind), int(window_len), Variant(variant)
-
-
-def cell_inputs(collection, feature_kind, window_len, variant, config=None):
-    """The shared inputs of one (collection, feature, window, variant) cell."""
+def cell_inputs(collection, feature_kind, window_len, config=None):
+    """The shared inputs of one (collection, feature, window) triple."""
     cfg = config if config is not None else GridConfig()
-    kind, window_len, var = _cell_key(feature_kind, window_len, variant)
-    windows = [window_at_length(inst.window, window_len) for inst in collection.instances]
-    X = extract_matrix(windows, kind, cfg.ltp_params)
-    is_knn = var in (Variant.OC_KNN, Variant.TC_KNN)
+    windows = [window_at_length(inst.window, int(window_len)) for inst in collection.instances]
     return CellInputs(
-        variant=var,
-        X=X,
+        X=extract_matrix(windows, FeatureKind(feature_kind), cfg.ltp_params),
         is_fall=is_fall_mask([inst.label for inst in collection.instances]),
         plan=collection.fold_plan,
         seed=collection.seed,
-        # distances between the cell's rows, read by every inner split and
-        # every outer fold
-        knn_prep=classifiers.KnnPrep(X) if is_knn else None,
     )
 
 
-def run_fold(inputs, f, config=None):
+def run_fold(inputs, variant, f, config=None):
     """Outer fold f of a cell: an inner cross-validation over the fold's
     training split picks the hyperparameters with the best total inner
     AUC; the winner is retrained on the whole training split (ADL only for
@@ -451,18 +444,18 @@ def run_fold(inputs, f, config=None):
     FalldetectError is raised again with the fold named."""
     cfg = config if config is not None else GridConfig()
     try:
-        return _outer_fold(inputs, f, cfg)
+        return _outer_fold(inputs, Variant(variant), f, cfg)
     except FalldetectError as exc:
         raise type(exc)(f"outer fold {f}: {exc}") from exc
 
 
-def _outer_fold(inputs, f, cfg):
-    var, X, is_fall = inputs.variant, inputs.X, inputs.is_fall
+def _outer_fold(inputs, var, f, cfg):
+    X, is_fall = inputs.X, inputs.is_fall
     test_idx = inputs.plan.test_indices(f)
     train_idx = inputs.plan.train_indices(f)
     ftr = is_fall[train_idx]
     seed_f = _inner_seed(inputs.seed, f)
-    if inputs.knn_prep is not None:
+    if var in (Variant.OC_KNN, Variant.TC_KNN):
         k, inner_auc = _select_k(var, inputs.knn_prep, train_idx, ftr, cfg, seed_f)
         scores = _knn_table(var, inputs.knn_prep, train_idx, ftr, test_idx, k)[:, k - 1]
         chosen = {"k": k}
@@ -489,7 +482,7 @@ def assemble_report(collection, feature_kind, window_len, variant, folds, config
     the fold curves are averaged and the operating point picked on the
     averaged curve."""
     cfg = config if config is not None else GridConfig()
-    kind, window_len, var = _cell_key(feature_kind, window_len, variant)
+    kind, window_len, var = FeatureKind(feature_kind), int(window_len), Variant(variant)
     averaged = average_roc([fold.curve for fold in folds])
     op = select_operating_point(averaged)
     fold_aucs = [fold.auc for fold in folds]
@@ -518,8 +511,8 @@ def run_experiment(collection, feature_kind, window_len, variant, config=None):
     """Nested cross-validation for one (collection, feature, window, variant)
     cell: its shared inputs, then each outer fold in order (run_fold), then
     the assembly of the report (assemble_report)."""
-    inputs = cell_inputs(collection, feature_kind, window_len, variant, config)
-    folds = [run_fold(inputs, f, config) for f in range(inputs.plan.num_folds)]
+    inputs = cell_inputs(collection, feature_kind, window_len, config)
+    folds = [run_fold(inputs, variant, f, config) for f in range(inputs.plan.num_folds)]
     return assemble_report(collection, feature_kind, window_len, variant, folds, config)
 
 

@@ -452,9 +452,6 @@ class FoldPlan:
     assignments: np.ndarray
     seed: int
 
-    def __post_init__(self):
-        self.assignments = np.asarray(self.assignments, dtype=np.int64)
-
     def test_indices(self, fold):
         return np.flatnonzero(self.assignments == fold)
 
@@ -580,11 +577,12 @@ def collection_to_manifest(collection):
         "seed": collection.seed,
         "num_folds": collection.fold_plan.num_folds,
         "instances": [
+            # keys sorted as in the written file, so a refused entry prints alike
             {
-                "source_dataset": inst.source_dataset,
-                "source_index": inst.source_index,
-                "source_id": inst.window.source_id,
                 "label": inst.label.value,
+                "source_dataset": inst.source_dataset,
+                "source_id": inst.window.source_id,
+                "source_index": inst.source_index,
             }
             for inst in collection.instances
         ],
@@ -625,51 +623,44 @@ def _read_json(path):
         raise ParseError(f"not JSON ({exc})", path) from exc
 
 
-def collection_from_manifest(manifest, d1_instances, d2_instances=None, path=None):
-    """Rebuild a collection from its manifest and the parsed source datasets.
+def _first_difference(key, got, want):
+    """Words for where the manifest's field key, holding got, first
+    differs from want, what the datasets give."""
+    if isinstance(want, list):
+        if not isinstance(got, list):
+            return f"{key} is not a list"
+        if len(got) != len(want):
+            return f"{key} holds {len(got)} entries, but the datasets give {len(want)}"
+        i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+        key, got, want = f"{key}[{i}]", got[i], want[i]
+    return f"{key} is {got!r}, but the datasets give {want!r}"
 
-    A manifest that lacks a field, references a window the datasets do
-    not hold, has a seed that is not an integer >= 0, or whose fold plan
-    does not put every instance in one of its num_folds folds raises
-    ParseError naming path.
-    """
-    sources = {
-        "D1": list(d1_instances),
-        "D2": list(d2_instances) if d2_instances is not None else [],
-    }
-    try:
-        instances = []
-        for entry in manifest["instances"]:
-            src = entry["source_dataset"]
-            idx = entry["source_index"]
-            pool = sources.get(src)
-            if pool is None or type(idx) is not int or not 0 <= idx < len(pool):
-                raise ParseError(f"manifest references {src}[{idx}], which is unavailable", path)
-            window, label = pool[idx]
-            if label.value != entry["label"]:
-                raise ParseError(
-                    f"manifest label {entry['label']} disagrees with {src}[{idx}] = {label.value}",
-                    path,
-                )
-            instances.append(
-                Instance(window=window, label=label, source_dataset=src, source_index=idx)
-            )
-        num_folds = manifest["num_folds"]
-        assignments = manifest["fold_assignments"]
-        seed = manifest["seed"]
-        cid = manifest["id"]
-    except KeyError as exc:
-        raise ParseError(f"missing key {exc}", path) from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"not a collection manifest ({exc})", path) from exc
+
+def collection_from_manifest(manifest, d1_instances, d2_instances=None, path=None):
+    """build_collection's collection for the manifest's id and seed from
+    the parsed source datasets, once the manifest is checked to be what
+    collection_to_manifest writes for it.  ParseError naming path when it
+    is not: the manifest is not an object, lacks a key, has an unknown id
+    or a seed that is not an integer >= 0, or names the first field that
+    differs, instances first, then fold_assignments."""
+    if not isinstance(manifest, dict):
+        raise ParseError(f"not a collection manifest (a {type(manifest).__name__}, not an object)",
+                         path)
+    for key in ("id", "seed"):
+        if key not in manifest:
+            raise ParseError(f"missing key {key!r}", path)
+    cid, seed = manifest["id"], manifest["seed"]
+    if cid not in COLLECTIONS:
+        raise ParseError(f"unknown collection id {cid!r}", path)
     if type(seed) is not int or seed < 0:
         raise ParseError(f"seed must be an integer >= 0, got {seed!r}", path)
-    if type(num_folds) is not int or num_folds < 2:
-        raise ParseError(f"num_folds must be an integer >= 2, got {num_folds!r}", path)
-    if not isinstance(assignments, list) or len(assignments) != len(instances):
-        raise ParseError(f"fold_assignments must hold one fold per instance ({len(instances)})", path)
-    for a in assignments:
-        if type(a) is not int or not 0 <= a < num_folds:
-            raise ParseError(f"fold_assignments holds {a!r}, not a fold in [0, {num_folds})", path)
-    plan = FoldPlan(num_folds=num_folds, assignments=assignments, seed=seed)
-    return Collection(id=cid, instances=instances, fold_plan=plan, seed=seed)
+    collection = build_collection(cid, d1_instances, d2_instances, seed=seed)
+    want = collection_to_manifest(collection)
+    for key in ("instances", "fold_assignments", *sorted(manifest.keys() | want.keys())):
+        if key not in manifest:
+            raise ParseError(f"missing key {key!r}", path)
+        if key not in want:
+            raise ParseError(f"unknown key {key!r}", path)
+        if manifest[key] != want[key]:
+            raise ParseError(_first_difference(key, manifest[key], want[key]), path)
+    return collection

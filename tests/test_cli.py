@@ -4,10 +4,11 @@ import json
 import multiprocessing
 import os
 import time
+from concurrent.futures import Future
 
 import pytest
 
-from falldetect import cli, evaluation
+from falldetect import classifiers, cli, evaluation
 from falldetect.classifiers import Variant
 from falldetect.errors import InsufficientData
 
@@ -276,10 +277,10 @@ class TestFoldPool:
         data, work = pipeline
         real = evaluation._outer_fold
 
-        def fails_from_fold_3(inputs, f, cfg):
-            if inputs.variant is Variant.TC_KNN and f >= 3:
+        def fails_from_fold_3(inputs, variant, f, cfg):
+            if variant is Variant.TC_KNN and f >= 3:
                 raise error
-            return real(inputs, f, cfg)
+            return real(inputs, variant, f, cfg)
 
         monkeypatch.setattr(evaluation, "_outer_fold", fails_from_fold_3)
         work2 = tmp_path / "work2"
@@ -301,14 +302,14 @@ class TestFoldPool:
         real = evaluation._outer_fold
         first_report = work / "report_C1_MAGNITUDE_51_OC_KNN.json"
 
-        def worker_dies(inputs, f, cfg):
-            if inputs.variant is Variant.TC_KNN and f == 2:
+        def worker_dies(inputs, variant, f, cfg):
+            if variant is Variant.TC_KNN and f == 2:
                 # die once the first cell is written, so that it is finished
                 deadline = time.monotonic() + 60
                 while not first_report.exists() and time.monotonic() < deadline:
                     time.sleep(0.01)
                 os._exit(1)
-            return real(inputs, f, cfg)
+            return real(inputs, variant, f, cfg)
 
         monkeypatch.setattr(evaluation, "_outer_fold", worker_dies)
         assert run_cli("run", "--dataset1", data, "--out", work, *self.ARGV, "--jobs", "2") == 1
@@ -328,6 +329,61 @@ class TestFoldPool:
         assert "TC_KNN: ERROR BrokenProcessPool: outer fold " in out
         assert run_cli("report", "--out", work) == 1
         assert (work / "summary.csv").read_bytes() == ran
+
+    @pytest.fixture
+    def inline_pool(self, monkeypatch):
+        """cli's ProcessPoolExecutor replaced by one that starts no process:
+        it runs each unit in this process when it is submitted, and records
+        the worker count each pool asks for."""
+        asked = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "_worker", {})
+        return asked
+
+    def test_workers_never_outnumber_units(self, pipeline, inline_pool):
+        data, work = pipeline
+        assert run_cli("run", "--dataset1", data, "--out", work, "--feature", "MAGNITUDE",
+                       "--window", "51", "--classifier", "OC_KNN", "--jobs", "12") == 0
+        assert inline_pool == [10]
+
+    def test_one_triple_builds_its_inputs_once(self, pipeline, tmp_path, inline_pool,
+                                               monkeypatch):
+        data, work = pipeline
+        argv = ("--feature", "MAGNITUDE", "--window", "51", "--classifier", "OC_KNN,TC_KNN")
+        assert run_cli("run", "--dataset1", data, "--out", work, *argv) == 0
+        serial = without_run_json(file_bytes(work))
+        built = []
+        real_inputs, real_prep = cli.cell_inputs, classifiers.KnnPrep
+
+        def counted_inputs(*args):
+            built.append("inputs")
+            return real_inputs(*args)
+
+        class CountedPrep(real_prep):
+            def __init__(self, vectors):
+                built.append("knn_prep")
+                super().__init__(vectors)
+
+        monkeypatch.setattr(cli, "cell_inputs", counted_inputs)
+        monkeypatch.setattr(classifiers, "KnnPrep", CountedPrep)
+        assert run_cli("run", "--dataset1", data, "--out", work, *argv, "--jobs", "2") == 0
+        assert inline_pool == [2]
+        assert built == ["inputs", "knn_prep"]
+        assert without_run_json(file_bytes(work)) == serial
 
 
 def drop_source_index(doc):
@@ -363,12 +419,18 @@ class TestDamagedManifest:
         [
             (lambda doc: "{not json", "not JSON ("),
             (lambda doc: json.dumps([doc]), "not a collection manifest ("),
-            (drop_source_index, "missing key 'source_index'"),
-            (far_source_index, "manifest references D1[1000000], which is unavailable"),
-            (one_assignment_short, "fold_assignments must hold one fold per instance (42)"),
-            (fold_99, "fold_assignments holds 99, not a fold in [0, 10)"),
-            (one_fold, "num_folds must be an integer >= 2, got 1"),
-            (fractional_folds, "num_folds must be an integer >= 2, got 10.5"),
+            (drop_source_index,
+             "instances[3] is {'label': 'ADL', 'source_dataset': 'D1', 'source_id': 'adl_0003'}, "
+             "but the datasets give {'label': 'ADL', 'source_dataset': 'D1', "
+             "'source_id': 'adl_0003', 'source_index': 3}\n"),
+            (far_source_index,
+             "instances[0] is {'label': 'ADL', 'source_dataset': 'D1', 'source_id': 'adl_0000', "
+             "'source_index': 1000000}, but the datasets give {'label': 'ADL', "
+             "'source_dataset': 'D1', 'source_id': 'adl_0000', 'source_index': 0}\n"),
+            (one_assignment_short, "fold_assignments holds 41 entries, but the datasets give 42\n"),
+            (fold_99, "fold_assignments[5] is 99, but the datasets give 7\n"),
+            (one_fold, "num_folds is 1, but the datasets give 10\n"),
+            (fractional_folds, "num_folds is 10.5, but the datasets give 10\n"),
             (lambda doc: doc.update(id="C2"), "id must be 'C1', as its file name says, got 'C2'"),
             (lambda doc: doc.update(id="C9"), "id must be 'C1', as its file name says, got 'C9'"),
             (lambda doc: doc.update(seed=1.9), "seed must be an integer >= 0, got 1.9"),
@@ -393,6 +455,25 @@ class TestDamagedManifest:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+        assert file_bytes(work) == before
+
+    def test_dataset_changed_since_ingest_is_refused(self, pipeline, capsys):
+        """A dataset1 that now gives other windows at the manifest's indices:
+        one window added before them and the last ADL one removed, so the
+        ADL count is what ingest saw."""
+        data, work = pipeline
+        (data / "adl" / "adl_0000a.csv").write_bytes((data / "adl" / "adl_0005.csv").read_bytes())
+        (data / "adl" / "adl_0029.csv").unlink()
+        before = file_bytes(work)
+        capsys.readouterr()
+        code = run_cli(
+            "run", "--dataset1", data, "--out", work,
+            "--feature", "MAGNITUDE", "--window", "51", "--classifier", "OC_KNN",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {work / 'collection_C1.json'}: instances[1] is ")
+        assert "'source_id': 'adl_0001'" in err and "'source_id': 'adl_0000a'" in err
         assert file_bytes(work) == before
 
 

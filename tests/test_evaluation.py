@@ -313,9 +313,9 @@ class TestRunExperiment:
                          gamma_grid=("auto", 0.1), inner_folds=4)
         cell = (small_collection, "ACCEL_FEATURES", 51, variant)
         whole = ev.run_experiment(*cell, cfg)
-        inputs = ev.cell_inputs(*cell, cfg)
+        inputs = ev.cell_inputs(*cell[:3], cfg)
         n = inputs.plan.num_folds
-        folds = {f: ev.run_fold(inputs, f, cfg) for f in reversed(range(n))}
+        folds = {f: ev.run_fold(inputs, variant, f, cfg) for f in reversed(range(n))}
         parts = ev.assemble_report(*cell, [folds[f] for f in range(n)], cfg)
         assert json.dumps(ev.report_to_dict(parts), sort_keys=True) == json.dumps(
             ev.report_to_dict(whole), sort_keys=True

@@ -740,6 +740,14 @@ class TestManifests:
         with pytest.raises(ParseError):
             ingest.collection_from_manifest(manifest, d1)
 
+    def test_source_id_mismatch_is_detected(self):
+        d1 = tagged_pairs(4, 2, tag=1)
+        col = ingest.build_collection("C1", d1, seed=0)
+        manifest = ingest.collection_to_manifest(col)
+        manifest["instances"][1]["source_id"] = "another window"
+        with pytest.raises(ParseError, match=r"^m\.json: instances\[1\] is "):
+            ingest.collection_from_manifest(manifest, d1, path="m.json")
+
     def test_out_of_range_reference_is_detected(self):
         d1 = tagged_pairs(4, 2, tag=1)
         col = ingest.build_collection("C1", d1, seed=0)
