@@ -22,12 +22,12 @@ for name, w in (("quiet", quiet), ("impact", impact)):
           f"max magnitude {w.magnitude().max():.2f} g")
     for kind in FeatureKind:
         v = extract(w, kind, LtpParams(step=0.5))
-        print(f"   {kind.value:15s} dim {len(v.values):4d} "
-              f"range [{v.values.min():8.3f}, {v.values.max():8.3f}]")
+        print(f"   {kind.value:15s} dim {len(v):4d} "
+              f"range [{v.min():8.3f}, {v.max():8.3f}]")
 
 # The twelve summary features: per-axis mean, deviation, energy, then the
 # three pairwise correlations.
-v = accel_features(impact).values
+v = accel_features(impact)
 print("\nimpact summary vector:")
 print("  means ", np.round(v[0:3], 3))
 print("  stds  ", np.round(v[3:6], 3))
@@ -44,6 +44,6 @@ print(f"\nenergy via spectrum {spectral:.9f} vs direct norm {direct:.9f}")
 # Local temporal patterns count how far each sample rises above its
 # neighbours in fixed magnitude steps; a flat window stays at zero.
 flat = TriaxialWindow(np.zeros(51), np.zeros(51), np.full(51, 1.0))
-print(f"\nflat window pattern counts sum: {ltp_features(flat).values.sum():g}")
-spiky = ltp_features(impact, LtpParams(step=0.5)).values
+print(f"\nflat window pattern counts sum: {ltp_features(flat).sum():g}")
+spiky = ltp_features(impact, LtpParams(step=0.5))
 print(f"impact window pattern counts sum: {spiky.sum():g}, top count {spiky.max():g}")

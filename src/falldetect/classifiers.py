@@ -172,11 +172,6 @@ class KnnModel:
     adl: np.ndarray
     fall: np.ndarray | None = None  # two-class only
 
-    def __post_init__(self):
-        self.adl = _as_matrix(self.adl)
-        if self.fall is not None:
-            self.fall = _as_matrix(self.fall)
-
 
 @dataclass
 class SvmModel:
@@ -193,16 +188,6 @@ class SvmModel:
     # (token of the SvmPrep, labels of its rows) the solve ran on: what
     # train_tc_svm checks a warm start against
     _source: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        self.support_vectors = np.asarray(self.support_vectors, dtype=np.float64)
-        if self.support_labels is not None:
-            self.support_labels = np.asarray(self.support_labels, dtype=np.float64)
-        if self.mean is not None:
-            self.mean = np.asarray(self.mean, dtype=np.float64)
-        if self.scale is not None:
-            self.scale = np.asarray(self.scale, dtype=np.float64)
 
 
 @dataclass

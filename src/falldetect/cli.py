@@ -138,16 +138,14 @@ def _parse_choices(raw, universe, what):
     for item in items:
         for piece in str(item).replace(",", " ").split():
             name = piece.upper()
-            if name == "ALL":
-                return list(universe)
-            if name not in names:
+            if name != "ALL" and name not in names:
                 choices = ", ".join(str(u) for u in universe)
                 raise ValueError(f"unknown {what} {piece!r}; choose from {choices} or all")
-            if names[name] not in out:
-                out.append(names[name])
+            if name not in out:
+                out.append(name)
     if not out:
         raise ValueError(f"no {what} selected from {raw!r}")
-    return out
+    return list(universe) if "ALL" in out else [names[name] for name in out]
 
 
 def load_config(args):

@@ -1,4 +1,5 @@
-"""Feature extractors turning a triaxial window into a flat numeric vector.
+"""Feature extractors turning a triaxial window into a flat numeric vector,
+a 1-d float64 array; extract_matrix stacks them and refuses non-finite rows.
 
 Four representations are supported: the raw concatenated axes, the
 per-sample magnitude, a 12-value summary (means, deviations, spectral
@@ -26,67 +27,27 @@ class LtpParams:
     """Knobs for the local-temporal-pattern extractor.
 
     num_neighbours samples around each position are compared against it;
-    step is the magnitude increment between boost levels.  m_max is
-    normally computed per window (ceiling of the peak magnitude) but can
-    be pinned for experiments.
+    step is the magnitude increment between boost levels.
     """
 
     num_neighbours: int = 6
     step: float = 1.0
-    m_max: float | None = None
 
     def __post_init__(self):
         if self.num_neighbours < 1:
             raise ValueError("num_neighbours must be at least 1")
         if self.step <= 0:
             raise ValueError("step must be positive")
-        if self.m_max is not None:
-            if self.m_max < 0:
-                raise ValueError("m_max must be non-negative")
-            ratio = self.m_max / self.step
-            if abs(ratio - round(ratio)) > 1e-9:
-                raise ValueError("m_max must be an integer multiple of step")
-
-
-@dataclass
-class FeatureVector:
-    values: np.ndarray
-    kind: FeatureKind
-    window_len: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
-            raise DimensionError(f"feature values must be 1-d, got shape {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise DimensionError("feature values must all be finite")
-        n = len(self.values)
-        L = self.window_len
-        ok = {
-            FeatureKind.RAW: n == 3 * L,
-            FeatureKind.MAGNITUDE: n == L,
-            FeatureKind.ACCEL_FEATURES: n == 12,
-            # neighbour count is a parameter, so only divisibility is fixed
-            FeatureKind.LTP: L > 0 and n % L == 0 and n >= L,
-        }[self.kind]
-        if not ok:
-            raise DimensionError(
-                f"{self.kind.value} over window_len {L} cannot have dimension {n}"
-            )
-
-    def __len__(self):
-        return len(self.values)
 
 
 def raw_features(w):
     """Concatenation of the three axes, x then y then z."""
-    values = np.concatenate([w.x, w.y, w.z])
-    return FeatureVector(values, FeatureKind.RAW, len(w))
+    return np.concatenate([w.x, w.y, w.z])
 
 
 def magnitude(w):
     """Per-sample acceleration magnitude sqrt(x^2 + y^2 + z^2)."""
-    return FeatureVector(w.magnitude(), FeatureKind.MAGNITUDE, len(w))
+    return w.magnitude()
 
 
 def _energy(a):
@@ -118,13 +79,12 @@ def accel_features(w):
     if len(w) < 2:
         raise LengthError("accel_features needs at least 2 samples")
     axes = (w.x, w.y, w.z)
-    values = np.array(
+    return np.array(
         [a.mean() for a in axes]
         + [a.std() for a in axes]
         + [_energy(a) for a in axes]
         + [_pearson(w.x, w.y), _pearson(w.x, w.z), _pearson(w.y, w.z)]
     )
-    return FeatureVector(values, FeatureKind.ACCEL_FEATURES, len(w))
 
 
 def _neighbour_offsets(n):
@@ -138,26 +98,21 @@ def ltp_features(w, params=None):
     """Local temporal patterns of the magnitude series.
 
     For each sample s and each of its neighbours i, the output entry is
-    the number of boost levels n in {0, step, 2*step, ..., m_max} at which
-    M_s still exceeds M_i + n.  Per-sample maps are concatenated in sample
-    order, giving num_neighbours * L entries, each an integer count.
+    max(0, ceil((M_s - M_i) / step)): the number of boost levels n in
+    {0, step, 2*step, ...} at which M_s still exceeds M_i + n.  Per-sample
+    maps are concatenated in sample order, giving num_neighbours * L
+    entries, each an integer count.
     """
     if params is None:
         params = LtpParams()
     m = w.magnitude()
     L = len(m)
-    step = params.step
-    if params.m_max is not None:
-        levels = int(round(params.m_max / step))
-    else:
-        # Rounding guard so an exact multiple of step is not pushed up a level.
-        levels = int(np.ceil(round(float(m.max()) / step, 9)))
-        levels = max(levels, 0)
     offsets = _neighbour_offsets(params.num_neighbours)
     idx = np.clip(np.arange(L)[:, None] + np.array(offsets)[None, :], 0, L - 1)
     diff = m[:, None] - m[idx]
-    counts = np.clip(np.ceil(diff / step), 0, levels + 1)
-    return FeatureVector(counts.ravel(), FeatureKind.LTP, L)
+    # an upper bound of inf, not np.maximum(..., 0) or an upper bound of
+    # None: those turn a -0.0 count into +0.0 and change the feature bytes
+    return np.clip(np.ceil(diff / params.step), 0, np.inf).ravel()
 
 
 def extract(w, kind, ltp_params=None):
@@ -174,8 +129,18 @@ def extract(w, kind, ltp_params=None):
 
 
 def extract_matrix(windows, kind, ltp_params=None):
-    """Stack one feature vector per window into a 2-d array."""
-    rows = [extract(w, kind, ltp_params).values for w in windows]
+    """Stack one feature row per window into a 2-d float64 array.
+
+    DimensionError when the rows differ in length, or when a row holds a
+    non-finite value, naming the first such window by its source_id (its
+    index when the id is empty)."""
+    rows = [extract(w, kind, ltp_params) for w in windows]
     if len({len(r) for r in rows}) > 1:
         raise DimensionError("windows produced feature vectors of differing lengths")
-    return np.asarray(rows, dtype=np.float64)
+    X = np.asarray(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=-1))
+    if bad.size:
+        w = windows[bad[0]]
+        name = repr(w.source_id) if w.source_id else str(bad[0])
+        raise DimensionError(f"window {name} has non-finite {kind.value} features")
+    return X

@@ -64,13 +64,10 @@ def ltp_bruteforce(window, params):
     m = np.sqrt(window.x ** 2 + window.y ** 2 + window.z ** 2)
     length = len(m)
     step = params.step
-    if params.m_max is not None:
-        levels = int(round(params.m_max / step))
-    else:
-        levels = 0
-        top = float(m.max())
-        while levels * step < top:
-            levels += 1
+    levels = 0
+    top = float(m.max())
+    while levels * step < top:
+        levels += 1
     before = params.num_neighbours // 2
     offsets = [-d for d in range(before, 0, -1)]
     offsets += list(range(1, params.num_neighbours - before + 1))
@@ -149,7 +146,7 @@ def test_criterion_03_ltp_matches_bruteforce_oracle():
     for length in (51, 128):
         for _ in range(250):
             w = random_window(rng, length, scale=float(rng.uniform(0.5, 2.5)))
-            produced = ltp_features(w, params).values
+            produced = ltp_features(w, params)
             assert np.array_equal(produced, ltp_bruteforce(w, params))
 
 

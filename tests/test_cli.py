@@ -717,6 +717,14 @@ class TestInputErrorsBeforeAnyCell:
         assert "unknown window '52'" in capsys.readouterr().err
         assert not (work / "summary.csv").exists()
 
+    @pytest.mark.parametrize("pick", ["all,bogus", "bogus,all", "RAW all bogus"])
+    def test_unknown_name_beside_all_is_named(self, pipeline, capsys, pick):
+        data, work = pipeline
+        before = file_bytes(work)
+        assert self.run_one_cell(data, work, "--feature", pick) == 2
+        assert "unknown feature 'bogus'" in capsys.readouterr().err
+        assert file_bytes(work) == before
+
     def test_empty_selection_rejected(self, pipeline, capsys):
         data, work = pipeline
         code = run_cli(
@@ -797,7 +805,7 @@ class TestInputErrorsBeforeAnyCell:
         assert report["config"]["k_grid"] == [5]
         assert report["config"]["inner_folds"] == 2
         assert (report["config"]["svm_tol"], report["config"]["svm_max_iter"]) == (1e-2, 50)
-        assert report["config"]["ltp_params"] == {"num_neighbours": 4, "step": 0.5, "m_max": None}
+        assert report["config"]["ltp_params"] == {"num_neighbours": 4, "step": 0.5}
         assert all(p["k"] == 5 for p in report["fold_params"])
 
 

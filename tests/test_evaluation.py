@@ -371,7 +371,7 @@ class TestReportIo:
         [
             (GridConfig(), None),
             (GridConfig(ltp_params=LtpParams(num_neighbours=4, step=0.5)),
-             {"num_neighbours": 4, "step": 0.5, "m_max": None}),
+             {"num_neighbours": 4, "step": 0.5}),
         ],
         ids=["defaults", "ltp params"],
     )

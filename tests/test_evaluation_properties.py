@@ -70,7 +70,7 @@ def reports(draw):
     se, sp = draw(unit), draw(unit)
     folds = draw(st.integers(1, 10))
     cfg = draw(st.sampled_from([
-        ev.GridConfig(), ev.GridConfig(k_grid=(3,), ltp_params=LtpParams(4, 0.5, 2.0)),
+        ev.GridConfig(), ev.GridConfig(k_grid=(3,), ltp_params=LtpParams(4, 0.5)),
     ]))
     return ev.EvalReport(
         collection_id=draw(st.sampled_from(["C1", "C2", "C3"])),

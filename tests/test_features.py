@@ -19,13 +19,10 @@ def ltp_oracle(window, params):
     m = np.sqrt(window.x ** 2 + window.y ** 2 + window.z ** 2)
     L = len(m)
     step = params.step
-    if params.m_max is not None:
-        K = int(round(params.m_max / step))
-    else:
-        K = 0
-        top = float(max(m))
-        while K * step < top:
-            K += 1
+    K = 0
+    top = float(max(m))
+    while K * step < top:
+        K += 1
     before = params.num_neighbours // 2
     offsets = [-d for d in range(before, 0, -1)]
     offsets += list(range(1, params.num_neighbours - before + 1))
@@ -53,29 +50,24 @@ def dft_energy_oracle(a):
 class TestRawAndMagnitude:
     def test_raw_concatenates_axes_in_order(self):
         w = ingest.TriaxialWindow([1.0, 2.0], [3.0, 4.0], [5.0, 6.0])
-        fv = features.raw_features(w)
-        assert fv.values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-        assert fv.kind is FeatureKind.RAW
+        assert features.raw_features(w).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_magnitude_values(self):
         w = ingest.TriaxialWindow([3.0, 0.0], [4.0, 0.0], [0.0, 0.0])
-        fv = features.magnitude(w)
-        assert fv.values.tolist() == [5.0, 0.0]
+        assert features.magnitude(w).tolist() == [5.0, 0.0]
 
     def test_unit_diagonal(self):
         w = ingest.TriaxialWindow([1.0], [1.0], [1.0])
-        assert features.magnitude(w).values[0] == pytest.approx(np.sqrt(3.0), abs=1e-12)
+        assert features.magnitude(w)[0] == pytest.approx(np.sqrt(3.0), abs=1e-12)
 
 
 class TestAccelFeatures:
     def test_layout_and_dimension(self, rng):
-        fv = features.accel_features(random_window(rng, 51))
-        assert len(fv) == 12
-        assert fv.kind is FeatureKind.ACCEL_FEATURES
+        assert len(features.accel_features(random_window(rng, 51))) == 12
 
     def test_means_and_population_std(self):
         w = ingest.TriaxialWindow([0.0, 2.0], [1.0, 1.0], [-1.0, 3.0])
-        v = features.accel_features(w).values
+        v = features.accel_features(w)
         assert v[0] == 1.0 and v[1] == 1.0 and v[2] == 1.0
         # population std of [0, 2] is 1; the sample version would be sqrt(2)
         assert v[3] == 1.0
@@ -87,7 +79,7 @@ class TestAccelFeatures:
             w = ingest.TriaxialWindow(
                 np.full(L, 0.7), np.full(L, -0.3), np.zeros(L)
             )
-            v = features.accel_features(w).values
+            v = features.accel_features(w)
             assert v[6] == pytest.approx(0.7 * np.sqrt(L), rel=1e-9)
             assert v[7] == pytest.approx(0.3 * np.sqrt(L), rel=1e-9)
             assert v[8] == 0.0
@@ -97,7 +89,7 @@ class TestAccelFeatures:
         L, amp = 128, 1.7
         x = amp * np.sin(2 * np.pi * 7 * np.arange(L) / L)
         w = ingest.TriaxialWindow(x, np.zeros(L), np.zeros(L))
-        v = features.accel_features(w).values
+        v = features.accel_features(w)
         assert v[6] == pytest.approx(amp * np.sqrt(L / 2), rel=1e-9)
 
     def test_energy_matches_direct_dft(self, rng):
@@ -118,24 +110,24 @@ class TestAccelFeatures:
     def test_perfect_and_inverse_correlation(self):
         x = np.array([0.1, 0.5, -0.2, 0.9])
         w = ingest.TriaxialWindow(x, 2.0 * x + 1.0, -x)
-        v = features.accel_features(w).values
+        v = features.accel_features(w)
         assert v[9] == pytest.approx(1.0, abs=1e-12)
         assert v[10] == pytest.approx(-1.0, abs=1e-12)
         assert v[11] == pytest.approx(-1.0, abs=1e-12)
 
     def test_half_correlation_by_hand(self):
         w = ingest.TriaxialWindow([1.0, 2.0, 3.0], [1.0, 3.0, 2.0], [0.0, 0.0, 0.0])
-        v = features.accel_features(w).values
+        v = features.accel_features(w)
         assert v[9] == 0.5
 
     def test_flat_axis_has_zero_correlation(self):
         w = ingest.TriaxialWindow([1.0, 2.0, 3.0], [0.5, 0.5, 0.5], [0.0, 1.0, 0.0])
-        v = features.accel_features(w).values
+        v = features.accel_features(w)
         assert v[9] == 0.0 and v[10] == 0.0 and v[11] == 0.0
 
     def test_correlation_stays_in_range(self, rng):
         for _ in range(50):
-            v = features.accel_features(random_window(rng, 51)).values
+            v = features.accel_features(random_window(rng, 51))
             assert np.all(v[9:12] >= -1.0) and np.all(v[9:12] <= 1.0)
 
     def test_single_sample_rejected(self):
@@ -149,78 +141,74 @@ class TestLtpFeatures:
         # magnitudes 0.4 and 2.5: levels = 3, so the later sample beats the
         # earlier one at boosts 0, 1, 2 but not 3.
         w = ingest.TriaxialWindow([0.0, 0.0], [0.0, 0.0], [0.4, 2.5])
-        fv = features.ltp_features(w)
-        assert fv.values.tolist() == [0, 0, 0, 0, 0, 0, 3, 3, 3, 0, 0, 0]
+        assert features.ltp_features(w).tolist() == [0, 0, 0, 0, 0, 0, 3, 3, 3, 0, 0, 0]
 
     def test_constant_magnitude_gives_zero_vector(self):
         w = ingest.TriaxialWindow(np.full(51, 0.6), np.zeros(51), np.zeros(51))
-        assert not features.ltp_features(w).values.any()
+        assert not features.ltp_features(w).any()
 
     def test_all_zero_window(self):
         w = ingest.TriaxialWindow(np.zeros(10), np.zeros(10), np.zeros(10))
-        assert not features.ltp_features(w).values.any()
+        assert not features.ltp_features(w).any()
 
-    def test_count_saturates_at_pinned_ceiling(self):
-        # difference of 7.2 with m_max pinned at 2: every level passes,
-        # giving the cap of levels + 1 = 3.
-        w = ingest.TriaxialWindow([0.0, 0.0], [0.0, 0.0], [0.1, 7.3])
-        fv = features.ltp_features(w, LtpParams(step=1.0, m_max=2.0))
-        assert fv.values.max() == 3.0
+    def test_count_reaches_peak_over_step(self):
+        # M = 0 and 7.3: the peak beats the zero sample at every level up to
+        # ceil(7.3 / 0.5) = 15, the largest count a window can hold.
+        w = ingest.TriaxialWindow([0.0, 0.0], [0.0, 0.0], [0.0, 7.3])
+        params = LtpParams(step=0.5)
+        v = features.ltp_features(w, params)
+        assert v.max() == np.ceil(7.3 / 0.5) == 15.0
+        assert np.array_equal(v, ltp_oracle(w, params))
 
     def test_matches_loop_oracle(self, rng):
         for L in (17, 51, 128):
             for _ in range(12):
                 w = random_window(rng, L, scale=2.0)
-                got = features.ltp_features(w).values
+                got = features.ltp_features(w)
                 assert np.array_equal(got, ltp_oracle(w, LtpParams()))
 
     def test_matches_loop_oracle_other_params(self, rng):
         for params in (
             LtpParams(num_neighbours=4, step=0.5),
             LtpParams(num_neighbours=7, step=0.25),
-            LtpParams(num_neighbours=6, step=1.0, m_max=4.0),
+            LtpParams(num_neighbours=1, step=2.0),
         ):
             for _ in range(8):
                 w = random_window(rng, 51, scale=2.0)
-                got = features.ltp_features(w, params).values
+                got = features.ltp_features(w, params)
                 assert np.array_equal(got, ltp_oracle(w, params))
 
     def test_entries_are_bounded_integer_counts(self, rng):
         w = random_window(rng, 51, scale=2.0)
-        v = features.ltp_features(w).values
+        v = features.ltp_features(w)
         levels = int(np.ceil(w.magnitude().max()))
         assert np.array_equal(v, np.floor(v))
-        assert v.min() >= 0 and v.max() <= levels + 1
+        assert v.min() >= 0 and v.max() <= levels
 
     def test_dimension_is_neighbours_times_length(self, rng):
         for L, n in ((51, 6), (128, 6), (51, 4)):
-            fv = features.ltp_features(random_window(rng, L), LtpParams(num_neighbours=n))
-            assert len(fv) == n * L
+            v = features.ltp_features(random_window(rng, L), LtpParams(num_neighbours=n))
+            assert len(v) == n * L
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
             LtpParams(num_neighbours=0)
         with pytest.raises(ValueError):
             LtpParams(step=0.0)
-        with pytest.raises(ValueError):
-            LtpParams(step=1.0, m_max=2.5)
-        LtpParams(step=0.5, m_max=2.5)  # exact multiple is fine
 
 
-class TestFeatureVector:
-    def test_dimension_contract_enforced(self):
-        with pytest.raises(DimensionError):
-            features.FeatureVector(np.zeros(7), FeatureKind.RAW, 51)
-        with pytest.raises(DimensionError):
-            features.FeatureVector(np.zeros(11), FeatureKind.ACCEL_FEATURES, 51)
-        with pytest.raises(DimensionError):
-            features.FeatureVector(np.zeros(53), FeatureKind.LTP, 51)
-
-    def test_non_finite_rejected(self):
-        bad = np.zeros(51)
-        bad[3] = np.nan
-        with pytest.raises(DimensionError):
-            features.FeatureVector(bad, FeatureKind.MAGNITUDE, 51)
+class TestFeatureRows:
+    @pytest.mark.parametrize("kind", list(FeatureKind), ids=lambda k: k.value)
+    def test_non_finite_rejected(self, rng, kind):
+        windows = [random_window(rng, 51) for _ in range(3)]
+        x = windows[2].x.copy()
+        x[3] = np.nan
+        named = ingest.TriaxialWindow(x, windows[2].y, windows[2].z, source_id="adl_0007")
+        with pytest.raises(DimensionError, match=f"^window 'adl_0007' has non-finite {kind.value} "):
+            features.extract_matrix(windows[:2] + [named], kind)
+        unnamed = ingest.TriaxialWindow(x, windows[2].y, windows[2].z)
+        with pytest.raises(DimensionError, match=f"^window 2 has non-finite {kind.value} "):
+            features.extract_matrix(windows[:2] + [unnamed], kind)
 
     def test_expected_dimensions_per_kind(self, rng):
         expect = {
@@ -231,8 +219,8 @@ class TestFeatureVector:
         }
         for kind, by_len in expect.items():
             for L, dim in by_len.items():
-                fv = features.extract(random_window(rng, L), kind)
-                assert len(fv) == dim
+                v = features.extract(random_window(rng, L), kind)
+                assert v.shape == (dim,) and v.dtype == np.float64
 
 
 class TestMatrixAndExport:
