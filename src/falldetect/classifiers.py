@@ -8,6 +8,7 @@ written here.
 """
 
 import enum
+import numbers
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -98,13 +99,19 @@ def _k_smallest_rows(block, k):
     return np.sort(block, axis=1)
 
 
-def _mean_k_smallest(block, k_max):
-    """Entry [q, k-1]: the mean of the k smallest entries of block[q].
+def knn_mean_distances_all_k(block, k_max):
+    """Entry [q, k-1]: the mean of the k smallest entries of row q of the
+    query x training distance block, for every k in 1..k_max.  Every kNN
+    score comes from here.
 
     Each mean is the prefix's own sum over k, not a running sum: numpy
     sums 8 or more values pairwise, so only this matches the oracle's
     sorted[:k].sum() / k exactly.
     """
+    if block.ndim != 2:
+        raise DimensionError(f"expected a 2-d distance block, got shape {block.shape}")
+    if not 1 <= k_max <= block.shape[1]:
+        raise InvalidK(f"k_max={k_max} needs 1 <= k_max <= {block.shape[1]} training rows")
     sd = _k_smallest_rows(block, k_max)
     out = np.empty((len(sd), k_max))
     for k in range(1, k_max + 1):
@@ -112,21 +119,7 @@ def _mean_k_smallest(block, k_max):
     return out
 
 
-def knn_mean_distances_all_k(train, queries, k_max):
-    """Matrix of mean-of-k-nearest distances for every k in 1..k_max.
-
-    Shares one distance block across the whole k grid; entry [q, k-1] is
-    the mean of the k smallest distances from queries[q] to the rows of
-    train.  score_batch scores the kNN models from here.
-    """
-    train = _as_matrix(train)
-    if not 1 <= k_max <= len(train):
-        raise InvalidK(f"k_max={k_max} needs 1 <= k_max <= {len(train)} training vectors")
-    queries = np.asarray(queries, dtype=np.float64)
-    return _mean_k_smallest(_distance_block(train, queries), k_max)
-
-
-def _knn_scores(da, df):
+def _knn_scores(da, df=None):
     """One-class score dA when df is None; otherwise the two-class score
     dA / (dA + dF), and 0.5 where both mean distances are 0."""
     if df is None:
@@ -158,11 +151,8 @@ class KnnPrep:
         """_knn_scores of the rows at indices queries, a column per k in
         1..k_max, against the ADL rows at indices adl and the FALL rows at
         indices fall (None for one-class)."""
-        pool = len(adl) if fall is None else min(len(adl), len(fall))
-        if not 1 <= k_max <= pool:
-            raise InvalidK(f"k_max={k_max} needs 1 <= k_max <= {pool}, the smallest class pool")
-        da = _mean_k_smallest(self._block(queries, adl), k_max)
-        df = None if fall is None else _mean_k_smallest(self._block(queries, fall), k_max)
+        da = knn_mean_distances_all_k(self._block(queries, adl), k_max)
+        df = None if fall is None else knn_mean_distances_all_k(self._block(queries, fall), k_max)
         return _knn_scores(da, df)
 
 
@@ -207,15 +197,21 @@ class TrainedModel:
         return float(score_batch(self, np.asarray(vector, dtype=np.float64)[None, :])[0])
 
 
+def _knn_model(variant, k, adl, fall=None):
+    """The kNN model of k over the ADL and (two-class) FALL rows; InvalidK
+    naming k unless it is a whole number, not a bool, from 1 to the smallest pool."""
+    counts = {"ADL": len(adl), "FALL": 0 if fall is None else len(fall)}
+    pool = len(adl) if fall is None else min(counts.values())
+    whole = isinstance(k, numbers.Real) and not isinstance(k, bool) and float(k).is_integer()
+    if not (whole and 1 <= k <= pool):
+        raise InvalidK(f"k={k!r} must be a whole number from 1 to {pool}, the smallest pool")
+    summary = {"variant": variant.value, "k": int(k), "counts": counts}
+    return TrainedModel(variant, KnnModel(k=int(k), adl=adl, fall=fall), summary)
+
+
 def train_oc_knn(adl_vectors, k):
     """One-class kNN: score is the mean distance to the k nearest ADL vectors."""
-    train = _as_matrix(adl_vectors)
-    k = int(k)
-    if not 1 <= k <= len(train):
-        raise InvalidK(f"k={k} needs 1 <= k <= {len(train)} training vectors")
-    params = KnnModel(k=k, adl=train)
-    summary = {"variant": "OC_KNN", "k": k, "counts": {"ADL": len(train), "FALL": 0}}
-    return TrainedModel(Variant.OC_KNN, params, summary)
+    return _knn_model(Variant.OC_KNN, k, _as_matrix(adl_vectors))
 
 
 def train_tc_knn(vectors, labels, k):
@@ -224,14 +220,7 @@ def train_tc_knn(vectors, labels, k):
     is_fall = is_fall_mask(labels)
     if len(is_fall) != len(train):
         raise DimensionError("labels and vectors must correspond one to one")
-    k = int(k)
-    n_fall = int(is_fall.sum())
-    n_adl = len(is_fall) - n_fall
-    if k < 1 or k > min(n_adl, n_fall):
-        raise InvalidK(f"k={k} needs 1 <= k <= per-class count (ADL {n_adl}, FALL {n_fall})")
-    params = KnnModel(k=k, adl=train[~is_fall], fall=train[is_fall])
-    summary = {"variant": "TC_KNN", "k": k, "counts": {"ADL": n_adl, "FALL": n_fall}}
-    return TrainedModel(Variant.TC_KNN, params, summary)
+    return _knn_model(Variant.TC_KNN, k, train[~is_fall], train[is_fall])
 
 
 # ---------------------------------------------------------------------------
@@ -681,8 +670,9 @@ def score_batch(model, vectors):
         )
     p = model.parameters
     if isinstance(p, KnnModel):
-        df = None if p.fall is None else knn_mean_distances_all_k(p.fall, vectors, p.k)
-        return _knn_scores(knn_mean_distances_all_k(p.adl, vectors, p.k), df)[:, p.k - 1]
+        pools = (p.adl,) if p.fall is None else (p.adl, p.fall)
+        tables = [knn_mean_distances_all_k(_distance_block(pool, vectors), p.k) for pool in pools]
+        return _knn_scores(*tables)[:, p.k - 1]
     if model.variant in (Variant.TC_SVM, Variant.OC_SVM):
         return _svm_scores(model, lambda coef: _kernel_expansion(p, vectors, coef))
     raise ValueError(f"unknown variant {model.variant!r}")

@@ -132,7 +132,7 @@ def _parse_choices(raw, universe, what):
     picking every member.  None passes through; an empty pick is an error."""
     if raw is None:
         return None
-    items = [raw] if isinstance(raw, (str, int)) else list(raw)
+    items = list(raw) if isinstance(raw, (list, tuple)) else [raw]
     names = {str(u).upper(): u for u in universe}
     out = []
     for item in items:
@@ -150,8 +150,8 @@ def _parse_choices(raw, universe, what):
 
 def load_config(args):
     """Merge defaults, the optional config file, and command-line flags
-    into one dict; choice lists and settings are checked here, and a null
-    setting means its default."""
+    into one dict; choice lists, paths and settings are checked here, and
+    a null setting means its default."""
     merged = dict(_CONFIG_DEFAULTS)
     if getattr(args, "config", None):
         doc = _read_json(args.config)
@@ -163,11 +163,14 @@ def load_config(args):
         unknown = set(doc) - set(_CONFIG_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(doc)
+        merged.update({k: v for k, v in doc.items() if v is not None})
     for key in _CONFIG_DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
+    for key in ("dataset1", "dataset2", "out"):
+        if not isinstance(merged[key], (str, type(None))):
+            raise ValueError(f"{key} must be a path string, got {merged[key]!r}")
     for what, universe in _CELL_CHOICES.items():
         merged[what + "s"] = _parse_choices(merged[what + "s"], universe, what)
     for key in _SETTINGS:

@@ -92,16 +92,18 @@ def _window_rng(seed, label, index):
     return np.random.default_rng([seed, _STREAM_SYNTH, code, index])
 
 
+def _labelled_windows(n_adl, n_falls, seed):
+    """The (window, label) pairs of synth_windows, one at a time."""
+    for label, n, draw in ((Label.ADL, n_adl, synth_adl_window),
+                           (Label.FALL, n_falls, synth_fall_window)):
+        for i in range(n):
+            axes = draw(_window_rng(seed, label, i))
+            yield _to_window(axes, f"{label.value.lower()}_{i:04d}"), label
+
+
 def synth_windows(n_adl, n_falls, seed=0):
     """In-memory labeled windows, identical to what generate_dataset writes."""
-    out = []
-    for i in range(n_adl):
-        axes = synth_adl_window(_window_rng(seed, Label.ADL, i))
-        out.append((_to_window(axes, f"adl_{i:04d}"), Label.ADL))
-    for i in range(n_falls):
-        axes = synth_fall_window(_window_rng(seed, Label.FALL, i))
-        out.append((_to_window(axes, f"fall_{i:04d}"), Label.FALL))
-    return out
+    return list(_labelled_windows(n_adl, n_falls, seed))
 
 
 def _to_window(axes, source_id):
@@ -115,22 +117,21 @@ def _to_window(axes, source_id):
     )
 
 
-def _window_csv(axes):
-    lines = [f"{x!r},{y!r},{z!r}" for x, y, z in zip(*axes.tolist())]
-    return "\n".join(lines) + "\n"
+def _window_csv(window):
+    rows = zip(window.x.tolist(), window.y.tolist(), window.z.tolist())
+    return "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in rows)
 
 
 def generate_dataset(out_dir, n_adl, n_falls, seed=0):
-    """Write a synthetic windowed dataset1-style tree; returns the manifest."""
+    """Write the windows of synth_windows as a dataset1-style tree, one CSV
+    per window under adl/ or fall/, one window in memory at a time; returns
+    the manifest."""
     root = Path(out_dir)
     (root / "adl").mkdir(parents=True, exist_ok=True)
     (root / "fall").mkdir(parents=True, exist_ok=True)
-    for i in range(n_adl):
-        axes = synth_adl_window(_window_rng(seed, Label.ADL, i))
-        _atomic_write_text(root / "adl" / f"adl_{i:04d}.csv", _window_csv(axes))
-    for i in range(n_falls):
-        axes = synth_fall_window(_window_rng(seed, Label.FALL, i))
-        _atomic_write_text(root / "fall" / f"fall_{i:04d}.csv", _window_csv(axes))
+    for window, label in _labelled_windows(n_adl, n_falls, seed):
+        path = root / label.value.lower() / f"{window.source_id}.csv"
+        _atomic_write_text(path, _window_csv(window))
     manifest = {
         "mode": "windowed",
         "synthetic": True,

@@ -165,8 +165,8 @@ def test_criterion_04_knn_matches_exhaustive_oracle(monkeypatch):
         # the last query sits on a row of both pools: dA = dF = 0 at k = 1
         fall[0] = train[0]
         queries = np.vstack([queries, train[0]])
-        table = knn_mean_distances_all_k(train, queries, 10)
         block = _distance_block(train, queries)
+        table = knn_mean_distances_all_k(block, 10)
         nearest = {k: _k_smallest_rows(block, k) for k in range(1, 11)}
         oc = knn_oracle_scores(train, None, queries, 10)
         tc = knn_oracle_scores(train, fall, queries, 10)

@@ -1,5 +1,6 @@
 """Nearest-neighbour scorers against the exhaustive-scan oracle."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -45,13 +46,23 @@ class TestProductionMatchesOracle:
             k = int(rng.integers(1, n + 1))
             oracle = knn_bruteforce_oracle(train, q, k)
             mean = float(oracle[:k].sum() / k)
-            assert cls.knn_mean_distances_all_k(train, q[None, :], k)[0, k - 1] == mean
+            block = cls._distance_block(train, q[None, :])
+            assert cls.knn_mean_distances_all_k(block, k)[0, k - 1] == mean
             assert cls.train_oc_knn(train, k).score(q) == mean
+
+    def test_table_checks_its_block_and_k_max(self):
+        block = np.arange(6.0).reshape(2, 3)
+        assert cls.knn_mean_distances_all_k(block, 3).tolist() == [[0.0, 0.5, 1.0], [3.0, 3.5, 4.0]]
+        for k_max in (0, 4):
+            with pytest.raises(InvalidK, match=rf"k_max={k_max} needs 1 <= k_max <= 3 "):
+                cls.knn_mean_distances_all_k(block, k_max)
+        with pytest.raises(DimensionError, match="2-d distance block"):
+            cls.knn_mean_distances_all_k(block[0], 1)
 
     def test_all_k_matrix_matches_oracle_means(self, rng):
         train = rng.normal(0.0, 1.0, (25, 4))
         queries = rng.normal(0.0, 1.0, (6, 4))
-        table = cls.knn_mean_distances_all_k(train, queries, 10)
+        table = cls.knn_mean_distances_all_k(cls._distance_block(train, queries), 10)
         assert table.shape == (6, 10)
         for qi, q in enumerate(queries):
             oracle = knn_bruteforce_oracle(train, q, 10)
@@ -182,6 +193,26 @@ class TestSharedBehaviour:
         assert cls.score_batch(model, np.empty((0, 1))).shape == (0,)
         assert cls.score_batch(model, []).shape == (0,)
 
+    @pytest.mark.parametrize("k", [2.7, True, False, float("nan"), float("inf"), "2", None])
+    def test_k_that_is_not_a_whole_number_is_refused(self, k):
+        vectors = [[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]]
+        labels = ["ADL", "FALL"] * 3
+        for train in (lambda: cls.train_oc_knn(vectors, k),
+                      lambda: cls.train_tc_knn(vectors, labels, k)):
+            with pytest.raises(InvalidK, match="^" + re.escape(f"k={k!r} must be a whole number")):
+                train()
+
+    @pytest.mark.parametrize("k", [2.0, np.int64(2), np.float64(2.0)])
+    def test_whole_k_of_another_type_trains_k_as_an_int(self, rng, k):
+        vectors = rng.normal(0.0, 1.0, (10, 2))
+        labels = ["ADL", "FALL"] * 5
+        queries = rng.normal(0.0, 1.0, (4, 2))
+        for train in (lambda k: cls.train_oc_knn(vectors, k),
+                      lambda k: cls.train_tc_knn(vectors, labels, k)):
+            model = train(k)
+            assert type(model.parameters.k) is int and model.training_summary["k"] == 2
+            assert np.array_equal(cls.score_batch(model, queries), cls.score_batch(train(2), queries))
+
     def test_dimension_mismatch_rejected(self):
         model = cls.train_oc_knn([[0.0, 0.0]], k=1)
         with pytest.raises(DimensionError):
@@ -226,7 +257,7 @@ class TestBatchedDistanceBlock:
             assert np.array_equal(block[qi], distances_to_all(train, q))
         assert block[-1, 7] == 0.0
         m = len(train)
-        table = cls.knn_mean_distances_all_k(train, queries, m)
+        table = cls.knn_mean_distances_all_k(block, m)
         for qi, q in enumerate(queries):
             oracle = knn_bruteforce_oracle(train, q, m)
             for k in range(1, m + 1):
@@ -378,6 +409,32 @@ class TestOuterFoldsReadTheMatrix:
             prep.scores_all_k(adl, None, adl, 0)
         assert prep.scores_all_k(adl, None, adl, 6).shape == (6, 6)
 
+    def test_every_table_of_a_searched_cell_is_the_public_one(self, small_collection, monkeypatch):
+        # A wrapper on the module name, as a tracer installs one, sees every
+        # mean-distance table the cell computes, and changes nothing.
+        from falldetect import evaluation as ev
+
+        cfg = ev.GridConfig(k_grid=(1, 3))
+        table = cls.knn_mean_distances_all_k
+        calls = []
+
+        def counted(block, k_max):
+            calls.append(k_max)
+            return table(block, k_max)
+
+        folds = small_collection.fold_plan.num_folds
+        for variant, pools in (("OC_KNN", 1), ("TC_KNN", 2)):
+            expected = ev.report_to_dict(
+                ev.run_experiment(small_collection, "MAGNITUDE", 51, variant, cfg)
+            )
+            calls.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(cls, "knn_mean_distances_all_k", counted)
+                report = ev.run_experiment(small_collection, "MAGNITUDE", 51, variant, cfg)
+            # per class pool and fold: one inner split at least, and the test fold
+            assert len(calls) >= 2 * pools * folds, variant
+            assert ev.report_to_dict(report) == expected
+
     @pytest.mark.parametrize("variant", ["OC_KNN", "TC_KNN"])
     @pytest.mark.parametrize("k_grid", [(1, 3), (3,)], ids=["searched", "single-k"])
     def test_searched_cell_scores_outer_folds_from_the_matrix(
@@ -397,7 +454,7 @@ class TestOuterFoldsReadTheMatrix:
             raise AssertionError("outer fold recomputed its distances")
 
         for mod, name in ((ev, "score_batch"), (cls, "score_batch"),
-                          (cls, "knn_mean_distances_all_k"), (cls, "train_oc_knn"),
+                          (cls, "_distance_block"), (cls, "train_oc_knn"),
                           (cls, "train_tc_knn")):
             monkeypatch.setattr(mod, name, refused)
         report = ev.run_experiment(small_collection, "MAGNITUDE", 51, variant, cfg)
@@ -425,7 +482,7 @@ def test_table_equals_oracle_prefix_mean_exactly(case, k_frac, chunk_rows):
     k_max = 1 + int(k_frac * (len(train) - 1))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cls, "_DIST_CHUNK_BYTES", 8 * train.size * chunk_rows)
-        table = cls.knn_mean_distances_all_k(train, queries, k_max)
+        table = cls.knn_mean_distances_all_k(cls._distance_block(train, queries), k_max)
     for qi, q in enumerate(queries):
         oracle = knn_bruteforce_oracle(train, q, k_max)
         for k in range(1, k_max + 1):

@@ -681,6 +681,46 @@ class TestConfigHandling:
         assert run_cli("synth", "--config", cfg, "--out", tmp_path / "o") == 2
         assert capsys.readouterr().err == f"error: {cfg}: config must be a JSON object\n"
 
+    @pytest.mark.parametrize("key, flags", [
+        ("features", ("--window", "51", "--classifier", "OC_KNN")),
+        ("windows", ("--feature", "MAGNITUDE", "--classifier", "OC_KNN")),
+        ("classifiers", ("--feature", "MAGNITUDE", "--window", "51")),
+    ])
+    def test_null_choice_list_means_its_default(self, pipeline, tmp_path, key, flags):
+        data, work = pipeline
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: None}))
+        assert run_cli("run", "--dataset1", data, "--out", work, "--config", cfg, *flags) == 0
+        rows = json.loads((work / "summary.json").read_text())
+        what = key[:-1]
+        assert [r[what] for r in rows] == list(cli._CELL_CHOICES[what])
+
+    def test_null_out_means_its_default(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": None}))
+        assert run_cli("synth", "--config", cfg, "--adl", "2", "--falls", "1") == 0
+        assert json.loads((tmp_path / "out" / "run.json").read_text())["config"]["out"] == "out"
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"out": 5}, "out must be a path string, got 5"),
+        ({"dataset1": 7}, "dataset1 must be a path string, got 7"),
+        ({"dataset2": 7}, "dataset2 must be a path string, got 7"),
+        ({"dataset2": ["d2"]}, "dataset2 must be a path string, got ['d2']"),
+        ({"windows": 51.0}, "unknown window '51.0'; choose from 51, 128 or all"),
+    ])
+    def test_ill_typed_config_value_is_named(self, pipeline, tmp_path, monkeypatch, capsys,
+                                             doc, message):
+        data, work = pipeline
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset1": str(data), "out": str(work), **doc}))
+        before = file_bytes(work)
+        assert run_cli("ingest", "--config", cfg) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert file_bytes(work) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "data", "work"]
+
     def test_unknown_collection_rejected(self, tmp_path, capsys):
         code = run_cli("ingest", "--dataset1", tmp_path, "--collection", "C9")
         assert code == 2
