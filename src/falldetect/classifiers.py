@@ -10,8 +10,7 @@ written here.
 import enum
 import numbers
 import warnings
-from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +33,9 @@ SVM_TOL = 1e-3
 _SV_EPS = 1e-12
 _CACHE_BUDGET_BYTES = 2e8
 _DIST_CHUNK_BYTES = 1e6
+# the lockstep solver hands this many or fewer problems still active to the
+# scalar loop, whose step then costs less than a lockstep pass
+_HANDOFF = 8
 
 
 class Variant(enum.Enum):
@@ -174,10 +176,6 @@ class SvmModel:
     nu: float | None = None
     mean: np.ndarray | None = None
     scale: np.ndarray | None = None
-    multipliers: np.ndarray | None = None  # every training row's, in row order
-    # (token of the SvmPrep, labels of its rows) the solve ran on: what
-    # train_tc_svm checks a warm start against
-    _source: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -345,9 +343,6 @@ class SvmPrep:
         self._gamma = None
         self._kernel = None
         self._auto_gamma = None
-        # names this preparation in the models trained on it, without
-        # keeping its matrices alive for as long as a model is kept
-        self._token = object()
 
     def __len__(self):
         return len(self.Xs)
@@ -372,6 +367,34 @@ class SvmPrep:
         return self._kernel
 
 
+def _dual_init(K, y, box, alpha, p):
+    """The solver's state at the multipliers alpha: s = -y * G for the
+    gradient G = y * (K @ (alpha * y)) + p, and the offsets up and low that
+    mask s for the pair selection."""
+    G = y * (K @ (alpha * y)) + p
+    # As y_i^2 = 1, a pair step moves s by the two changed multipliers'
+    # kernel rows alone.
+    s = -y * G
+    # 0 where a multiplier may still move that way, -inf (up) or +inf
+    # (low) where it may not: the solvers add them to s, which costs less
+    # than np.where.
+    inf = float("inf")
+    up = np.where(np.where(y > 0, alpha < box, alpha > 0), 0.0, -inf)
+    low = np.where(np.where(y > 0, alpha > 0, alpha < box), 0.0, inf)
+    return s, up, low
+
+
+def _dual_bias(alpha, s, box, lo, hi):
+    """The bias estimate of a finished solve, in violation units: the mean
+    s over the free multipliers, or else the middle of the finite ends of
+    the stopping interval (lo, hi)."""
+    free = (alpha > 0) & (alpha < box)
+    if free.any():
+        return float(s[free].mean())
+    finite = [v for v in (lo, hi) if np.isfinite(v)]
+    return float(np.mean(finite)) if finite else 0.0
+
+
 def _solve_pairwise_dual(K, y, box, alpha, p, tol, max_iter):
     """Minimize 1/2 a'Qa + p'a s.t. 0 <= a <= box, sum(a*y) fixed.
 
@@ -381,20 +404,18 @@ def _solve_pairwise_dual(K, y, box, alpha, p, tol, max_iter):
     surrogate m(a) - M(a) drops to tol.  Returns the multipliers, the bias
     estimate in violation units, and run stats.
     """
-    G = y * (K @ (alpha * y)) + p
-    # s = -y * G.  As y_i^2 = 1, a pair step moves s by the two changed
-    # multipliers' kernel rows alone.
-    s = -y * G
-    # Offsets that mask s for the pair selection: 0 where a multiplier
-    # may still move that way, -inf (up) or +inf (low) where it may not.
-    # Adding one costs less than np.where.
+    s, up, low = _dual_init(K, y, box, alpha, p)
+    return _resume_pairwise_dual(K, y, box, alpha.tolist(), s, up, low, tol, max_iter, 0)
+
+
+def _resume_pairwise_dual(K, y, box, a, s, up, low, tol, max_iter, iterations):
+    """_solve_pairwise_dual from a state after some iterations: the
+    multipliers a (a list), s and the masks up and low, all updated in
+    place."""
     inf = float("inf")
-    up = np.where(np.where(y > 0, alpha < box, alpha > 0), 0.0, -inf)
-    low = np.where(np.where(y > 0, alpha > 0, alpha < box), 0.0, inf)
     # scalars are read from lists: indexing a list is cheaper than an array
     yl = y.tolist()
     bl = box.tolist()
-    a = alpha.tolist()
     # Every iteration writes its masked s and its step into these, through
     # local ufuncs given the buffer positionally: a call then costs less.
     s_up = np.empty_like(s)
@@ -403,7 +424,6 @@ def _solve_pairwise_dual(K, y, box, alpha, p, tol, max_iter):
     step_j = np.empty_like(s)
     add, multiply = np.add, np.multiply
 
-    iterations = 0
     converged = False
     while True:
         add(s, up, s_up)
@@ -465,112 +485,271 @@ def _solve_pairwise_dual(K, y, box, alpha, p, tol, max_iter):
         iterations += 1
 
     alpha = np.array(a)
-    free = (alpha > 0) & (alpha < box)
-    if free.any():
-        bias = float(s[free].mean())
-    else:
-        finite = [v for v in (lo, hi) if np.isfinite(v)]
-        bias = float(np.mean(finite)) if finite else 0.0
-    return alpha, bias, iterations, converged, gap, lo, hi
+    return alpha, _dual_bias(alpha, s, box, lo, hi), iterations, converged, gap, lo, hi
 
 
-_SvmFit = namedtuple("_SvmFit", "gamma alpha keep bias lo hi stats")
+def _solve_pairwise_duals(kernels, problems, tol):
+    """_solve_pairwise_dual(K, y, box, alpha, p, tol, max_iter) of every
+    problem (k, y, box, alpha, p, max_iter), bit for bit, where K is the
+    kernel that kernels[k] = (prep, gamma) names: prep.kernel(gamma).
+    alpha may instead be the index of an earlier problem on the same
+    kernel, whose multipliers the problem then starts from.
 
-
-def _solve_svm(prep, gamma, y, box, start, p, tol, max_iter):
-    """Solve one SVM dual on the kernel of prep's rows.
-
-    y labels the rows and start holds their multipliers' starting values;
-    box and p are the multipliers' upper bound and linear term, the same
-    for every row.  max_iter defaults to 10 m, and a solve it stops warns.
-    keep marks the support vectors, and (lo, hi) is the solver's stopping
-    interval.
+    In-budget kernels are computed once and stacked in groups whose stack
+    fits _CACHE_BUDGET_BYTES.  A group's problems run in lockstep
+    (_lockstep) in rounds: those whose start is known, then those that
+    start from them, and so on.  A problem whose prep is over the budget
+    runs the scalar loop on kernel rows computed on demand.
     """
+    results = [None] * len(problems)
+
+    def start(alpha):
+        return results[alpha][0] if isinstance(alpha, int) else alpha
+
+    on_kernel = {}
+    for n, problem in enumerate(problems):
+        on_kernel.setdefault(problem[0], []).append(n)
+    groups = []  # [largest m, kernel indices]
+    for k, ns in on_kernel.items():
+        prep, gamma = kernels[k]
+        m = len(prep)
+        if prep.d2 is None:
+            K = prep.kernel(gamma)
+            for n in ns:
+                _, y, box, alpha, p, max_iter = problems[n]
+                results[n] = _solve_pairwise_dual(K, y, box, start(alpha), p, tol, max_iter)
+            continue
+        M = max(m, groups[-1][0]) if groups else m
+        if groups and 8.0 * (len(groups[-1][1]) + 1) * M * M <= _CACHE_BUDGET_BYTES:
+            groups[-1][0] = M
+            groups[-1][1].append(k)
+        else:
+            groups.append([m, [k]])
+    for M, ks in groups:
+        # padding is kernel 0, and _lockstep masks it out of every selection
+        stack = np.zeros((len(ks), M, M))
+        for g, k in enumerate(ks):
+            prep, gamma = kernels[k]
+            m = len(prep)
+            stack[g, :m, :m] = prep.kernel(gamma)
+        todo = [(g, n) for g, k in enumerate(ks) for n in on_kernel[k]]
+        while todo:
+            rows, later = [], []
+            for g, n in todo:
+                _, y, box, alpha, p, max_iter = problems[n]
+                if isinstance(alpha, int) and results[alpha] is None:
+                    later.append((g, n))
+                    continue
+                # a contiguous copy, as prep.kernel returns it, so that
+                # K @ v takes the same steps
+                K = np.ascontiguousarray(stack[g, :len(y), :len(y)])
+                alpha = start(alpha)
+                rows.append((n, g, y, box, alpha, max_iter, _dual_init(K, y, box, alpha, p)))
+            _lockstep(stack, rows, tol, results)
+            todo = later
+    return results
+
+
+def _lockstep(stack, rows, tol, results):
+    """Solve the problems of rows, each (n, g, y, box, alpha, max_iter,
+    (s, up, low)) on the kernel stack[g], one maximal-violating-pair step
+    of each per pass: _resume_pairwise_dual's steps, elementwise, in its
+    order.  Problem n's result goes into results[n].
+
+    Each problem is a row of (problems, M) arrays.  Entries past its m are
+    frozen: box 0, up -inf and low +inf, so argmax and argmin (which take
+    the first of tied entries, as the scalar loop does) never pick them,
+    and kernel 0, so no step moves them.  A problem leaves when it
+    converges or reaches its max_iter; once _HANDOFF or fewer are left,
+    the scalar loop finishes them from where they are.  Every problem
+    starts at iteration 0, so the pass count is each one's iterations.
+    """
+    M = stack.shape[1]
+    inf = float("inf")
+    # the up and low offsets of a multiplier, indexed by whether it may
+    # still move that way
+    up_offset, low_offset = np.array([-inf, 0.0]), np.array([inf, 0.0])
+    S = np.zeros((len(rows), M))
+    UP = np.full((len(rows), M), -inf)
+    LOW = np.full((len(rows), M), inf)
+    AL, Y, B = (np.zeros((len(rows), M)) for _ in range(3))
+    for r, (_, _, y, box, alpha, _, (s, up, low)) in enumerate(rows):
+        m = len(y)
+        S[r, :m], UP[r, :m], LOW[r, :m] = s, up, low
+        AL[r, :m], Y[r, :m], B[r, :m] = alpha, y, box
+    kernel_rows = stack.reshape(-1, M)
+    live = np.arange(len(rows))  # rows' indices of the problems left
+    caps = np.array([row[5] for row in rows])
+    kbase = np.array([row[1] * M for row in rows])  # kernel_rows index of each kernel's row 0
+    iterations = 0
+    A = None
+    while True:
+        if A != len(live):  # the first pass, or problems have left
+            A = len(live)
+            if A <= _HANDOFF:
+                break
+            # Each pass handles i and j side by side: index arrays, values
+            # and kernel rows hold i's for the A problems, then j's.
+            base = np.arange(A) * M
+            base2 = np.concatenate((base, base))
+            at_pair = np.concatenate((base, base + A * M))
+            kbase2 = np.concatenate((kbase, kbase))
+            # new_j = old_j - yj * t is old_j + (-yj) * t, bit for bit
+            sign2 = np.concatenate((np.ones(A), np.full(A, -1.0)))
+            zero2 = np.zeros(2 * A)
+            ij = np.empty(2 * A, dtype=np.intp)
+            s_up, s_low = np.empty((2, A, M))
+            first_cap = int(caps.min())
+
+        np.add(S, UP, s_up)
+        np.add(S, LOW, s_low)
+        s_up.argmax(axis=1, out=ij[:A])
+        s_low.argmin(axis=1, out=ij[A:])
+        f2 = base2 + ij  # flat positions of i, then j
+        fj = f2[A:]
+        lo = s_up.take(f2[:A])
+        hi = s_low.take(fj)
+        gap = lo - hi
+        done = gap <= tol
+        if iterations >= first_cap:
+            done |= caps <= iterations
+        if done.any():
+            for r in np.flatnonzero(done).tolist():
+                n, _, _, box, _, _, _ = rows[live[r]]
+                m = len(box)
+                alpha = AL[r, :m].copy()
+                lo_r, hi_r = float(lo[r]), float(hi[r])
+                bias = _dual_bias(alpha, S[r, :m], box, lo_r, hi_r)
+                converged = bool(gap[r] <= tol)
+                results[n] = (alpha, bias, iterations, converged, float(gap[r]), lo_r, hi_r)
+            keep = ~done
+            live, caps, kbase = live[keep], caps[keep], kbase[keep]
+            S, UP, LOW, AL, Y, B = (v[keep] for v in (S, UP, LOW, AL, Y, B))
+            continue
+
+        k2 = kernel_rows.take(kbase2 + ij, axis=0)  # rows ki, then kj
+        kk = k2.take(at_pair + ij)  # ki[i], then kj[j]
+        # the eta floor: where(eta <= _SV_EPS, _SV_EPS, eta) is this maximum
+        eta = np.maximum(kk[:A] + kk[A:] - 2.0 * k2.take(fj), _SV_EPS)
+        y2, old2, b2 = Y.take(f2), AL.take(f2), B.take(f2)
+        # the largest step keeping both multipliers inside their boxes,
+        # i's room first
+        dir2 = y2 * sign2
+        room2 = np.where(dir2 > zero2, b2 - old2, old2)
+        t = gap / eta
+        t = np.where(room2[:A] < t, room2[:A], t)
+        t = np.where(room2[A:] < t, room2[A:], t)
+        new2 = old2 + (dir2.reshape(2, A) * t).ravel()
+        new2 = np.where(new2 < zero2, zero2, new2)
+        new2 = np.where(b2 < new2, b2, new2)
+        AL.put(f2, new2)  # i before j
+
+        # s -= (new_i - old_i) * yi * ki + (new_j - old_j) * yj * kj
+        k2 *= ((new2 - old2) * y2)[:, None]
+        step = k2[:A]
+        step += k2[A:]
+        S -= step
+        # i before j, so j's masks win when i == j
+        pos, below, above = y2 > zero2, new2 < b2, new2 > zero2
+        UP.put(f2, up_offset.take(np.where(pos, below, above)))
+        LOW.put(f2, low_offset.take(np.where(pos, above, below)))
+        iterations += 1
+
+    for r, row in enumerate(live.tolist()):
+        n, g, y, box, _, max_iter, _ = rows[row]
+        m = len(y)
+        results[n] = _resume_pairwise_dual(
+            stack[g, :m, :m], y, box, AL[r, :m].tolist(), S[r, :m].copy(), UP[r, :m].copy(),
+            LOW[r, :m].copy(), tol, max_iter, iterations,
+        )
+
+
+def _svm_dual(variant, prep, labels, value):
+    """(y, box, start, p, counts, hyper) of the variant's dual on prep's
+    rows for value, its C or nu, with the class counts and the hyper
+    ({"C": C} or {"nu": nu}); labels serve two-class only.
+
+    Two-class: y = +1 for FALL and -1 for ADL, box C, start 0, p = -1.
+    One-class: y = 1, box 1/(nu m), start 1/m, p = 0.
+    """
+    m = len(prep)
+    if variant is Variant.OC_SVM:
+        nu = float(value)
+        if not 0 < nu <= 1:
+            raise InvalidNu(f"nu must lie in (0, 1], got {nu}")
+        if m < 2:
+            raise InsufficientData("one-class SVM needs at least 2 vectors")
+        return (np.ones(m), np.full(m, 1.0 / (nu * m)), np.full(m, 1.0 / m), np.full(m, 0.0),
+                {"ADL": m, "FALL": 0}, {"nu": nu})
+    is_fall = is_fall_mask(labels)
+    if len(is_fall) != m:
+        raise DimensionError("labels and vectors must correspond one to one")
+    n_fall = int(is_fall.sum())
+    if n_fall in (0, m):
+        raise DegenerateLabels("two-class training needs both ADL and FALL instances")
+    C = float(value)
+    if not (np.isfinite(C) and C > 0):
+        raise ValueError(f"C must be finite and > 0, got {C}")
+    return (np.where(is_fall, 1.0, -1.0), np.full(m, C), np.zeros(m), np.full(m, -1.0),
+            {"ADL": m - n_fall, "FALL": n_fall}, {"C": C})
+
+
+def _svm_offset(variant, bias, lo, hi):
+    """A solve's decision offset: two-class, its bias; one-class, rho.
+
+    Any offset inside the solver's stopping interval (lo, hi) satisfies the
+    optimality conditions at tolerance.  rho takes the edge where no point
+    still free to grow its multiplier scores positive: outliers are then
+    always a subset of the at-bound vectors, whose count nu caps.
+    """
+    if variant is Variant.TC_SVM:
+        return bias
+    if np.isfinite(lo):
+        return -lo
+    if np.isfinite(hi):
+        return -hi
+    return 0.0
+
+
+def _fit_svm(variant, prep, labels, value, gamma, tol, max_iter):
+    """The trained model of the variant's dual on prep's rows.  max_iter
+    defaults to 10 m, and a solve it stops warns."""
+    y, box, start, p, counts, hyper = _svm_dual(variant, prep, labels, value)
     gamma = prep.resolve_gamma(gamma)
     m = len(prep)
-    if max_iter is None:
-        max_iter = 10 * m
     alpha, bias, iters, converged, gap, lo, hi = _solve_pairwise_dual(
-        prep.kernel(gamma), y, np.full(m, box), start, np.full(m, p), tol, max_iter
+        prep.kernel(gamma), y, box, start, p, tol, 10 * m if max_iter is None else max_iter
     )
     if not converged:
         warnings.warn(
             f"pairwise solver stopped at {iters} iterations with gap {gap:.3g}",
             ConvergenceWarning,
         )
-    stats = {"iterations": iters, "converged": converged, "gap": gap}
-    return _SvmFit(gamma, alpha, alpha > _SV_EPS, bias, lo, hi, stats)
-
-
-def _svm_model(variant, prep, fit, y, bias, counts, hyper):
-    """The trained model of one solve with labels y: the kept support
-    vectors and their multipliers, every row's multiplier, and the
-    variant's class counts and hyper, its C or nu."""
-    support_labels = y[fit.keep] if variant is Variant.TC_SVM else None
+    keep = alpha > _SV_EPS
     params = SvmModel(
-        gamma=fit.gamma, alpha=fit.alpha[fit.keep], support_vectors=prep.Xs[fit.keep], bias=bias,
-        support_labels=support_labels, mean=prep.mean, scale=prep.scale, multipliers=fit.alpha,
-        **hyper,
+        gamma=gamma, alpha=alpha[keep], support_vectors=prep.Xs[keep],
+        bias=_svm_offset(variant, bias, lo, hi),
+        support_labels=y[keep] if variant is Variant.TC_SVM else None,
+        mean=prep.mean, scale=prep.scale, **hyper,
     )
-    params._source = (prep._token, y)
     summary = {
-        "variant": variant.value, "counts": counts, **hyper, "gamma": fit.gamma,
-        "standardized": True, "support_vectors": int(fit.keep.sum()), **fit.stats,
+        "variant": variant.value, "counts": counts, **hyper, "gamma": gamma,
+        "standardized": True, "support_vectors": int(keep.sum()),
+        "iterations": iters, "converged": converged, "gap": gap,
     }
     return TrainedModel(variant, params, summary)
 
 
-def _warm_start(start, prep, y, C):
-    """The multipliers of start that a two-class solve of C on prep's rows
-    labelled y may begin from; ValueError naming why start cannot be one."""
-    got = start.variant.value if isinstance(start, TrainedModel) else type(start).__name__
-    if got != Variant.TC_SVM.value:
-        raise ValueError(f"start must be a TC_SVM model, got {got}")
-    p = start.parameters
-    rows = len(p.multipliers)
-    if rows != len(prep):
-        raise ValueError(f"start was trained on {rows} rows, not {len(prep)}")
-    token, labels = p._source
-    if token is not prep._token:
-        raise ValueError("start was trained on another SvmPrep")
-    if not np.array_equal(labels, y):
-        raise ValueError("start was trained on other labels")
-    if p.C > C:
-        raise ValueError(f"start was trained with C={p.C}, larger than C={C}")
-    return p.multipliers
-
-
-def train_tc_svm(vectors, labels, C, gamma="auto", tol=SVM_TOL, max_iter=None, *, start=None):
+def train_tc_svm(vectors, labels, C, gamma="auto", tol=SVM_TOL, max_iter=None):
     """Soft-margin RBF SVM on both classes; score is the decision value.
 
     FALL maps to y = +1, so the raw decision value is already oriented
     with fall-likeness.  Features are z-scored with training statistics.
     vectors may be an SvmPrep of the training matrix, shared between
-    calls on the same rows.
-
-    Multipliers start at 0, or warm at those of start: a TC_SVM model
-    trained before on the same SvmPrep and labels with a C no larger than
-    this one.  They stay inside the larger box and keep sum(alpha * y) at
-    0, so the solve only has to move them on from there (DeCoste &
-    Wagstaff 2000).  Any other start raises ValueError saying why.
+    calls on the same rows.  Multipliers start at 0.
     """
     prep = vectors if isinstance(vectors, SvmPrep) else SvmPrep(vectors)
-    is_fall = is_fall_mask(labels)
-    if len(is_fall) != len(prep):
-        raise DimensionError("labels and vectors must correspond one to one")
-    n_fall = int(is_fall.sum())
-    n_adl = len(is_fall) - n_fall
-    if n_adl == 0 or n_fall == 0:
-        raise DegenerateLabels("two-class training needs both ADL and FALL instances")
-    C = float(C)
-    if not (np.isfinite(C) and C > 0):
-        raise ValueError(f"C must be finite and > 0, got {C}")
-
-    y = np.where(is_fall, 1.0, -1.0)
-    alpha0 = np.zeros(len(prep)) if start is None else _warm_start(start, prep, y, C)
-    fit = _solve_svm(prep, gamma, y, C, alpha0, -1.0, tol, max_iter)
-    counts = {"ADL": n_adl, "FALL": n_fall}
-    return _svm_model(Variant.TC_SVM, prep, fit, y, fit.bias, counts, {"C": C})
+    return _fit_svm(Variant.TC_SVM, prep, labels, C, gamma, tol, max_iter)
 
 
 def train_oc_svm(adl_vectors, nu, gamma="auto", tol=SVM_TOL, max_iter=None):
@@ -585,76 +764,58 @@ def train_oc_svm(adl_vectors, nu, gamma="auto", tol=SVM_TOL, max_iter=None):
     the training matrix, shared between calls on the same rows.
     """
     prep = adl_vectors if isinstance(adl_vectors, SvmPrep) else SvmPrep(adl_vectors)
-    nu = float(nu)
-    if not 0 < nu <= 1:
-        raise InvalidNu(f"nu must lie in (0, 1], got {nu}")
-    m = len(prep)
-    if m < 2:
-        raise InsufficientData("one-class SVM needs at least 2 vectors")
-
-    y = np.ones(m)
-    fit = _solve_svm(prep, gamma, y, 1.0 / (nu * m), np.full(m, 1.0 / m), 0.0, tol, max_iter)
-    # Any offset inside the solver's stopping interval satisfies the
-    # optimality conditions at tolerance.  Take the edge where no point
-    # still free to grow its multiplier scores positive: outliers are then
-    # always a subset of the at-bound vectors, whose count nu caps.
-    if np.isfinite(fit.lo):
-        rho = -fit.lo
-    elif np.isfinite(fit.hi):
-        rho = -fit.hi
-    else:
-        rho = 0.0
-    return _svm_model(Variant.OC_SVM, prep, fit, y, rho, {"ADL": m, "FALL": 0}, {"nu": nu})
+    return _fit_svm(Variant.OC_SVM, prep, None, nu, gamma, tol, max_iter)
 
 
-def _kernel_expansion(p, vectors, coef):
-    """sum_i coef_i K(sv_i, q) for every row q of vectors, standardized
-    first; one query x support-vector kernel block per budget-sized chunk."""
-    qs = standardize_apply(vectors, p.mean, p.scale)
-    sv = p.support_vectors
+def _kernel_expansion(qs, sv, gamma, coef):
+    """sum_i coef_i K(sv_i, q) for every standardized query row q of qs;
+    one query x support-vector kernel block per budget-sized chunk."""
     sv_sq = _sq_norms(sv)
     step = max(1, int(_CACHE_BUDGET_BYTES / (16 * max(1, len(sv)))))
     out = np.empty(len(qs))
     for b in range(0, len(qs), step):
-        out[b:b + step] = _rbf_block(qs[b:b + step], sv, sv_sq, p.gamma) @ coef
+        out[b:b + step] = _rbf_block(qs[b:b + step], sv, sv_sq, gamma) @ coef
     return out
 
 
-def _svm_scores(model, expansion):
-    """An SVM model's scores from expansion(coef), the sums
+def _svm_scores(variant, expansion, alpha, labels, offset):
+    """The scores of an SVM with support-vector multipliers alpha (and
+    labels, two-class) and decision offset, from expansion(coef): the sums
     sum_i coef_i K(sv_i, q) over its support vectors for every query q."""
-    p = model.parameters
-    if model.variant is Variant.TC_SVM:
-        return expansion(p.alpha * p.support_labels) + p.bias
-    return p.bias - expansion(p.alpha)
+    if variant is Variant.TC_SVM:
+        return expansion(alpha * labels) + offset
+    return offset - expansion(alpha)
 
 
 class SvmQueryBlock:
     """The RBF kernel between query rows and an SvmPrep's training rows at
-    one gamma, which scores every model trained on that SvmPrep and gamma.
+    one gamma, which scores every solve on that SvmPrep and gamma.
 
-    A model's scores take the block's columns at its support vectors: the
-    score_batch values up to rounding, without rebuilding the kernel per
-    model.  A block over _CACHE_BUDGET_BYTES is not built; each model is
-    then scored by score_batch, chunk by chunk.
+    A solve's scores take the block's columns at its support vectors: the
+    score_batch values of its model up to rounding, without rebuilding the
+    kernel per solve.  A block over _CACHE_BUDGET_BYTES is not built; each
+    solve is then scored as score_batch scores its model, chunk by chunk.
     """
 
     def __init__(self, prep, vectors, gamma):
         self.prep = prep
-        self.vectors = np.asarray(vectors, dtype=np.float64)
+        self.qs = standardize_apply(vectors, prep.mean, prep.scale)
         self.gamma = prep.resolve_gamma(gamma)
         self.block = None
-        if 16.0 * len(self.vectors) * len(prep) <= _CACHE_BUDGET_BYTES:
-            qs = standardize_apply(self.vectors, prep.mean, prep.scale)
-            self.block = _rbf_block(qs, prep.Xs, prep.sq, self.gamma)
+        if 16.0 * len(self.qs) * len(prep) <= _CACHE_BUDGET_BYTES:
+            self.block = _rbf_block(self.qs, prep.Xs, prep.sq, self.gamma)
 
-    def scores(self, model):
-        p = model.parameters
-        if p.gamma != self.gamma or p._source[0] is not self.prep._token:
-            raise ValueError("model was not trained on this block's SvmPrep and gamma")
-        if self.block is None:
-            return score_batch(model, self.vectors)
-        return _svm_scores(model, self.block[:, p.multipliers > _SV_EPS].__matmul__)
+    def scores(self, variant, alpha, y, offset):
+        """The queries' scores under the variant's model whose multipliers
+        over prep's rows, labelled y, are alpha, with decision offset offset
+        (_svm_offset)."""
+        keep = alpha > _SV_EPS
+        if self.block is not None:
+            expansion = self.block[:, keep].__matmul__
+        else:
+            def expansion(coef):
+                return _kernel_expansion(self.qs, self.prep.Xs[keep], self.gamma, coef)
+        return _svm_scores(variant, expansion, alpha[keep], y[keep], offset)
 
 
 def score_batch(model, vectors):
@@ -674,5 +835,10 @@ def score_batch(model, vectors):
         tables = [knn_mean_distances_all_k(_distance_block(pool, vectors), p.k) for pool in pools]
         return _knn_scores(*tables)[:, p.k - 1]
     if model.variant in (Variant.TC_SVM, Variant.OC_SVM):
-        return _svm_scores(model, lambda coef: _kernel_expansion(p, vectors, coef))
+        qs = standardize_apply(vectors, p.mean, p.scale)
+
+        def expansion(coef):
+            return _kernel_expansion(qs, p.support_vectors, p.gamma, coef)
+
+        return _svm_scores(model.variant, expansion, p.alpha, p.support_labels, p.bias)
     raise ValueError(f"unknown variant {model.variant!r}")

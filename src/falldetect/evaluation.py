@@ -7,7 +7,6 @@ averaged curve.  Hyperparameters are chosen per outer fold by an inner
 cross-validation that never sees the outer test split.
 """
 
-import warnings
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
@@ -24,7 +23,6 @@ from .classifiers import (
     score_batch,
 )
 from .errors import (
-    ConvergenceWarning,
     DegenerateLabels,
     FalldetectError,
     InsufficientData,
@@ -284,16 +282,16 @@ def _inner_splits(is_fall, cfg, seed, two_class):
     return splits
 
 
-def _best_candidate(candidates, is_fall, splits, scored):
+def _best_candidate(candidates, is_fall, splits, tables):
     """The candidate with the highest total inner AUC, ties going to the
     earliest, and its mean inner AUC.
 
-    scored(tr, val) returns one split's validation scores, a column per
-    candidate; each candidate sums its AUCs in fold order.
+    tables holds each split's validation scores, in the order of splits,
+    a column per candidate; each candidate sums its AUCs in fold order.
     """
     totals = np.zeros(len(candidates))
-    for tr, val in splits:
-        totals += _column_aucs(scored(tr, val), is_fall[val])
+    for (_, val), table in zip(splits, tables):
+        totals += _column_aucs(table, is_fall[val])
     best = int(np.argmax(totals))
     return candidates[best], float(totals[best] / len(splits))
 
@@ -326,11 +324,10 @@ def _select_k(variant, prep, rows, is_fall, cfg, seed):
     if len(ks) == 1:
         return ks[0], None
 
-    def scored(tr, val):
-        table = _knn_table(variant, prep, rows[tr], is_fall[tr], rows[val], ks[-1])
-        return table[:, [k - 1 for k in ks]]
-
-    return _best_candidate(ks, is_fall, splits, scored)
+    columns = [k - 1 for k in ks]
+    tables = (_knn_table(variant, prep, rows[tr], is_fall[tr], rows[val], ks[-1])[:, columns]
+              for tr, val in splits)
+    return _best_candidate(ks, is_fall, splits, tables)
 
 
 def _svm_prep(variant, X, is_fall):
@@ -340,45 +337,59 @@ def _svm_prep(variant, X, is_fall):
     return classifiers.SvmPrep(rows)
 
 
-def _train_svm(variant, prep, is_fall, params, cfg, start=None):
+def _train_svm(variant, prep, is_fall, params, cfg):
     if variant is Variant.TC_SVM:
         return classifiers.train_tc_svm(
-            prep, is_fall, C=params[0], gamma=params[1], tol=cfg.svm_tol, max_iter=cfg.svm_max_iter,
-            start=start,
+            prep, is_fall, C=params[0], gamma=params[1], tol=cfg.svm_tol, max_iter=cfg.svm_max_iter
         )
     return classifiers.train_oc_svm(
         prep, nu=params[0], gamma=params[1], tol=cfg.svm_tol, max_iter=cfg.svm_max_iter
     )
 
 
-def _svm_grid_scores(variant, X, is_fall, cfg, tr, val):
-    """Validation scores of one inner split, trained on the rows of X at
-    indices tr and scored at val: a column per candidate (C or nu, gamma),
-    in the order of the grids.
+def _svm_grid_tables(variant, X, is_fall, cfg, splits):
+    """Validation scores of every inner split (tr, val), trained on the
+    rows of X at indices tr and scored at val: a table per split, with a
+    column per candidate (C or nu, gamma) in the order of the grids.
 
-    One preparation of the training rows serves the whole grid, visited
-    gamma by gamma, so each kernel and each validation block is built
-    once.  Within a gamma the C or nu values are visited from the smallest
-    up, each distinct value trained once, and every two-class solve after
-    the first starts warm from the previous C's.  Each candidate keeps its
-    column, so ties still go to the earliest in the grid's order.
+    Each split's training rows are prepared once, and each gamma's kernel
+    and validation block built once.  Each distinct C or nu is solved once
+    per (split, gamma), and one classifiers._solve_pairwise_duals call
+    solves all of them: every one-class dual at once, and the two-class
+    duals one C at a time from the smallest up, each starting warm from
+    its (split, gamma)'s previous C.  Each candidate keeps its column, so
+    ties still go to the earliest in the grid's order.
     """
-    first = cfg.c_grid if variant is Variant.TC_SVM else cfg.nu_grid
+    two_class = variant is Variant.TC_SVM
+    first = cfg.c_grid if two_class else cfg.nu_grid
     n_gamma = len(cfg.gamma_grid)
-    prep = _svm_prep(variant, X[tr], is_fall[tr])
-    warm = variant is Variant.TC_SVM
-    table = np.empty((len(val), len(first) * n_gamma))
-    for gi, gamma in enumerate(cfg.gamma_grid):
-        queries = classifiers.SvmQueryBlock(prep, X[val], gamma)
-        model = value = None
-        for a in sorted(range(len(first)), key=first.__getitem__):
-            if first[a] != value:
-                value = first[a]
-                start = model if warm else None
-                model = _train_svm(variant, prep, is_fall[tr], (value, gamma), cfg, start)
-                scores = queries.scores(model)
+    # the distinct values from the smallest up, each with its grid positions
+    values = []
+    for a in sorted(range(len(first)), key=first.__getitem__):
+        if not values or first[a] != values[-1][0]:
+            values.append((first[a], []))
+        values[-1][1].append(a)
+    tables, kernels, slots, problems = [], [], [], []
+    for tr, val in splits:
+        table = np.empty((len(val), len(first) * n_gamma))
+        tables.append(table)
+        prep = _svm_prep(variant, X[tr], is_fall[tr])
+        cap = 10 * len(prep) if cfg.svm_max_iter is None else cfg.svm_max_iter
+        for gi, gamma in enumerate(cfg.gamma_grid):
+            block = classifiers.SvmQueryBlock(prep, X[val], gamma)
+            for v, (value, _) in enumerate(values):
+                y, box, start, p, _, _ = classifiers._svm_dual(variant, prep, is_fall[tr], value)
+                if two_class and v:
+                    start = len(problems) - 1  # warm from this split and gamma's previous C
+                problems.append((len(kernels), y, box, start, p, cap))
+                slots.append((table, gi, block, y, v))
+            kernels.append((prep, block.gamma))
+    solved = classifiers._solve_pairwise_duals(kernels, problems, cfg.svm_tol)
+    for (table, gi, block, y, v), (alpha, bias, _, _, _, lo, hi) in zip(slots, solved):
+        scores = block.scores(variant, alpha, y, classifiers._svm_offset(variant, bias, lo, hi))
+        for a in values[v][1]:
             table[:, a * n_gamma + gi] = scores
-    return table
+    return tables
 
 
 def _select_svm_params(variant, X, is_fall, cfg, seed):
@@ -387,13 +398,8 @@ def _select_svm_params(variant, X, is_fall, cfg, seed):
     if len(candidates) == 1:
         return candidates[0], None
     splits = _inner_splits(is_fall, cfg, seed, two_class=variant is Variant.TC_SVM)
-
-    def scored(tr, val):
-        return _svm_grid_scores(variant, X, is_fall, cfg, tr, val)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        return _best_candidate(candidates, is_fall, splits, scored)
+    tables = _svm_grid_tables(variant, X, is_fall, cfg, splits)
+    return _best_candidate(candidates, is_fall, splits, tables)
 
 
 @dataclass

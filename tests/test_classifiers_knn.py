@@ -345,7 +345,8 @@ class TestInnerSearchSharesOneMatrix:
             return knn_oracle_scores(adl, fall, Xtr[val], 10)
 
         splits = _inner_splits(ftr, cfg, 5, two_class)
-        expected = _best_candidate(list(range(1, 11)), ftr, splits, recomputed)
+        tables = [recomputed(tr, val) for tr, val in splits]
+        expected = _best_candidate(list(range(1, 11)), ftr, splits, tables)
         assert 0.5 < expected[1] < 1.0
         assert _select_k(variant, cls.KnnPrep(X), rows, ftr, cfg, 5) == expected
         monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 8 * 120 * 120 - 1)

@@ -14,6 +14,7 @@ import pytest
 
 from falldetect import classifiers as cls
 from falldetect import evaluation as ev
+from falldetect import ingest
 from falldetect.errors import (
     ConvergenceWarning,
     DegenerateLabels,
@@ -513,59 +514,180 @@ class TestSolverMatchesOracle:
         assert True in self.check(rng, rows_on_demand=True)
 
 
+class TestBatchSolverMatchesOracle:
+    """The lockstep solver against the same oracle: each problem of a batch
+    gives, bit for bit, what pairwise_dual_oracle gives it alone."""
+
+    @staticmethod
+    def batch(rng, count=4):
+        """Kernels and problems as the inner grid poses them: per random
+        problem, a two-class and a one-class preparation of unequal m, at
+        two gammas, with two cold Cs and two nus each."""
+        kernels, problems = [], []
+        for X, y in TestSolverMatchesOracle.problems(rng, count):
+            tc, oc = cls.SvmPrep(X), cls.SvmPrep(X[y < 0])
+            for gamma in (0.2, 1.5):
+                kernels.append((tc, gamma))
+                m = len(tc)
+                for C in (0.5, 5.0):
+                    problems.append(
+                        (len(kernels) - 1, y, np.full(m, C), np.zeros(m), np.full(m, -1.0), 10 * m))
+                kernels.append((oc, gamma))
+                m = len(oc)
+                for nu in (0.1, 0.5):
+                    problems.append((len(kernels) - 1, np.ones(m), np.full(m, 1.0 / (nu * m)),
+                                     np.full(m, 1.0 / m), np.zeros(m), 10 * m))
+        return kernels, problems
+
+    @staticmethod
+    def check(kernels, problems, tol=cls.SVM_TOL):
+        got = cls._solve_pairwise_duals(kernels, problems, tol)
+        for (k, y, box, alpha, p, max_iter), result in zip(problems, got):
+            prep, gamma = kernels[k]
+            # an int start names the problem whose multipliers it starts from
+            start = got[alpha][0] if isinstance(alpha, int) else alpha
+            assert_same_solve(result, pairwise_dual_oracle(prep.kernel(gamma), y, box, start, p,
+                                                           tol, max_iter))
+        return got
+
+    @staticmethod
+    def count_resumes(monkeypatch):
+        """Every scalar-loop call, with the iterations it resumed after."""
+        calls = []
+        resume = cls._resume_pairwise_dual
+
+        def counted(*args):
+            calls.append(args[-1])
+            return resume(*args)
+
+        monkeypatch.setattr(cls, "_resume_pairwise_dual", counted)
+        return calls
+
+    @pytest.mark.parametrize("handoff", [0, cls._HANDOFF], ids=["lockstep only", "handoff"])
+    def test_mixed_batch_of_unequal_sizes(self, rng, monkeypatch, handoff):
+        # with no handoff every problem runs in lockstep to its end
+        monkeypatch.setattr(cls, "_HANDOFF", handoff)
+        calls = self.count_resumes(monkeypatch)
+        kernels, problems = self.batch(rng)
+        assert len({len(problem[1]) for problem in problems}) > 4
+        got = self.check(kernels, problems)
+        assert {r[3] for r in got} == {True}
+        if handoff == 0:
+            assert calls == []
+        else:
+            # the batch hands its last few problems to the scalar loop mid-solve
+            assert 0 < len(calls) <= handoff and max(calls) > 0
+
+    def test_warm_started_problems(self, rng):
+        # each two-class problem goes on to 10 C and 100 C, each warm from
+        # the multipliers of the one before
+        kernels, problems = self.batch(rng)
+        chained = []
+        for k, y, box, alpha, p, cap in problems:
+            chained.append((k, y, box, alpha, p, cap))
+            if p[0] == -1.0:
+                for scale in (10.0, 100.0):
+                    chained.append((k, y, scale * box, len(chained) - 1, p, cap))
+        got = self.check(kernels, chained)
+        warm = [r for problem, r in zip(chained, got) if isinstance(problem[3], int)]
+        assert len(warm) == 32 and all(np.any(r[0] > 0) for r in warm)
+
+    def test_eta_floor(self, rng, monkeypatch):
+        # The first ADL row equals the first FALL row.  A cold two-class
+        # solve starts from s = y, so its first pair is exactly those two
+        # rows: eta = 1 + 1 - 2 * 1 = 0, below the floor.
+        monkeypatch.setattr(cls, "_HANDOFF", 0)
+        kernels, problems = [], []
+        for X, y in TestSolverMatchesOracle.problems(rng, 3):
+            fall = np.flatnonzero(y > 0)[0]
+            X[0] = X[fall]
+            prep = cls.SvmPrep(X)
+            K = prep.kernel(0.5)
+            assert K[0, 0] + K[fall, fall] - 2.0 * K[0, fall] <= cls._SV_EPS
+            kernels.append((prep, 0.5))
+            m = len(X)
+            for C in (0.5, 5.0, 50.0):
+                problems.append(
+                    (len(kernels) - 1, y, np.full(m, C), np.zeros(m), np.full(m, -1.0), 10 * m))
+        self.check(kernels, problems)
+
+    def test_iteration_caps_stop_some_problems(self, rng):
+        kernels, problems = self.batch(rng)
+        # every third problem stops after a few steps, the rest run on
+        capped = [(k, y, box, a, p, 5 if n % 3 == 0 else cap)
+                  for n, (k, y, box, a, p, cap) in enumerate(problems)]
+        got = self.check(kernels, capped)
+        assert {r[3] for r in got} == {True, False}
+        assert all(r[2] == 5 for r in got[::3] if not r[3])
+
+    def test_over_budget_groups_and_kernel_rows(self, rng, monkeypatch):
+        # Room for the distances of 20 rows: the 40-row preparation computes
+        # its kernel rows on demand and solves alone, and the 10- to 13-row
+        # kernels stack in groups of at most 16 * 20**2 / (8 * 13**2), 4.
+        budget = 16 * 20 ** 2
+        monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", budget)
+        stacks = []
+        lockstep = cls._lockstep
+
+        def recorded(stack, rows, tol, results):
+            stacks.append((stack.nbytes, len(rows)))
+            return lockstep(stack, rows, tol, results)
+
+        monkeypatch.setattr(cls, "_lockstep", recorded)
+        X, labels = overlapping_problem(rng, 24, 16)
+        y = np.where(labels == "FALL", 1.0, -1.0)
+        kernels = [(cls.SvmPrep(X), 0.5)]
+        # a cold solve and one warm from it
+        problems = [(0, y, np.full(40, 5.0), np.zeros(40), np.full(40, -1.0), 400),
+                    (0, y, np.full(40, 50.0), 0, np.full(40, -1.0), 400)]
+        for size in (10, 11, 12, 13) * 3:
+            kernels.append((cls.SvmPrep(rng.normal(size=(size, 3))), 0.5))
+            for nu in (0.1, 0.3, 0.6):
+                problems.append((len(kernels) - 1, np.ones(size), np.full(size, 1.0 / (nu * size)),
+                                 np.full(size, 1.0 / size), np.zeros(size), 10 * size))
+        assert isinstance(kernels[0][0].kernel(0.5), cls._KernelRows)
+        self.check(kernels, problems)
+        assert len(stacks) > 1 and all(nbytes <= budget for nbytes, _ in stacks)
+        assert sum(n for _, n in stacks) == len(problems) - 2
+        assert max(n for _, n in stacks) > cls._HANDOFF
+
+
 class TestWarmStart:
     C_PATH = (0.1, 1.0, 10.0, 100.0)
 
-    def test_c_ascending_chain_stays_feasible_and_optimal(self, rng):
+    def test_c_ascending_chain_stays_feasible_and_optimal(self, rng, monkeypatch):
+        monkeypatch.setattr(cls, "_HANDOFF", 0)
         X, labels = overlapping_problem(rng)
         prep = cls.SvmPrep(X)
         y = np.where(labels == "FALL", 1.0, -1.0)
-        for gamma in ("auto", 0.5):
-            model = None
-            for C in self.C_PATH:
-                model = cls.train_tc_svm(prep, labels, C, gamma=gamma, max_iter=100000, start=model)
-                a = model.parameters.multipliers
-                assert model.training_summary["converged"]
-                assert np.all(a >= 0.0) and np.all(a <= C)
-                assert abs(float(a @ y)) <= 1e-12
-                assert kkt_violations_full(model, X, labels).max() <= 1.001e-3
-
-    def test_warm_solve_starts_from_the_previous_multipliers(self, rng):
-        X, labels = overlapping_problem(rng)
-        prep = cls.SvmPrep(X)
-        y = np.where(labels == "FALL", 1.0, -1.0)
-        cold = cls.train_tc_svm(prep, labels, 1.0, gamma=0.5)
-        kept = cold.parameters.multipliers > cls._SV_EPS
-        assert np.array_equal(cold.parameters.multipliers[kept], cold.parameters.alpha)
-        warm = cls.train_tc_svm(prep, labels, 10.0, gamma=0.5, start=cold)
         m = len(prep)
-        expected = cls._solve_pairwise_dual(
-            prep.kernel(0.5), y, np.full(m, 10.0), cold.parameters.multipliers, np.full(m, -1.0),
-            cls.SVM_TOL, 10 * m,
-        )
-        assert same_bits(warm.parameters.multipliers, expected[0])
-        assert same_bits(warm.parameters.bias, expected[1])
-        assert warm.training_summary["iterations"] == expected[2]
-        # the same C again is allowed
-        cls.train_tc_svm(prep, labels, 10.0, gamma=0.5, start=warm)
+        kernels = [(prep, prep.resolve_gamma("auto")), (prep, 0.5)]
+        problems = []
+        for k in (0, 1):
+            for c, C in enumerate(self.C_PATH):
+                start = len(problems) - 1 if c else np.zeros(m)
+                problems.append((k, y, np.full(m, C), start, np.full(m, -1.0), 100000))
+        solved = cls._solve_pairwise_duals(kernels, problems, cls.SVM_TOL)
+        for (k, _, box, _, _, _), (alpha, bias, _, converged, _, _, _) in zip(problems, solved):
+            C = box[0]
+            assert converged
+            assert np.all(alpha >= 0.0) and np.all(alpha <= C)
+            assert abs(float(alpha @ y)) <= 1e-12
+            K = prep.kernel(kernels[k][1])
+            assert kkt_violations_dual(K, y, alpha, bias, C).max() <= 1.001e-3
 
-    def test_refused_starts_name_the_reason(self, rng):
-        X, labels = overlapping_problem(rng)
-        prep = cls.SvmPrep(X)
-        start = cls.train_tc_svm(prep, labels, 10.0, gamma=0.5)
-        one_class = cls.train_oc_svm(prep, 0.2, gamma=0.5)
-        cases = [
-            (prep, labels, 1.0, start, "start was trained with C=10.0, larger than C=1.0"),
-            (cls.SvmPrep(X), labels, 10.0, start, "start was trained on another SvmPrep"),
-            (X, labels, 10.0, start, "start was trained on another SvmPrep"),
-            (cls.SvmPrep(X[1:]), labels[1:], 10.0, start, "start was trained on 40 rows, not 39"),
-            (prep, labels[::-1], 10.0, start, "start was trained on other labels"),
-            (prep, labels, 10.0, one_class, "start must be a TC_SVM model, got OC_SVM"),
-            (prep, labels, 10.0, start.parameters, "start must be a TC_SVM model, got SvmModel"),
-        ]
-        for vectors, rows_labels, C, bad, message in cases:
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                cls.train_tc_svm(vectors, rows_labels, C, gamma=0.5, start=bad)
+
+def kkt_violations_dual(K, y, alpha, bias, C):
+    """KKT slack of a two-class solve on its training kernel K."""
+    margins = y * (K @ (alpha * y) + bias)
+    at_zero = alpha <= 1e-9
+    at_c = alpha >= C - 1e-9
+    free = ~(at_zero | at_c)
+    viol = np.zeros(len(y))
+    viol[at_zero] = np.maximum(0.0, 1.0 - margins[at_zero])
+    viol[at_c] = np.maximum(0.0, margins[at_c] - 1.0)
+    viol[free] = np.abs(margins[free] - 1.0)
+    return viol
 
 
 class TestInnerGrid:
@@ -588,10 +710,7 @@ class TestInnerGrid:
     def table(self, variant, X, is_fall, tr, val, grid):
         key = self.GRIDS[variant][0]
         cfg = ev.GridConfig(gamma_grid=self.GAMMAS, **{key: grid})
-        with warnings.catch_warnings():
-            # the search silences the solves its cap stops, as here
-            warnings.simplefilter("ignore", ConvergenceWarning)
-            return ev._svm_grid_scores(cls.Variant(variant), X, is_fall, cfg, tr, val)
+        return ev._svm_grid_tables(cls.Variant(variant), X, is_fall, cfg, [(tr, val)])[0]
 
     @pytest.mark.parametrize("variant", ["TC_SVM", "OC_SVM"])
     def test_grid_order_only_permutes_columns(self, rng, variant):
@@ -632,18 +751,54 @@ class TestInnerGrid:
         preps = {"TC_SVM": cls.SvmPrep(X), "OC_SVM": cls.SvmPrep(X[labels == "ADL"])}
         for gamma in ("auto", 0.4):
             for variant, prep in preps.items():
+                var = cls.Variant(variant)
                 block = cls.SvmQueryBlock(prep, queries, gamma)
                 assert (block.block is None) is over_budget
-                model = None
                 for a in (0.2, 0.5):
-                    if variant == "TC_SVM":
-                        model = cls.train_tc_svm(prep, labels, 10 * a, gamma=gamma, start=model)
+                    value = 10 * a if var is cls.Variant.TC_SVM else a
+                    y, box, start, p = cls._svm_dual(var, prep, labels, value)[:4]
+                    alpha, bias, _, _, _, lo, hi = cls._solve_pairwise_dual(
+                        prep.kernel(block.gamma), y, box, start, p, cls.SVM_TOL, 10 * len(prep))
+                    got = block.scores(var, alpha, y, cls._svm_offset(var, bias, lo, hi))
+                    if var is cls.Variant.TC_SVM:
+                        model = cls.train_tc_svm(prep, labels, value, gamma=gamma)
                     else:
-                        model = cls.train_oc_svm(prep, a, gamma=gamma)
+                        model = cls.train_oc_svm(prep, value, gamma=gamma)
                     expected = cls.score_batch(model, queries)
-                    assert np.max(np.abs(block.scores(model) - expected)) <= 1e-12
-        other = cls.train_tc_svm(X, labels, 1.0, gamma=0.4)
-        with pytest.raises(ValueError, match="not trained on this block's SvmPrep and gamma"):
-            cls.SvmQueryBlock(preps["TC_SVM"], queries, 0.4).scores(other)
-        with pytest.raises(ValueError, match="not trained on this block's SvmPrep and gamma"):
-            cls.SvmQueryBlock(preps["TC_SVM"], queries, 0.5).scores(model)
+                    assert np.max(np.abs(got - expected)) <= 1e-12
+                    # over the budget the block scores as score_batch does
+                    assert same_bits(got, expected) or not over_budget
+
+
+class TestPinnedSelection:
+    """Every outer fold's selection on one fixed problem, as the scalar
+    inner search made it: (C or nu, gamma, float.hex of inner_mean_auc)."""
+
+    EXPECTED = {
+        "OC_SVM": [
+            (0.2, 0.1, "0x1.bc962fc962fcap-1"), (0.1, 0.1, "0x1.999999999999ap-1"),
+            (0.2, 0.01, "0x1.9dddddddddddep-1"), (0.2, 0.01, "0x1.c1b4e81b4e81dp-1"),
+            (0.2, 0.1, "0x1.999999999999ap-1"), (0.2, 0.01, "0x1.98bf258bf258dp-1"),
+            (0.1, 0.01, "0x1.ba06d3a06d3a0p-1"), (0.2, 0.01, "0x1.b40da740da742p-1"),
+            (0.2, 0.01, "0x1.a2fc962fc9630p-1"), (0.2, 0.01, "0x1.85f92c5f92c60p-1"),
+        ],
+        "TC_SVM": [
+            (1.0, 0.1, "0x1.e4b17e4b17e4bp-1"), (0.1, 0.1, "0x1.c444444444445p-1"),
+            (0.1, 0.1, "0x1.c0da740da740dp-1"), (10.0, 0.01, "0x1.cda740da740dap-1"),
+            (1.0, 0.01, "0x1.c962fc962fc96p-1"), (10.0, 0.01, "0x1.c7ae147ae147dp-1"),
+            (0.1, 0.1, "0x1.cbf258bf258c0p-1"), (0.1, 0.01, "0x1.e2fc962fc9630p-1"),
+            (1.0, 0.01, "0x1.d1eb851eb8520p-1"), (10.0, 0.01, "0x1.ac5f92c5f92c6p-1"),
+        ],
+    }
+
+    @pytest.mark.parametrize("variant", ["OC_SVM", "TC_SVM"])
+    def test_every_outer_fold_selects_as_recorded(self, variant):
+        X, labels = overlapping_problem(np.random.default_rng(5), 60, 20)
+        is_fall = labels == "FALL"
+        inputs = ev.CellInputs(X, is_fall, ingest.plan_folds(is_fall, num_folds=10, seed=3), seed=3)
+        key = "C" if variant == "TC_SVM" else "nu"
+        got = []
+        for f in range(10):
+            params = ev.run_fold(inputs, variant, f).params
+            got.append((params[key], params["gamma"], params["inner_mean_auc"].hex()))
+        assert got == self.EXPECTED[variant]
