@@ -22,12 +22,13 @@ from .classifiers import Variant
 from .errors import FalldetectError, ParseError
 from .evaluation import (
     GridConfig,
+    InputsMemo,
     assemble_report,
-    cell_inputs,
     report_from_dict,
     run_experiment,
     run_fold,
     save_report_json,
+    shared_inputs,
     summary_row,
     write_roc_csv,
 )
@@ -292,20 +293,23 @@ def _cell_outcome(cell, build):
 
 
 def _run_serial(cells, collections, grid_cfg):
-    """Each cell's row and report, one run_experiment call per cell."""
-    for cell in cells:
-        collection = collections[cell[0]]
-        yield _cell_outcome(cell, lambda: run_experiment(collection, *cell[1:], grid_cfg))
+    """Each cell's row and report, one run_experiment call per cell; the
+    variants of one (collection, feature, window) triple, which cells
+    lists one after another, share the triple's inputs."""
+    with shared_inputs():
+        for cell in cells:
+            collection = collections[cell[0]]
+            yield _cell_outcome(cell, lambda: run_experiment(collection, *cell[1:], grid_cfg))
 
 
 # The state of a pool worker process, set by _init_worker when the worker
-# starts: the collections and grid config of the run, and the inputs of
-# the one (collection, feature, window) triple the worker last served.
+# starts: the collections and grid config of the run, and the memo of the
+# inputs of the one (collection, feature, window) triple it last served.
 _worker = {}
 
 
 def _init_worker(collections, grid_cfg):
-    _worker.update(collections=collections, grid_cfg=grid_cfg, triple=None, inputs=None)
+    _worker.update(collections=collections, grid_cfg=grid_cfg, inputs=InputsMemo())
 
 
 def _run_fold_unit(cell, f):
@@ -313,11 +317,8 @@ def _run_fold_unit(cell, f):
     None and the error row of whatever failed."""
     grid_cfg = _worker["grid_cfg"]
     try:
-        if _worker["triple"] != cell[:3]:
-            _worker.update(triple=None, inputs=None)  # drop the last triple's inputs first
-            _worker["inputs"] = cell_inputs(_worker["collections"][cell[0]], *cell[1:3], grid_cfg)
-            _worker["triple"] = cell[:3]
-        return run_fold(_worker["inputs"], cell[3], f, grid_cfg), None
+        inputs = _worker["inputs"](_worker["collections"][cell[0]], *cell[1:3], grid_cfg)
+        return run_fold(inputs, cell[3], f, grid_cfg), None
     except Exception as exc:  # the parent turns it into the cell's row
         return None, _error_row(cell, exc)
 

@@ -7,6 +7,7 @@ averaged curve.  Hyperparameters are chosen per outer fold by an inner
 cross-validation that never sees the outer test split.
 """
 
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
@@ -121,12 +122,24 @@ def auc(curve):
 
 
 def _column_aucs(table, pos):
-    """auc(roc_curve(table[:, c], pos)) for every column c, bit for bit:
-    one sweep of the whole table, then each column's trapezoid over the
-    points it keeps."""
+    """auc(roc_curve(table[:, c], pos)) for every column c, bit for bit.
+
+    One sweep of the whole table gives every column's kept points, laid
+    out column after column, and one pass their trapezoid terms.  The
+    columns that keep the same number of points then sum their terms as
+    the rows of one C-contiguous array: numpy sums each such row pairwise,
+    exactly as _trapezoid sums its 1-d array.
+    """
     _, fpr, tpr, keep = _sweep(table, pos)
-    return np.array([_trapezoid(fpr[keep[:, c], c], tpr[keep[:, c], c])
-                     for c in range(table.shape[1])])
+    f, t = fpr.T[keep.T], tpr.T[keep.T]
+    terms = np.diff(f) * (t[1:] + t[:-1]) / 2.0
+    counts = keep.sum(axis=0)
+    starts = np.cumsum(counts) - counts
+    aucs = np.empty(table.shape[1])
+    for m in set(counts.tolist()):
+        cols = np.flatnonzero(counts == m)
+        aucs[cols] = terms[starts[cols, None] + np.arange(m - 1)].sum(axis=1)
+    return aucs
 
 
 def pairwise_auc(scores, labels):
@@ -442,6 +455,46 @@ def cell_inputs(collection, feature_kind, window_len, config=None):
     )
 
 
+class InputsMemo:
+    """cell_inputs that remembers one triple: asked again for the triple it
+    built last (the same collection and config objects, feature and
+    window), it returns the same CellInputs; asked for another, it drops
+    the last one before it builds.  Inputs that fail are not kept, so
+    each later ask raises again."""
+
+    def __init__(self):
+        self._key = self._held = self._inputs = None
+
+    def __call__(self, collection, feature_kind, window_len, config=None):
+        key = (id(collection), id(config), FeatureKind(feature_kind), int(window_len))
+        if key != self._key:
+            self._key = self._held = self._inputs = None
+            self._inputs = cell_inputs(collection, feature_kind, window_len, config)
+            # held, so that no other object takes their ids while they key
+            self._key, self._held = key, (collection, config)
+        return self._inputs
+
+
+# The memo run_experiment builds its inputs through while shared_inputs()
+# is open, None otherwise: a module variable, because run_experiment keeps
+# the five arguments that callers and stand-ins for it pass.
+_shared = None
+
+
+@contextmanager
+def shared_inputs():
+    """While open, consecutive run_experiment calls for the variants of one
+    (collection, feature, window) triple share that triple's CellInputs,
+    as the outer folds of a pool worker do: one feature matrix and one
+    kNN distance matrix per triple."""
+    global _shared
+    _shared = InputsMemo()
+    try:
+        yield
+    finally:
+        _shared = None
+
+
 def run_fold(inputs, variant, f, config=None):
     """Outer fold f of a cell: an inner cross-validation over the fold's
     training split picks the hyperparameters with the best total inner
@@ -516,8 +569,9 @@ def assemble_report(collection, feature_kind, window_len, variant, folds, config
 def run_experiment(collection, feature_kind, window_len, variant, config=None):
     """Nested cross-validation for one (collection, feature, window, variant)
     cell: its shared inputs, then each outer fold in order (run_fold), then
-    the assembly of the report (assemble_report)."""
-    inputs = cell_inputs(collection, feature_kind, window_len, config)
+    the assembly of the report (assemble_report).  Inside shared_inputs()
+    the inputs may be those of the call before, for the same triple."""
+    inputs = (_shared or cell_inputs)(collection, feature_kind, window_len, config)
     folds = [run_fold(inputs, variant, f, config) for f in range(inputs.plan.num_folds)]
     return assemble_report(collection, feature_kind, window_len, variant, folds, config)
 

@@ -772,7 +772,11 @@ class TestInnerGrid:
 
 class TestPinnedSelection:
     """Every outer fold's selection on one fixed problem, as the scalar
-    inner search made it: (C or nu, gamma, float.hex of inner_mean_auc)."""
+    inner search made it: the chosen values (C or nu and gamma, or k) and
+    float.hex of inner_mean_auc."""
+
+    KEYS = {"OC_SVM": ("nu", "gamma"), "TC_SVM": ("C", "gamma"), "OC_KNN": ("k",),
+            "TC_KNN": ("k",)}
 
     EXPECTED = {
         "OC_SVM": [
@@ -789,16 +793,30 @@ class TestPinnedSelection:
             (0.1, 0.1, "0x1.cbf258bf258c0p-1"), (0.1, 0.01, "0x1.e2fc962fc9630p-1"),
             (1.0, 0.01, "0x1.d1eb851eb8520p-1"), (10.0, 0.01, "0x1.ac5f92c5f92c6p-1"),
         ],
+        "OC_KNN": [
+            (6, "0x1.c444444444445p-1"), (7, "0x1.bc962fc962fcap-1"),
+            (9, "0x1.b777777777776p-1"), (6, "0x1.bd70a3d70a3d6p-1"),
+            (10, "0x1.ab851eb851ebap-1"), (8, "0x1.bc962fc962fcap-1"),
+            (1, "0x1.9ddddddddddddp-1"), (10, "0x1.c369d0369d036p-1"),
+            (8, "0x1.ae147ae147ae0p-1"), (2, "0x1.9d0369d0369d0p-1"),
+        ],
+        "TC_KNN": [
+            (10, "0x1.d70a3d70a3d70p-1"), (9, "0x1.c369d0369d036p-1"),
+            (6, "0x1.a4b17e4b17e4bp-1"), (9, "0x1.b4e81b4e81b50p-1"),
+            (10, "0x1.bc962fc962fcap-1"), (5, "0x1.d555555555556p-1"),
+            (10, "0x1.be4b17e4b17e5p-1"), (10, "0x1.db4e81b4e81b6p-1"),
+            (6, "0x1.ca3d70a3d70a3p-1"), (6, "0x1.ac5f92c5f92c6p-1"),
+        ],
     }
 
-    @pytest.mark.parametrize("variant", ["OC_SVM", "TC_SVM"])
+    @pytest.mark.parametrize("variant", ["OC_SVM", "TC_SVM", "OC_KNN", "TC_KNN"])
     def test_every_outer_fold_selects_as_recorded(self, variant):
         X, labels = overlapping_problem(np.random.default_rng(5), 60, 20)
         is_fall = labels == "FALL"
         inputs = ev.CellInputs(X, is_fall, ingest.plan_folds(is_fall, num_folds=10, seed=3), seed=3)
-        key = "C" if variant == "TC_SVM" else "nu"
         got = []
         for f in range(10):
             params = ev.run_fold(inputs, variant, f).params
-            got.append((params[key], params["gamma"], params["inner_mean_auc"].hex()))
+            got.append((*(params[key] for key in self.KEYS[variant]),
+                        params["inner_mean_auc"].hex()))
         assert got == self.EXPECTED[variant]

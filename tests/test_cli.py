@@ -367,7 +367,7 @@ class TestFoldPool:
         assert run_cli("run", "--dataset1", data, "--out", work, *argv) == 0
         serial = without_run_json(file_bytes(work))
         built = []
-        real_inputs, real_prep = cli.cell_inputs, classifiers.KnnPrep
+        real_inputs, real_prep = evaluation.cell_inputs, classifiers.KnnPrep
 
         def counted_inputs(*args):
             built.append("inputs")
@@ -378,12 +378,72 @@ class TestFoldPool:
                 built.append("knn_prep")
                 super().__init__(vectors)
 
-        monkeypatch.setattr(cli, "cell_inputs", counted_inputs)
+        monkeypatch.setattr(evaluation, "cell_inputs", counted_inputs)
         monkeypatch.setattr(classifiers, "KnnPrep", CountedPrep)
         assert run_cli("run", "--dataset1", data, "--out", work, *argv, "--jobs", "2") == 0
         assert inline_pool == [2]
         assert built == ["inputs", "knn_prep"]
         assert without_run_json(file_bytes(work)) == serial
+
+
+class TestSerialSharing:
+    """--jobs 1 builds each (collection, feature, window) triple's inputs
+    once for all of its variants, as a pool worker does."""
+
+    ARGV = ("--seed", "7", "--feature", "MAGNITUDE", "--window", "51",
+            "--classifier", "OC_KNN,TC_KNN,OC_SVM")
+
+    @staticmethod
+    def counted(monkeypatch, module, name, calls):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def test_one_triple_extracts_and_measures_once(self, pipeline, tmp_path, monkeypatch):
+        data, work = pipeline
+        calls = []
+        self.counted(monkeypatch, evaluation, "extract_matrix", calls)
+        self.counted(monkeypatch, classifiers, "_self_distances", calls)
+        assert run_cli("run", "--dataset1", data, "--out", work, *self.ARGV, "--jobs", "1") == 0
+        assert sorted(calls) == ["_self_distances", "extract_matrix"]
+        assert evaluation._shared is None  # the memo ends with the run
+        monkeypatch.undo()
+        pooled = tmp_path / "pooled"
+        assert run_cli("ingest", "--dataset1", data, "--out", pooled, "--seed", "7") == 0
+        assert run_cli("run", "--dataset1", data, "--out", pooled, *self.ARGV, "--jobs", "2") == 0
+        assert without_run_json(file_bytes(pooled)) == without_run_json(file_bytes(work))
+
+    def test_inputs_that_fail_give_every_variant_the_error_row(self, pipeline, monkeypatch,
+                                                               capsys):
+        data, work = pipeline
+        calls = []
+
+        def fails(*args):
+            calls.append(args[1])
+            raise InsufficientData("no windows, sorry")
+
+        monkeypatch.setattr(evaluation, "extract_matrix", fails)
+        assert run_cli("run", "--dataset1", data, "--out", work, *self.ARGV, "--jobs", "1") == 1
+        assert len(calls) == 3  # a failure is not remembered: each variant asks again
+        lines = (work / "summary.csv").read_text().splitlines()[1:]
+        assert lines == [f"C1,MAGNITUDE,51,{v},,,,,error,no windows; sorry"
+                         for v in ("OC_KNN", "TC_KNN", "OC_SVM")]
+
+    def test_a_new_triple_or_config_builds_anew(self, pipeline):
+        data, work = pipeline
+        collection = cli.collection_from_manifest(
+            json.loads((work / "collection_C1.json").read_text()),
+            cli.parse_dataset1(data), None)
+        memo, cfg = evaluation.InputsMemo(), evaluation.GridConfig()
+        for ask in ((collection, "RAW", 51, cfg), (collection, "MAGNITUDE", 128, cfg),
+                    (collection, "MAGNITUDE", 51, evaluation.GridConfig())):
+            last = memo(collection, "MAGNITUDE", 51, cfg)
+            assert memo(collection, evaluation.FeatureKind.MAGNITUDE, "51", cfg) is last
+            assert memo(*ask) is not last
 
 
 def drop_source_index(doc):

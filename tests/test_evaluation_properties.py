@@ -29,13 +29,21 @@ def one_column_auc(scores, pos):
 
 @st.composite
 def scored_tables(draw):
-    """A score table with a column per candidate, on a coarse grid (with
-    both signed zeros) so that ties are common, and labels with both
-    classes."""
-    n = draw(st.integers(2, 60))
+    """A score table with a column per candidate and labels with both
+    classes.  Either up to 60 rows on a coarse grid (with both signed
+    zeros), so that ties are common, or 129 to 400 rows of scores with few
+    ties, so that columns keep more than 128 points and numpy sums their
+    trapezoid terms by its recursive pairwise branch."""
     cols = draw(st.integers(1, 16))
-    values = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.25, 1.0, 1.5, 7.0])
-    table = draw(arrays(np.float64, (n, cols), elements=values))
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 60))
+        values = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.25, 1.0, 1.5, 7.0])
+        table = draw(arrays(np.float64, (n, cols), elements=values))
+    else:
+        n = draw(st.integers(129, 400))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        # each column on its own integer grid, some coarse enough for ties
+        table = np.round(rng.normal(size=(n, cols)) * 10.0 ** rng.integers(1, 9, cols))
     pos = draw(arrays(np.bool_, n))
     fall = draw(st.integers(0, n - 1))
     pos[fall] = True

@@ -223,6 +223,87 @@ class TestFeatureRows:
                 assert v.shape == (dim,) and v.dtype == np.float64
 
 
+def accel_reference(w):
+    """The 12 summary values of one window from its 1-d axes, one value at a
+    time: numpy's 1-d mean, std, FFT and dot, with a zero correlation where
+    an axis is flat or r is not finite."""
+
+    def energy(a):
+        return float(np.sqrt(np.sum(np.abs(np.fft.fft(a)) ** 2) / len(a)))
+
+    def pearson(a, b):
+        ca, cb = a - a.mean(), b - b.mean()
+        if not ca.any() or not cb.any():
+            return 0.0
+        r = float(ca @ cb / np.sqrt((ca @ ca) * (cb @ cb)))
+        return min(1.0, max(-1.0, r)) if np.isfinite(r) else 0.0
+
+    axes = (w.x, w.y, w.z)
+    return np.array([a.mean() for a in axes] + [a.std() for a in axes]
+                    + [energy(a) for a in axes]
+                    + [pearson(w.x, w.y), pearson(w.x, w.z), pearson(w.y, w.z)])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestStackedRows:
+    """extract_matrix computes each kind over a stack of windows; every row
+    must carry the bits of the window extracted on its own."""
+
+    @staticmethod
+    def windows(rng, L):
+        out = []
+        for i in range(12):
+            x, y, z = rng.normal(0.0, rng.uniform(0.1, 3.0), (3, L))
+            if i % 4 == 1:
+                y = np.full(L, 0.5)  # a constant axis: no correlation
+            if i % 4 == 2:
+                y, z = 2.0 * x + 1.0, -x  # perfectly correlated: r clipped to +-1
+            if i % 4 == 3:
+                x = np.zeros(L)
+            out.append(ingest.TriaxialWindow(x, y, z))
+        return out
+
+    @pytest.mark.parametrize("L", [2, 51, 128, 300])
+    @pytest.mark.parametrize("kind", list(FeatureKind), ids=lambda k: k.value)
+    def test_matrix_rows_equal_window_rows(self, rng, kind, L):
+        windows = self.windows(rng, L)
+        for params in (None, LtpParams(num_neighbours=5, step=0.25)):
+            X = features.extract_matrix(windows, kind, params)
+            assert X.shape[0] == len(windows) and X.dtype == np.float64
+            for w, row in zip(windows, X):
+                assert same_bits(row, features.extract(w, kind, params))
+
+    @pytest.mark.parametrize("L", [2, 51, 128, 300])
+    def test_summary_rows_equal_the_one_dimensional_reference(self, rng, L):
+        windows = self.windows(rng, L)
+        X = features.extract_matrix(windows, FeatureKind.ACCEL_FEATURES)
+        for w, row in zip(windows, X):
+            assert same_bits(row, accel_reference(w))
+        assert np.all(np.abs(X[2::4, 9:]) == 1.0) and not X[1::4, [9, 11]].any()
+
+    def test_summary_rows_of_windows_of_several_lengths(self, rng):
+        windows = [random_window(rng, L) for L in (51, 128, 51, 2, 300)]
+        X = features.extract_matrix(windows, FeatureKind.ACCEL_FEATURES)
+        assert X.shape == (5, 12)
+        for w, row in zip(windows, X):
+            assert same_bits(row, accel_reference(w))
+
+    def test_empty_list(self):
+        for kind in FeatureKind:
+            assert features.extract_matrix([], kind).shape == (0,)
+
+    def test_single_sample_summary_rejected_among_other_lengths(self, rng):
+        windows = [random_window(rng, 51), ingest.TriaxialWindow([1.0], [1.0], [1.0])]
+        with pytest.raises(LengthError, match="at least 2 samples"):
+            features.extract_matrix(windows, FeatureKind.ACCEL_FEATURES)
+        for kind in (FeatureKind.RAW, FeatureKind.MAGNITUDE, FeatureKind.LTP):
+            with pytest.raises(DimensionError, match="differing lengths"):
+                features.extract_matrix(windows, kind)
+
+
 class TestMatrixAndExport:
     def test_extract_matrix_shape(self, rng):
         windows = [random_window(rng, 51) for _ in range(5)]
