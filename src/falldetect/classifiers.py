@@ -58,40 +58,101 @@ def _as_matrix(vectors):
 # Nearest-neighbour machinery
 
 
-def _chunk_rows(train):
-    """Queries per chunk whose differences to train fit _DIST_CHUNK_BYTES."""
-    return max(1, int(_DIST_CHUNK_BYTES // max(8 * train.size, 1)))
-
-
-def _distance_block(train, queries):
-    """Euclidean distances from every query to every training row:
-    block[q] is np.sqrt(((train - queries[q]) ** 2).sum(axis=1)) bit for
-    bit, as each entry is the same pairwise sum over one row.  Queries go
-    in chunks whose difference arrays stay within _DIST_CHUNK_BYTES."""
-    step = _chunk_rows(train)
-    block = np.empty((len(queries), len(train)))
-    for b in range(0, len(queries), step):
-        q = queries[b:b + step]
-        block[b:b + step] = np.sqrt(((train[None] - q[:, None]) ** 2).sum(axis=2))
-    return block
-
-
 def _self_distances(X):
-    """_distance_block(X, X) bit for bit, from its upper triangle.
+    """Pairwise distances between the rows of X: D[i, j] is
+    np.sqrt(((X[j] - X[i]) ** 2).sum()) bit for bit, the same pairwise sum
+    over one row that every kNN distance is.
 
     Each chunk of rows is taken against the rows from its first one on,
     and mirrored below the diagonal: (a - b)**2 and (b - a)**2 are the
-    same float, so each entry is the same sum.  Memory stays at the
-    matrix plus one chunk.
+    same float, so each entry is the same sum.  A chunk is as many rows as
+    keep its difference arrays within _DIST_CHUNK_BYTES, but at least one,
+    and one row's are 8 * n * d bytes.  Memory stays at the matrix plus a
+    few arrays of max(_DIST_CHUNK_BYTES, 8 * n * d) bytes.
     """
     n = len(X)
-    step = _chunk_rows(X)
+    step = max(1, int(_DIST_CHUNK_BYTES // max(8 * X.size, 1)))
     D = np.empty((n, n))
     for b in range(0, n, step):
         q = X[b:b + step]
         D[b:b + step, b:] = np.sqrt(((X[None, b:] - q[:, None]) ** 2).sum(axis=2))
         D[b:, b:b + step] = D[b:b + step, b:].T
     return D
+
+
+# Bounds for the Gram form of a squared distance, |q|^2 + |t|^2 - 2 q.t:
+# the unit roundoff, the smallest subnormal, and the largest |q|^2 + |t|^2
+# whose Gram form cannot overflow.
+_U = np.finfo(np.float64).eps / 2
+_TINY = np.finfo(np.float64).smallest_subnormal
+_GRAM_MAX = np.finfo(np.float64).max / 8
+
+
+def _gram_error(d):
+    """E / (|q|^2 + |t|^2) for d columns: the Gram form and the exact
+    distance squared differ by less than E = (8 g + 16 u)(|q|^2 + |t|^2),
+    g = gamma_{d+4} = (d+4)u / (1 - (d+4)u).  The inner-product bound is
+    |fl(q.t) - q.t| <= gamma_d |q|.|t| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 3.1); the norms and the exact
+    expression round alike, and the factors leave twice the room."""
+    g = (d + 4) * _U / (1 - (d + 4) * _U)
+    return 8 * g + 16 * _U
+
+
+def _candidates(q, train, sq_t, k_max):
+    """Mask of the entries of the q x train block that may be among their
+    row's k_max smallest exact distances, ties included: those whose Gram
+    form less its bound is at most the row's k_max-th smallest Gram form
+    plus bound.  An entry whose |q|^2 + |t|^2 is not below _GRAM_MAX (or
+    is not finite) is always one, and lifts its row's threshold to inf."""
+    d = q.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        N = np.add.outer(np.einsum("ij,ij->i", q, q), sq_t)
+        wild = ~(N < _GRAM_MAX)
+        S = q @ train.T
+        S *= -2.0
+        S += N
+        E = N
+        E *= _gram_error(d)
+        E += 8 * (d + 1) * _TINY  # each subnormal product may be off by _TINY / 2
+        lo = S - E
+        up = S
+        up += E
+    if wild.any():
+        lo[wild], up[wild] = -np.inf, np.inf
+    hi = np.partition(up, k_max - 1, axis=1)[:, k_max - 1:k_max]
+    return lo <= hi
+
+
+def _candidate_block(train, queries, k_max):
+    """Query x training distances for a row's k_max nearest: at every
+    entry _candidates keeps, np.sqrt(((queries[i] - train[j]) ** 2).sum())
+    bit for bit; +inf elsewhere.
+
+    Every entry at most its row's k_max-th smallest exact distance is
+    kept, so the k_max smallest entries of each row are the exact ones,
+    and every mean of them is.  The Gram forms go a chunk of query rows at
+    a time and the kept entries a chunk of pairs at a time, each within
+    _DIST_CHUNK_BYTES (but at least one row or pair).  A k_max outside 1
+    to the width gives an all-inf block, which knn_mean_distances_all_k
+    refuses.
+    """
+    n, d = train.shape
+    block = np.full((len(queries), n), np.inf)
+    if not 1 <= k_max <= n:
+        return block
+    sq_t = np.einsum("ij,ij->i", train, train)  # no n x d temporary
+    rows = max(1, int(_DIST_CHUNK_BYTES // (8 * n)))
+    pairs = max(1, int(_DIST_CHUNK_BYTES // max(8 * d, 1)))
+    for b in range(0, len(queries), rows):
+        q = queries[b:b + rows]
+        kept = np.flatnonzero(_candidates(q, train, sq_t, k_max))
+        out = block[b:b + rows].reshape(-1)  # a view: the rows are contiguous
+        for c in range(0, len(kept), pairs):
+            at = kept[c:c + pairs]
+            i, j = np.divmod(at, n)
+            out[at] = np.sqrt(((q[i] - train[j]) ** 2).sum(axis=1))
+    return block
 
 
 def _k_smallest_rows(block, k):
@@ -131,30 +192,37 @@ def _knn_scores(da, df=None):
 
 
 class KnnPrep:
-    """Pairwise distances between the rows of one matrix, shared by every
-    inner kNN split and outer test fold drawn from those rows.
+    """Distances between the rows of one matrix, for every inner kNN split
+    and outer test fold drawn from those rows.
 
-    The n x n matrix is built up front when it fits _CACHE_BUDGET_BYTES.
-    Above that, each block is computed from the rows instead; both give
-    the same entries bit for bit.
+    Each block is a _candidate_block of the rows until build_matrix is
+    called; from then on, when the n x n matrix fits _CACHE_BUDGET_BYTES,
+    blocks are read from it.  The k smallest entries of every row, and so
+    every score, are the same bits either way.
     """
 
     def __init__(self, vectors):
         self.X = _as_matrix(vectors)
-        fits = 8.0 * len(self.X) ** 2 <= _CACHE_BUDGET_BYTES
-        self._D = _self_distances(self.X) if fits else None
+        self._D = None
 
-    def _block(self, queries, train):
+    def build_matrix(self):
+        """Build the n x n matrix, once and when it fits the budget, for a k
+        search whose many blocks read the same rows."""
+        if self._D is None and 8.0 * len(self.X) ** 2 <= _CACHE_BUDGET_BYTES:
+            self._D = _self_distances(self.X)
+
+    def _block(self, queries, train, k_max):
         if self._D is None:
-            return _distance_block(self.X[train], self.X[queries])
+            return _candidate_block(self.X[train], self.X[queries], k_max)
         return self._D[np.ix_(queries, train)]
 
     def scores_all_k(self, adl, fall, queries, k_max):
         """_knn_scores of the rows at indices queries, a column per k in
         1..k_max, against the ADL rows at indices adl and the FALL rows at
         indices fall (None for one-class)."""
-        da = knn_mean_distances_all_k(self._block(queries, adl), k_max)
-        df = None if fall is None else knn_mean_distances_all_k(self._block(queries, fall), k_max)
+        da = knn_mean_distances_all_k(self._block(queries, adl, k_max), k_max)
+        df = None if fall is None else knn_mean_distances_all_k(
+            self._block(queries, fall, k_max), k_max)
         return _knn_scores(da, df)
 
 
@@ -832,7 +900,8 @@ def score_batch(model, vectors):
     p = model.parameters
     if isinstance(p, KnnModel):
         pools = (p.adl,) if p.fall is None else (p.adl, p.fall)
-        tables = [knn_mean_distances_all_k(_distance_block(pool, vectors), p.k) for pool in pools]
+        tables = [knn_mean_distances_all_k(_candidate_block(pool, vectors, p.k), p.k)
+                  for pool in pools]
         return _knn_scores(*tables)[:, p.k - 1]
     if model.variant in (Variant.TC_SVM, Variant.OC_SVM):
         qs = standardize_apply(vectors, p.mean, p.scale)

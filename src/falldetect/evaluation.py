@@ -319,7 +319,8 @@ def _knn_table(variant, prep, rows, is_fall, queries, k_max):
 
 def _select_k(variant, prep, rows, is_fall, cfg, seed):
     """k for the training rows of prep.X at indices rows, labelled by
-    is_fall; each inner split's scores index prep's shared distances."""
+    is_fall.  A search of more than one k builds prep's matrix, and each
+    inner split's scores index it."""
     ks = sorted(set(cfg.k_grid))
     if len(ks) == 1:
         return ks[0], None
@@ -337,6 +338,8 @@ def _select_k(variant, prep, rows, is_fall, cfg, seed):
     if len(ks) == 1:
         return ks[0], None
 
+    # a search reads many blocks of the same rows: worth the whole matrix
+    prep.build_matrix()
     columns = [k - 1 for k in ks]
     tables = (_knn_table(variant, prep, rows[tr], is_fall[tr], rows[val], ks[-1])[:, columns]
               for tr, val in splits)
@@ -486,7 +489,7 @@ def shared_inputs():
     """While open, consecutive run_experiment calls for the variants of one
     (collection, feature, window) triple share that triple's CellInputs,
     as the outer folds of a pool worker do: one feature matrix and one
-    kNN distance matrix per triple."""
+    KnnPrep per triple."""
     global _shared
     _shared = InputsMemo()
     try:

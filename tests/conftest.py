@@ -67,6 +67,15 @@ def distances_to_all(train, query):
     return np.sqrt(((train - query) ** 2).sum(axis=1))
 
 
+def distance_block(train, queries):
+    """The query x training block of distances_to_all, one query row at a
+    time."""
+    block = np.empty((len(queries), len(train)))
+    for qi, q in enumerate(queries):
+        block[qi] = distances_to_all(train, q)
+    return block
+
+
 def knn_bruteforce_oracle(train, query, k):
     """Sorted k smallest Euclidean distances by exhaustive scan and full sort."""
     train = np.asarray(train, dtype=np.float64)

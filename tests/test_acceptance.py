@@ -15,12 +15,11 @@ import warnings
 import numpy as np
 import pytest
 
-from tests.conftest import knn_bruteforce_oracle, knn_oracle_scores, random_window
+from tests.conftest import distance_block, knn_bruteforce_oracle, knn_oracle_scores, random_window
 from falldetect import cli, classifiers, synth
 from falldetect.classifiers import (
     ConvergenceWarning,
     KnnPrep,
-    _distance_block,
     _k_smallest_rows,
     knn_mean_distances_all_k,
     score_batch,
@@ -152,8 +151,8 @@ def test_criterion_03_ltp_matches_bruteforce_oracle():
 
 def test_criterion_04_knn_matches_exhaustive_oracle(monkeypatch):
     # Every kNN route, the library trainers and the KnnPrep every reported
-    # AUC comes from, in and over its matrix budget, equals the oracle bit
-    # for bit for every k.
+    # AUC comes from, from candidates and from its matrix, in and over its
+    # matrix budget, equals the oracle bit for bit for every k.
     rng = np.random.default_rng(44)
     checked = 0
     for _ in range(10):
@@ -165,7 +164,7 @@ def test_criterion_04_knn_matches_exhaustive_oracle(monkeypatch):
         # the last query sits on a row of both pools: dA = dF = 0 at k = 1
         fall[0] = train[0]
         queries = np.vstack([queries, train[0]])
-        block = _distance_block(train, queries)
+        block = distance_block(train, queries)
         table = knn_mean_distances_all_k(block, 10)
         nearest = {k: _k_smallest_rows(block, k) for k in range(1, 11)}
         oc = knn_oracle_scores(train, None, queries, 10)
@@ -193,9 +192,12 @@ def test_criterion_04_knn_matches_exhaustive_oracle(monkeypatch):
                 if over_budget:
                     mp.setattr(classifiers, "_CACHE_BUDGET_BYTES", 0)
                 prep = KnnPrep(rows)
-                assert (prep._D is None) == over_budget
-                assert np.array_equal(prep.scores_all_k(adl_at, None, query_at, 10), oc)
-                assert np.array_equal(prep.scores_all_k(adl_at, fall_at, query_at, 10), tc)
+                for searched in (False, True):
+                    if searched:
+                        prep.build_matrix()
+                    assert (prep._D is None) == (over_budget or not searched)
+                    assert np.array_equal(prep.scores_all_k(adl_at, None, query_at, 10), oc)
+                    assert np.array_equal(prep.scores_all_k(adl_at, fall_at, query_at, 10), tc)
     assert checked == 210
 
 

@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tests.conftest import distances_to_all, knn_bruteforce_oracle, knn_oracle_scores
+from tests.conftest import (
+    distance_block,
+    distances_to_all,
+    knn_bruteforce_oracle,
+    knn_oracle_scores,
+)
 from falldetect import classifiers as cls
 from falldetect.errors import DimensionError, InvalidK
 
@@ -35,7 +40,7 @@ class TestProductionMatchesOracle:
             n = int(rng.integers(5, 40))
             train, q = random_case(rng, n, int(rng.integers(2, 12)))
             for k in range(1, min(10, n) + 1):
-                fast = cls._k_smallest_rows(cls._distance_block(train, q[None, :]), k)[0]
+                fast = cls._k_smallest_rows(cls._candidate_block(train, q[None, :], k), k)[0]
                 slow = knn_bruteforce_oracle(train, q, k)
                 assert np.array_equal(fast, slow)
 
@@ -46,7 +51,7 @@ class TestProductionMatchesOracle:
             k = int(rng.integers(1, n + 1))
             oracle = knn_bruteforce_oracle(train, q, k)
             mean = float(oracle[:k].sum() / k)
-            block = cls._distance_block(train, q[None, :])
+            block = cls._candidate_block(train, q[None, :], k)
             assert cls.knn_mean_distances_all_k(block, k)[0, k - 1] == mean
             assert cls.train_oc_knn(train, k).score(q) == mean
 
@@ -62,7 +67,7 @@ class TestProductionMatchesOracle:
     def test_all_k_matrix_matches_oracle_means(self, rng):
         train = rng.normal(0.0, 1.0, (25, 4))
         queries = rng.normal(0.0, 1.0, (6, 4))
-        table = cls.knn_mean_distances_all_k(cls._distance_block(train, queries), 10)
+        table = cls.knn_mean_distances_all_k(cls._candidate_block(train, queries, 10), 10)
         assert table.shape == (6, 10)
         for qi, q in enumerate(queries):
             oracle = knn_bruteforce_oracle(train, q, 10)
@@ -228,12 +233,17 @@ class TestScoringSharesTheInnerSearchTable:
         adl, fall = X[~is_fall], X[is_fall]
         oc_table = knn_oracle_scores(adl, None, queries, 10)
         tc_table = knn_oracle_scores(adl, fall, queries, 10)
-        # the inner search's table over the same rows
+        # the inner search's table over the same rows, from candidates and
+        # from the matrix
         prep = cls.KnnPrep(np.vstack([X, queries]))
         at = np.arange(40)
         query_at = 40 + np.arange(len(queries))
-        assert np.array_equal(prep.scores_all_k(at[~is_fall], None, query_at, 10), oc_table)
-        assert np.array_equal(prep.scores_all_k(at[~is_fall], at[is_fall], query_at, 10), tc_table)
+        for searched in (False, True):
+            if searched:
+                prep.build_matrix()
+            assert np.array_equal(prep.scores_all_k(at[~is_fall], None, query_at, 10), oc_table)
+            assert np.array_equal(prep.scores_all_k(at[~is_fall], at[is_fall], query_at, 10),
+                                  tc_table)
         for k in range(1, 11):
             oc = cls.score_batch(cls.train_oc_knn(adl, k), queries)
             tc = cls.score_batch(cls.train_tc_knn(X, is_fall, k), queries)
@@ -250,13 +260,21 @@ class TestBatchedDistanceBlock:
         train[4] = train[2]  # duplicate training rows
         queries = np.vstack([rng.normal(0.0, 1.0, (10, 5)), train[7]])
         if chunk_rows is not None:
-            # 11 queries in chunks of 1, or of 3 with a remainder of 2
-            monkeypatch.setattr(cls, "_DIST_CHUNK_BYTES", 8 * train.size * chunk_rows)
-        block = cls._distance_block(train, queries)
+            # 11 queries in chunks of 1, or of 3 with a remainder of 2, and
+            # their kept entries in chunks of 2 or 7 pairs
+            monkeypatch.setattr(cls, "_DIST_CHUNK_BYTES", 8 * len(train) * chunk_rows)
+        m = len(train)
+        exact = distance_block(train, queries)
+        for k_max in (1, 4, m):
+            block = cls._candidate_block(train, queries, k_max)
+            # every entry up to its row's k_max-th is exact; the rest are
+            # exact or inf, and all are at the k_max = m
+            needed = exact <= np.sort(exact, axis=1)[:, k_max - 1:k_max]
+            assert np.array_equal(block[needed], exact[needed])
+            assert np.all((block == exact) | (block == np.inf))
         for qi, q in enumerate(queries):
             assert np.array_equal(block[qi], distances_to_all(train, q))
         assert block[-1, 7] == 0.0
-        m = len(train)
         table = cls.knn_mean_distances_all_k(block, m)
         for qi, q in enumerate(queries):
             oracle = knn_bruteforce_oracle(train, q, m)
@@ -275,23 +293,43 @@ class TestBatchedDistanceBlock:
                 # one row per chunk, or 3 with a remainder when n is 13
                 monkeypatch.setattr(cls, "_DIST_CHUNK_BYTES", 8 * X.size * chunk_rows)
             D = cls._self_distances(X)
-            assert np.array_equal(D, cls._distance_block(X, X))
+            assert np.array_equal(D, distance_block(X, X))
             assert np.array_equal(D, D.T)
             assert not np.diagonal(D).any()
 
-    def test_matrix_needs_no_more_than_itself_plus_one_chunk(self, rng, monkeypatch):
-        n = 400
-        X = rng.normal(0.0, 1.0, (n, 3))
-        monkeypatch.setattr(cls, "_DIST_CHUNK_BYTES", 8 * X.size * 4)
+    def test_matrix_needs_no_more_than_itself_plus_one_chunk_or_row(self, rng, monkeypatch):
+        n, d = 400, 64
+        X = rng.normal(0.0, 1.0, (n, d))
+        row = 8 * n * d  # one row's difference array, 205 kB
+        # a chunk smaller than one row: each chunk is one row, over it
+        monkeypatch.setattr(cls, "_DIST_CHUNK_BYTES", row // 4)
         tracemalloc.start()
         try:
             D = cls._self_distances(X)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the matrix, plus a few arrays of at most 4 x n x 3 floats each
-        assert peak < 8 * n * n + 10 * cls._DIST_CHUNK_BYTES
-        assert np.array_equal(D, cls._distance_block(X, X))
+        # the matrix, plus a few arrays of at most max(chunk, one row) each
+        assert 8 * n * n + row < peak < 8 * n * n + 4 * max(cls._DIST_CHUNK_BYTES, row)
+        assert np.array_equal(D, distance_block(X, X))
+
+    def test_candidate_block_stays_within_its_chunks(self, rng, monkeypatch):
+        # A large common offset: the Gram form cancels to noise, so every
+        # entry is a candidate, and still no array outgrows a chunk.
+        train = 1e6 + 1e-3 * rng.normal(0.0, 1.0, (400, 64))
+        queries = 1e6 + 1e-3 * rng.normal(0.0, 1.0, (40, 64))
+        monkeypatch.setattr(cls, "_DIST_CHUNK_BYTES", 8 * 400 * 4)
+        sq_t = (train * train).sum(axis=1)
+        assert cls._candidates(queries, train, sq_t, 1).all()
+        tracemalloc.start()
+        try:
+            block = cls._candidate_block(train, queries, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the block, plus a few arrays of at most one chunk each
+        assert peak < block.nbytes + 12 * cls._DIST_CHUNK_BYTES
+        assert np.array_equal(block, distance_block(train, queries))
 
 
 def overlapping_classes(rng):
@@ -323,11 +361,16 @@ class TestInnerSearchSharesOneMatrix:
                 X[adl], None if fall_rows is None else X[fall_rows], X[queries], 10
             )
             in_budget = cls.KnnPrep(X)
+            # from candidates until a search builds the matrix, then from it
+            assert np.array_equal(in_budget.scores_all_k(adl, fall_rows, queries, 10), expected)
+            assert in_budget._D is None
+            in_budget.build_matrix()
             assert np.array_equal(in_budget.scores_all_k(adl, fall_rows, queries, 10), expected)
             assert in_budget._D is not None
             with monkeypatch.context() as mp:
                 mp.setattr(cls, "_CACHE_BUDGET_BYTES", 8 * 120 * 120 - 1)
                 over = cls.KnnPrep(X)
+                over.build_matrix()
                 assert np.array_equal(over.scores_all_k(adl, fall_rows, queries, 10), expected)
                 assert over._D is None
 
@@ -348,9 +391,13 @@ class TestInnerSearchSharesOneMatrix:
         tables = [recomputed(tr, val) for tr, val in splits]
         expected = _best_candidate(list(range(1, 11)), ftr, splits, tables)
         assert 0.5 < expected[1] < 1.0
-        assert _select_k(variant, cls.KnnPrep(X), rows, ftr, cfg, 5) == expected
+        prep = cls.KnnPrep(X)
+        assert _select_k(variant, prep, rows, ftr, cfg, 5) == expected
+        assert prep._D is not None
         monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 8 * 120 * 120 - 1)
-        assert _select_k(variant, cls.KnnPrep(X), rows, ftr, cfg, 5) == expected
+        prep = cls.KnnPrep(X)
+        assert _select_k(variant, prep, rows, ftr, cfg, 5) == expected
+        assert prep._D is None
 
     def test_matrix_is_built_once_per_knn_cell_and_never_for_svm(
         self, small_collection, monkeypatch
@@ -366,9 +413,10 @@ class TestInnerSearchSharesOneMatrix:
 
         monkeypatch.setattr(cls, "_self_distances", counted)
         grids = dict(c_grid=(1.0,), nu_grid=(0.1,), gamma_grid=("auto",))
-        for k_grid in ((3,), (1, 3)):
+        # a cell of one k scores every fold from candidates instead
+        for k_grid, knn in (((3,), []), ((1, 3), [80])):
             cfg = GridConfig(k_grid=k_grid, **grids)
-            for variant, expected in (("OC_KNN", [80]), ("TC_KNN", [80]),
+            for variant, expected in (("OC_KNN", knn), ("TC_KNN", knn),
                                       ("OC_SVM", []), ("TC_SVM", [])):
                 builds.clear()
                 run_experiment(small_collection, "MAGNITUDE", 51, variant, cfg)
@@ -389,6 +437,7 @@ class TestOuterFoldsReadTheMatrix:
         if budget == "over":
             monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 8 * 120 * 120 - 1)
         prep = cls.KnnPrep(X)
+        prep.build_matrix()
         assert (prep._D is None) == (budget == "over")
         wide = _knn_table(variant, prep, rows, ftr, test, 10)
         for k in range(1, 11):
@@ -454,12 +503,46 @@ class TestOuterFoldsReadTheMatrix:
         def refused(*args, **kwargs):
             raise AssertionError("outer fold recomputed its distances")
 
+        # a searched cell reads its matrix; a cell of one k builds none and
+        # takes every block from candidates
+        blocks = "_candidate_block" if len(k_grid) > 1 else "_self_distances"
         for mod, name in ((ev, "score_batch"), (cls, "score_batch"),
-                          (cls, "_distance_block"), (cls, "train_oc_knn"),
+                          (cls, blocks), (cls, "train_oc_knn"),
                           (cls, "train_tc_knn")):
             monkeypatch.setattr(mod, name, refused)
         report = ev.run_experiment(small_collection, "MAGNITUDE", 51, variant, cfg)
         assert ev.report_to_dict(report) == expected
+
+
+class TestSingleKCells:
+    @pytest.mark.parametrize("variant", ["OC_KNN", "TC_KNN"])
+    @pytest.mark.parametrize("budget", ["in", "over"])
+    def test_report_same_from_candidates_and_a_forced_matrix(
+        self, small_collection, monkeypatch, variant, budget
+    ):
+        from falldetect import evaluation as ev
+
+        cfg = ev.GridConfig(k_grid=(5,))
+        if budget == "over":
+            monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 8 * 80 * 80 - 1)
+        preps = []
+
+        class ForcedPrep(cls.KnnPrep):
+            def __init__(self, vectors):
+                super().__init__(vectors)
+                self.build_matrix()
+                preps.append(self)
+
+        def report():
+            return ev.report_to_dict(
+                ev.run_experiment(small_collection, "MAGNITUDE", 51, variant, cfg)
+            )
+
+        default = report()
+        monkeypatch.setattr(cls, "KnnPrep", ForcedPrep)
+        forced = report()
+        assert [p._D is None for p in preps] == [budget == "over"]
+        assert forced == default
 
 
 duplicated_rows = st.integers(1, 12).flatmap(
@@ -483,8 +566,59 @@ def test_table_equals_oracle_prefix_mean_exactly(case, k_frac, chunk_rows):
     k_max = 1 + int(k_frac * (len(train) - 1))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cls, "_DIST_CHUNK_BYTES", 8 * train.size * chunk_rows)
-        table = cls.knn_mean_distances_all_k(cls._distance_block(train, queries), k_max)
+        table = cls.knn_mean_distances_all_k(cls._candidate_block(train, queries, k_max), k_max)
     for qi, q in enumerate(queries):
         oracle = knn_bruteforce_oracle(train, q, k_max)
         for k in range(1, k_max + 1):
             assert table[qi, k - 1] == oracle[:k].sum() / k
+
+
+@st.composite
+def filter_cases(draw):
+    """Train and query rows that are hard on the Gram form: rows of a coarse
+    grid (duplicates and exact ties), nudged by an ulp or two (near-ties),
+    then maybe scaled row by row, moved under a large common offset
+    (cancellation), or given one row near 1e200 (an overflowing norm)."""
+    d = draw(st.integers(1, 8))
+    grid = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0, 3.0])
+    pool = draw(arrays(np.float64, st.tuples(st.integers(1, 6), st.just(d)), elements=grid))
+    picks = draw(st.lists(st.integers(0, 5), min_size=2, max_size=24))
+    rows = pool[[i % len(pool) for i in picks]]
+    ulps = draw(arrays(np.float64, rows.shape, elements=st.sampled_from([0.0, 1.0, -1.0, 2.0])))
+    rows = rows + ulps * np.spacing(rows)
+    regime = draw(st.sampled_from(["plain", "scaled", "offset", "huge"]))
+    if regime == "scaled":
+        scales = draw(arrays(np.float64, len(rows), elements=st.sampled_from([1e-3, 1.0, 1e3])))
+        rows = rows * scales[:, None]
+    elif regime == "offset":
+        rows = 1e6 + 1e-3 * rows
+    elif regime == "huge":
+        rows[draw(st.integers(0, len(rows) - 1))] = 1e200 * (1.0 + rows[0])
+    n_train = draw(st.integers(1, len(rows) - 1))
+    is_fall = np.array(draw(st.lists(st.booleans(), min_size=n_train, max_size=n_train)))
+    return rows[:n_train], is_fall, rows[n_train:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=filter_cases(), k_frac=st.floats(0.0, 1.0))
+def test_candidates_hold_every_tie_and_scores_stay_exact(case, k_frac):
+    train, is_fall, queries = case
+    k_max = 1 + int(k_frac * (len(train) - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact = distance_block(train, queries)
+        kth = np.sort(exact, axis=1)[:, k_max - 1:k_max]
+        kept = cls._candidates(queries, train, np.einsum("ij,ij->i", train, train), k_max)
+        # every entry up to its row's exact k_max-th value, ties included
+        assert kept[exact <= kth].all()
+        oc = knn_oracle_scores(train, None, queries, k_max)
+        prep = cls.KnnPrep(np.vstack([train, queries]))
+        at, query_at = np.arange(len(train)), len(train) + np.arange(len(queries))
+        assert np.array_equal(prep.scores_all_k(at, None, query_at, k_max), oc, equal_nan=True)
+        model = cls.train_oc_knn(train, k_max)
+        assert np.array_equal(cls.score_batch(model, queries), oc[:, k_max - 1], equal_nan=True)
+        if 0 < is_fall.sum() < len(train):
+            adl, fall = train[~is_fall], train[is_fall]
+            k = min(k_max, len(adl), len(fall))
+            tc = knn_oracle_scores(adl, fall, queries, k)
+            assert np.array_equal(prep.scores_all_k(at[~is_fall], at[is_fall], query_at, k), tc,
+                                  equal_nan=True)
