@@ -47,7 +47,7 @@ class Variant(enum.Enum):
 
 def _as_matrix(vectors):
     m = np.asarray(vectors, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] == 0:
+    if m.ndim != 2 or 0 in m.shape:
         raise DimensionError(f"expected a non-empty 2-d matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise DimensionError("training vectors must be finite")
@@ -297,20 +297,6 @@ def standardize_apply(matrix, mean, scale):
     return (np.asarray(matrix, dtype=np.float64) - mean) / scale
 
 
-def resolve_gamma(gamma, standardized):
-    """Turn the "auto" sentinel into 1 / (dim * mean feature variance)."""
-    if gamma == "auto":
-        d = standardized.shape[1]
-        var = float(standardized.var(axis=0).mean())
-        if var <= 0:
-            var = 1.0
-        return 1.0 / (d * var)
-    gamma = float(gamma)
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
-    return gamma
-
-
 def _sq_norms(A):
     return (A * A).sum(axis=1)
 
@@ -380,15 +366,10 @@ class _KernelRows:
 
 
 class SvmPrep:
-    """Standardized training rows and their RBF kernel, shared by every
-    solve on the same rows.
-
-    The squared-distance matrix is computed once and the kernel once per
-    gamma (the latest one is kept), so a hyperparameter search trains all
-    of its (gamma, C or nu) candidates on one split from one preparation.
-    When the distance and kernel matrices together would exceed
-    _CACHE_BUDGET_BYTES, kernel rows are computed on demand instead.
-    """
+    """Standardized training rows: Xs, their squared norms sq, their
+    squared-distance matrix d2 (None when d2 and a kernel together would
+    exceed _CACHE_BUDGET_BYTES), and the mean and scale that standardized
+    them."""
 
     def __init__(self, vectors):
         X = _as_matrix(vectors)
@@ -408,31 +389,30 @@ class SvmPrep:
         m = len(X)
         fits = 16.0 * m * m <= _CACHE_BUDGET_BYTES
         self.d2 = _sq_dist_rows(self.Xs, self.sq, 0, m) if fits else None
-        self._gamma = None
-        self._kernel = None
-        self._auto_gamma = None
 
     def __len__(self):
         return len(self.Xs)
 
     def resolve_gamma(self, gamma):
-        """resolve_gamma(gamma, self.Xs); "auto" is worked out once."""
-        if gamma != "auto":
-            return resolve_gamma(gamma, self.Xs)
-        if self._auto_gamma is None:
-            self._auto_gamma = resolve_gamma(gamma, self.Xs)
-        return self._auto_gamma
+        """gamma as a number: "auto" is 1 / (dim * mean feature variance of
+        Xs), a variance of 0 or less read as 1; any other gamma must be
+        finite and > 0."""
+        if gamma == "auto":
+            var = float(self.Xs.var(axis=0).mean())
+            if var <= 0:
+                var = 1.0
+            return 1.0 / (self.Xs.shape[1] * var)
+        gamma = float(gamma)
+        if not (np.isfinite(gamma) and gamma > 0):
+            raise ValueError(f"gamma must be finite and > 0, got {gamma}")
+        return gamma
 
     def kernel(self, gamma):
-        """Kernel for resolved gamma: a matrix, or _KernelRows over budget."""
-        if gamma != self._gamma:
-            self._kernel = None  # release the old matrix before building the next
-            if self.d2 is None:
-                self._kernel = _KernelRows(self.Xs, self.sq, gamma)
-            else:
-                self._kernel = _rbf(self.d2.copy(), gamma)
-            self._gamma = gamma
-        return self._kernel
+        """Kernel for resolved gamma: a new matrix, or _KernelRows when d2
+        is None."""
+        if self.d2 is None:
+            return _KernelRows(self.Xs, self.sq, gamma)
+        return _rbf(self.d2.copy(), gamma)
 
 
 def _dual_init(K, y, box, alpha, p):
@@ -779,9 +759,10 @@ def _svm_offset(variant, bias, lo, hi):
     return 0.0
 
 
-def _fit_svm(variant, prep, labels, value, gamma, tol, max_iter):
-    """The trained model of the variant's dual on prep's rows.  max_iter
-    defaults to 10 m, and a solve it stops warns."""
+def _fit_svm(variant, vectors, labels, value, gamma, tol, max_iter):
+    """The trained model of the variant's dual on the rows of vectors.
+    max_iter defaults to 10 m, and a solve it stops warns."""
+    prep = SvmPrep(vectors)
     y, box, start, p, counts, hyper = _svm_dual(variant, prep, labels, value)
     gamma = prep.resolve_gamma(gamma)
     m = len(prep)
@@ -813,11 +794,9 @@ def train_tc_svm(vectors, labels, C, gamma="auto", tol=SVM_TOL, max_iter=None):
 
     FALL maps to y = +1, so the raw decision value is already oriented
     with fall-likeness.  Features are z-scored with training statistics.
-    vectors may be an SvmPrep of the training matrix, shared between
-    calls on the same rows.  Multipliers start at 0.
+    Multipliers start at 0.
     """
-    prep = vectors if isinstance(vectors, SvmPrep) else SvmPrep(vectors)
-    return _fit_svm(Variant.TC_SVM, prep, labels, C, gamma, tol, max_iter)
+    return _fit_svm(Variant.TC_SVM, vectors, labels, C, gamma, tol, max_iter)
 
 
 def train_oc_svm(adl_vectors, nu, gamma="auto", tol=SVM_TOL, max_iter=None):
@@ -828,11 +807,9 @@ def train_oc_svm(adl_vectors, nu, gamma="auto", tol=SVM_TOL, max_iter=None):
     which keeps fully symmetric problems at the symmetric solution.  rho
     sits at the conservative edge of the solver's stopping interval, so
     only at-bound training vectors can score positive and the training
-    outlier fraction stays below nu.  adl_vectors may be an SvmPrep of
-    the training matrix, shared between calls on the same rows.
+    outlier fraction stays below nu.
     """
-    prep = adl_vectors if isinstance(adl_vectors, SvmPrep) else SvmPrep(adl_vectors)
-    return _fit_svm(Variant.OC_SVM, prep, None, nu, gamma, tol, max_iter)
+    return _fit_svm(Variant.OC_SVM, adl_vectors, None, nu, gamma, tol, max_iter)
 
 
 def _kernel_expansion(qs, sv, gamma, coef):
@@ -889,7 +866,7 @@ class SvmQueryBlock:
 def score_batch(model, vectors):
     """Score each row of vectors under the model's variant definition."""
     vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.size == 0:
+    if vectors.shape[:1] == (0,):  # no rows
         return np.empty(0)
     if vectors.ndim != 2:
         raise DimensionError(f"expected a 2-d batch, got shape {vectors.shape}")

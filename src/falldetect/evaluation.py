@@ -150,6 +150,8 @@ def pairwise_auc(scores, labels):
     """
     scores = np.asarray(scores, dtype=np.float64)
     pos = is_fall_mask(labels)
+    if len(pos) != len(scores):
+        raise ValueError("scores and labels must correspond one to one")
     ps = scores[pos]
     ns = scores[~pos]
     if len(ps) == 0 or len(ns) == 0:
@@ -346,20 +348,20 @@ def _select_k(variant, prep, rows, is_fall, cfg, seed):
     return _best_candidate(ks, is_fall, splits, tables)
 
 
-def _svm_prep(variant, X, is_fall):
-    """Shared preparation of the rows an SVM of this variant trains on:
-    all of them for two-class, the ADL rows for one-class."""
-    rows = X if variant is Variant.TC_SVM else X[~is_fall]
-    return classifiers.SvmPrep(rows)
+def _svm_rows(variant, X, is_fall):
+    """The rows an SVM of this variant trains on: all of them for
+    two-class, the ADL rows for one-class."""
+    return X if variant is Variant.TC_SVM else X[~is_fall]
 
 
-def _train_svm(variant, prep, is_fall, params, cfg):
+def _train_svm(variant, X, is_fall, params, cfg):
+    rows = _svm_rows(variant, X, is_fall)
     if variant is Variant.TC_SVM:
         return classifiers.train_tc_svm(
-            prep, is_fall, C=params[0], gamma=params[1], tol=cfg.svm_tol, max_iter=cfg.svm_max_iter
+            rows, is_fall, C=params[0], gamma=params[1], tol=cfg.svm_tol, max_iter=cfg.svm_max_iter
         )
     return classifiers.train_oc_svm(
-        prep, nu=params[0], gamma=params[1], tol=cfg.svm_tol, max_iter=cfg.svm_max_iter
+        rows, nu=params[0], gamma=params[1], tol=cfg.svm_tol, max_iter=cfg.svm_max_iter
     )
 
 
@@ -389,7 +391,7 @@ def _svm_grid_tables(variant, X, is_fall, cfg, splits):
     for tr, val in splits:
         table = np.empty((len(val), len(first) * n_gamma))
         tables.append(table)
-        prep = _svm_prep(variant, X[tr], is_fall[tr])
+        prep = classifiers.SvmPrep(_svm_rows(variant, X[tr], is_fall[tr]))
         cap = 10 * len(prep) if cfg.svm_max_iter is None else cfg.svm_max_iter
         for gi, gamma in enumerate(cfg.gamma_grid):
             block = classifiers.SvmQueryBlock(prep, X[val], gamma)
@@ -524,7 +526,7 @@ def _outer_fold(inputs, var, f, cfg):
     else:
         Xtr = X[train_idx]
         params, inner_auc = _select_svm_params(var, Xtr, ftr, cfg, seed_f)
-        model = _train_svm(var, _svm_prep(var, Xtr, ftr), ftr, params, cfg)
+        model = _train_svm(var, Xtr, ftr, params, cfg)
         key = "C" if var is Variant.TC_SVM else "nu"
         chosen = {
             key: params[0],

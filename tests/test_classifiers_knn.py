@@ -198,6 +198,14 @@ class TestSharedBehaviour:
         assert cls.score_batch(model, np.empty((0, 1))).shape == (0,)
         assert cls.score_batch(model, []).shape == (0,)
 
+    def test_rows_without_columns_are_refused(self):
+        # a batch with rows but no elements still gets both checks
+        model = cls.train_oc_knn(np.ones((5, 3)), 2)
+        with pytest.raises(DimensionError, match="query dimension 0 does not match"):
+            cls.score_batch(model, np.empty((2, 0)))
+        with pytest.raises(DimensionError, match="expected a 2-d batch"):
+            cls.score_batch(model, np.empty((2, 0, 3)))
+
     @pytest.mark.parametrize("k", [2.7, True, False, float("nan"), float("inf"), "2", None])
     def test_k_that_is_not_a_whole_number_is_refused(self, k):
         vectors = [[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]]

@@ -233,6 +233,13 @@ class TestTrainingInterface:
         with pytest.raises(DimensionError, match=message):
             cls.train_oc_svm(X[:12], nu=0.1)
 
+    def test_training_rows_without_columns_are_refused(self):
+        message = r"^expected a non-empty 2-d matrix, got shape \(4, 0\)$"
+        with pytest.raises(DimensionError, match=message):
+            cls.train_oc_svm(np.empty((4, 0)), nu=0.5)
+        with pytest.raises(DimensionError, match=message):
+            cls.train_tc_svm(np.empty((4, 0)), ["ADL", "FALL"] * 2, C=1.0)
+
     def test_iteration_cap_warns_and_reports(self, rng):
         X = rng.normal(0.0, 1.0, (24, 2))
         labels = ["ADL"] * 12 + ["FALL"] * 12
@@ -372,24 +379,6 @@ def assert_same_solution(a, b):
 
 
 class TestSharedPreparation:
-    def test_inner_search_preparation_matches_standalone_training(self, rng):
-        X, labels = overlapping_problem(rng)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConvergenceWarning)
-            for variant, train, grid in (
-                (cls.Variant.TC_SVM, cls.train_tc_svm, (0.5, 10.0)),
-                (cls.Variant.OC_SVM, cls.train_oc_svm, (0.1, 0.3)),
-            ):
-                prep = ev._svm_prep(variant, X, labels == "FALL")
-                rows = X if variant is cls.Variant.TC_SVM else X[labels == "ADL"]
-                extra = (labels,) if variant is cls.Variant.TC_SVM else ()
-                # gamma by gamma, as the inner search visits its grid
-                for gamma in ("auto", 0.3):
-                    for a in grid:
-                        shared = train(prep, *extra, a, gamma=gamma)
-                        alone = train(rows, *extra, a, gamma=gamma)
-                        assert_same_solution(shared, alone)
-
     def test_on_demand_rows_match_full_kernel(self, rng, monkeypatch):
         X, labels = overlapping_problem(rng)
         full_tc = cls.train_tc_svm(X, labels, C=2.0, gamma=0.5)
@@ -406,6 +395,43 @@ class TestSharedPreparation:
         for model in (lazy_tc, full_tc):
             assert model.training_summary["converged"]
             assert kkt_violations_full(model, X, labels).max() <= 1.001e-3
+
+
+class TestPreparationHoldsItsRows:
+    """An SvmPrep is a record of its standardized rows: a kernel, or a
+    solve on one, leaves nothing behind in it."""
+
+    FIELDS = ("Xs", "sq", "d2", "mean", "scale")
+
+    def test_kernels_and_solves_keep_nothing(self, rng):
+        X, labels = overlapping_problem(rng)
+        prep = cls.SvmPrep(X)
+        assert prep.d2 is not None
+        rows = sum(getattr(prep, name).nbytes for name in self.FIELDS)
+        auto = prep.resolve_gamma("auto")
+        prep.kernel(0.5)
+        y = np.where(labels == "FALL", 1.0, -1.0)
+        m = len(prep)
+        problems = [(k, y, np.full(m, C), np.zeros(m), np.full(m, -1.0), 10 * m)
+                    for k in (0, 1) for C in (0.5, 5.0)]
+        cls._solve_pairwise_duals([(prep, auto), (prep, 0.5)], problems, cls.SVM_TOL)
+        held = sum(v.nbytes for v in vars(prep).values() if isinstance(v, np.ndarray))
+        assert held == rows
+
+    def test_each_kernel_is_built_anew_with_the_same_bits(self, rng):
+        X, _ = overlapping_problem(rng)
+        prep = cls.SvmPrep(X)
+        for gamma in (prep.resolve_gamma("auto"), 0.5):
+            first, second = prep.kernel(gamma), prep.kernel(gamma)
+            assert first is not second and same_bits(first, second)
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_auto_gamma_of_constant_features_is_one_over_dim(self, d):
+        # every standardized feature is 0: its variance reads as 1
+        X = np.tile(np.arange(1.0, d + 1), (6, 1))
+        assert cls.SvmPrep(X).resolve_gamma("auto") == 1.0 / d
+        model = cls.train_oc_svm(X, nu=0.5)
+        assert model.training_summary["gamma"] == 1.0 / d
 
 
 def rbf_score_oracle(model, vectors):
@@ -748,10 +774,11 @@ class TestInnerGrid:
         if over_budget:
             # below the smaller (one-class) block
             monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 16 * len(queries) * 24 - 1)
-        preps = {"TC_SVM": cls.SvmPrep(X), "OC_SVM": cls.SvmPrep(X[labels == "ADL"])}
+        rows = {"TC_SVM": X, "OC_SVM": X[labels == "ADL"]}
         for gamma in ("auto", 0.4):
-            for variant, prep in preps.items():
+            for variant, train in rows.items():
                 var = cls.Variant(variant)
+                prep = cls.SvmPrep(train)
                 block = cls.SvmQueryBlock(prep, queries, gamma)
                 assert (block.block is None) is over_budget
                 for a in (0.2, 0.5):
@@ -761,9 +788,9 @@ class TestInnerGrid:
                         prep.kernel(block.gamma), y, box, start, p, cls.SVM_TOL, 10 * len(prep))
                     got = block.scores(var, alpha, y, cls._svm_offset(var, bias, lo, hi))
                     if var is cls.Variant.TC_SVM:
-                        model = cls.train_tc_svm(prep, labels, value, gamma=gamma)
+                        model = cls.train_tc_svm(train, labels, value, gamma=gamma)
                     else:
-                        model = cls.train_oc_svm(prep, value, gamma=gamma)
+                        model = cls.train_oc_svm(train, value, gamma=gamma)
                     expected = cls.score_batch(model, queries)
                     assert np.max(np.abs(got - expected)) <= 1e-12
                     # over the budget the block scores as score_batch does

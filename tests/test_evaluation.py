@@ -74,6 +74,11 @@ class TestRocCurve:
             assert pair == auc_pair_oracle(scores, labels)
             assert abs(trap - pair) <= 1e-12
 
+    def test_pair_statistic_refuses_unequal_lengths(self):
+        for scores in ([0.9, 0.1], [0.9, 0.1, 0.5, 0.3]):
+            with pytest.raises(ValueError, match="^scores and labels must correspond one to one$"):
+                ev.pairwise_auc(scores, ["FALL", "ADL", "ADL"])
+
     def test_monotone_transforms_leave_the_curve_alone(self, rng):
         scores, labels = random_scored_set(rng, tie_prone=True)
         base = ev.roc_curve(scores, labels)
