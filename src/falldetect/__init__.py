@@ -6,6 +6,9 @@ and evaluates one-class and two-class detectors (kNN and SVM) under
 nested cross-validation, reporting ROC-based summary numbers.
 """
 
+# before the submodules, which record it
+__version__ = "0.1.0"
+
 from . import classifiers, errors, evaluation, features, ingest, synth
 
 __all__ = [
@@ -16,5 +19,3 @@ __all__ = [
     "ingest",
     "synth",
 ]
-
-__version__ = "0.1.0"

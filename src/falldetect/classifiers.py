@@ -124,10 +124,11 @@ def _candidates(q, train, sq_t, k_max):
     return lo <= hi
 
 
-def _candidate_block(train, queries, k_max):
+def _candidate_block(train, queries, k_max, sq_t=None):
     """Query x training distances for a row's k_max nearest: at every
     entry _candidates keeps, np.sqrt(((queries[i] - train[j]) ** 2).sum())
-    bit for bit; +inf elsewhere.
+    bit for bit; +inf elsewhere.  sq_t holds the training rows' squared
+    norms, computed here when None.
 
     Every entry at most its row's k_max-th smallest exact distance is
     kept, so the k_max smallest entries of each row are the exact ones,
@@ -141,7 +142,8 @@ def _candidate_block(train, queries, k_max):
     block = np.full((len(queries), n), np.inf)
     if not 1 <= k_max <= n:
         return block
-    sq_t = np.einsum("ij,ij->i", train, train)  # no n x d temporary
+    if sq_t is None:
+        sq_t = np.einsum("ij,ij->i", train, train)  # no n x d temporary
     rows = max(1, int(_DIST_CHUNK_BYTES // (8 * n)))
     pairs = max(1, int(_DIST_CHUNK_BYTES // max(8 * d, 1)))
     for b in range(0, len(queries), rows):
@@ -203,6 +205,7 @@ class KnnPrep:
 
     def __init__(self, vectors):
         self.X = _as_matrix(vectors)
+        self._sq = np.einsum("ij,ij->i", self.X, self.X)  # for candidate blocks
         self._D = None
 
     def build_matrix(self):
@@ -213,7 +216,7 @@ class KnnPrep:
 
     def _block(self, queries, train, k_max):
         if self._D is None:
-            return _candidate_block(self.X[train], self.X[queries], k_max)
+            return _candidate_block(self.X[train], self.X[queries], k_max, self._sq[train])
         return self._D[np.ix_(queries, train)]
 
     def scores_all_k(self, adl, fall, queries, k_max):

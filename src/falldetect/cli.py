@@ -41,9 +41,12 @@ from .ingest import (
     _write_json,
     build_collection,
     collection_from_manifest,
+    dataset_files,
+    load_parsed,
     parse_dataset1,
     parse_dataset2,
     save_manifest,
+    save_parsed,
 )
 
 FEATURE_ORDER = tuple(kind.value for kind in FeatureKind)
@@ -191,12 +194,11 @@ def _digest_file(path):
     return h.hexdigest()
 
 
-def _digest_tree(path):
-    path = Path(path)
-    if path.is_file():
-        return _digest_file(path)
+def _digest_dataset(dataset, path):
+    """sha256 over the name, relative to path, and the content digest of
+    every file the parser of dataset reads there."""
     h = hashlib.sha256()
-    for f in sorted(p for p in path.rglob("*") if p.is_file()):
+    for f in dataset_files(dataset, path):
         h.update(str(f.relative_to(path)).encode())
         h.update(_digest_file(f).encode())
     return h.hexdigest()
@@ -228,18 +230,27 @@ def cmd_synth(config):
     return 0
 
 
-def _load_datasets(config, wanted):
+def _load_datasets(config, wanted, out=None):
     """The instances of dataset1 and of dataset2 (None unless wanted holds
-    C2 or C3), and the digest of each tree parsed, by its configured path."""
+    C2 or C3), and the digest of each dataset, by its configured path.
+    Each dataset is digested before it is read.  With out, a dataset
+    whose parse record there matches its digest is read back from the
+    record; any other is parsed."""
     digests = {}
 
     def load(key, parse):
-        if not config[key]:
+        path = config[key]
+        if not path:
             raise FileNotFoundError(f"{key} path required but not configured")
-        instances = parse(config[key])
+        try:
+            digest = _digest_dataset(key, path)
+        except OSError:
+            parse(path)  # a missing or unreadable file: the parser names it in its words
+            raise
+        instances = (out is not None and load_parsed(out, key, digest)) or parse(path)
         if not instances:
-            raise FileNotFoundError(f"no instances found in {config[key]}")
-        digests[config[key]] = _digest_tree(config[key])
+            raise FileNotFoundError(f"no instances found in {path}")
+        digests[path] = digest
         return instances
 
     d1 = load("dataset1", parse_dataset1)
@@ -268,6 +279,9 @@ def cmd_ingest(config):
         counts = collection.counts()
         parts = ", ".join(f"{label} {src}: {n}" for (label, src), n in sorted(counts.items()))
         print(f"{cid}: {len(collection)} instances ({parts})")
+    for key, instances in (("dataset1", d1), ("dataset2", d2)):
+        if instances is not None:
+            save_parsed(out, key, instances, inputs[config[key]])
     _write_run_json(out, "ingest", config, inputs)
     return 0
 
@@ -418,7 +432,7 @@ def cmd_run(config):
             raise ParseError(f"id must be {cid!r}, as its file name says, got {manifest['id']!r}",
                              mpath)
 
-    d1, d2, digests = _load_datasets(config, wanted)
+    d1, d2, digests = _load_datasets(config, wanted, out)
     inputs.update(digests)
     collections = {
         cid: collection_from_manifest(manifests[cid], d1, d2, paths[cid]) for cid in wanted

@@ -152,6 +152,8 @@ def pairwise_auc(scores, labels):
     pos = is_fall_mask(labels)
     if len(pos) != len(scores):
         raise ValueError("scores and labels must correspond one to one")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
     ps = scores[pos]
     ns = scores[~pos]
     if len(ps) == 0 or len(ns) == 0:

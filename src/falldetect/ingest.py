@@ -7,8 +7,11 @@ of three labeled collections, each carrying a stratified fold plan.
 """
 
 import enum
+import hashlib
+import io
 import json
 import math
+import mmap
 import os
 import tempfile
 import warnings
@@ -18,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import (
     InsufficientData,
     InvalidTrace,
@@ -318,23 +322,24 @@ def _refuse_overflow(axes, skip_header=False):
         raise ParseError("x^2 + y^2 + z^2 overflows", path, line)
 
 
-def _labeled_files(root):
-    """(path, Label) pairs from adl/ and fall/ subdirectories, sorted."""
-    root = Path(root)
-    pairs = []
-    for sub in sorted(root.iterdir()):
-        if not sub.is_dir():
-            continue
-        name = sub.name.lower()
-        if name == "adl":
-            label = Label.ADL
-        elif name == "fall":
-            label = Label.FALL
-        else:
-            continue
-        for f in sorted(sub.glob("*.csv")):
-            pairs.append((f, label))
-    return pairs
+_LABEL_DIRS = {"adl": Label.ADL, "fall": Label.FALL}
+
+
+def dataset_files(dataset, path):
+    """Every file the parser of dataset ("dataset1" or "dataset2") reads
+    under path, in the order it reads them: dataset1's manifest.json and
+    then the CSV files of its adl/ and fall/ subdirectories (any case,
+    symlinks followed), each sorted, or dataset2's x.csv, y.csv, z.csv and
+    labels.csv.  Files are listed whether or not they exist; a path that
+    is no directory lists no CSV files."""
+    root = Path(path)
+    if dataset == "dataset2":
+        return [root / name for name in ("x.csv", "y.csv", "z.csv", "labels.csv")]
+    files = [root / "manifest.json"]
+    for sub in sorted(root.iterdir()) if root.is_dir() else []:
+        if sub.is_dir() and sub.name.lower() in _LABEL_DIRS:
+            files += sorted(sub.glob("*.csv"))
+    return files
 
 
 def parse_dataset1(path):
@@ -347,8 +352,7 @@ def parse_dataset1(path):
     removed is refused); in "windowed" mode each file is a headerless
     300-row x,y,z window whose peak is taken at the magnitude maximum.
     """
-    root = Path(path)
-    manifest_path = root / "manifest.json"
+    manifest_path, *csv_files = dataset_files("dataset1", path)
     if not manifest_path.is_file():
         raise ParseError("missing manifest.json", manifest_path)
     manifest = _read_json(manifest_path)
@@ -359,7 +363,8 @@ def parse_dataset1(path):
         raise ParseError(f"manifest mode must be 'raw' or 'windowed', got {mode!r}", manifest_path)
 
     instances = []
-    for f, label in _labeled_files(root):
+    for f in csv_files:
+        label = _LABEL_DIRS[f.parent.name.lower()]
         if mode == "windowed":
             data = _read_rows(f, expected_cols=3)
             if len(data) != FULL_WINDOW:
@@ -412,13 +417,12 @@ def parse_dataset2(path):
     an activity of daily living.  Windows carry no peak index.
     """
     root = Path(path)
+    *axis_files, labels_path = dataset_files("dataset2", root)
     axis_rows = {}
-    for axis in ("x", "y", "z"):
-        f = root / f"{axis}.csv"
+    for axis, f in zip(("x", "y", "z"), axis_files):
         if not f.is_file():
             raise ParseError(f"missing axis file {axis}.csv", f)
         axis_rows[axis] = _read_rows(f, expected_cols=128, length_error=True)
-    labels_path = root / "labels.csv"
     if not labels_path.is_file():
         raise ParseError("missing labels.csv", labels_path)
     with open(labels_path, "r", encoding="utf-8") as fh:
@@ -428,7 +432,7 @@ def parse_dataset2(path):
     counts["labels"] = len(tokens)
     if len(set(counts.values())) != 1:
         raise ParseError(f"row counts disagree across files: {counts}", root)
-    _refuse_overflow([(root / f"{axis}.csv", rows) for axis, rows in axis_rows.items()])
+    _refuse_overflow(list(zip(axis_files, axis_rows.values())))
 
     instances = []
     for i, token in enumerate(tokens):
@@ -595,17 +599,21 @@ def save_manifest(collection, path):
     _write_json(path, collection_to_manifest(collection))
 
 
-def _atomic_write_text(path, text):
+def _atomic_write_bytes(path, data):
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write_text(path, text):
+    _atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def _write_json(path, doc):
@@ -621,6 +629,81 @@ def _read_json(path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ParseError(f"not JSON ({exc})", path) from exc
+
+
+def _record_files(out, dataset):
+    """The two files of dataset's parse record in out: samples, then index."""
+    return Path(out) / f"parsed_{dataset}.npy", Path(out) / f"parsed_{dataset}.json"
+
+
+# What a parse record is valid for besides its dataset's digest.
+_RECORD_VERSIONS = {"numpy": np.__version__, "version": __version__}
+
+
+def save_parsed(out, dataset, instances, digest):
+    """Record the parsed (window, label) instances of dataset in out for
+    load_parsed: the samples as one float64 (n, 3, L) .npy, then a JSON
+    index of each instance's label, peak_index and source_id with the
+    dataset's digest, the versions that parsed it and the sha256 of the
+    .npy bytes.  Each file is written atomically, the index last, so a
+    record cut short never passes for whole."""
+    buf = io.BytesIO()
+    np.save(buf, np.array([(w.x, w.y, w.z) for w, _ in instances]), allow_pickle=False)
+    data = buf.getvalue()
+    samples, index = _record_files(out, dataset)
+    _atomic_write_bytes(samples, data)
+    _write_json(index, {
+        **_RECORD_VERSIONS,
+        "digest": digest,
+        "instances": [{"label": label.value, "peak_index": w.peak_index, "source_id": w.source_id}
+                      for w, label in instances],
+        "samples_sha256": hashlib.sha256(data).hexdigest(),
+    })
+
+
+def load_parsed(out, dataset, digest):
+    """The instances save_parsed recorded in out for dataset, equal to the
+    parser's bit for bit, when the record there is whole, was written by
+    these versions and has this digest; None otherwise (no record, a
+    damaged or partial one, another version, another dataset), for the
+    caller to parse the dataset instead."""
+    samples, index = _record_files(out, dataset)
+    try:
+        doc = _read_json(index)
+        with open(samples, "rb") as fh:
+            # mapped, not read: freeing a read buffer of this size would
+            # raise glibc's mmap threshold, and with it the run's peak RSS
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ParseError, ValueError):  # ValueError: an empty file
+        return None
+    with data:
+        want = {**_RECORD_VERSIONS, "digest": digest,
+                "samples_sha256": hashlib.sha256(data).hexdigest()}
+        if not isinstance(doc, dict) or any(doc.get(k) != v for k, v in want.items()):
+            return None
+        return _record_instances(data, doc.get("instances"))
+
+
+def _record_instances(data, entries):
+    """The (window, label) pairs of a record's .npy bytes and index
+    entries, copied out of data; None when the two do not fit."""
+    try:
+        if np.lib.format.read_magic(data) != (1, 0):
+            return None
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(data)
+        if fortran_order or dtype != np.float64 or shape[:2] != (len(entries), 3):
+            return None
+        samples = np.frombuffer(data, dtype, math.prod(shape), data.tell()).reshape(shape)
+        instances = []
+        for axes, e in zip(samples, entries):
+            peak, source_id = e["peak_index"], e["source_id"]
+            if not (peak is None or type(peak) is int) or type(source_id) is not str:
+                return None
+            window = TriaxialWindow(*axes, peak_index=peak, source_id=source_id)
+            instances.append((window, Label(e["label"])))
+    except (KeyError, LengthError, TypeError, ValueError):
+        return None
+    return instances
 
 
 def _first_difference(key, got, want):

@@ -8,7 +8,7 @@ from concurrent.futures import Future
 
 import pytest
 
-from falldetect import classifiers, cli, evaluation
+from falldetect import classifiers, cli, evaluation, ingest
 from falldetect.classifiers import Variant
 from falldetect.errors import InsufficientData
 
@@ -537,6 +537,149 @@ class TestDamagedManifest:
         assert file_bytes(work) == before
 
 
+def write_dataset2(d2):
+    """40 ADL rows: enough for every fold of C2 and C3 beside pipeline's dataset1."""
+    import numpy as np
+
+    d2.mkdir()
+    rng = np.random.default_rng(0)
+    for axis in ("x", "y", "z"):
+        rows = rng.normal(0.0, 0.3, (40, 128))
+        text = "\n".join(",".join(repr(float(v)) for v in row) for row in rows)
+        (d2 / f"{axis}.csv").write_text(text + "\n")
+    (d2 / "labels.csv").write_text("\n".join(["WALK"] * 40) + "\n")
+
+
+def counted_parsers(monkeypatch, calls, fail=False):
+    """Wrap both parsers, in cli and in ingest, to count their calls in
+    calls, or to fail the test when one is called."""
+    for name in ("parse_dataset1", "parse_dataset2"):
+        real = getattr(ingest, name)
+
+        def wrapper(path, real=real, name=name):
+            assert not fail, f"{name}({path}) was called"
+            calls.append(name)
+            return real(path)
+
+        monkeypatch.setattr(cli, name, wrapper)
+        monkeypatch.setattr(ingest, name, wrapper)
+
+
+def flip_sample_byte(work):
+    path = work / "parsed_dataset1.npy"
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x10
+    path.write_bytes(bytes(data))
+
+
+def other_version(work):
+    path = work / "parsed_dataset1.json"
+    doc = json.loads(path.read_text())
+    doc["version"] = "0.0.0"
+    path.write_text(json.dumps(doc))
+
+
+def records(work):
+    return sorted(p.name for p in work.iterdir() if p.name.startswith("parsed_"))
+
+
+def without_records(files):
+    return {name: data for name, data in without_run_json(files).items()
+            if not name.startswith("parsed_")}
+
+
+class TestParseRecord:
+    """ingest leaves what it parsed in --out, and run reads it back when
+    the datasets are the ones ingest digested; otherwise run parses."""
+
+    ARGV = ("--feature", "MAGNITUDE", "--window", "51", "--classifier", "OC_KNN,TC_KNN")
+
+    def test_run_after_ingest_calls_no_parser(self, pipeline, tmp_path, monkeypatch, capsys):
+        data, _ = pipeline
+        d2 = tmp_path / "d2"
+        write_dataset2(d2)
+        datasets = ("--dataset1", data, "--dataset2", d2)
+        for work in (tmp_path / "parsed", tmp_path / "read"):
+            assert run_cli("ingest", *datasets, "--out", work) == 0
+        assert records(work) == ["parsed_dataset1.json", "parsed_dataset1.npy",
+                                 "parsed_dataset2.json", "parsed_dataset2.npy"]
+        for p in (tmp_path / "parsed").glob("parsed_*"):
+            p.unlink()
+        capsys.readouterr()
+        assert run_cli("run", *datasets, "--out", tmp_path / "parsed", *self.ARGV) == 0
+        printed = capsys.readouterr().out
+        counted_parsers(monkeypatch, [], fail=True)
+        assert run_cli("run", *datasets, "--out", work, *self.ARGV) == 0
+        assert capsys.readouterr().out == printed
+        written = without_records(file_bytes(work))
+        assert written == without_records(file_bytes(tmp_path / "parsed"))
+        assert len([n for n in written if n.startswith("report_")]) == 6
+
+    @pytest.mark.parametrize("damage", [
+        lambda work: [p.unlink() for p in work.glob("parsed_*")],
+        lambda work: (work / "parsed_dataset1.json").unlink(),
+        lambda work: (work / "parsed_dataset1.npy").write_bytes(
+            (work / "parsed_dataset1.npy").read_bytes()[:1000]),
+        lambda work: (work / "parsed_dataset1.json").write_bytes(
+            (work / "parsed_dataset1.json").read_bytes()[:200]),
+        flip_sample_byte,
+        other_version,
+    ], ids=["missing", "no index", "samples cut short", "index cut short", "a sample byte flipped",
+            "another version"])
+    def test_run_parses_again_and_writes_the_same_bytes(self, pipeline, tmp_path, monkeypatch,
+                                                         capsys, damage):
+        data, work = pipeline
+        assert run_cli("run", "--dataset1", data, "--out", work, *self.ARGV) == 0
+        printed = capsys.readouterr().out
+        other = tmp_path / "other"
+        assert run_cli("ingest", "--dataset1", data, "--out", other, "--seed", "7") == 0
+        damage(other)
+        calls = []
+        counted_parsers(monkeypatch, calls)
+        capsys.readouterr()
+        assert run_cli("run", "--dataset1", data, "--out", other, *self.ARGV) == 0
+        assert calls == ["parse_dataset1"]
+        assert capsys.readouterr().out == printed
+        assert without_records(file_bytes(other)) == without_records(file_bytes(work))
+        run_json = json.loads((other / "run.json").read_text())
+        assert run_json["inputs"][str(data)] == json.loads(
+            (work / "run.json").read_text())["inputs"][str(data)]
+
+    def test_ingest_that_exits_2_leaves_no_record(self, tmp_path):
+        data = tmp_path / "data"
+        assert run_cli("synth", "--out", data, "--adl", "6", "--falls", "3") == 0
+        work = tmp_path / "work"
+        # dataset1 parses, dataset2 does not exist
+        assert run_cli("ingest", "--dataset1", data, "--dataset2", tmp_path / "none",
+                       "--out", work) == 2
+        assert records(work) == []
+        # both parse, but a collection cannot be built: no falls
+        for f in (data / "fall").iterdir():
+            f.unlink()
+        assert run_cli("ingest", "--dataset1", data, "--out", work) == 2
+        assert records(work) == []
+
+    def test_edit_through_a_symlinked_adl_moves_the_digest(self, tmp_path, monkeypatch):
+        data, work = tmp_path / "data", tmp_path / "work"
+        assert run_cli("synth", "--out", data, "--adl", "12", "--falls", "10", "--seed", "7") == 0
+        (data / "adl").rename(tmp_path / "adl_elsewhere")
+        (data / "adl").symlink_to(tmp_path / "adl_elsewhere", target_is_directory=True)
+        assert run_cli("ingest", "--dataset1", data, "--out", work, "--seed", "7") == 0
+        ingested = json.loads((work / "run.json").read_text())["inputs"][str(data)]
+        calls = []
+        counted_parsers(monkeypatch, calls)
+        argv = ("run", "--dataset1", data, "--out", work, "--seed", "7", *self.ARGV)
+        assert run_cli(*argv) == 0
+        assert calls == []
+        path = data / "adl" / "adl_0003.csv"
+        lines = path.read_text().splitlines()
+        lines[7] = "0.25,0.5,0.75"
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli(*argv) == 0
+        assert json.loads((work / "run.json").read_text())["inputs"][str(data)] != ingested
+        assert calls == ["parse_dataset1"]
+
+
 class TestReportCommand:
     def test_rebuilds_summary_from_stored_reports(self, pipeline):
         data, work = pipeline
@@ -925,7 +1068,7 @@ class TestRecordFormat:
         written = [data / "manifest.json", data / "run.json", *sorted(work.glob("*.json"))]
         names = {p.name for p in written}
         assert {"collection_C1.json", "report_C1_MAGNITUDE_51_OC_KNN.json",
-                "summary.json", "run.json", "manifest.json"} <= names
+                "summary.json", "run.json", "manifest.json", "parsed_dataset1.json"} <= names
         assert run_cli("report", "--out", work) == 0
         for path in written:
             assert is_canonical_json(path), path

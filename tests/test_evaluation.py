@@ -79,6 +79,13 @@ class TestRocCurve:
             with pytest.raises(ValueError, match="^scores and labels must correspond one to one$"):
                 ev.pairwise_auc(scores, ["FALL", "ADL", "ADL"])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pair_statistic_refuses_non_finite_scores_as_the_curve_does(self, bad):
+        for scores in ([bad, 0.1], [0.9, bad]):
+            for route in (ev.pairwise_auc, ev.roc_curve):
+                with pytest.raises(ValueError, match="^scores must be finite$"):
+                    route(scores, ["FALL", "ADL"])
+
     def test_monotone_transforms_leave_the_curve_alone(self, rng):
         scores, labels = random_scored_set(rng, tie_prone=True)
         base = ev.roc_curve(scores, labels)

@@ -755,3 +755,166 @@ class TestManifests:
         manifest["instances"][0]["source_index"] = 99
         with pytest.raises(ParseError):
             ingest.collection_from_manifest(manifest, d1)
+
+
+def write_raw_dataset1(root):
+    """Two raw recordings at an irregular rate, with three spikes between
+    them, so one file gives two windows and they come out resampled."""
+    rng = np.random.default_rng(3)
+    (root / "manifest.json").write_text(json.dumps({"mode": "raw"}))
+    for sub, spikes in (("adl", [150, 900]), ("fall", [400])):
+        t = np.cumsum(rng.uniform(0.015, 0.025, 1200))
+        xyz = rng.normal(0.0, 0.1, (1200, 3))
+        xyz[spikes, 2] = 3.0
+        (root / sub).mkdir()
+        rows = ["t,x,y,z"] + [",".join(repr(float(v)) for v in (ti, *row))
+                              for ti, row in zip(t, xyz)]
+        (root / sub / "rec.csv").write_text("\n".join(rows) + "\n")
+
+
+def parsed_windowed(root):
+    rng = np.random.default_rng(8)
+    write_windowed_dataset1(root, {(sub, f"{sub}{i}.csv"): rng.normal(0.0, 0.3, (300, 3))
+                                   for sub in ("adl", "fall") for i in range(3)})
+    return "dataset1", ingest.parse_dataset1(root)
+
+
+def parsed_raw(root):
+    write_raw_dataset1(root)
+    return "dataset1", ingest.parse_dataset1(root)
+
+
+def parsed_dataset2(root):
+    write_dataset2(root, 5, ["WALK", "FALL", "SIT", "walk", "fall"])
+    return "dataset2", ingest.parse_dataset2(root)
+
+
+class TestParseRecord:
+    """save_parsed writes what load_parsed reads back, the parser's
+    instances bit for bit; any record it cannot vouch for reads as None."""
+
+    @pytest.mark.parametrize("parsed", [parsed_windowed, parsed_raw, parsed_dataset2],
+                             ids=["windowed dataset1", "raw dataset1", "dataset2"])
+    def test_instances_read_back_bit_for_bit(self, tmp_path, parsed):
+        (tmp_path / "data").mkdir()
+        dataset, instances = parsed(tmp_path / "data")
+        assert len(instances) >= 2
+        ingest.save_parsed(tmp_path, dataset, instances, "abc")
+        back = ingest.load_parsed(tmp_path, dataset, "abc")
+        assert len(back) == len(instances)
+        for (w, label), (b, back_label) in zip(instances, back):
+            assert back_label is label
+            assert (b.peak_index, b.source_id) == (w.peak_index, w.source_id)
+            assert type(b.peak_index) is type(w.peak_index)
+            for axis in ("x", "y", "z"):
+                got, want = getattr(b, axis), getattr(w, axis)
+                assert got.dtype == want.dtype and not got.flags.writeable
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_record_files_and_their_bytes_are_stable(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        _, instances = parsed_raw(tmp_path / "data")
+        for out in ("a", "b"):
+            (tmp_path / out).mkdir()
+            ingest.save_parsed(tmp_path / out, "dataset1", instances, "abc")
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == ["parsed_dataset1.json", "parsed_dataset1.npy"]
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        samples = np.load(tmp_path / "a" / "parsed_dataset1.npy", allow_pickle=False)
+        assert samples.dtype == np.float64 and samples.shape == (len(instances), 3, 300)
+        doc = json.loads((tmp_path / "a" / "parsed_dataset1.json").read_text())
+        assert doc["digest"] == "abc" and doc["version"] == ingest.__version__
+        assert doc["instances"][0] == {"label": instances[0][1].value,
+                                       "peak_index": instances[0][0].peak_index,
+                                       "source_id": "rec"}
+
+    def flip_sample_byte(self, npy, index):
+        data = bytearray(npy.read_bytes())
+        data[-1] ^= 1
+        npy.write_bytes(bytes(data))
+
+    def truncate_samples(self, npy, index):
+        npy.write_bytes(npy.read_bytes()[:-8])
+
+    def truncate_index(self, npy, index):
+        index.write_bytes(index.read_bytes()[:100])
+
+    def no_index(self, npy, index):
+        index.unlink()
+
+    def no_samples(self, npy, index):
+        npy.unlink()
+
+    def empty_samples(self, npy, index):
+        npy.write_bytes(b"")
+
+    def other_version(self, npy, index):
+        doc = json.loads(index.read_text())
+        doc["version"] = "0.0.1"
+        index.write_text(json.dumps(doc))
+
+    def other_numpy(self, npy, index):
+        doc = json.loads(index.read_text())
+        doc["numpy"] = "1.0"
+        index.write_text(json.dumps(doc))
+
+    def a_list(self, npy, index):
+        index.write_text("[]")
+
+    def bad_peak(self, npy, index):
+        doc = json.loads(index.read_text())
+        doc["instances"][0]["peak_index"] = 300
+        index.write_text(json.dumps(doc))
+
+    def one_instance_short(self, npy, index):
+        doc = json.loads(index.read_text())
+        doc["instances"].pop()
+        index.write_text(json.dumps(doc))
+
+    @pytest.mark.parametrize("damage", [
+        "flip_sample_byte", "truncate_samples", "truncate_index", "no_index", "no_samples",
+        "empty_samples", "other_version", "other_numpy", "a_list", "bad_peak", "one_instance_short"])
+    def test_record_it_cannot_vouch_for_reads_as_none(self, tmp_path, damage):
+        (tmp_path / "data").mkdir()
+        _, instances = parsed_windowed(tmp_path / "data")
+        ingest.save_parsed(tmp_path, "dataset1", instances, "abc")
+        assert ingest.load_parsed(tmp_path, "dataset1", "abc") is not None
+        getattr(self, damage)(tmp_path / "parsed_dataset1.npy", tmp_path / "parsed_dataset1.json")
+        assert ingest.load_parsed(tmp_path, "dataset1", "abc") is None
+
+    def test_another_digest_or_dataset_reads_as_none(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        _, instances = parsed_windowed(tmp_path / "data")
+        assert ingest.load_parsed(tmp_path, "dataset1", "abc") is None
+        ingest.save_parsed(tmp_path, "dataset1", instances, "abc")
+        assert ingest.load_parsed(tmp_path, "dataset1", "abd") is None
+        assert ingest.load_parsed(tmp_path, "dataset2", "abc") is None
+
+
+class TestDatasetFiles:
+    def test_dataset1_lists_the_manifest_and_every_labelled_csv(self, tmp_path):
+        (tmp_path / "d1").mkdir()
+        parsed_windowed(tmp_path / "d1")
+        (tmp_path / "d1" / "other").mkdir()
+        (tmp_path / "d1" / "other" / "o.csv").write_text("1,2,3\n")
+        (tmp_path / "d1" / "adl" / "notes.txt").write_text("not read\n")
+        files = ingest.dataset_files("dataset1", tmp_path / "d1")
+        names = [str(f.relative_to(tmp_path / "d1")) for f in files]
+        assert names == ["manifest.json", "adl/adl0.csv", "adl/adl1.csv", "adl/adl2.csv",
+                         "fall/fall0.csv", "fall/fall1.csv", "fall/fall2.csv"]
+
+    def test_symlinked_subdirectory_is_followed(self, tmp_path):
+        (tmp_path / "d1").mkdir()
+        parsed_windowed(tmp_path / "d1")
+        (tmp_path / "d1" / "adl").rename(tmp_path / "elsewhere")
+        (tmp_path / "d1" / "adl").symlink_to(tmp_path / "elsewhere", target_is_directory=True)
+        files = ingest.dataset_files("dataset1", tmp_path / "d1")
+        assert tmp_path / "d1" / "adl" / "adl0.csv" in files
+        assert len(ingest.parse_dataset1(tmp_path / "d1")) == len(files) - 1
+
+    def test_dataset2_and_a_missing_root(self, tmp_path):
+        assert ingest.dataset_files("dataset2", tmp_path) == [
+            tmp_path / name for name in ("x.csv", "y.csv", "z.csv", "labels.csv")]
+        assert ingest.dataset_files("dataset1", tmp_path / "none") == [
+            tmp_path / "none" / "manifest.json"]
