@@ -22,13 +22,12 @@ from .classifiers import Variant
 from .errors import FalldetectError, ParseError
 from .evaluation import (
     GridConfig,
-    InputsMemo,
     assemble_report,
+    cell_inputs,
     report_from_dict,
     run_experiment,
     run_fold,
     save_report_json,
-    shared_inputs,
     summary_row,
     write_roc_csv,
 )
@@ -306,33 +305,48 @@ def _cell_outcome(cell, build):
     return {**summary_row(report), "status": "ok"}, report
 
 
-def _run_serial(cells, collections, grid_cfg):
-    """Each cell's row and report, one run_experiment call per cell; the
-    variants of one (collection, feature, window) triple, which cells
-    lists one after another, share the triple's inputs."""
-    with shared_inputs():
-        for cell in cells:
-            collection = collections[cell[0]]
-            yield _cell_outcome(cell, lambda: run_experiment(collection, *cell[1:], grid_cfg))
-
-
-# The state of a pool worker process, set by _init_worker when the worker
-# starts: the collections and grid config of the run, and the memo of the
-# inputs of the one (collection, feature, window) triple it last served.
+# The state of a process that runs cells, the main process under --jobs 1
+# and each pool worker under --jobs N: the collections and grid config of
+# the run, set by _init_worker, and the inputs of the one (collection id,
+# feature, window) triple the process built last.
 _worker = {}
 
 
 def _init_worker(collections, grid_cfg):
-    _worker.update(collections=collections, grid_cfg=grid_cfg, inputs=InputsMemo())
+    _worker.update(collections=collections, grid_cfg=grid_cfg, triple=None, inputs=None)
+
+
+def _triple_inputs(cell):
+    """The CellInputs of cell's (collection id, feature, window) triple,
+    built only when the triple is not the one built last.  The last
+    triple's are dropped before the build, and nothing is kept when it
+    raises, so each later ask builds again."""
+    if _worker["triple"] != cell[:3]:
+        _worker.update(triple=None, inputs=None)
+        collection = _worker["collections"][cell[0]]
+        _worker["inputs"] = cell_inputs(collection, *cell[1:3], _worker["grid_cfg"])
+        _worker["triple"] = cell[:3]
+    return _worker["inputs"]
+
+
+def _run_serial(cells, collections, grid_cfg):
+    """Each cell's row and report, one run_experiment call per cell; the
+    variants of one triple, which cells lists one after another, share
+    the triple's inputs, as the outer folds of a pool worker do."""
+    _init_worker(collections, grid_cfg)
+    try:
+        for cell in cells:
+            yield _cell_outcome(cell, lambda: run_experiment(
+                collections[cell[0]], *cell[1:], grid_cfg, inputs=_triple_inputs(cell)))
+    finally:
+        _worker.clear()
 
 
 def _run_fold_unit(cell, f):
     """Outer fold f of cell in a pool worker: its FoldResult and None, or
     None and the error row of whatever failed."""
-    grid_cfg = _worker["grid_cfg"]
     try:
-        inputs = _worker["inputs"](_worker["collections"][cell[0]], *cell[1:3], grid_cfg)
-        return run_fold(inputs, cell[3], f, grid_cfg), None
+        return run_fold(_triple_inputs(cell), cell[3], f, _worker["grid_cfg"]), None
     except Exception as exc:  # the parent turns it into the cell's row
         return None, _error_row(cell, exc)
 

@@ -7,7 +7,6 @@ averaged curve.  Hyperparameters are chosen per outer fold by an inner
 cross-validation that never sees the outer test split.
 """
 
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
@@ -462,46 +461,6 @@ def cell_inputs(collection, feature_kind, window_len, config=None):
     )
 
 
-class InputsMemo:
-    """cell_inputs that remembers one triple: asked again for the triple it
-    built last (the same collection and config objects, feature and
-    window), it returns the same CellInputs; asked for another, it drops
-    the last one before it builds.  Inputs that fail are not kept, so
-    each later ask raises again."""
-
-    def __init__(self):
-        self._key = self._held = self._inputs = None
-
-    def __call__(self, collection, feature_kind, window_len, config=None):
-        key = (id(collection), id(config), FeatureKind(feature_kind), int(window_len))
-        if key != self._key:
-            self._key = self._held = self._inputs = None
-            self._inputs = cell_inputs(collection, feature_kind, window_len, config)
-            # held, so that no other object takes their ids while they key
-            self._key, self._held = key, (collection, config)
-        return self._inputs
-
-
-# The memo run_experiment builds its inputs through while shared_inputs()
-# is open, None otherwise: a module variable, because run_experiment keeps
-# the five arguments that callers and stand-ins for it pass.
-_shared = None
-
-
-@contextmanager
-def shared_inputs():
-    """While open, consecutive run_experiment calls for the variants of one
-    (collection, feature, window) triple share that triple's CellInputs,
-    as the outer folds of a pool worker do: one feature matrix and one
-    KnnPrep per triple."""
-    global _shared
-    _shared = InputsMemo()
-    try:
-        yield
-    finally:
-        _shared = None
-
-
 def run_fold(inputs, variant, f, config=None):
     """Outer fold f of a cell: an inner cross-validation over the fold's
     training split picks the hyperparameters with the best total inner
@@ -573,12 +532,14 @@ def assemble_report(collection, feature_kind, window_len, variant, folds, config
     )
 
 
-def run_experiment(collection, feature_kind, window_len, variant, config=None):
+def run_experiment(collection, feature_kind, window_len, variant, config=None, inputs=None):
     """Nested cross-validation for one (collection, feature, window, variant)
     cell: its shared inputs, then each outer fold in order (run_fold), then
-    the assembly of the report (assemble_report).  Inside shared_inputs()
-    the inputs may be those of the call before, for the same triple."""
-    inputs = (_shared or cell_inputs)(collection, feature_kind, window_len, config)
+    the assembly of the report (assemble_report).  inputs, when given, are
+    the triple's CellInputs, as cell_inputs builds them, which the variants
+    of one triple may share; None builds them."""
+    if inputs is None:
+        inputs = cell_inputs(collection, feature_kind, window_len, config)
     folds = [run_fold(inputs, variant, f, config) for f in range(inputs.plan.num_folds)]
     return assemble_report(collection, feature_kind, window_len, variant, folds, config)
 

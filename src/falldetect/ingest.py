@@ -605,6 +605,10 @@ def _atomic_write_bytes(path, data):
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        # mkstemp makes the file 0600; give it the mode open() gives
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -18,6 +18,7 @@ from .ingest import (
     TriaxialWindow,
     _atomic_write_text,
     _write_json,
+    dataset_files,
 )
 
 _STREAM_SYNTH = 404
@@ -92,13 +93,21 @@ def _window_rng(seed, label, index):
     return np.random.default_rng([seed, _STREAM_SYNTH, code, index])
 
 
+def _csv_path(root, label, source_id):
+    return root / label.value.lower() / f"{source_id}.csv"
+
+
+def _source_id(label, index):
+    return f"{label.value.lower()}_{index:04d}"
+
+
 def _labelled_windows(n_adl, n_falls, seed):
     """The (window, label) pairs of synth_windows, one at a time."""
     for label, n, draw in ((Label.ADL, n_adl, synth_adl_window),
                            (Label.FALL, n_falls, synth_fall_window)):
         for i in range(n):
             axes = draw(_window_rng(seed, label, i))
-            yield _to_window(axes, f"{label.value.lower()}_{i:04d}"), label
+            yield _to_window(axes, _source_id(label, i)), label
 
 
 def synth_windows(n_adl, n_falls, seed=0):
@@ -125,13 +134,21 @@ def _window_csv(window):
 def generate_dataset(out_dir, n_adl, n_falls, seed=0):
     """Write the windows of synth_windows as a dataset1-style tree, one CSV
     per window under adl/ or fall/, one window in memory at a time; returns
-    the manifest."""
+    the manifest.  FileExistsError, before anything is written, when out_dir
+    holds a window CSV that this call does not write, which ingest would
+    read with the new ones."""
     root = Path(out_dir)
+    written = {_csv_path(root, label, _source_id(label, i))
+               for label, n in ((Label.ADL, n_adl), (Label.FALL, n_falls)) for i in range(n)}
+    for path in dataset_files("dataset1", root)[1:]:
+        if path not in written:
+            raise FileExistsError(
+                f"{path} is not one of the {n_adl} ADL + {n_falls} FALL windows this call "
+                "writes, but would be read with them; remove it or write to an empty directory")
     (root / "adl").mkdir(parents=True, exist_ok=True)
     (root / "fall").mkdir(parents=True, exist_ok=True)
     for window, label in _labelled_windows(n_adl, n_falls, seed):
-        path = root / label.value.lower() / f"{window.source_id}.csv"
-        _atomic_write_text(path, _window_csv(window))
+        _atomic_write_text(_csv_path(root, label, window.source_id), _window_csv(window))
     manifest = {
         "mode": "windowed",
         "synthetic": True,

@@ -53,6 +53,41 @@ class TestSynthCommand:
         assert capsys.readouterr().err == "error: adl must be an integer >= 0, got -3\n"
         assert not out.exists()
 
+    def test_windows_it_would_not_write_are_refused(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert run_cli("synth", "--out", out, "--adl", "6", "--falls", "3") == 0
+        before = file_bytes(out)
+        assert run_cli("synth", "--out", out, "--adl", "6", "--falls", "3") == 0
+        assert file_bytes(out) == before  # the same set again is allowed
+        capsys.readouterr()
+        assert run_cli("synth", "--out", out, "--adl", "3", "--falls", "2") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'adl' / 'adl_0003.csv'} is not one of the "
+                              "3 ADL + 2 FALL windows this call writes")
+        assert json.loads((out / "manifest.json").read_text())["counts"] == {"ADL": 6, "FALL": 3}
+        assert len(ingest.parse_dataset1(out)) == 9
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_honour_the_umask(tmp_path, umask, mode):
+    data, work = tmp_path / "data", tmp_path / "work"
+    old = os.umask(umask)
+    try:
+        assert run_cli("synth", "--out", data, "--adl", "30", "--falls", "12", "--seed", "7") == 0
+        assert run_cli("ingest", "--dataset1", data, "--out", work, "--seed", "7") == 0
+        assert run_cli("run", "--dataset1", data, "--out", work, "--feature", "MAGNITUDE",
+                       "--window", "51", "--classifier", "OC_KNN") == 0
+        assert run_cli("report", "--out", work) == 0
+    finally:
+        os.umask(old)
+    written = [f for f in (*data.rglob("*"), *work.iterdir()) if f.is_file()]
+    assert {f.name for f in written} >= {
+        "manifest.json", "adl_0000.csv", "fall_0000.csv", "collection_C1.json", "run.json",
+        "parsed_dataset1.npy", "parsed_dataset1.json", "report_C1_MAGNITUDE_51_OC_KNN.json",
+        "roc_C1_MAGNITUDE_51_OC_KNN.csv", "summary.csv", "summary.json"}
+    assert {f.name: oct(f.stat().st_mode & 0o777) for f in written} == {
+        f.name: oct(mode) for f in written}
+
 
 class TestIngestCommand:
     def test_defaults_to_c1(self, pipeline, capsys):
@@ -198,12 +233,12 @@ class TestCellFailures:
         data, work = pipeline
         real = cli.run_experiment
 
-        def one_cell_fails(collection, feature, window, classifier, cfg):
+        def one_cell_fails(collection, feature, window, classifier, cfg, **kwargs):
             if classifier == "TC_KNN":
                 raise ValueError("scores must be finite, got\nnan")
             if classifier == "OC_SVM":
                 raise InsufficientData("too few, sorry")
-            return real(collection, feature, window, classifier, cfg)
+            return real(collection, feature, window, classifier, cfg, **kwargs)
 
         monkeypatch.setattr(cli, "run_experiment", one_cell_fails)
         assert run_cli("run", "--dataset1", data, "--out", work, *self.ARGV) == 1
@@ -243,7 +278,7 @@ class TestCellFailures:
     def test_keyboard_interrupt_escapes(self, pipeline, monkeypatch):
         data, work = pipeline
 
-        def interrupted(*args):
+        def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli, "run_experiment", interrupted)
@@ -367,7 +402,7 @@ class TestFoldPool:
         assert run_cli("run", "--dataset1", data, "--out", work, *argv) == 0
         serial = without_run_json(file_bytes(work))
         built = []
-        real_inputs, real_prep = evaluation.cell_inputs, classifiers.KnnPrep
+        real_inputs, real_prep = cli.cell_inputs, classifiers.KnnPrep
 
         def counted_inputs(*args):
             built.append("inputs")
@@ -378,7 +413,7 @@ class TestFoldPool:
                 built.append("knn_prep")
                 super().__init__(vectors)
 
-        monkeypatch.setattr(evaluation, "cell_inputs", counted_inputs)
+        monkeypatch.setattr(cli, "cell_inputs", counted_inputs)
         monkeypatch.setattr(classifiers, "KnnPrep", CountedPrep)
         assert run_cli("run", "--dataset1", data, "--out", work, *argv, "--jobs", "2") == 0
         assert inline_pool == [2]
@@ -410,7 +445,7 @@ class TestSerialSharing:
         self.counted(monkeypatch, classifiers, "_self_distances", calls)
         assert run_cli("run", "--dataset1", data, "--out", work, *self.ARGV, "--jobs", "1") == 0
         assert sorted(calls) == ["_self_distances", "extract_matrix"]
-        assert evaluation._shared is None  # the memo ends with the run
+        assert cli._worker == {}  # the memo ends with the run
         monkeypatch.undo()
         pooled = tmp_path / "pooled"
         assert run_cli("ingest", "--dataset1", data, "--out", pooled, "--seed", "7") == 0
@@ -433,17 +468,20 @@ class TestSerialSharing:
         assert lines == [f"C1,MAGNITUDE,51,{v},,,,,error,no windows; sorry"
                          for v in ("OC_KNN", "TC_KNN", "OC_SVM")]
 
-    def test_a_new_triple_or_config_builds_anew(self, pipeline):
+    def test_a_new_triple_builds_anew(self, pipeline, monkeypatch):
         data, work = pipeline
-        collection = cli.collection_from_manifest(
-            json.loads((work / "collection_C1.json").read_text()),
-            cli.parse_dataset1(data), None)
-        memo, cfg = evaluation.InputsMemo(), evaluation.GridConfig()
-        for ask in ((collection, "RAW", 51, cfg), (collection, "MAGNITUDE", 128, cfg),
-                    (collection, "MAGNITUDE", 51, evaluation.GridConfig())):
-            last = memo(collection, "MAGNITUDE", 51, cfg)
-            assert memo(collection, evaluation.FeatureKind.MAGNITUDE, "51", cfg) is last
-            assert memo(*ask) is not last
+        d1 = cli.parse_dataset1(data)
+        collections = {"C1": cli.collection_from_manifest(
+            json.loads((work / "collection_C1.json").read_text()), d1, None)}
+        # another collection, which the memo knows by the id it is run under
+        collections["C2"] = cli.build_collection("C1", d1, None, seed=7)
+        monkeypatch.setattr(cli, "_worker", {})
+        cli._init_worker(collections, evaluation.GridConfig())
+        for other in (("C1", "RAW", 51), ("C1", "MAGNITUDE", 128), ("C2", "MAGNITUDE", 51)):
+            last = cli._triple_inputs(("C1", "MAGNITUDE", 51, "OC_KNN"))
+            for variant in ("TC_KNN", "OC_SVM", "TC_SVM"):
+                assert cli._triple_inputs(("C1", "MAGNITUDE", 51, variant)) is last
+            assert cli._triple_inputs((*other, "OC_KNN")) is not last
 
 
 def drop_source_index(doc):
@@ -1077,10 +1115,10 @@ class TestRecordFormat:
         data, work = pipeline
         real = cli.run_experiment
 
-        def tc_knn_fails(collection, feature, window, classifier, cfg):
+        def tc_knn_fails(collection, feature, window, classifier, cfg, **kwargs):
             if classifier == "TC_KNN":
                 raise InsufficientData("too few, sorry")
-            return real(collection, feature, window, classifier, cfg)
+            return real(collection, feature, window, classifier, cfg, **kwargs)
 
         monkeypatch.setattr(cli, "run_experiment", tc_knn_fails)
         capsys.readouterr()

@@ -320,21 +320,31 @@ class TestRunExperiment:
     @pytest.mark.parametrize("variant", ["OC_KNN", "TC_KNN", "OC_SVM", "TC_SVM"])
     def test_run_experiment_is_its_composition(self, small_collection, variant):
         """The shared inputs, each fold step and the assembly give the
-        report bit for bit, whatever order the folds run in."""
+        report bit for bit, whatever order the folds run in.  Given inputs
+        give the report of a call that builds them, and one CellInputs
+        serves two variants of its triple."""
         cfg = GridConfig(k_grid=(1, 2, 3), c_grid=(1.0, 10.0), nu_grid=(0.1, 0.5),
                          gamma_grid=("auto", 0.1), inner_folds=4)
         cell = (small_collection, "ACCEL_FEATURES", 51, variant)
+
+        def as_json(report):
+            return json.dumps(ev.report_to_dict(report), sort_keys=True)
+
         whole = ev.run_experiment(*cell, cfg)
         inputs = ev.cell_inputs(*cell[:3], cfg)
         n = inputs.plan.num_folds
         folds = {f: ev.run_fold(inputs, variant, f, cfg) for f in reversed(range(n))}
         parts = ev.assemble_report(*cell, [folds[f] for f in range(n)], cfg)
-        assert json.dumps(ev.report_to_dict(parts), sort_keys=True) == json.dumps(
-            ev.report_to_dict(whole), sort_keys=True
-        )
+        assert as_json(parts) == as_json(whole)
         for f, fold in folds.items():
             assert fold.auc == whole.fold_aucs[f]
             assert fold.params == whole.fold_params[f]
+        partner = {"OC_KNN": "TC_KNN", "TC_SVM": "OC_SVM"}.get(variant)
+        if partner is not None:
+            built = ev.run_experiment(*cell[:3], partner, cfg)
+            assert as_json(ev.run_experiment(*cell, cfg, inputs=inputs)) == as_json(whole)
+            given = ev.run_experiment(*cell[:3], partner, cfg, inputs=inputs)
+            assert as_json(given) == as_json(built)
 
     def test_custom_ltp_params_are_used(self, small_collection):
         from falldetect.features import LtpParams

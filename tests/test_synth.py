@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from falldetect import ingest, synth
 from falldetect.ingest import Label
@@ -65,6 +66,29 @@ class TestGenerateDataset:
         assert on_disk["synthetic"] is True
         assert on_disk["counts"] == {"ADL": 6, "FALL": 2}
         assert on_disk["seed"] == 5
+
+    def test_a_used_directory_takes_only_the_windows_it_holds_or_more(self, tmp_path):
+        def tree():
+            return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+        synth.generate_dataset(tmp_path, 6, 3, seed=5)
+        before = tree()
+        for n_adl, n_falls, stray in ((3, 3, "adl/adl_0003.csv"), (6, 2, "fall/fall_0002.csv"),
+                                      (0, 0, "adl/adl_0000.csv")):
+            with pytest.raises(FileExistsError, match=f"^{tmp_path / stray} is not one of"):
+                synth.generate_dataset(tmp_path, n_adl, n_falls, seed=5)
+            assert tree() == before
+        # a CSV that ingest would read, in any case of its label directory
+        (tmp_path / "FALL").mkdir()
+        (tmp_path / "FALL" / "fall_0000.csv").write_bytes(b"")
+        with pytest.raises(FileExistsError, match="FALL/fall_0000.csv is not one of"):
+            synth.generate_dataset(tmp_path, 6, 3, seed=5)
+        (tmp_path / "FALL" / "fall_0000.csv").unlink()
+        # the same windows again, or more, are written
+        assert synth.generate_dataset(tmp_path, 6, 3, seed=5)["counts"] == {"ADL": 6, "FALL": 3}
+        assert tree() == before
+        synth.generate_dataset(tmp_path, 7, 4, seed=5)
+        assert len(ingest.parse_dataset1(tmp_path)) == 11
 
     def test_generated_bytes_are_reproducible(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
