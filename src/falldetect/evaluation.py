@@ -7,7 +7,7 @@ averaged curve.  Hyperparameters are chosen per outer fold by an inner
 cross-validation that never sees the outer test split.
 """
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -238,7 +238,7 @@ class GridConfig:
     inner_folds: int = 10
     svm_tol: float = SVM_TOL
     svm_max_iter: int | None = None
-    ltp_params: LtpParams | None = None
+    ltp_params: LtpParams = field(default_factory=LtpParams)
 
     def to_dict(self):
         # lists, not tuples, so the dict equals its JSON round trip
@@ -261,10 +261,11 @@ class EvalReport:
     sp: float
     gm: float
     threshold: float
-    averaged_curve: RocCurve
     counts: dict
     seed: int
     config: dict
+    # not in the report's JSON record; None in a report read back from it
+    averaged_curve: RocCurve | None = None
 
     def __post_init__(self):
         for name in ("mean_auc", "se", "sp", "gm"):
@@ -549,10 +550,9 @@ def run_experiment(collection, feature_kind, window_len, variant, config=None, i
 
 
 def report_to_dict(report):
-    doc = {f.name: getattr(report, f.name) for f in fields(EvalReport)}
-    curve = report.averaged_curve
-    doc["averaged_curve"] = {f.name: getattr(curve, f.name).tolist() for f in fields(RocCurve)}
-    return doc
+    # every field but the curve, whose one record is write_roc_csv's file
+    return {f.name: getattr(report, f.name) for f in fields(EvalReport)
+            if f.name != "averaged_curve"}
 
 
 def _exact(value, kind, name):
@@ -570,12 +570,9 @@ def _floats(values, name):
 
 
 def report_from_dict(doc):
-    """The report report_to_dict wrote as doc.  window_len and seed must be
-    ints, config a dict, and the AUCs, rates, threshold and curve floats;
-    anything else raises TypeError naming the key."""
-    c = doc["averaged_curve"]
-    curve = RocCurve(*(np.array(_floats(c[f.name], f"averaged_curve.{f.name}"), dtype=np.float64)
-                       for f in fields(RocCurve)))
+    """The report report_to_dict wrote as doc, its averaged_curve None.
+    window_len and seed must be ints, config a dict, and the AUCs, rates and
+    threshold floats; anything else raises TypeError naming the key."""
     rates = {name: _exact(doc[name], float, name)
              for name in ("mean_auc", "se", "sp", "gm", "threshold")}
     return EvalReport(
@@ -586,7 +583,6 @@ def report_from_dict(doc):
         fold_aucs=_floats(doc["fold_aucs"], "fold_aucs"),
         fold_params=doc["fold_params"],
         fold_test_indices=doc["fold_test_indices"],
-        averaged_curve=curve,
         counts=doc["counts"],
         seed=_exact(doc["seed"], int, "seed"),
         config=_exact(doc["config"], dict, "config"),

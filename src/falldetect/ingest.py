@@ -15,6 +15,7 @@ import mmap
 import os
 import tempfile
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -245,6 +246,24 @@ def _data_lines(fh, skip_header):
             yield lineno, line
 
 
+@contextmanager
+def _utf8(path):
+    """A UnicodeDecodeError raised while reading path becomes a ParseError
+    at the line of path's first byte that is not UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the line as text mode counts it: \r\n, \r and \n each end one
+            head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            raise ParseError(f"not UTF-8 text ({exc.reason})", path,
+                             head.count(b"\n") + 1) from None
+        raise
+
+
 def _line_of_row(path, row, skip_header):
     """Line number of data row `row` (0-based) of path; found only on failure."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -264,7 +283,7 @@ def _read_rows(path, expected_cols, skip_header=False, length_error=False):
     anything else goes to the line walk, which takes what only float()
     reads (``1_0``, Unicode digits, mixed separators) or names the line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8(path), open(path, "r", encoding="utf-8") as fh:
         lines = (ln for i, ln in enumerate(fh) if ln.strip() and not (skip_header and i == 0))
         first = next(lines, "")
     try:
@@ -279,11 +298,12 @@ def _read_rows(path, expected_cols, skip_header=False, length_error=False):
                 skiprows=1 if skip_header else 0,
                 encoding="utf-8",
             )
-    except (ValueError, UserWarning):
+    except (ValueError, UserWarning):  # UnicodeDecodeError too: the walk names it
         data = None
     if data is not None and data.shape[1] == expected_cols and np.isfinite(data).all():
         return data
-    return _walk_rows(path, expected_cols, skip_header, length_error)
+    with _utf8(path):
+        return _walk_rows(path, expected_cols, skip_header, length_error)
 
 
 def _walk_rows(path, expected_cols, skip_header, length_error):
@@ -380,7 +400,7 @@ def parse_dataset1(path):
             )
             instances.append((window, label))
         else:
-            with open(f, "r", encoding="utf-8") as fh:
+            with _utf8(f), open(f, "r", encoding="utf-8") as fh:
                 header = fh.readline().strip().replace(" ", "")
             if header.lower() != "t,x,y,z":
                 raise ParseError(f"expected header 't,x,y,z', got {header!r}", f, 1)
@@ -425,7 +445,7 @@ def parse_dataset2(path):
         axis_rows[axis] = _read_rows(f, expected_cols=128, length_error=True)
     if not labels_path.is_file():
         raise ParseError("missing labels.csv", labels_path)
-    with open(labels_path, "r", encoding="utf-8") as fh:
+    with _utf8(labels_path), open(labels_path, "r", encoding="utf-8") as fh:
         tokens = [line.strip() for line in fh if line.strip()]
 
     counts = {axis: len(rows) for axis, rows in axis_rows.items()}

@@ -6,12 +6,14 @@ are collected and echoed as one PASS/FAIL/SKIP line each at the end of the
 run so the gate can be read off without scrolling through the full log.
 """
 
+import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from falldetect import classifiers, ingest, synth
+from falldetect import classifiers, evaluation, ingest, synth
 
 try:
     from hypothesis import settings
@@ -59,6 +61,16 @@ def random_window(rng, length, scale=1.0):
         rng.uniform(-scale, scale, length),
         rng.uniform(-scale, scale, length),
     )
+
+
+def report_bits(report):
+    """What two reports share when they are the same: report_to_dict's
+    JSON text, so every value and its type, and the bits of every float of
+    the averaged curve, which that record leaves out (None for none)."""
+    curve = report.averaged_curve
+    return json.dumps(evaluation.report_to_dict(report), sort_keys=True), (
+        None if curve is None
+        else [getattr(curve, f.name).view(np.int64).tolist() for f in fields(evaluation.RocCurve)])
 
 
 def distances_to_all(train, query):

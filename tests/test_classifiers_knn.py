@@ -14,6 +14,7 @@ from tests.conftest import (
     distances_to_all,
     knn_bruteforce_oracle,
     knn_oracle_scores,
+    report_bits,
 )
 from falldetect import classifiers as cls
 from falldetect.errors import DimensionError, InvalidK
@@ -482,7 +483,7 @@ class TestOuterFoldsReadTheMatrix:
 
         folds = small_collection.fold_plan.num_folds
         for variant, pools in (("OC_KNN", 1), ("TC_KNN", 2)):
-            expected = ev.report_to_dict(
+            expected = report_bits(
                 ev.run_experiment(small_collection, "MAGNITUDE", 51, variant, cfg)
             )
             calls.clear()
@@ -491,7 +492,7 @@ class TestOuterFoldsReadTheMatrix:
                 report = ev.run_experiment(small_collection, "MAGNITUDE", 51, variant, cfg)
             # per class pool and fold: one inner split at least, and the test fold
             assert len(calls) >= 2 * pools * folds, variant
-            assert ev.report_to_dict(report) == expected
+            assert report_bits(report) == expected
 
     @pytest.mark.parametrize("variant", ["OC_KNN", "TC_KNN"])
     @pytest.mark.parametrize("k_grid", [(1, 3), (3,)], ids=["searched", "single-k"])
@@ -504,7 +505,7 @@ class TestOuterFoldsReadTheMatrix:
         with monkeypatch.context() as mp:
             # over budget: no matrix, so every block is computed from the rows
             mp.setattr(cls, "_CACHE_BUDGET_BYTES", 0)
-            expected = ev.report_to_dict(
+            expected = report_bits(
                 ev.run_experiment(small_collection, "MAGNITUDE", 51, variant, cfg)
             )
 
@@ -519,7 +520,7 @@ class TestOuterFoldsReadTheMatrix:
                           (cls, "train_tc_knn")):
             monkeypatch.setattr(mod, name, refused)
         report = ev.run_experiment(small_collection, "MAGNITUDE", 51, variant, cfg)
-        assert ev.report_to_dict(report) == expected
+        assert report_bits(report) == expected
 
 
 class TestSingleKCells:
@@ -542,7 +543,7 @@ class TestSingleKCells:
                 preps.append(self)
 
         def report():
-            return ev.report_to_dict(
+            return report_bits(
                 ev.run_experiment(small_collection, "MAGNITUDE", 51, variant, cfg)
             )
 

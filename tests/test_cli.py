@@ -142,6 +142,66 @@ class TestIngestCommand:
         assert "no instances found" in capsys.readouterr().err
 
 
+def put_bytes(path, line, raw):
+    """Replace line `line` (1-based) of path with the bytes raw."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = raw
+    path.write_bytes(b"\n".join(lines))
+
+
+class TestUndecodableInput:
+    """A dataset file that is not UTF-8 exits 2 naming its path and the
+    line of the first byte that does not decode, and nothing is written."""
+
+    def ingest_fails(self, capsys, out, path, line, *argv):
+        capsys.readouterr()
+        assert run_cli("ingest", *argv, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:{line}: not UTF-8 text (invalid start byte)\n"
+        assert file_bytes(out) == {}
+
+    # line 1 is read before np.loadtxt; line 250 lies past the first
+    # block that read decodes, so loadtxt meets it and the line walk names it
+    @pytest.mark.parametrize("line", [1, 250])
+    def test_windowed_csv(self, tmp_path, capsys, line):
+        data = tmp_path / "data"
+        assert run_cli("synth", "--out", data, "--adl", "12", "--falls", "10") == 0
+        path = data / "adl" / "adl_0003.csv"
+        put_bytes(path, line, b"\xff\xfe1,2,3")
+        self.ingest_fails(capsys, tmp_path / "out", path, line, "--dataset1", data)
+
+    # the header line is read on its own; line 900 lies past its block
+    @pytest.mark.parametrize("line", [1, 900], ids=["header", "row"])
+    def test_raw_csv(self, tmp_path, capsys, line):
+        data = tmp_path / "data"
+        (data / "adl").mkdir(parents=True)
+        (data / "manifest.json").write_text(json.dumps({"mode": "raw"}))
+        path = data / "adl" / "rec.csv"
+        rows = [f"{i / 50.0!r},0.0,0.0,1.0" for i in range(1000)]
+        path.write_text("\n".join(["t,x,y,z", *rows]) + "\n")
+        put_bytes(path, line, b"0.1,\xff,0.0,1.0")
+        self.ingest_fails(capsys, tmp_path / "out", path, line, "--dataset1", data)
+
+    def test_dataset2_labels(self, pipeline, tmp_path, capsys):
+        data, _ = pipeline
+        d2 = tmp_path / "d2"
+        write_dataset2(d2)
+        put_bytes(d2 / "labels.csv", 3, b"WALK\xff")
+        self.ingest_fails(capsys, tmp_path / "out", d2 / "labels.csv", 3,
+                          "--dataset1", data, "--dataset2", d2)
+
+    def test_run_names_a_file_changed_since_ingest(self, pipeline, capsys):
+        data, work = pipeline
+        path = data / "fall" / "fall_0002.csv"
+        put_bytes(path, 7, b"\xff")
+        before = file_bytes(work)
+        capsys.readouterr()
+        assert run_cli("run", "--dataset1", data, "--out", work, "--feature", "RAW",
+                       "--window", "51", "--classifier", "OC_KNN") == 2
+        assert capsys.readouterr().err == f"error: {path}:7: not UTF-8 text (invalid start byte)\n"
+        assert file_bytes(work) == before
+
+
 class TestRunCommand:
     def test_pipeline_produces_reports_and_summary(self, pipeline, capsys):
         data, work = pipeline
@@ -750,6 +810,23 @@ class TestReportCommand:
         assert run_cli("report", "--out", work) == 0
         assert (work / "summary.csv").read_bytes() == saved
 
+    def test_renders_the_same_summary_without_the_roc_files(self, pipeline, tmp_path):
+        # the reports hold no curve, and report reads none
+        data, work = pipeline
+        assert self.run_oc_knn(data, work, "--feature", "all", "--window", "51") == 0
+        saved = {name: (work / name).read_bytes() for name in ("summary.csv", "summary.json")}
+        rocs = sorted(work.glob("roc_*.csv"))
+        assert len(rocs) == 4
+        for f in rocs:
+            f.rename(tmp_path / f.name)
+        # summary.json lists the cells, so report reads it and writes it again
+        (work / "summary.csv").unlink()
+        assert run_cli("report", "--out", work) == 0
+        assert {name: (work / name).read_bytes() for name in saved} == saved
+        assert not list(work.glob("roc_*.csv"))
+        assert all("averaged_curve" not in json.loads(f.read_text())
+                   for f in work.glob("report_*.json"))
+
     def test_error_rows_are_reproduced(self, pipeline, tmp_path):
         data, work = pipeline
         cfg = tmp_path / "cfg.json"
@@ -773,8 +850,8 @@ class TestReportCommand:
         "damage, message",
         [
             (lambda doc: "{not json", ": not JSON ("),
-            (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "averaged_curve"}),
-             ": missing key 'averaged_curve'"),
+            (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "fold_params"}),
+             ": missing key 'fold_params'"),
             (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "config"}),
              ": missing key 'config'"),
             (lambda doc: json.dumps({**doc, "config": []}),
@@ -807,15 +884,12 @@ class TestReportCommand:
              ": not a report (fold_aucs must be float, got 1)"),
             (lambda doc: json.dumps({**doc, "fold_aucs": 0.5}),
              ": not a report (fold_aucs must be a list of floats, got 0.5)"),
-            (lambda doc: json.dumps(
-                {**doc, "averaged_curve": {**doc["averaged_curve"], "tpr": ["1.0"] * 1001}}),
-             ": not a report (averaged_curve.tpr must be float, got '1.0')"),
         ],
         ids=["not JSON", "missing key", "no config", "a list config", "a list", "a bad value",
              "another variant", "another collection", "another feature", "another window",
              "a float window",
              "a bool window", "a string seed", "a float seed", "a string AUC", "an int rate",
-             "a null threshold", "an int fold AUC", "a fold AUC", "a string curve"],
+             "a null threshold", "an int fold AUC", "a fold AUC"],
     )
     def test_damaged_listed_report_is_named(self, pipeline, capsys, damage, message):
         data, work = pipeline
@@ -895,6 +969,12 @@ class TestConfigHandling:
         assert (out1 / "adl" / "adl_0000.csv").read_bytes() == (
             out2 / "adl" / "adl_0000.csv"
         ).read_bytes()
+
+    def test_default_settings_are_the_library_defaults(self):
+        # so a report records one config for one set of settings, run by
+        # the command or by run_experiment
+        config = cli.load_config(cli.build_parser().parse_args(["run"]))
+        assert cli.grid_config(config) == evaluation.GridConfig()
 
     def test_large_seed_is_kept_exactly(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,11 +1,13 @@
-"""Property tests of the inner-search AUCs and the report record, drawn by
-hypothesis.
+"""Property tests of the inner-search AUCs and the report's records, drawn
+by hypothesis.
 
 Kept apart from test_evaluation.py so that the rest of the evaluation
 tests still run where hypothesis is not installed.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -113,6 +115,14 @@ def test_report_survives_its_json_record(report):
     back = ev.report_from_dict(json.loads(record(report)))
     # equal text: every value, its type and every float's bits
     assert record(back) == record(report)
-    for name in ("fpr", "tpr", "thresholds"):
-        a, b = getattr(back.averaged_curve, name), getattr(report.averaged_curve, name)
-        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    # the curve's one record is its ROC CSV
+    assert back.averaged_curve is None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "roc.csv"
+        ev.write_roc_csv(report.averaged_curve, path)
+        header, *rows = path.read_text().splitlines()
+    assert header == "fpr,tpr,threshold"
+    columns = np.array([[float(v) for v in row.split(",")] for row in rows]).T
+    for name, column in zip(("fpr", "tpr", "thresholds"), columns):
+        want = getattr(report.averaged_curve, name)
+        assert np.array_equal(column.view(np.int64), want.view(np.int64))
