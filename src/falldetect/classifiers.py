@@ -539,18 +539,47 @@ def _resume_pairwise_dual(K, y, box, a, s, up, low, tol, max_iter, iterations):
     return alpha, _dual_bias(alpha, s, box, lo, hi), iterations, converged, gap, lo, hi
 
 
+# The process's one kernel stack: every lockstep solve takes its stack from
+# this buffer, which grows when a solve needs more and is otherwise reused.
+# A new stack per solve, freed after it, raises glibc's mmap threshold to
+# its size, so that later arrays come from a heap the process keeps.
+_stack = np.empty(0)
+
+
+def _kernel_stack(count, M):
+    """A (count, M, M) stack for kernels of up to M rows each, from the
+    process's one stack buffer.  Its entries hold whatever was written
+    last: _put_kernel fills a slot."""
+    global _stack
+    size = count * M * M
+    if _stack.size < size:
+        _stack = np.empty(0)  # the old buffer goes before the new one comes
+        _stack = np.empty(size)
+    return _stack[:size].reshape(count, M, M)
+
+
+def _put_kernel(stack, g, K):
+    """K, an m x m kernel, into slot g of stack, with the rest of its rows
+    0: padding that no lockstep step moves."""
+    m = len(K)
+    stack[g, :m, :m] = K
+    stack[g, :m, m:] = 0.0
+
+
 def _solve_pairwise_duals(kernels, problems, tol):
     """_solve_pairwise_dual(K, y, box, alpha, p, tol, max_iter) of every
     problem (k, y, box, alpha, p, max_iter), bit for bit, where K is the
     kernel that kernels[k] = (prep, gamma) names: prep.kernel(gamma).
-    alpha may instead be the index of an earlier problem on the same
+    kernels may instead be a stack from _kernel_stack, whose slot k holds
+    kernel k.  alpha may be the index of an earlier problem on the same
     kernel, whose multipliers the problem then starts from.
 
-    In-budget kernels are computed once and stacked in groups whose stack
-    fits _CACHE_BUDGET_BYTES.  A group's problems run in lockstep
-    (_lockstep) in rounds: those whose start is known, then those that
-    start from them, and so on.  A problem whose prep is over the budget
-    runs the scalar loop on kernel rows computed on demand.
+    A stack's problems run as one group.  Of a list, the in-budget kernels
+    are stacked in groups whose stack fits _CACHE_BUDGET_BYTES, one group
+    at a time in the process's stack, and a problem whose prep is over the
+    budget runs the scalar loop on kernel rows computed on demand.  A
+    group's problems run in lockstep (_lockstep) in rounds: those whose
+    start is known, then those that start from them, and so on.
     """
     results = [None] * len(problems)
 
@@ -560,6 +589,9 @@ def _solve_pairwise_duals(kernels, problems, tol):
     on_kernel = {}
     for n, problem in enumerate(problems):
         on_kernel.setdefault(problem[0], []).append(n)
+    if isinstance(kernels, np.ndarray):
+        _solve_stack(kernels, list(on_kernel.items()), problems, tol, results)
+        return results
     groups = []  # [largest m, kernel indices]
     for k, ns in on_kernel.items():
         prep, gamma = kernels[k]
@@ -577,28 +609,35 @@ def _solve_pairwise_duals(kernels, problems, tol):
         else:
             groups.append([m, [k]])
     for M, ks in groups:
-        # padding is kernel 0, and _lockstep masks it out of every selection
-        stack = np.zeros((len(ks), M, M))
+        stack = _kernel_stack(len(ks), M)
         for g, k in enumerate(ks):
             prep, gamma = kernels[k]
-            m = len(prep)
-            stack[g, :m, :m] = prep.kernel(gamma)
-        todo = [(g, n) for g, k in enumerate(ks) for n in on_kernel[k]]
-        while todo:
-            rows, later = [], []
-            for g, n in todo:
-                _, y, box, alpha, p, max_iter = problems[n]
-                if isinstance(alpha, int) and results[alpha] is None:
+            _put_kernel(stack, g, prep.kernel(gamma))
+        _solve_stack(stack, [(g, on_kernel[k]) for g, k in enumerate(ks)], problems, tol, results)
+    return results
+
+
+def _solve_stack(stack, slots, problems, tol, results):
+    """The problems on the kernels of stack, in lockstep rounds: slots pairs
+    each slot g with the indices into problems of the problems on it.
+    Problem n's result goes into results[n], where the problems it starts
+    from find theirs."""
+    todo = [(g, n) for g, ns in slots for n in ns]
+    while todo:
+        rows, later = [], []
+        for g, n in todo:
+            _, y, box, alpha, p, max_iter = problems[n]
+            if isinstance(alpha, int):
+                if results[alpha] is None:
                     later.append((g, n))
                     continue
-                # a contiguous copy, as prep.kernel returns it, so that
-                # K @ v takes the same steps
-                K = np.ascontiguousarray(stack[g, :len(y), :len(y)])
-                alpha = start(alpha)
-                rows.append((n, g, y, box, alpha, max_iter, _dual_init(K, y, box, alpha, p)))
-            _lockstep(stack, rows, tol, results)
-            todo = later
-    return results
+                alpha = results[alpha][0]
+            # a contiguous copy, as prep.kernel returns it, so that
+            # K @ v takes the same steps
+            K = np.ascontiguousarray(stack[g, :len(y), :len(y)])
+            rows.append((n, g, y, box, alpha, max_iter, _dual_init(K, y, box, alpha, p)))
+        _lockstep(stack, rows, tol, results)
+        todo = later
 
 
 def _lockstep(stack, rows, tol, results):
@@ -841,17 +880,20 @@ class SvmQueryBlock:
 
     A solve's scores take the block's columns at its support vectors: the
     score_batch values of its model up to rounding, without rebuilding the
-    kernel per solve.  A block over _CACHE_BUDGET_BYTES is not built; each
-    solve is then scored as score_batch scores its model, chunk by chunk.
+    kernel per solve.  Once built, the block is all it keeps: neither the
+    SvmPrep nor the standardized queries.  A block over _CACHE_BUDGET_BYTES
+    is not built; it then keeps both sets of rows, and each solve is scored
+    as score_batch scores its model, chunk by chunk.
     """
 
     def __init__(self, prep, vectors, gamma):
-        self.prep = prep
-        self.qs = standardize_apply(vectors, prep.mean, prep.scale)
+        qs = standardize_apply(vectors, prep.mean, prep.scale)
         self.gamma = prep.resolve_gamma(gamma)
         self.block = None
-        if 16.0 * len(self.qs) * len(prep) <= _CACHE_BUDGET_BYTES:
-            self.block = _rbf_block(self.qs, prep.Xs, prep.sq, self.gamma)
+        if 16.0 * len(qs) * len(prep) <= _CACHE_BUDGET_BYTES:
+            self.block = _rbf_block(qs, prep.Xs, prep.sq, self.gamma)
+        else:  # the rows that each solve's scores are computed from
+            self.qs, self.Xs = qs, prep.Xs
 
     def scores(self, variant, alpha, y, offset):
         """The queries' scores under the variant's model whose multipliers
@@ -862,7 +904,7 @@ class SvmQueryBlock:
             expansion = self.block[:, keep].__matmul__
         else:
             def expansion(coef):
-                return _kernel_expansion(self.qs, self.prep.Xs[keep], self.gamma, coef)
+                return _kernel_expansion(self.qs, self.Xs[keep], self.gamma, coef)
         return _svm_scores(variant, expansion, alpha[keep], y[keep], offset)
 
 

@@ -24,9 +24,10 @@ from .evaluation import (
     GridConfig,
     assemble_report,
     cell_inputs,
+    fold_batches,
     report_from_dict,
     run_experiment,
-    run_fold,
+    run_folds,
     save_report_json,
     summary_row,
     write_roc_csv,
@@ -342,48 +343,51 @@ def _run_serial(cells, collections, grid_cfg):
         _worker.clear()
 
 
-def _run_fold_unit(cell, f):
-    """Outer fold f of cell in a pool worker: its FoldResult and None, or
-    None and the error row of whatever failed."""
+def _run_fold_unit(cell, folds):
+    """The batch of outer folds folds of cell in a pool worker: their
+    FoldResults and None, or None and the error row of whatever failed."""
     try:
-        return run_fold(_triple_inputs(cell), cell[3], f, _worker["grid_cfg"]), None
+        return run_folds(_triple_inputs(cell), cell[3], folds, _worker["grid_cfg"]), None
     except Exception as exc:  # the parent turns it into the cell's row
         return None, _error_row(cell, exc)
 
 
-def _gather_cell(cell, futures, collection, grid_cfg):
-    """cell's row and report from its fold units' futures, read in fold
-    order: the first fold that failed or was lost to a dead worker gives
-    the error row, and the later folds are cancelled."""
+def _gather_cell(cell, batches, futures, collection, grid_cfg):
+    """cell's row and report from the futures of its fold batches' units,
+    read in fold order: the first batch that failed, or was lost to a dead
+    worker, gives the error row, and the later batches are cancelled.  A
+    lost batch is named by its first fold."""
     folds = []
-    for f, future in enumerate(futures):
+    for b, future in enumerate(futures):
         try:
-            fold, row = future.result()
+            results, row = future.result()
         except BrokenProcessPool:
-            lost = BrokenProcessPool(f"outer fold {f} was lost when a pool worker process died")
-            fold, row = None, _error_row(cell, lost)
+            lost = BrokenProcessPool(
+                f"outer fold {batches[b][0]} was lost when a pool worker process died")
+            results, row = None, _error_row(cell, lost)
         if row is not None:
-            for later in futures[f + 1:]:
+            for later in futures[b + 1:]:
                 later.cancel()
             return row, None
-        folds.append(fold)
+        folds += results
     return _cell_outcome(cell, lambda: assemble_report(collection, *cell[1:], folds, grid_cfg))
 
 
 def _run_pool(cells, collections, grid_cfg, jobs):
-    """Each cell's row and report, in the order of cells, from (cell, outer
-    fold) units run in cell-major order on jobs worker processes, never
-    more than units.  Every worker gets the collections and grid config
-    once, when it starts; a cell is yielded as soon as its folds are in."""
-    num_folds = [collections[cell[0]].fold_plan.num_folds for cell in cells]
+    """Each cell's row and report, in the order of cells, from (cell, fold
+    batch) units (fold_batches) run in cell-major order on jobs worker
+    processes, never more than units.  Every worker gets the collections
+    and grid config once, when it starts; a cell is yielded as soon as its
+    folds are in."""
+    batches = [fold_batches(collections[cell[0]].fold_plan, cell[3], grid_cfg) for cell in cells]
     # a fork pool starts all of its workers at the first submit
-    pool = ProcessPoolExecutor(min(jobs, sum(num_folds)), initializer=_init_worker,
+    pool = ProcessPoolExecutor(min(jobs, sum(map(len, batches))), initializer=_init_worker,
                                initargs=(collections, grid_cfg))
     try:
-        units = [[pool.submit(_run_fold_unit, cell, f) for f in range(n)]
-                 for cell, n in zip(cells, num_folds)]
-        for cell, futures in zip(cells, units):
-            yield _gather_cell(cell, futures, collections[cell[0]], grid_cfg)
+        units = [[pool.submit(_run_fold_unit, cell, batch) for batch in cell_batches]
+                 for cell, cell_batches in zip(cells, batches)]
+        for cell, cell_batches, futures in zip(cells, batches, units):
+            yield _gather_cell(cell, cell_batches, futures, collections[cell[0]], grid_cfg)
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -40,6 +40,13 @@ from .ingest import (
 
 ROC_GRID_POINTS = 1001
 _STREAM_INNER = 303
+# A two-class SVM batch takes outer folds while one C round of their inner
+# duals stays within this many: three folds at the default grids.  A round
+# waits for its slowest dual, so a wider round saves lockstep passes, but
+# each fold's kernels add to the one stack.  On svm_c1, four and five
+# folds a batch raised a worker's peak RSS by 3 and 6 MB more, for no
+# less CPU time.
+_ROUND_DUALS = 120
 
 
 @dataclass
@@ -367,18 +374,23 @@ def _train_svm(variant, X, is_fall, params, cfg):
     )
 
 
-def _svm_grid_tables(variant, X, is_fall, cfg, splits):
-    """Validation scores of every inner split (tr, val), trained on the
-    rows of X at indices tr and scored at val: a table per split, with a
-    column per candidate (C or nu, gamma) in the order of the grids.
+def _svm_grid_tables(variant, X, is_fall, folds, cfg):
+    """Validation scores of every inner split of every outer fold of folds,
+    each the list of its splits (tr, val): per fold, a table per split,
+    trained on the rows of X at indices tr, labelled by is_fall, and scored
+    at val, with a column per candidate (C or nu, gamma) in the order of
+    the grids.
 
-    Each split's training rows are prepared once, and each gamma's kernel
-    and validation block built once.  Each distinct C or nu is solved once
-    per (split, gamma), and one classifiers._solve_pairwise_duals call
-    solves all of them: every one-class dual at once, and the two-class
-    duals one C at a time from the smallest up, each starting warm from
-    its (split, gamma)'s previous C.  Each candidate keeps its column, so
-    ties still go to the earliest in the grid's order.
+    Each split's training rows are prepared once, with its dual for each
+    distinct C or nu, and each gamma's kernel and validation block built
+    once; when every kernel fits one stack within _CACHE_BUDGET_BYTES, the
+    kernels go straight into the process's stack, so that no preparation
+    outlives its split.  Otherwise the solver stacks them from the
+    preparations, group by group.  One classifiers._solve_pairwise_duals
+    call solves every dual of every fold: the one-class duals at once, and
+    the two-class duals one C at a time from the smallest up, each starting
+    warm from its (split, gamma)'s previous C.  Each candidate keeps its
+    column, so ties still go to the earliest in the grid's order.
     """
     two_class = variant is Variant.TC_SVM
     first = cfg.c_grid if two_class else cfg.nu_grid
@@ -389,37 +401,59 @@ def _svm_grid_tables(variant, X, is_fall, cfg, splits):
         if not values or first[a] != values[-1][0]:
             values.append((first[a], []))
         values[-1][1].append(a)
-    tables, kernels, slots, problems = [], [], [], []
-    for tr, val in splits:
+    splits = [split for fold in folds for split in fold]
+    M = max(len(tr) if two_class else int(np.count_nonzero(~is_fall[tr])) for tr, _ in splits)
+    count = len(splits) * n_gamma
+    budget = classifiers._CACHE_BUDGET_BYTES
+    # the stack within the budget, and each preparation keeps its distances
+    if 8.0 * count * M * M <= budget and 16.0 * M * M <= budget:
+        kernels = classifiers._kernel_stack(count, M)
+    else:
+        kernels = []
+    tables, slots, problems = [], [], []
+    for s, (tr, val) in enumerate(splits):
         table = np.empty((len(val), len(first) * n_gamma))
         tables.append(table)
         prep = classifiers.SvmPrep(_svm_rows(variant, X[tr], is_fall[tr]))
         cap = 10 * len(prep) if cfg.svm_max_iter is None else cfg.svm_max_iter
+        duals = [classifiers._svm_dual(variant, prep, is_fall[tr], value)[:4]
+                 for value, _ in values]
         for gi, gamma in enumerate(cfg.gamma_grid):
             block = classifiers.SvmQueryBlock(prep, X[val], gamma)
-            for v, (value, _) in enumerate(values):
-                y, box, start, p, _, _ = classifiers._svm_dual(variant, prep, is_fall[tr], value)
+            k = s * n_gamma + gi
+            if isinstance(kernels, list):
+                kernels.append((prep, block.gamma))
+            else:
+                classifiers._put_kernel(kernels, k, prep.kernel(block.gamma))
+            for v, (y, box, start, p) in enumerate(duals):
                 if two_class and v:
                     start = len(problems) - 1  # warm from this split and gamma's previous C
-                problems.append((len(kernels), y, box, start, p, cap))
+                problems.append((k, y, box, start, p, cap))
                 slots.append((table, gi, block, y, v))
-            kernels.append((prep, block.gamma))
     solved = classifiers._solve_pairwise_duals(kernels, problems, cfg.svm_tol)
     for (table, gi, block, y, v), (alpha, bias, _, _, _, lo, hi) in zip(slots, solved):
         scores = block.scores(variant, alpha, y, classifiers._svm_offset(variant, bias, lo, hi))
         for a in values[v][1]:
             table[:, a * n_gamma + gi] = scores
-    return tables
+    tables = iter(tables)
+    return [[next(tables) for _ in fold] for fold in folds]
 
 
-def _select_svm_params(variant, X, is_fall, cfg, seed):
+def _select_svm_params(variant, X, is_fall, folds, cfg):
+    """The chosen (C or nu, gamma), with its mean inner AUC, of each outer
+    fold of folds, each (rows, seed): the fold trains on the rows of X at
+    indices rows, labelled by is_fall, and seed plans its inner splits.
+    The folds' inner grids are searched together (_svm_grid_tables)."""
     first = cfg.c_grid if variant is Variant.TC_SVM else cfg.nu_grid
     candidates = [(a, g) for a in first for g in cfg.gamma_grid]
     if len(candidates) == 1:
-        return candidates[0], None
-    splits = _inner_splits(is_fall, cfg, seed, two_class=variant is Variant.TC_SVM)
-    tables = _svm_grid_tables(variant, X, is_fall, cfg, splits)
-    return _best_candidate(candidates, is_fall, splits, tables)
+        return [(candidates[0], None) for _ in folds]
+    two_class = variant is Variant.TC_SVM
+    searched = [[(rows[tr], rows[val]) for tr, val in
+                 _inner_splits(is_fall[rows], cfg, seed, two_class)] for rows, seed in folds]
+    tables = _svm_grid_tables(variant, X, is_fall, searched, cfg)
+    return [_best_candidate(candidates, is_fall, splits, fold_tables)
+            for splits, fold_tables in zip(searched, tables)]
 
 
 @dataclass
@@ -462,20 +496,72 @@ def cell_inputs(collection, feature_kind, window_len, config=None):
     )
 
 
-def run_fold(inputs, variant, f, config=None):
-    """Outer fold f of a cell: an inner cross-validation over the fold's
-    training split picks the hyperparameters with the best total inner
-    AUC; the winner is retrained on the whole training split (ADL only for
-    one-class variants) and scored on the untouched test fold.  A
-    FalldetectError is raised again with the fold named."""
+def fold_batches(plan, variant, config=None):
+    """The outer folds of a cell with fold plan plan, in order, in the
+    batches that run_folds runs.  A two-class SVM batch takes the next fold
+    while one C round of its inner duals, a dual per (inner split, gamma)
+    of each fold, stays within _ROUND_DUALS and the stack of its kernels
+    within _CACHE_BUDGET_BYTES, each kernel's rows counted as the fold's
+    training rows; a fold that alone passes either runs alone.  Every
+    other variant runs one fold per batch."""
     cfg = config if config is not None else GridConfig()
-    try:
-        return _outer_fold(inputs, Variant(variant), f, cfg)
-    except FalldetectError as exc:
-        raise type(exc)(f"outer fold {f}: {exc}") from exc
+    folds = range(plan.num_folds)
+    if Variant(variant) is not Variant.TC_SVM:
+        return [[f] for f in folds]
+    duals = cfg.inner_folds * len(cfg.gamma_grid)
+    batches = []  # (folds, their most training rows)
+    for f in folds:
+        m = len(plan.train_indices(f))
+        if batches:
+            batch, M = batches[-1]
+            width, M = len(batch) + 1, max(M, m)
+            if (width * duals <= _ROUND_DUALS
+                    and 8.0 * width * duals * M * M <= classifiers._CACHE_BUDGET_BYTES):
+                batches[-1] = (batch + [f], M)
+                continue
+        batches.append(([f], m))
+    return [batch for batch, _ in batches]
 
 
-def _outer_fold(inputs, var, f, cfg):
+def run_folds(inputs, variant, folds, config=None):
+    """The FoldResults of the outer folds folds of a cell, one batch in
+    order, each what run_fold gives.  A two-class SVM batch of more than
+    one fold searches its folds' inner grids together, then picks, refits
+    and scores each fold; any other batch runs its folds one by one.  The
+    first fold to fail raises as run_fold does: when the joint search
+    fails, each fold searches again alone, so that it is the one named."""
+    cfg = config if config is not None else GridConfig()
+    var = Variant(variant)
+    picks = [None] * len(folds)
+    if var is Variant.TC_SVM and len(folds) > 1:
+        try:
+            searched = [(inputs.plan.train_indices(f), _inner_seed(inputs.seed, f))
+                        for f in folds]
+            picks = _select_svm_params(var, inputs.X, inputs.is_fall, searched, cfg)
+        except Exception:  # whatever it is, the folds alone raise it in fold order
+            pass
+    results = []
+    for f, pick in zip(folds, picks):
+        try:
+            results.append(_outer_fold(inputs, var, f, cfg, pick))
+        except FalldetectError as exc:
+            raise type(exc)(f"outer fold {f}: {exc}") from exc
+    return results
+
+
+def run_fold(inputs, variant, f, config=None):
+    """Outer fold f of a cell, a batch of one (run_folds): an inner
+    cross-validation over the fold's training split picks the
+    hyperparameters with the best total inner AUC; the winner is retrained
+    on the whole training split (ADL only for one-class variants) and
+    scored on the untouched test fold.  A FalldetectError is raised again
+    with the fold named."""
+    return run_folds(inputs, variant, [f], config)[0]
+
+
+def _outer_fold(inputs, var, f, cfg, pick=None):
+    """Outer fold f's FoldResult; pick, when given, is the fold's SVM
+    selection and its mean inner AUC, found in a batch."""
     X, is_fall = inputs.X, inputs.is_fall
     test_idx = inputs.plan.test_indices(f)
     train_idx = inputs.plan.train_indices(f)
@@ -486,9 +572,10 @@ def _outer_fold(inputs, var, f, cfg):
         scores = _knn_table(var, inputs.knn_prep, train_idx, ftr, test_idx, k)[:, k - 1]
         chosen = {"k": k}
     else:
-        Xtr = X[train_idx]
-        params, inner_auc = _select_svm_params(var, Xtr, ftr, cfg, seed_f)
-        model = _train_svm(var, Xtr, ftr, params, cfg)
+        if pick is None:
+            pick, = _select_svm_params(var, X, is_fall, [(train_idx, seed_f)], cfg)
+        params, inner_auc = pick
+        model = _train_svm(var, X[train_idx], ftr, params, cfg)
         key = "C" if var is Variant.TC_SVM else "nu"
         chosen = {
             key: params[0],
@@ -535,13 +622,15 @@ def assemble_report(collection, feature_kind, window_len, variant, folds, config
 
 def run_experiment(collection, feature_kind, window_len, variant, config=None, inputs=None):
     """Nested cross-validation for one (collection, feature, window, variant)
-    cell: its shared inputs, then each outer fold in order (run_fold), then
-    the assembly of the report (assemble_report).  inputs, when given, are
-    the triple's CellInputs, as cell_inputs builds them, which the variants
-    of one triple may share; None builds them."""
+    cell: its shared inputs, then its outer folds in order, batch by batch
+    (fold_batches, run_folds), then the assembly of the report
+    (assemble_report).  inputs, when given, are the triple's CellInputs, as
+    cell_inputs builds them, which the variants of one triple may share;
+    None builds them."""
     if inputs is None:
         inputs = cell_inputs(collection, feature_kind, window_len, config)
-    folds = [run_fold(inputs, variant, f, config) for f in range(inputs.plan.num_folds)]
+    folds = [fold for batch in fold_batches(inputs.plan, variant, config)
+             for fold in run_folds(inputs, variant, batch, config)]
     return assemble_report(collection, feature_kind, window_len, variant, folds, config)
 
 

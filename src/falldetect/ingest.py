@@ -41,6 +41,9 @@ NUM_FOLDS = 10  # outer cross-validation folds of every collection
 # Independent seed streams so unrelated draws never alias.
 _STREAM_C2_SELECT = 101
 _STREAM_FOLDS = 202
+# Dataset text is UTF-8; a leading byte-order mark, as spreadsheet exports
+# write one, is not part of the first line.
+_DATA_ENCODING = "utf-8-sig"
 
 
 class Label(enum.Enum):
@@ -266,7 +269,7 @@ def _utf8(path):
 
 def _line_of_row(path, row, skip_header):
     """Line number of data row `row` (0-based) of path; found only on failure."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding=_DATA_ENCODING) as fh:
         return next(islice(_data_lines(fh, skip_header), row, None))[0]
 
 
@@ -283,7 +286,7 @@ def _read_rows(path, expected_cols, skip_header=False, length_error=False):
     anything else goes to the line walk, which takes what only float()
     reads (``1_0``, Unicode digits, mixed separators) or names the line.
     """
-    with _utf8(path), open(path, "r", encoding="utf-8") as fh:
+    with _utf8(path), open(path, "r", encoding=_DATA_ENCODING) as fh:
         lines = (ln for i, ln in enumerate(fh) if ln.strip() and not (skip_header and i == 0))
         first = next(lines, "")
     try:
@@ -296,7 +299,7 @@ def _read_rows(path, expected_cols, skip_header=False, length_error=False):
                 comments=None,
                 ndmin=2,
                 skiprows=1 if skip_header else 0,
-                encoding="utf-8",
+                encoding=_DATA_ENCODING,
             )
     except (ValueError, UserWarning):  # UnicodeDecodeError too: the walk names it
         data = None
@@ -309,7 +312,7 @@ def _read_rows(path, expected_cols, skip_header=False, length_error=False):
 def _walk_rows(path, expected_cols, skip_header, length_error):
     """_read_rows one line at a time with float(); raises at the first bad line."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding=_DATA_ENCODING) as fh:
         for lineno, line in _data_lines(fh, skip_header):
             parts = line.replace(",", " ").split()
             try:
@@ -400,7 +403,7 @@ def parse_dataset1(path):
             )
             instances.append((window, label))
         else:
-            with _utf8(f), open(f, "r", encoding="utf-8") as fh:
+            with _utf8(f), open(f, "r", encoding=_DATA_ENCODING) as fh:
                 header = fh.readline().strip().replace(" ", "")
             if header.lower() != "t,x,y,z":
                 raise ParseError(f"expected header 't,x,y,z', got {header!r}", f, 1)
@@ -445,7 +448,7 @@ def parse_dataset2(path):
         axis_rows[axis] = _read_rows(f, expected_cols=128, length_error=True)
     if not labels_path.is_file():
         raise ParseError("missing labels.csv", labels_path)
-    with _utf8(labels_path), open(labels_path, "r", encoding="utf-8") as fh:
+    with _utf8(labels_path), open(labels_path, "r", encoding=_DATA_ENCODING) as fh:
         tokens = [line.strip() for line in fh if line.strip()]
 
     counts = {axis: len(rows) for axis, rows in axis_rows.items()}

@@ -7,6 +7,7 @@ minimizer must respect.
 """
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -736,7 +737,7 @@ class TestInnerGrid:
     def table(self, variant, X, is_fall, tr, val, grid):
         key = self.GRIDS[variant][0]
         cfg = ev.GridConfig(gamma_grid=self.GAMMAS, **{key: grid})
-        return ev._svm_grid_tables(cls.Variant(variant), X, is_fall, cfg, [(tr, val)])[0]
+        return ev._svm_grid_tables(cls.Variant(variant), X, is_fall, [[(tr, val)]], cfg)[0][0]
 
     @pytest.mark.parametrize("variant", ["TC_SVM", "OC_SVM"])
     def test_grid_order_only_permutes_columns(self, rng, variant):
@@ -753,18 +754,19 @@ class TestInnerGrid:
     @pytest.mark.parametrize("variant", ["TC_SVM", "OC_SVM"])
     def test_selection_ignores_grid_order_and_ties_go_first(self, rng, variant):
         X, is_fall, _, _ = self.split(rng)
+        fold = [(np.arange(len(X)), 5)]  # every row, its inner plan seeded 5
         key, ordered = self.GRIDS[variant]
         low, mid, high = ordered
         picks = []
         for grid in (ordered, (high, low, mid), (high, low, mid, low)):
             cfg = ev.GridConfig(gamma_grid=self.GAMMAS, inner_folds=3, **{key: grid})
-            picks.append(ev._select_svm_params(cls.Variant(variant), X, is_fall, cfg, seed=5))
+            picks.append(ev._select_svm_params(cls.Variant(variant), X, is_fall, fold, cfg)[0])
         assert picks[1] == picks[0] and same_bits(picks[1][1], picks[0][1])
         assert picks[2] == picks[0] and same_bits(picks[2][1], picks[0][1])
         # equal values tie: the earlier one in the grid is picked
         for grid in ((1.0, 1), (1, 1.0)):
             cfg = ev.GridConfig(gamma_grid=("auto",), inner_folds=3, **{key: grid})
-            (picked, _), _ = ev._select_svm_params(cls.Variant(variant), X, is_fall, cfg, seed=5)
+            ((picked, _), _), = ev._select_svm_params(cls.Variant(variant), X, is_fall, fold, cfg)
             assert type(picked) is type(grid[0])
 
     @pytest.mark.parametrize("over_budget", [False, True], ids=["in budget", "over budget"])
@@ -795,6 +797,80 @@ class TestInnerGrid:
                     assert np.max(np.abs(got - expected)) <= 1e-12
                     # over the budget the block scores as score_batch does
                     assert same_bits(got, expected) or not over_budget
+
+
+class TestFoldBatch:
+    """A two-class SVM batch searches its outer folds' inner grids
+    together: each fold's tables are its one-fold tables, bit for bit."""
+
+    @staticmethod
+    def cell(n_adl=60, n_fall=20, dim=3):
+        X, labels = overlapping_problem(np.random.default_rng(5), n_adl, n_fall, dim)
+        is_fall = labels == "FALL"
+        return ev.CellInputs(X, is_fall, ingest.plan_folds(is_fall, num_folds=10, seed=3), seed=3)
+
+    def test_batched_tables_are_each_folds_own(self):
+        inputs = self.cell()
+        cfg = ev.GridConfig()
+        batches = ev.fold_batches(inputs.plan, "TC_SVM", cfg)
+        # three folds of 10 splits x 4 gammas a round: 10 folds do not divide
+        assert batches == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
+        folds = []
+        for f in range(10):
+            rows = inputs.plan.train_indices(f)
+            splits = ev._inner_splits(inputs.is_fall[rows], cfg, ev._inner_seed(3, f), True)
+            folds.append([(rows[tr], rows[val]) for tr, val in splits])
+        assert len({len(tr) for splits in folds for tr, _ in splits}) > 1
+
+        def tables(fold_list):
+            return ev._svm_grid_tables(cls.Variant.TC_SVM, inputs.X, inputs.is_fall, fold_list,
+                                       cfg)
+
+        for batch in batches:
+            together = tables([folds[f] for f in batch])
+            for f, tables_f in zip(batch, together):
+                alone, = tables([folds[f]])
+                assert len(tables_f) == len(alone)
+                for got, expected in zip(tables_f, alone):
+                    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_a_lone_kernel_that_fits_a_stack_its_preparation_cannot(self, rng, monkeypatch):
+        # one split and one gamma, at a budget of one kernel: the split's
+        # preparation keeps no distances, so its rows come on demand, and
+        # their products with a vector round apart from a matrix's
+        X, is_fall, tr, val = TestInnerGrid.split(rng)
+        cfg = ev.GridConfig(gamma_grid=("auto",), c_grid=(0.1, 10.0))
+        args = (cls.Variant.TC_SVM, X, is_fall, [[(tr, val)]], cfg)
+        expected = ev._svm_grid_tables(*args)[0][0]
+        monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 8 * len(tr) ** 2)
+        assert cls.SvmPrep(X[tr]).d2 is None
+        got = ev._svm_grid_tables(*args)[0][0]
+        assert np.max(np.abs(got - expected)) <= 1e-9
+
+    def test_other_variants_and_full_folds_run_alone(self, monkeypatch):
+        inputs = self.cell()
+        for variant in ("OC_SVM", "OC_KNN", "TC_KNN"):
+            assert ev.fold_batches(inputs.plan, variant) == [[f] for f in range(10)]
+        # room for one fold's 40 kernels of 72 training rows, not for two
+        monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 8 * 40 * 72 ** 2)
+        assert ev.fold_batches(inputs.plan, "TC_SVM") == [[f] for f in range(10)]
+
+    def test_inner_search_peaks_within_twice_its_stack(self, monkeypatch):
+        # the rows of a RAW 128 fold: 110 windows of 384 features
+        inputs = self.cell(100, 10, 384)
+        cfg = ev.GridConfig()
+        is_fall = inputs.is_fall[inputs.plan.train_indices(0)]
+        splits = ev._inner_splits(is_fall, cfg, ev._inner_seed(3, 0), two_class=True)
+        stack = 8 * len(splits) * len(cfg.gamma_grid) * max(len(tr) for tr, _ in splits) ** 2
+        # a stack left by an earlier solve would not be counted
+        monkeypatch.setattr(cls, "_stack", np.empty(0), raising=False)
+        tracemalloc.start()
+        try:
+            ev.run_fold(inputs, "TC_SVM", 0, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * stack
 
 
 class TestPinnedSelection:

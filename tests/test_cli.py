@@ -202,6 +202,50 @@ class TestUndecodableInput:
         assert file_bytes(work) == before
 
 
+class TestByteOrderMark:
+    """A dataset file that starts with a UTF-8 byte-order mark, as
+    spreadsheet exports write one, ingests as it does without the mark."""
+
+    @staticmethod
+    def ingested(out, *argv):
+        """The manifests and parsed samples that ingest writes to out."""
+        assert run_cli("ingest", *argv, "--out", out, "--seed", "7") == 0
+        return {name: data for name, data in file_bytes(out).items()
+                if name.startswith("collection_") or name.endswith(".npy")}
+
+    def check(self, tmp_path, path, *argv):
+        plain = self.ingested(tmp_path / "plain", *argv)
+        assert len(plain) >= 2
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert self.ingested(tmp_path / "marked", *argv) == plain
+
+    def test_windowed_csv(self, tmp_path):
+        data = tmp_path / "data"
+        assert run_cli("synth", "--out", data, "--adl", "12", "--falls", "10") == 0
+        self.check(tmp_path, data / "adl" / "adl_0000.csv", "--dataset1", data)
+
+    def test_raw_csv_header(self, tmp_path):
+        # a spike every 8 s: each gives one window
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.json").write_text(json.dumps({"mode": "raw"}))
+        for sub, spikes in (("adl", 12), ("fall", 10)):
+            z = [3.0 if i % 400 == 200 else 1.0 for i in range(400 * spikes)]
+            rows = ["t,x,y,z"] + [f"{i / 50.0!r},0.0,0.0,{zi!r}" for i, zi in enumerate(z)]
+            (data / sub).mkdir()
+            (data / sub / "rec.csv").write_text("\n".join(rows) + "\n")
+        self.check(tmp_path, data / "adl" / "rec.csv", "--dataset1", data)
+
+    def test_dataset2_labels(self, pipeline, tmp_path):
+        data, _ = pipeline
+        d2 = tmp_path / "d2"
+        write_dataset2(d2)
+        # a marked FALL read as "\ufeffFALL" would be kept as an ADL row
+        labels = (d2 / "labels.csv").read_text().splitlines()
+        (d2 / "labels.csv").write_text("\n".join(["FALL", *labels[1:]]) + "\n")
+        self.check(tmp_path, d2 / "labels.csv", "--dataset1", data, "--dataset2", d2)
+
+
 class TestRunCommand:
     def test_pipeline_produces_reports_and_summary(self, pipeline, capsys):
         data, work = pipeline
@@ -372,10 +416,10 @@ class TestFoldPool:
         data, work = pipeline
         real = evaluation._outer_fold
 
-        def fails_from_fold_3(inputs, variant, f, cfg):
+        def fails_from_fold_3(inputs, variant, f, cfg, pick=None):
             if variant is Variant.TC_KNN and f >= 3:
                 raise error
-            return real(inputs, variant, f, cfg)
+            return real(inputs, variant, f, cfg, pick)
 
         monkeypatch.setattr(evaluation, "_outer_fold", fails_from_fold_3)
         work2 = tmp_path / "work2"
@@ -392,19 +436,50 @@ class TestFoldPool:
         assert without_run_json(file_bytes(work2)) == without_run_json(file_bytes(work))
 
     @fork_only
+    def test_failure_in_a_batch_names_its_fold_as_serial(self, pipeline, tmp_path, monkeypatch,
+                                                         capsys):
+        # TC_SVM runs folds 0-2 as one batch; fold 1's inner search fails
+        data, work = pipeline
+        seed = json.loads((work / "collection_C1.json").read_text())["seed"]
+        second = evaluation._inner_seed(seed, 1)
+        real = evaluation._inner_splits
+
+        def fails_at_fold_1(is_fall, cfg, seed, two_class):
+            if two_class and seed == second:
+                raise InsufficientData("no inner split, sorry")
+            return real(is_fall, cfg, seed, two_class)
+
+        monkeypatch.setattr(evaluation, "_inner_splits", fails_at_fold_1)
+        argv = ("--seed", "7", "--feature", "MAGNITUDE", "--window", "51",
+                "--classifier", "OC_KNN,TC_SVM")
+        work2 = tmp_path / "work2"
+        assert run_cli("ingest", "--dataset1", data, "--out", work2, "--seed", "7") == 0
+        capsys.readouterr()
+        assert run_cli("run", "--dataset1", data, "--out", work, *argv, "--jobs", "1") == 1
+        serial = capsys.readouterr().out
+        assert run_cli("run", "--dataset1", data, "--out", work2, *argv, "--jobs", "2") == 1
+        assert capsys.readouterr().out == serial
+        text = "outer fold 1: no inner split; sorry"
+        lines = (work / "summary.csv").read_text().splitlines()
+        assert lines[1].endswith(",ok,")
+        assert lines[2] == f"C1,MAGNITUDE,51,TC_SVM,,,,,error,{text}"
+        assert f"C1 MAGNITUDE 51 TC_SVM: ERROR {text}" in serial.splitlines()
+        assert without_run_json(file_bytes(work2)) == without_run_json(file_bytes(work))
+
+    @fork_only
     def test_dead_worker_loses_only_unfinished_cells(self, pipeline, monkeypatch, capsys):
         data, work = pipeline
         real = evaluation._outer_fold
         first_report = work / "report_C1_MAGNITUDE_51_OC_KNN.json"
 
-        def worker_dies(inputs, variant, f, cfg):
+        def worker_dies(inputs, variant, f, cfg, pick=None):
             if variant is Variant.TC_KNN and f == 2:
                 # die once the first cell is written, so that it is finished
                 deadline = time.monotonic() + 60
                 while not first_report.exists() and time.monotonic() < deadline:
                     time.sleep(0.01)
                 os._exit(1)
-            return real(inputs, variant, f, cfg)
+            return real(inputs, variant, f, cfg, pick)
 
         monkeypatch.setattr(evaluation, "_outer_fold", worker_dies)
         assert run_cli("run", "--dataset1", data, "--out", work, *self.ARGV, "--jobs", "2") == 1
