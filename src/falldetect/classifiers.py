@@ -33,7 +33,7 @@ SVM_TOL = 1e-3
 _SV_EPS = 1e-12
 _CACHE_BUDGET_BYTES = 2e8
 _DIST_CHUNK_BYTES = 1e6
-# the lockstep solver hands this many or fewer problems still active to the
+# the lockstep solver hands this many or fewer rows still active to the
 # scalar loop, whose step then costs less than a lockstep pass
 _HANDOFF = 8
 
@@ -320,11 +320,15 @@ def _sq_dist_rows(Xs, sq, start, stop):
     One matrix-vector product per row rather than one matrix product:
     a row then comes out bit for bit the same whether it is computed
     alone or as part of the whole matrix, so the solver takes the same
-    steps from either kernel source.
+    steps from either kernel source.  The products go into one buffer,
+    which is doubled and subtracted once.
     """
     d2 = np.add.outer(sq[start:stop], sq)
+    gram = np.empty_like(d2)
     for k in range(stop - start):
-        d2[k] -= 2.0 * (Xs @ Xs[start + k])
+        np.matmul(Xs, Xs[start + k], out=gram[k])
+    gram *= 2.0
+    d2 -= gram
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -459,14 +463,21 @@ def _solve_pairwise_dual(K, y, box, alpha, p, tol, max_iter):
     return _resume_pairwise_dual(K, y, box, alpha.tolist(), s, up, low, tol, max_iter, 0)
 
 
-def _resume_pairwise_dual(K, y, box, a, s, up, low, tol, max_iter, iterations):
+def _resume_pairwise_dual(K, y, box, a, s, up, low, tol, max_iter, iterations, siblings=None):
     """_solve_pairwise_dual from a state after some iterations: the
     multipliers a (a list), s and the masks up and low, all updated in
-    place."""
+    place.
+
+    siblings, when given, maps each problem that shares this one's state
+    (_sibling_rows) to its box b.  A sibling takes this solve's steps
+    while its own step would be the same (_rides); at the first that would
+    not, it forks from the state before that step and solves on from
+    there in this call, with the siblings that fork at the same step
+    riding on it.  On return siblings maps each to its result.
+    """
     inf = float("inf")
     # scalars are read from lists: indexing a list is cheaper than an array
     yl = y.tolist()
-    bl = box.tolist()
     # Every iteration writes its masked s and its step into these, through
     # local ufuncs given the buffer positionally: a call then costs less.
     s_up = np.empty_like(s)
@@ -475,74 +486,118 @@ def _resume_pairwise_dual(K, y, box, a, s, up, low, tol, max_iter, iterations):
     step_j = np.empty_like(s)
     add, multiply = np.add, np.multiply
 
-    converged = False
-    while True:
-        add(s, up, s_up)
-        add(s, low, s_low)
-        i = int(s_up.argmax())
-        j = int(s_low.argmin())
-        lo = float(s_up[i])
-        hi = float(s_low[j])
-        gap = lo - hi
-        if gap <= tol:
-            converged = True
-            break
-        if iterations >= max_iter:
-            break
+    results = {}
+    # (key, box, a, s, up, low, iterations, riding siblings as (key, b),
+    # loosest first); this problem's key is None
+    work = [(None, box, a, s, up, low, iterations,
+             sorted((siblings or {}).items(), key=lambda kb: -kb[1]))]
+    while work:
+        key, box, a, s, up, low, iterations, riding = work.pop()
+        bl = box.tolist()
+        converged = False
+        while True:
+            add(s, up, s_up)
+            add(s, low, s_low)
+            i = int(s_up.argmax())
+            j = int(s_low.argmin())
+            lo = float(s_up[i])
+            hi = float(s_low[j])
+            gap = lo - hi
+            if gap <= tol:
+                converged = True
+                break
+            if iterations >= max_iter:
+                break
 
-        ki = K[i]
-        kj = K[j]
-        eta = float(ki[i] + kj[j] - 2.0 * ki[j])
-        if eta <= _SV_EPS:
-            eta = _SV_EPS
-        yi, yj = yl[i], yl[j]
-        old_i, old_j = a[i], a[j]
-        bi, bj = bl[i], bl[j]
-        # the largest step keeping both multipliers inside their boxes;
-        # each comparison keeps the earlier value on a tie, as min() does
-        t = gap / eta
-        room = bi - old_i if yi > 0 else old_i
-        if room < t:
-            t = room
-        room = old_j if yj > 0 else bj - old_j
-        if room < t:
-            t = room
-        # min(max(v, 0.0), box), spelled out
-        new_i = old_i + yi * t
-        if new_i < 0.0:
-            new_i = 0.0
-        if bi < new_i:
-            new_i = bi
-        new_j = old_j - yj * t
-        if new_j < 0.0:
-            new_j = 0.0
-        if bj < new_j:
-            new_j = bj
-        a[i] = new_i
-        a[j] = new_j
+            ki = K[i]
+            kj = K[j]
+            eta = float(ki[i] + kj[j] - 2.0 * ki[j])
+            if eta <= _SV_EPS:
+                eta = _SV_EPS
+            yi, yj = yl[i], yl[j]
+            old_i, old_j = a[i], a[j]
+            bi, bj = bl[i], bl[j]
+            # the largest step keeping both multipliers inside their boxes;
+            # each comparison keeps the earlier value on a tie, as min() does
+            t = q = gap / eta
+            room = bi - old_i if yi > 0 else old_i
+            if room < t:
+                t = room
+            room = old_j if yj > 0 else bj - old_j
+            if room < t:
+                t = room
+            # min(max(v, 0.0), box), spelled out
+            new_i = old_i + yi * t
+            if new_i < 0.0:
+                new_i = 0.0
+            if bi < new_i:
+                new_i = bi
+            new_j = old_j - yj * t
+            if new_j < 0.0:
+                new_j = 0.0
+            if bj < new_j:
+                new_j = bj
+            if riding:
+                off = [kb for kb in riding
+                       if not _rides(kb[1], q, t, yi > 0, yj > 0, old_i, old_j, new_i, new_j)]
+                if off:
+                    (k, b), *rest = off
+                    work.append((k, np.full(len(yl), b), a[:], s.copy(), up.copy(), low.copy(),
+                                 iterations, rest))
+                    riding = [kb for kb in riding if kb not in off]
+            a[i] = new_i
+            a[j] = new_j
 
-        # s -= (new_i - old_i) * yi * ki + (new_j - old_j) * yj * kj
-        multiply(ki, (new_i - old_i) * yi, step_i)
-        multiply(kj, (new_j - old_j) * yj, step_j)
-        step_i += step_j
-        s -= step_i
-        # i before j, so j's masks win when i == j
-        in_up, in_low = (new_i < bi, new_i > 0.0) if yi > 0 else (new_i > 0.0, new_i < bi)
-        up[i] = 0.0 if in_up else -inf
-        low[i] = 0.0 if in_low else inf
-        in_up, in_low = (new_j < bj, new_j > 0.0) if yj > 0 else (new_j > 0.0, new_j < bj)
-        up[j] = 0.0 if in_up else -inf
-        low[j] = 0.0 if in_low else inf
-        iterations += 1
+            # s -= (new_i - old_i) * yi * ki + (new_j - old_j) * yj * kj
+            multiply(ki, (new_i - old_i) * yi, step_i)
+            multiply(kj, (new_j - old_j) * yj, step_j)
+            step_i += step_j
+            s -= step_i
+            # i before j, so j's masks win when i == j
+            in_up, in_low = (new_i < bi, new_i > 0.0) if yi > 0 else (new_i > 0.0, new_i < bi)
+            up[i] = 0.0 if in_up else -inf
+            low[i] = 0.0 if in_low else inf
+            in_up, in_low = (new_j < bj, new_j > 0.0) if yj > 0 else (new_j > 0.0, new_j < bj)
+            up[j] = 0.0 if in_up else -inf
+            low[j] = 0.0 if in_low else inf
+            iterations += 1
 
-    alpha = np.array(a)
-    return alpha, _dual_bias(alpha, s, box, lo, hi), iterations, converged, gap, lo, hi
+        alpha = np.array(a)
+        result = alpha, _dual_bias(alpha, s, box, lo, hi), iterations, converged, gap, lo, hi
+        results[key] = result
+        for k, _ in riding:
+            results[k] = result
+    for k in siblings or ():
+        siblings[k] = results[k]
+    return results[None]
+
+
+def _rides(b, q, t, up_i, up_j, old_i, old_j, new_i, new_j):
+    """Whether a sibling of box b takes the step a solve just computed:
+    q = gap / eta, the step t that the solve's boxes allow, whether i and j
+    have y > 0, their multipliers old, and their new ones.  The sibling's
+    own step clips q by its rooms exactly as the solve does; it must come
+    to t, and both new multipliers must stay below b, so that its masks,
+    and so its next selection, stay the solve's.  A larger b only widens
+    the sibling's rooms toward the solve's, so when a sibling rides a
+    step, every looser one does."""
+    u = q
+    room = b - old_i if up_i else old_i
+    if room < u:
+        u = room
+    room = old_j if up_j else b - old_j
+    if room < u:
+        u = room
+    return u == t and new_i < b and new_j < b
 
 
 # The process's one kernel stack: every lockstep solve takes its stack from
 # this buffer, which grows when a solve needs more and is otherwise reused.
 # A new stack per solve, freed after it, raises glibc's mmap threshold to
-# its size, so that later arrays come from a heap the process keeps.
+# its size, so that later arrays come from a heap the process keeps.  A
+# buffer past a quarter of _CACHE_BUDGET_BYTES goes once its solve ends
+# (_release_stack): one large search then does not leave the process
+# holding it for every later one.
 _stack = np.empty(0)
 
 
@@ -556,6 +611,14 @@ def _kernel_stack(count, M):
         _stack = np.empty(0)  # the old buffer goes before the new one comes
         _stack = np.empty(size)
     return _stack[:size].reshape(count, M, M)
+
+
+def _release_stack():
+    """Drop the process's stack buffer if it is past a quarter of
+    _CACHE_BUDGET_BYTES."""
+    global _stack
+    if _stack.nbytes > _CACHE_BUDGET_BYTES / 4:
+        _stack = np.empty(0)
 
 
 def _put_kernel(stack, g, K):
@@ -574,23 +637,19 @@ def _solve_pairwise_duals(kernels, problems, tol):
     kernel k.  alpha may be the index of an earlier problem on the same
     kernel, whose multipliers the problem then starts from.
 
-    A stack's problems run as one group.  Of a list, the in-budget kernels
-    are stacked in groups whose stack fits _CACHE_BUDGET_BYTES, one group
-    at a time in the process's stack, and a problem whose prep is over the
-    budget runs the scalar loop on kernel rows computed on demand.  A
-    group's problems run in lockstep (_lockstep) in rounds: those whose
-    start is known, then those that start from them, and so on.
+    A stack's problems run in one _lockstep call.  Of a list, the
+    in-budget kernels are stacked in groups whose stack fits
+    _CACHE_BUDGET_BYTES, one group at a time in the process's stack, each
+    group in one _lockstep call, and a problem whose prep is over the
+    budget runs the scalar loop on kernel rows computed on demand.
     """
     results = [None] * len(problems)
-
-    def start(alpha):
-        return results[alpha][0] if isinstance(alpha, int) else alpha
-
     on_kernel = {}
     for n, problem in enumerate(problems):
         on_kernel.setdefault(problem[0], []).append(n)
     if isinstance(kernels, np.ndarray):
-        _solve_stack(kernels, list(on_kernel.items()), problems, tol, results)
+        _lockstep(kernels, list(on_kernel.items()), problems, tol, results)
+        _release_stack()
         return results
     groups = []  # [largest m, kernel indices]
     for k, ns in on_kernel.items():
@@ -600,7 +659,9 @@ def _solve_pairwise_duals(kernels, problems, tol):
             K = prep.kernel(gamma)
             for n in ns:
                 _, y, box, alpha, p, max_iter = problems[n]
-                results[n] = _solve_pairwise_dual(K, y, box, start(alpha), p, tol, max_iter)
+                if isinstance(alpha, int):
+                    alpha = results[alpha][0]
+                results[n] = _solve_pairwise_dual(K, y, box, alpha, p, tol, max_iter)
             continue
         M = max(m, groups[-1][0]) if groups else m
         if groups and 8.0 * (len(groups[-1][1]) + 1) * M * M <= _CACHE_BUDGET_BYTES:
@@ -613,126 +674,236 @@ def _solve_pairwise_duals(kernels, problems, tol):
         for g, k in enumerate(ks):
             prep, gamma = kernels[k]
             _put_kernel(stack, g, prep.kernel(gamma))
-        _solve_stack(stack, [(g, on_kernel[k]) for g, k in enumerate(ks)], problems, tol, results)
+        _lockstep(stack, [(g, on_kernel[k]) for g, k in enumerate(ks)], problems, tol, results)
+    _release_stack()
     return results
 
 
-def _solve_stack(stack, slots, problems, tol, results):
-    """The problems on the kernels of stack, in lockstep rounds: slots pairs
-    each slot g with the indices into problems of the problems on it.
-    Problem n's result goes into results[n], where the problems it starts
-    from find theirs."""
-    todo = [(g, n) for g, ns in slots for n in ns]
-    while todo:
-        rows, later = [], []
-        for g, n in todo:
-            _, y, box, alpha, p, max_iter = problems[n]
-            if isinstance(alpha, int):
-                if results[alpha] is None:
-                    later.append((g, n))
-                    continue
-                alpha = results[alpha][0]
-            # a contiguous copy, as prep.kernel returns it, so that
-            # K @ v takes the same steps
-            K = np.ascontiguousarray(stack[g, :len(y), :len(y)])
-            rows.append((n, g, y, box, alpha, max_iter, _dual_init(K, y, box, alpha, p)))
-        _lockstep(stack, rows, tol, results)
-        todo = later
+def _sibling_rows(problems, ready):
+    """The lockstep rows of the problems ready, each (g, n, a): problem n
+    on kernel slot g, to start from the multipliers a.  A row is (g, n, a,
+    siblings).
+
+    Problems whose slot, y, p, start and max_iter are the same, and whose
+    boxes each hold one value b, share a row.  The loosest box leads it.
+    Each other problem whose b lies above every multiplier of a rides on
+    it as a sibling (n, b), loosest first; one that does not leads a row
+    of its own, as does a problem whose box holds more than one value.
+    Below every sibling's b no multiplier is at its box, so _dual_init
+    gives the leader and each sibling the same masks, and they take the
+    same steps until one that a sibling's box would clip or fill (_rides).
+    For the one-class duals of one split and gamma, that is the first step
+    at which the box 1/(nu m) of the largest nu binds.
+    """
+    if len(ready) == 1:
+        (g, n, a), = ready
+        return [(g, n, a, [])]
+    groups = {}
+    for g, n, a in ready:
+        _, y, box, _, p, max_iter = problems[n]
+        b = float(box[0])
+        key = (g, y.tobytes(), p.tobytes(), a.tobytes(), max_iter) if (box == b).all() else n
+        groups.setdefault(key, (g, a, []))[2].append((n, b))
+    rows = []
+    for g, a, members in groups.values():
+        (n, _), *rest = sorted(members, key=lambda nb: -nb[1])
+        top = a.max()
+        rows.append((g, n, a, [(s, b) for s, b in rest if top < b]))
+        rows.extend((g, s, a, []) for s, b in rest if not top < b)
+    return rows
 
 
-def _lockstep(stack, rows, tol, results):
-    """Solve the problems of rows, each (n, g, y, box, alpha, max_iter,
-    (s, up, low)) on the kernel stack[g], one maximal-violating-pair step
-    of each per pass: _resume_pairwise_dual's steps, elementwise, in its
-    order.  Problem n's result goes into results[n].
+def _lockstep(stack, slots, problems, tol, results):
+    """Solve the problems on the kernels of stack, one maximal-violating-
+    pair step per row per pass: _resume_pairwise_dual's steps,
+    elementwise, in its order.  slots pairs each slot g with the indices
+    into problems of the problems on kernel stack[g]; problem n's result
+    goes into results[n].
 
-    Each problem is a row of (problems, M) arrays.  Entries past its m are
-    frozen: box 0, up -inf and low +inf, so argmax and argmin (which take
-    the first of tied entries, as the scalar loop does) never pick them,
-    and kernel 0, so no step moves them.  A problem leaves when it
-    converges or reaches its max_iter; once _HANDOFF or fewer are left,
-    the scalar loop finishes them from where they are.  Every problem
-    starts at iteration 0, so the pass count is each one's iterations.
+    Each row of the pass's (rows, M) arrays runs one problem at a time,
+    with its own iteration count.  Entries past a problem's m are frozen:
+    box 0, up -inf and low +inf, so argmax and argmin (which take the
+    first of tied entries, as the scalar loop does) never pick them, and
+    kernel 0, so no step moves them.  The problems whose start is known
+    start first, in the rows of _sibling_rows.  When a row's problem
+    converges or reaches its max_iter, it and the siblings still riding
+    on it take its result, and the problems that start from them take
+    the row, from _dual_init on a contiguous copy of their kernel, as
+    _solve_pairwise_dual starts.  At every step a row checks that the
+    step is its tightest sibling's own (_rides), and so every looser
+    one's; where it is not, each sibling whose step it is not forks into
+    a new row from the state before the step, the loosest leading and
+    the others riding on it.  A row that no problem takes is freed, and new
+    rows take free ones or wait for one; the rows are laid out anew once
+    more than an eighth of them are free or as many new ones wait.  Once
+    _HANDOFF or fewer rows are left, the scalar loop finishes them, and
+    the problems that start from them, from where they are.
     """
     M = stack.shape[1]
     inf = float("inf")
     # the up and low offsets of a multiplier, indexed by whether it may
     # still move that way
     up_offset, low_offset = np.array([-inf, 0.0]), np.array([inf, 0.0])
-    S = np.zeros((len(rows), M))
-    UP = np.full((len(rows), M), -inf)
-    LOW = np.full((len(rows), M), inf)
-    AL, Y, B = (np.zeros((len(rows), M)) for _ in range(3))
-    for r, (_, _, y, box, alpha, _, (s, up, low)) in enumerate(rows):
-        m = len(y)
-        S[r, :m], UP[r, :m], LOW[r, :m] = s, up, low
-        AL[r, :m], Y[r, :m], B[r, :m] = alpha, y, box
     kernel_rows = stack.reshape(-1, M)
-    live = np.arange(len(rows))  # rows' indices of the problems left
-    caps = np.array([row[5] for row in rows])
-    kbase = np.array([row[1] * M for row in rows])  # kernel_rows index of each kernel's row 0
-    iterations = 0
-    A = None
+    after = {}  # problem index: (slot, index) of the problems that start from it
+    ready = []
+    for g, ns in slots:
+        for n in ns:
+            alpha = problems[n][3]
+            if isinstance(alpha, int):
+                after.setdefault(alpha, []).append((g, n))
+            else:
+                ready.append((g, n, alpha))
+
+    # the state of a row that holds no problem: box 0, up -inf and low
+    # +inf throughout, so that its gap is -inf and it never moves
+    idle = np.zeros((6, M))
+    idle[1], idle[2] = -inf, inf
+
+    def start(ready):
+        """A row (g, n, siblings, iterations, state) for each row of
+        _sibling_rows, its state the (6, M) entries of s, up, low, alpha,
+        y and box."""
+        rows = []
+        for g, n, a, siblings in _sibling_rows(problems, ready):
+            _, y, box, _, p, _ = problems[n]
+            m = len(y)
+            state = idle.copy()
+            # a contiguous copy, as prep.kernel returns it, so that K @ v
+            # takes the same steps
+            K = np.ascontiguousarray(stack[g, :m, :m])
+            state[:, :m] = (*_dual_init(K, y, box, a, p), a, y, box)
+            rows.append((g, n, siblings, 0, state))
+        return rows
+
+    def then(solved):
+        """The rows of the problems that start from the problems solved."""
+        return start([(g, n, results[s][0]) for s in solved for g, n in after.pop(s, ())])
+
+    def put(r, row):
+        """row into row r of the layout."""
+        g, n, siblings, it, state = row
+        X[:, r], iters[r], caps[r], slot[r] = state, it, problems[n][5], g
+        lead[r], sibs[r] = n, siblings
+        tight[r] = siblings[-1][1] if siblings else 0.0
+
+    # Row r: its state X[:, r] (as start lays it out), iteration count,
+    # max_iter and kernel slot, the problem it leads (None in a free row),
+    # and its siblings still riding, loosest first; tight[r] is the box of
+    # the last, the tightest.
+    A = 0
+    X = np.empty((6, 0, M))
+    iters = caps = slot = np.empty(0, dtype=np.intp)
+    tight = np.empty(0)
+    lead, sibs, free, waiting = [], [], [], []
+    kept, new = [], start(ready)
     while True:
-        if A != len(live):  # the first pass, or problems have left
-            A = len(live)
+        if kept is not None:  # lay out the rows kept, then the new ones
+            k, A = len(kept), len(kept) + len(new)
+            X0 = X
+            X = np.empty((6, A, M))
+            X[:, :k] = X0[:, kept]
+            iters, caps, slot = (np.concatenate((v[kept], np.zeros(len(new), dtype=np.intp)))
+                                 for v in (iters, caps, slot))
+            tight = np.concatenate((tight[kept], np.zeros(len(new))))
+            lead = [lead[r] for r in kept] + [None] * len(new)
+            sibs = [sibs[r] for r in kept] + [None] * len(new)
+            for r, row in enumerate(new, k):
+                put(r, row)
+            S, UP, LOW = X[:3]
+            masks = X[1:3]
+            # the multipliers, y and boxes of the rows, flat
+            ayb = X[3:].reshape(3, -1)
+            riding = np.array([bool(s) for s in sibs])
+            kept, free = None, []
             if A <= _HANDOFF:
                 break
             # Each pass handles i and j side by side: index arrays, values
-            # and kernel rows hold i's for the A problems, then j's.
+            # and kernel rows hold i's for the A rows, then j's.
             base = np.arange(A) * M
             base2 = np.concatenate((base, base))
-            at_pair = np.concatenate((base, base + A * M))
-            kbase2 = np.concatenate((kbase, kbase))
+            # flat positions of each row's entry 0 in a (2, A, M) array:
+            # in its first half, then in its second
+            at2 = np.concatenate((base, base + A * M))
+            # the kernel_rows index of each row's kernel's row 0, twice
+            kbase2 = np.concatenate((slot, slot)) * M
             # new_j = old_j - yj * t is old_j + (-yj) * t, bit for bit
             sign2 = np.concatenate((np.ones(A), np.full(A, -1.0)))
             zero2 = np.zeros(2 * A)
             ij = np.empty(2 * A, dtype=np.intp)
-            s_up, s_low = np.empty((2, A, M))
-            first_cap = int(caps.min())
+            s_ul = np.empty((2, A, M))  # s + up, then s + low
 
-        np.add(S, UP, s_up)
-        np.add(S, LOW, s_low)
-        s_up.argmax(axis=1, out=ij[:A])
-        s_low.argmin(axis=1, out=ij[A:])
+        np.add(S, masks, s_ul)
+        s_ul[0].argmax(axis=1, out=ij[:A])
+        s_ul[1].argmin(axis=1, out=ij[A:])
         f2 = base2 + ij  # flat positions of i, then j
         fj = f2[A:]
-        lo = s_up.take(f2[:A])
-        hi = s_low.take(fj)
+        pair = at2 + ij
+        lo_hi = s_ul.take(pair)
+        lo, hi = lo_hi[:A], lo_hi[A:]
         gap = lo - hi
         done = gap <= tol
-        if iterations >= first_cap:
-            done |= caps <= iterations
-        if done.any():
-            for r in np.flatnonzero(done).tolist():
-                n, _, _, box, _, _, _ = rows[live[r]]
-                m = len(box)
-                alpha = AL[r, :m].copy()
-                lo_r, hi_r = float(lo[r]), float(hi[r])
-                bias = _dual_bias(alpha, S[r, :m], box, lo_r, hi_r)
-                converged = bool(gap[r] <= tol)
-                results[n] = (alpha, bias, iterations, converged, float(gap[r]), lo_r, hi_r)
-            keep = ~done
-            live, caps, kbase = live[keep], caps[keep], kbase[keep]
-            S, UP, LOW, AL, Y, B = (v[keep] for v in (S, UP, LOW, AL, Y, B))
-            continue
+        done |= iters >= caps
+        stopped = done.nonzero()[0].tolist()  # free rows among them
+        ended = [r for r in stopped if lead[r] is not None] if free else stopped
+        solved = []  # the problems that ended, siblings included
+        for r in ended:
+            n = lead[r]
+            box = problems[n][2]
+            m = len(box)
+            alpha = X[3, r, :m].copy()
+            lo_r, hi_r = float(lo[r]), float(hi[r])
+            bias = _dual_bias(alpha, S[r, :m], box, lo_r, hi_r)
+            results[n] = (alpha, bias, int(iters[r]), bool(gap[r] <= tol), float(gap[r]),
+                          lo_r, hi_r)
+            solved.append(n)
+            for s, _ in sibs[r]:
+                results[s] = results[n]
+                solved.append(s)
+            riding[r] = False
 
         k2 = kernel_rows.take(kbase2 + ij, axis=0)  # rows ki, then kj
-        kk = k2.take(at_pair + ij)  # ki[i], then kj[j]
+        kk = k2.take(pair)  # ki[i], then kj[j]
         # the eta floor: where(eta <= _SV_EPS, _SV_EPS, eta) is this maximum
         eta = np.maximum(kk[:A] + kk[A:] - 2.0 * k2.take(fj), _SV_EPS)
-        y2, old2, b2 = Y.take(f2), AL.take(f2), B.take(f2)
+        old2, y2, b2 = ayb.take(f2, axis=1)
         # the largest step keeping both multipliers inside their boxes,
         # i's room first
         dir2 = y2 * sign2
         room2 = np.where(dir2 > zero2, b2 - old2, old2)
-        t = gap / eta
-        t = np.where(room2[:A] < t, room2[:A], t)
+        q = gap / eta
+        t = np.where(room2[:A] < q, room2[:A], q)
         t = np.where(room2[A:] < t, room2[A:], t)
+        if stopped:
+            t[stopped] = 0.0  # a row that ended or is free takes no step
         new2 = old2 + (dir2.reshape(2, A) * t).ravel()
         new2 = np.where(new2 < zero2, zero2, new2)
         new2 = np.where(b2 < new2, b2, new2)
-        AL.put(f2, new2)  # i before j
+        new = []
+        if riding.any():
+            # _rides for each row's tightest sibling, elementwise: when it
+            # rides, so does every looser one
+            old_i, old_j = old2[:A], old2[A:]
+            u = np.where(dir2[:A] > 0.0, tight - old_i, old_i)
+            u = np.where(u < q, u, q)
+            room = np.where(dir2[A:] > 0.0, tight - old_j, old_j)
+            u = np.where(room < u, room, u)
+            off = riding & ~((u == t) & (new2[:A] < tight) & (new2[A:] < tight))
+            for r in off.nonzero()[0].tolist():
+                step_r = (float(q[r]), float(t[r]), bool(y2[r] > 0), bool(y2[A + r] > 0),
+                          float(old_i[r]), float(old_j[r]), float(new2[r]), float(new2[A + r]))
+                stay = [sb for sb in sibs[r] if _rides(sb[1], *step_r)]
+                # those that fork share a row from the state before the
+                # step, the loosest leading
+                (n, _), *rest = [sb for sb in sibs[r] if sb not in stay]
+                state = X[:, r].copy()
+                box = problems[n][2]
+                state[5, :len(box)] = box
+                new.append((slot[r], n, rest, int(iters[r]), state))
+                sibs[r] = stay
+                tight[r] = stay[-1][1] if stay else 0.0
+                riding[r] = bool(stay)
+        ayb[0].put(f2, new2)  # i before j
 
         # s -= (new_i - old_i) * yi * ki + (new_j - old_j) * yj * kj
         k2 *= ((new2 - old2) * y2)[:, None]
@@ -743,15 +914,41 @@ def _lockstep(stack, rows, tol, results):
         pos, below, above = y2 > zero2, new2 < b2, new2 > zero2
         UP.put(f2, up_offset.take(np.where(pos, below, above)))
         LOW.put(f2, low_offset.take(np.where(pos, above, below)))
-        iterations += 1
+        iters += 1
 
-    for r, row in enumerate(live.tolist()):
-        n, g, y, box, _, max_iter, _ = rows[row]
+        if not (ended or new):
+            continue
+        # The forks and the problems that start from those that ended take
+        # free rows in place, or wait; the rows are laid out anew, those
+        # waiting included, once more than an eighth of them are free or
+        # as many wait.
+        free += ended
+        waiting += new + then(solved)
+        while free and waiting:
+            r = free.pop()
+            row = waiting.pop()
+            put(r, row)
+            kbase2[r] = kbase2[A + r] = row[0] * M
+            riding[r] = bool(row[2])
+        for r in free:
+            if lead[r] is not None:
+                X[:, r], lead[r] = idle, None
+        if max(len(free), len(waiting)) > A // 8 or A - len(free) <= _HANDOFF:
+            kept, new, waiting = [r for r in range(A) if lead[r] is not None], waiting, []
+
+    rows = [(slot[r], lead[r], sibs[r], int(iters[r]), X[:, r]) for r in range(A)]
+    while rows:
+        g, n, siblings, it, state = rows.pop()
+        _, y, box, _, _, max_iter = problems[n]
         m = len(y)
+        riders = dict(siblings)
         results[n] = _resume_pairwise_dual(
-            stack[g, :m, :m], y, box, AL[r, :m].tolist(), S[r, :m].copy(), UP[r, :m].copy(),
-            LOW[r, :m].copy(), tol, max_iter, iterations,
+            stack[g, :m, :m], y, box, state[3, :m].tolist(), state[0, :m].copy(),
+            state[1, :m].copy(), state[2, :m].copy(), tol, max_iter, it, riders,
         )
+        for s, result in riders.items():
+            results[s] = result
+        rows.extend(then([n, *riders]))
 
 
 def _svm_dual(variant, prep, labels, value):
@@ -884,16 +1081,28 @@ class SvmQueryBlock:
     SvmPrep nor the standardized queries.  A block over _CACHE_BUDGET_BYTES
     is not built; it then keeps both sets of rows, and each solve is scored
     as score_batch scores its model, chunk by chunk.
+
+    d2, when given, is sq_dists(prep, vectors), which the block is built
+    from in place: the blocks of one prep and queries at several gammas can
+    share one computation of it, each taking its own copy.
     """
 
-    def __init__(self, prep, vectors, gamma):
-        qs = standardize_apply(vectors, prep.mean, prep.scale)
+    def __init__(self, prep, vectors, gamma, d2=None):
         self.gamma = prep.resolve_gamma(gamma)
-        self.block = None
-        if 16.0 * len(qs) * len(prep) <= _CACHE_BUDGET_BYTES:
-            self.block = _rbf_block(qs, prep.Xs, prep.sq, self.gamma)
-        else:  # the rows that each solve's scores are computed from
-            self.qs, self.Xs = qs, prep.Xs
+        if d2 is None:
+            d2 = self.sq_dists(prep, vectors)
+        self.block = None if d2 is None else _rbf(d2, self.gamma)
+        if d2 is None:  # the rows that each solve's scores are computed from
+            self.qs, self.Xs = standardize_apply(vectors, prep.mean, prep.scale), prep.Xs
+
+    @staticmethod
+    def sq_dists(prep, vectors):
+        """The squared distances from the standardized query rows to
+        prep's rows, or None when the block would be over the budget."""
+        if 16.0 * len(vectors) * len(prep) > _CACHE_BUDGET_BYTES:
+            return None
+        qs = standardize_apply(vectors, prep.mean, prep.scale)
+        return _sq_dists(qs, _sq_norms(qs), prep.Xs, prep.sq)
 
     def scores(self, variant, alpha, y, offset):
         """The queries' scores under the variant's model whose multipliers

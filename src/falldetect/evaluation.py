@@ -40,13 +40,14 @@ from .ingest import (
 
 ROC_GRID_POINTS = 1001
 _STREAM_INNER = 303
-# A two-class SVM batch takes outer folds while one C round of their inner
-# duals stays within this many: three folds at the default grids.  A round
-# waits for its slowest dual, so a wider round saves lockstep passes, but
+# An SVM batch takes outer folds while the lockstep rows of their inner
+# searches, one per (inner split, gamma), stay within this many: three
+# folds at the default grids.  More rows a pass save lockstep passes, but
 # each fold's kernels add to the one stack.  On svm_c1, four and five
-# folds a batch raised a worker's peak RSS by 3 and 6 MB more, for no
-# less CPU time.
-_ROUND_DUALS = 120
+# two-class folds a batch raised a worker's peak RSS by 3 and 6 MB more,
+# for no less CPU time.
+_BATCH_ROWS = 120
+_SVM_VARIANTS = (Variant.OC_SVM, Variant.TC_SVM)
 
 
 @dataclass
@@ -382,15 +383,19 @@ def _svm_grid_tables(variant, X, is_fall, folds, cfg):
     the grids.
 
     Each split's training rows are prepared once, with its dual for each
-    distinct C or nu, and each gamma's kernel and validation block built
-    once; when every kernel fits one stack within _CACHE_BUDGET_BYTES, the
-    kernels go straight into the process's stack, so that no preparation
-    outlives its split.  Otherwise the solver stacks them from the
-    preparations, group by group.  One classifiers._solve_pairwise_duals
-    call solves every dual of every fold: the one-class duals at once, and
-    the two-class duals one C at a time from the smallest up, each starting
-    warm from its (split, gamma)'s previous C.  Each candidate keeps its
-    column, so ties still go to the earliest in the grid's order.
+    distinct C or nu, its validation rows' squared distances to them once,
+    and each gamma's kernel and validation block once; when every kernel
+    fits one stack within _CACHE_BUDGET_BYTES, the kernels go straight into
+    the process's stack, so that no preparation outlives its split.
+    Otherwise the solver stacks them from the preparations, group by group.
+    One classifiers._solve_pairwise_duals call solves every dual of every
+    fold.  The two-class duals of a (split, gamma) form one chain from the
+    smallest C up, each starting warm from the previous C's multipliers.
+    The one-class duals of a (split, gamma) start cold from the same
+    multipliers, and the solver runs them as one until their boxes part
+    them (classifiers._sibling_rows); each keeps its own cold trajectory.
+    Each distinct result is scored once.  Each candidate keeps its column,
+    so ties still go to the earliest in the grid's order.
     """
     two_class = variant is Variant.TC_SVM
     first = cfg.c_grid if two_class else cfg.nu_grid
@@ -418,8 +423,11 @@ def _svm_grid_tables(variant, X, is_fall, folds, cfg):
         cap = 10 * len(prep) if cfg.svm_max_iter is None else cfg.svm_max_iter
         duals = [classifiers._svm_dual(variant, prep, is_fall[tr], value)[:4]
                  for value, _ in values]
+        d2 = classifiers.SvmQueryBlock.sq_dists(prep, X[val])
         for gi, gamma in enumerate(cfg.gamma_grid):
-            block = classifiers.SvmQueryBlock(prep, X[val], gamma)
+            # the last gamma's block takes the distances over
+            shared = d2 if d2 is None or gi == n_gamma - 1 else d2.copy()
+            block = classifiers.SvmQueryBlock(prep, X[val], gamma, shared)
             k = s * n_gamma + gi
             if isinstance(kernels, list):
                 kernels.append((prep, block.gamma))
@@ -431,10 +439,14 @@ def _svm_grid_tables(variant, X, is_fall, folds, cfg):
                 problems.append((k, y, box, start, p, cap))
                 slots.append((table, gi, block, y, v))
     solved = classifiers._solve_pairwise_duals(kernels, problems, cfg.svm_tol)
-    for (table, gi, block, y, v), (alpha, bias, _, _, _, lo, hi) in zip(slots, solved):
-        scores = block.scores(variant, alpha, y, classifiers._svm_offset(variant, bias, lo, hi))
+    scored = {}  # by result: duals that shared every step share their result
+    for (table, gi, block, y, v), result in zip(slots, solved):
+        if id(result) not in scored:
+            alpha, bias, _, _, _, lo, hi = result
+            scored[id(result)] = block.scores(
+                variant, alpha, y, classifiers._svm_offset(variant, bias, lo, hi))
         for a in values[v][1]:
-            table[:, a * n_gamma + gi] = scores
+            table[:, a * n_gamma + gi] = scored[id(result)]
     tables = iter(tables)
     return [[next(tables) for _ in fold] for fold in folds]
 
@@ -498,25 +510,25 @@ def cell_inputs(collection, feature_kind, window_len, config=None):
 
 def fold_batches(plan, variant, config=None):
     """The outer folds of a cell with fold plan plan, in order, in the
-    batches that run_folds runs.  A two-class SVM batch takes the next fold
-    while one C round of its inner duals, a dual per (inner split, gamma)
-    of each fold, stays within _ROUND_DUALS and the stack of its kernels
-    within _CACHE_BUDGET_BYTES, each kernel's rows counted as the fold's
-    training rows; a fold that alone passes either runs alone.  Every
-    other variant runs one fold per batch."""
+    batches that run_folds runs.  An SVM batch takes the next fold while
+    its inner searches' lockstep rows, a row per (inner split, gamma) of
+    each fold, stay within _BATCH_ROWS and the stack of its kernels within
+    _CACHE_BUDGET_BYTES, each kernel's rows counted as the fold's training
+    rows; a fold that alone passes either runs alone.  A kNN cell runs one
+    fold per batch."""
     cfg = config if config is not None else GridConfig()
     folds = range(plan.num_folds)
-    if Variant(variant) is not Variant.TC_SVM:
+    if Variant(variant) not in _SVM_VARIANTS:
         return [[f] for f in folds]
-    duals = cfg.inner_folds * len(cfg.gamma_grid)
+    rows = cfg.inner_folds * len(cfg.gamma_grid)
     batches = []  # (folds, their most training rows)
     for f in folds:
         m = len(plan.train_indices(f))
         if batches:
             batch, M = batches[-1]
             width, M = len(batch) + 1, max(M, m)
-            if (width * duals <= _ROUND_DUALS
-                    and 8.0 * width * duals * M * M <= classifiers._CACHE_BUDGET_BYTES):
+            if (width * rows <= _BATCH_ROWS
+                    and 8.0 * width * rows * M * M <= classifiers._CACHE_BUDGET_BYTES):
                 batches[-1] = (batch + [f], M)
                 continue
         batches.append(([f], m))
@@ -525,15 +537,15 @@ def fold_batches(plan, variant, config=None):
 
 def run_folds(inputs, variant, folds, config=None):
     """The FoldResults of the outer folds folds of a cell, one batch in
-    order, each what run_fold gives.  A two-class SVM batch of more than
-    one fold searches its folds' inner grids together, then picks, refits
-    and scores each fold; any other batch runs its folds one by one.  The
+    order, each what run_fold gives.  An SVM batch of more than one fold
+    searches its folds' inner grids together, then picks, refits and
+    scores each fold; any other batch runs its folds one by one.  The
     first fold to fail raises as run_fold does: when the joint search
     fails, each fold searches again alone, so that it is the one named."""
     cfg = config if config is not None else GridConfig()
     var = Variant(variant)
     picks = [None] * len(folds)
-    if var is Variant.TC_SVM and len(folds) > 1:
+    if var in _SVM_VARIANTS and len(folds) > 1:
         try:
             searched = [(inputs.plan.train_indices(f), _inner_seed(inputs.seed, f))
                         for f in folds]

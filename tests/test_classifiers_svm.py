@@ -435,6 +435,33 @@ class TestPreparationHoldsItsRows:
         assert model.training_summary["gamma"] == 1.0 / d
 
 
+class TestSharedDistances:
+    """A split's squared distances are computed once, and give the bits
+    that a row, or a validation block, computed alone gives."""
+
+    @pytest.mark.parametrize("shape", [(90, 384), (81, 384), (90, 12)])
+    def test_distance_rows_are_the_same_alone_or_together(self, rng, shape):
+        Xs = rng.normal(size=shape)
+        sq = cls._sq_norms(Xs)
+        whole = cls._sq_dist_rows(Xs, sq, 0, len(Xs))
+        # one matrix-vector product per row, doubled and subtracted row by row
+        expected = np.add.outer(sq, sq)
+        for k in range(len(Xs)):
+            expected[k] -= 2.0 * (Xs @ Xs[k])
+        assert same_bits(whole, np.maximum(expected, 0.0))
+        for i in (0, 7, len(Xs) - 1):
+            assert same_bits(cls._sq_dist_rows(Xs, sq, i, i + 1)[0], whole[i])
+
+    def test_blocks_of_one_split_share_their_distances(self, rng):
+        X, _ = overlapping_problem(rng)
+        prep = cls.SvmPrep(X)
+        queries = rng.normal(0.3, 1.5, (9, 3))
+        d2 = cls.SvmQueryBlock.sq_dists(prep, queries)
+        for gamma in ("auto", 0.01, 0.5):
+            shared = cls.SvmQueryBlock(prep, queries, gamma, d2.copy())
+            assert same_bits(shared.block, cls.SvmQueryBlock(prep, queries, gamma).block)
+
+
 def rbf_score_oracle(model, vectors):
     """Per-row decision values straight from the kernel definition."""
     p = model.parameters
@@ -584,7 +611,7 @@ class TestBatchSolverMatchesOracle:
         resume = cls._resume_pairwise_dual
 
         def counted(*args):
-            calls.append(args[-1])
+            calls.append(args[9])  # the iterations it resumes after
             return resume(*args)
 
         monkeypatch.setattr(cls, "_resume_pairwise_dual", counted)
@@ -656,9 +683,9 @@ class TestBatchSolverMatchesOracle:
         stacks = []
         lockstep = cls._lockstep
 
-        def recorded(stack, rows, tol, results):
-            stacks.append((stack.nbytes, len(rows)))
-            return lockstep(stack, rows, tol, results)
+        def recorded(stack, slots, problems, tol, results):
+            stacks.append((stack.nbytes, sum(len(ns) for _, ns in slots)))
+            return lockstep(stack, slots, problems, tol, results)
 
         monkeypatch.setattr(cls, "_lockstep", recorded)
         X, labels = overlapping_problem(rng, 24, 16)
@@ -677,6 +704,161 @@ class TestBatchSolverMatchesOracle:
         assert len(stacks) > 1 and all(nbytes <= budget for nbytes, _ in stacks)
         assert sum(n for _, n in stacks) == len(problems) - 2
         assert max(n for _, n in stacks) > cls._HANDOFF
+
+    @staticmethod
+    def one_class(kernels, problems, X, gamma, nus):
+        """A one-class dual per nu on the rows X at gamma, all on one new
+        kernel; their indices into problems."""
+        kernels.append((cls.SvmPrep(X), gamma))
+        m = len(X)
+        start = len(problems)
+        for nu in nus:
+            problems.append((len(kernels) - 1, np.ones(m), np.full(m, 1.0 / (nu * m)),
+                             np.full(m, 1.0 / m), np.zeros(m), 10 * m))
+        return list(range(start, len(problems)))
+
+    @staticmethod
+    def chain(kernels, problems, X, y, gamma, Cs, caps=None):
+        """A two-class dual per C on the rows X at gamma, each warm from the
+        one before, on one new kernel; their indices into problems."""
+        kernels.append((cls.SvmPrep(X), gamma))
+        m = len(X)
+        start = len(problems)
+        for c, C in enumerate(Cs):
+            alpha = len(problems) - 1 if c else np.zeros(m)
+            cap = 10 * m if caps is None else caps[c]
+            problems.append((len(kernels) - 1, y, np.full(m, C), alpha, np.full(m, -1.0), cap))
+        return list(range(start, len(problems)))
+
+    @staticmethod
+    def record_lockstep(monkeypatch):
+        """The number of problems of every lockstep call."""
+        calls = []
+        lockstep = cls._lockstep
+
+        def recorded(stack, slots, problems, tol, results):
+            calls.append(sum(len(ns) for _, ns in slots))
+            return lockstep(stack, slots, problems, tol, results)
+
+        monkeypatch.setattr(cls, "_lockstep", recorded)
+        return calls
+
+    def test_sibling_rows_admit_only_starts_below_their_box(self, rng):
+        kernels, problems = [], []
+        X = rng.normal(size=(20, 3))
+        # nu = 1 puts the box at the start, 1 / m: it starts a row of its own
+        group = self.one_class(kernels, problems, X, 0.5, (0.2, 1.0, 0.01, 0.5, 0.2))
+        y, box, start, p, cap = problems[0][1:]
+        problems.append((0, y, np.where(np.arange(20) < 10, 5.0, 6.0), start, p, cap))
+        problems.append((0, y, box, start, p, cap + 1))
+        rows = cls._sibling_rows(problems, [(0, n, start) for n in range(len(problems))])
+        led = {n: [s for s, _ in siblings] for _, n, _, siblings in rows}
+        # the loosest box (the smallest nu) leads, the rest ride loosest first
+        assert led == {group[2]: [group[0], group[4], group[3]], group[1]: [],
+                       # a box of two values, and another max_iter, ride on nothing
+                       len(problems) - 2: [], len(problems) - 1: []}
+
+    @pytest.mark.parametrize("handoff", [0, cls._HANDOFF], ids=["lockstep only", "handoff"])
+    def test_one_class_siblings_share_until_their_box_binds(self, rng, monkeypatch, handoff):
+        monkeypatch.setattr(cls, "_HANDOFF", handoff)
+        kernels, problems = [], []
+        groups = []
+        for m in (14, 18, 22, 26, 30):
+            X = rng.normal(size=(m, 3))
+            for gamma in (0.2, 1.5):
+                # the boxes of 0.01 and 0.02 never bind, 1/(nu m) > 1; those
+                # of 0.3 and 0.4 do, and that of 1.0 is the start, 1/m
+                groups.append(self.one_class(kernels, problems, X, gamma,
+                                             (0.01, 0.02, 0.3, 0.4, 1.0)))
+        got = self.check(kernels, problems)
+        # the same problems, stopped after three steps
+        early = cls._solve_pairwise_duals(kernels, [(*problem[:5], 3) for problem in problems],
+                                          cls.SVM_TOL)
+        for never, also_never, mid, tighter, at_start in groups:
+            assert got[also_never] is got[never]
+            assert got[at_start] is not got[never] and early[at_start] is not early[never]
+        # some siblings fork mid-solve: they ride through three steps
+        assert any(early[n] is early[never] and got[n] is not got[never]
+                   for never, _, mid, tighter, _ in groups for n in (mid, tighter))
+
+    @pytest.mark.parametrize("handoff", [0, cls._HANDOFF], ids=["lockstep only", "handoff"])
+    def test_a_sibling_forks_in_the_scalar_loop(self, rng, monkeypatch, handoff):
+        # Eight rows that converge at once, on two equal points, and one
+        # whose tighter box binds late: at the default handoff it is left
+        # alone after one pass, and its sibling forks in the scalar loop.
+        monkeypatch.setattr(cls, "_HANDOFF", handoff)
+        resumed = []
+        resume = cls._resume_pairwise_dual
+
+        def recorded(*args):
+            resumed.append(dict(args[10]))  # the siblings it was handed
+            return resume(*args)
+
+        monkeypatch.setattr(cls, "_resume_pairwise_dual", recorded)
+        kernels, problems = [], []
+        for _ in range(8):
+            self.one_class(kernels, problems, np.ones((2, 3)), 0.5, (0.2, 0.5))
+        late = self.one_class(kernels, problems, rng.normal(size=(30, 3)), 0.5, (0.3, 0.4))
+        got = self.check(kernels, problems)
+        assert all(r[2] == 0 for r in got[:16])
+        assert got[late[1]] is not got[late[0]]
+        if handoff == 0:
+            assert resumed == []
+        else:
+            assert resumed == [{late[1]: problems[late[1]][2][0]}]
+
+    @pytest.mark.parametrize("handoff", [0, cls._HANDOFF], ids=["lockstep only", "handoff"])
+    def test_a_repeated_nu_and_an_infinite_box(self, rng, monkeypatch, handoff):
+        monkeypatch.setattr(cls, "_HANDOFF", handoff)
+        kernels, problems = [], []
+        for m in (16, 24, 31) * 3:
+            # a subnormal nu overflows its box 1/(nu m) to inf, a box like any other
+            self.one_class(kernels, problems, rng.normal(size=(m, 3)), 0.7,
+                           (0.2, 5e-324, 0.2, 0.6, 0.6))
+        assert np.isinf(problems[1][2]).all()
+        got = self.check(kernels, problems)
+        assert {r[3] for r in got} == {True}
+
+    @pytest.mark.parametrize("handoff", [0, cls._HANDOFF], ids=["lockstep only", "handoff"])
+    def test_chains_keep_their_rows_in_one_call(self, rng, monkeypatch, handoff):
+        # chains of one to four Cs, on kernels of unequal m; in two of
+        # them a warm dual stops at a cap of 3
+        monkeypatch.setattr(cls, "_HANDOFF", handoff)
+        calls = self.record_lockstep(monkeypatch)
+        kernels, problems = [], []
+        capped = []
+        for n in range(12):
+            X, labels = overlapping_problem(rng, 12 + n, 6 + n % 4)
+            y = np.where(labels == "FALL", 1.0, -1.0)
+            Cs = (0.1, 1.0, 10.0, 100.0)[:1 + n % 4]
+            caps = [10 * len(y)] * len(Cs)
+            if n in (7, 11):
+                caps[1] = 3
+            chain = self.chain(kernels, problems, X, y, 0.5, Cs, caps)
+            if n in (7, 11):
+                capped.append(chain[1])
+        got = self.check(kernels, problems)
+        assert calls == [len(problems)]
+        for n in capped:
+            assert got[n][2] == 3 and got[n][3] is False
+            # the dual after it starts from where it stopped
+            assert isinstance(problems[n + 1][3], int)
+
+    @pytest.mark.parametrize("handoff", [0, cls._HANDOFF], ids=["lockstep only", "handoff"])
+    def test_forks_and_refills_in_one_stack(self, rng, monkeypatch, handoff):
+        monkeypatch.setattr(cls, "_HANDOFF", handoff)
+        calls = self.record_lockstep(monkeypatch)
+        kernels, problems = [], []
+        forked = []
+        for n in range(6):
+            X, labels = overlapping_problem(rng, 14 + 2 * n, 8 + n)
+            y = np.where(labels == "FALL", 1.0, -1.0)
+            self.chain(kernels, problems, X, y, 0.3 + 0.2 * n, (0.5, 5.0, 50.0))
+            forked.append(
+                self.one_class(kernels, problems, X[y < 0], 0.3 + 0.2 * n, (0.1, 0.5, 0.9)))
+        got = self.check(kernels, problems)
+        assert calls == [len(problems)]
+        assert any(got[loose] is not got[tight] for loose, _, tight in forked)
 
 
 class TestWarmStart:
@@ -800,8 +982,8 @@ class TestInnerGrid:
 
 
 class TestFoldBatch:
-    """A two-class SVM batch searches its outer folds' inner grids
-    together: each fold's tables are its one-fold tables, bit for bit."""
+    """An SVM batch searches its outer folds' inner grids together: each
+    fold's tables are its one-fold tables, bit for bit."""
 
     @staticmethod
     def cell(n_adl=60, n_fall=20, dim=3):
@@ -809,21 +991,24 @@ class TestFoldBatch:
         is_fall = labels == "FALL"
         return ev.CellInputs(X, is_fall, ingest.plan_folds(is_fall, num_folds=10, seed=3), seed=3)
 
-    def test_batched_tables_are_each_folds_own(self):
+    @pytest.mark.parametrize("variant", ["TC_SVM", "OC_SVM"])
+    def test_batched_tables_are_each_folds_own(self, variant):
         inputs = self.cell()
         cfg = ev.GridConfig()
-        batches = ev.fold_batches(inputs.plan, "TC_SVM", cfg)
-        # three folds of 10 splits x 4 gammas a round: 10 folds do not divide
+        batches = ev.fold_batches(inputs.plan, variant, cfg)
+        # three folds of 10 splits x 4 gammas, a lockstep row each, make
+        # 120 rows: 10 folds do not divide
         assert batches == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
+        two_class = variant == "TC_SVM"
         folds = []
         for f in range(10):
             rows = inputs.plan.train_indices(f)
-            splits = ev._inner_splits(inputs.is_fall[rows], cfg, ev._inner_seed(3, f), True)
+            splits = ev._inner_splits(inputs.is_fall[rows], cfg, ev._inner_seed(3, f), two_class)
             folds.append([(rows[tr], rows[val]) for tr, val in splits])
         assert len({len(tr) for splits in folds for tr, _ in splits}) > 1
 
         def tables(fold_list):
-            return ev._svm_grid_tables(cls.Variant.TC_SVM, inputs.X, inputs.is_fall, fold_list,
+            return ev._svm_grid_tables(cls.Variant(variant), inputs.X, inputs.is_fall, fold_list,
                                        cfg)
 
         for batch in batches:
@@ -849,11 +1034,14 @@ class TestFoldBatch:
 
     def test_other_variants_and_full_folds_run_alone(self, monkeypatch):
         inputs = self.cell()
-        for variant in ("OC_SVM", "OC_KNN", "TC_KNN"):
+        # one-class folds batch as two-class ones do: a row per split and gamma
+        assert ev.fold_batches(inputs.plan, "OC_SVM") == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
+        for variant in ("OC_KNN", "TC_KNN"):
             assert ev.fold_batches(inputs.plan, variant) == [[f] for f in range(10)]
         # room for one fold's 40 kernels of 72 training rows, not for two
         monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 8 * 40 * 72 ** 2)
-        assert ev.fold_batches(inputs.plan, "TC_SVM") == [[f] for f in range(10)]
+        for variant in ("OC_SVM", "TC_SVM"):
+            assert ev.fold_batches(inputs.plan, variant) == [[f] for f in range(10)]
 
     def test_inner_search_peaks_within_twice_its_stack(self, monkeypatch):
         # the rows of a RAW 128 fold: 110 windows of 384 features
@@ -871,6 +1059,64 @@ class TestFoldBatch:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * stack
+
+    def test_work_of_a_batch(self, monkeypatch):
+        inputs = self.cell()
+        calls = {"_lockstep": 0, "_dual_init": 0, "scores": 0}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(cls, "_lockstep")
+        count(cls, "_dual_init")
+        count(cls.SvmQueryBlock, "scores")
+        # boxes 1/(nu m) above 1 for every inner split: no nu's box binds,
+        # so the nus of a split and gamma share one start, solve and score
+        cfg = ev.GridConfig(nu_grid=(0.001, 0.002, 0.004))
+        folds = [(inputs.plan.train_indices(f), ev._inner_seed(3, f)) for f in (0, 1, 2)]
+        ev._select_svm_params(cls.Variant.OC_SVM, inputs.X, inputs.is_fall, folds, cfg)
+        pairs = len(cfg.gamma_grid) * sum(
+            len(ev._inner_splits(inputs.is_fall[rows], cfg, seed, False)) for rows, seed in folds)
+        assert calls == {"_lockstep": 1, "_dual_init": pairs, "scores": pairs}
+        # one lockstep call per fold batch of either SVM variant
+        for variant in ("OC_SVM", "TC_SVM"):
+            batches = ev.fold_batches(inputs.plan, variant)
+            for batch in (batches[0], batches[-1]):
+                calls["_lockstep"] = 0
+                ev.run_folds(inputs, variant, batch)
+                assert calls["_lockstep"] == 1
+
+    def test_a_stack_past_a_quarter_of_the_budget_goes_with_its_solve(self, monkeypatch):
+        inputs = self.cell()
+        cfg = ev.GridConfig(gamma_grid=("auto", 0.1), c_grid=(1.0, 10.0), inner_folds=3)
+        rows = inputs.plan.train_indices(0)
+        splits = ev._inner_splits(inputs.is_fall[rows], cfg, 5, two_class=True)
+        folds = [[(rows[tr], rows[val]) for tr, val in splits]]
+        size = len(splits) * len(cfg.gamma_grid) * max(len(tr) for tr, _ in splits) ** 2
+
+        def search():
+            return ev._svm_grid_tables(cls.Variant.TC_SVM, inputs.X, inputs.is_fall, folds, cfg)
+
+        monkeypatch.setattr(cls, "_stack", np.empty(0), raising=False)
+        # the stack fits the budget, and is more than a quarter of it
+        monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 2 * 8 * size)
+        expected = search()
+        assert cls._stack.size == 0
+        # a quarter of the budget or less: the buffer stays, and is reused
+        monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 4 * 8 * size)
+        search()
+        kept = cls._stack
+        assert kept.size == size
+        got = search()
+        assert cls._stack is kept
+        for g, e in zip(got[0], expected[0]):
+            assert same_bits(g, e)
 
 
 class TestPinnedSelection:
