@@ -177,7 +177,9 @@ def knn_mean_distances_all_k(block, k_max):
         raise DimensionError(f"expected a 2-d distance block, got shape {block.shape}")
     if not 1 <= k_max <= block.shape[1]:
         raise InvalidK(f"k_max={k_max} needs 1 <= k_max <= {block.shape[1]} training rows")
-    sd = _k_smallest_rows(block, k_max)
+    # C order whatever the block's: numpy sums a row pairwise only when the
+    # row is contiguous, and column by column otherwise
+    sd = np.ascontiguousarray(_k_smallest_rows(block, k_max))
     out = np.empty((len(sd), k_max))
     for k in range(1, k_max + 1):
         out[:, k - 1] = sd[:, :k].sum(axis=1) / k
@@ -217,7 +219,7 @@ class KnnPrep:
     def _block(self, queries, train, k_max):
         if self._D is None:
             return _candidate_block(self.X[train], self.X[queries], k_max, self._sq[train])
-        return self._D[np.ix_(queries, train)]
+        return self._D[queries][:, train]  # two gathers: faster than one np.ix_
 
     def scores_all_k(self, adl, fall, queries, k_max):
         """_knn_scores of the rows at indices queries, a column per k in
@@ -227,6 +229,41 @@ class KnnPrep:
         df = None if fall is None else knn_mean_distances_all_k(
             self._block(queries, fall, k_max), k_max)
         return _knn_scores(da, df)
+
+    def held_out_scores_all_k(self, adl, fall, groups, k_max):
+        """scores_all_k of the rows at the indices of each of groups, which
+        share no row, stacked in order, each group against the rows at
+        indices adl and fall (None for one-class) that are not in it.
+
+        From the matrix, one block per pool holds every group's rows
+        against the whole pool, with each row's entries in its own group
+        at +inf: its k_max smallest entries are the same floats as in the
+        group's own block, so every mean is the same bits.  Without the
+        matrix, each group's own block fills its rows."""
+        queries = np.concatenate(groups)
+        sizes = [len(g) for g in groups]
+        owner = np.full(len(self.X), -1)
+        owner[queries] = np.repeat(np.arange(len(groups)), sizes)
+        rows = np.cumsum([0] + sizes)
+
+        def means(pool):
+            mine = owner[pool]
+            if self._D is None:
+                return np.vstack([knn_mean_distances_all_k(
+                    self._block(g, pool[mine != i], k_max), k_max) for i, g in enumerate(groups)])
+            # the pool's rows in no group first, then each group's in turn,
+            # so that each group's own entries are one rectangle
+            inside = np.bincount(mine + 1, minlength=len(groups) + 1)
+            width = len(pool) - inside[1:].max()  # the narrowest group's pool
+            if k_max > width:
+                raise InvalidK(f"k_max={k_max} needs 1 <= k_max <= {width} training rows")
+            block = self._block(queries, pool[np.argsort(mine, kind="stable")], k_max)
+            cols = np.cumsum(inside)
+            for i in range(len(groups)):
+                block[rows[i]:rows[i + 1], cols[i]:cols[i + 1]] = np.inf
+            return knn_mean_distances_all_k(block, k_max)
+
+        return _knn_scores(means(adl), None if fall is None else means(fall))
 
 
 @dataclass
@@ -320,13 +357,12 @@ def _sq_dist_rows(Xs, sq, start, stop):
     One matrix-vector product per row rather than one matrix product:
     a row then comes out bit for bit the same whether it is computed
     alone or as part of the whole matrix, so the solver takes the same
-    steps from either kernel source.  The products go into one buffer,
-    which is doubled and subtracted once.
+    steps from either kernel source.  The products are one stacked
+    matmul, a matrix-vector product per batch element, whose buffer is
+    doubled and subtracted once.
     """
     d2 = np.add.outer(sq[start:stop], sq)
-    gram = np.empty_like(d2)
-    for k in range(stop - start):
-        np.matmul(Xs, Xs[start + k], out=gram[k])
+    gram = np.matmul(Xs, Xs[start:stop, :, None])[:, :, 0]
     gram *= 2.0
     d2 -= gram
     return np.maximum(d2, 0.0, out=d2)

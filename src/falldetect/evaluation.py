@@ -87,36 +87,58 @@ def roc_curve(scores, labels):
     if len(pos) != len(scores):
         raise ValueError("scores and labels must correspond one to one")
     s, fpr, tpr, keep = _sweep(scores[:, None], pos)
-    keep = keep[:, 0]
-    return RocCurve(fpr[keep, 0], tpr[keep, 0], np.r_[np.inf, s[:, 0]][keep])
+    keep = keep[0]
+    return RocCurve(fpr[0, keep], tpr[0, keep], np.r_[np.inf, s[0]][keep])
 
 
-def _sweep(table, pos):
-    """The ROC sweep of every column of a score table (Fawcett 2006).
+def _sweep(table, pos, sizes=None):
+    """The ROC sweep of every column of every segment of a score table
+    (Fawcett 2006).  The segments are consecutive groups of rows, sizes[i]
+    rows in segment i (one segment when sizes is None), each swept on its
+    own against its rows of pos.
 
-    One stable sort of the whole table and one pair of cumulative sums.
-    Returns the sorted scores s and, per column, the rates fpr and tpr
-    with the (0, 0) start as row 0 and row r + 1 the state once the r + 1
-    highest scores have entered, and keep: the start and the last row of
-    every tie group, the state after the whole group enters.
+    One stable sort of every column on the negated scores, then one on
+    the segment, and integer counts of the positives and negatives
+    entered so far, each counted from its segment's start and divided by
+    that segment's P or N.
+
+    Returns, with a row per column of the table, the sorted scores s and
+    the rates fpr and tpr: each segment's (0, 0) start, then the state
+    once each of its sorted scores has entered.  keep marks each
+    segment's start and the last point of every tie group, the state
+    after the whole group enters.
     """
     if not np.all(np.isfinite(table)):
         raise ValueError("scores must be finite")
-    P = int(pos.sum())
-    N = len(pos) - P
-    if P == 0 or N == 0:
-        raise DegenerateLabels(f"need both classes, got {P} positives and {N} negatives")
-    order = np.argsort(-table, axis=0, kind="stable")
-    s = np.take_along_axis(table, order, axis=0)
-    y = pos[order]
     n, cols = table.shape
-    fpr = np.zeros((n + 1, cols))
-    tpr = np.zeros((n + 1, cols))
-    fpr[1:] = np.cumsum(~y, axis=0) / N
-    tpr[1:] = np.cumsum(y, axis=0) / P
-    keep = np.ones((n + 1, cols), dtype=bool)
-    keep[1:-1] = s[1:] != s[:-1]
-    return s, fpr, tpr, keep
+    sizes = np.array([n] if sizes is None else sizes)
+    ends = np.cumsum(sizes)
+    # a type of 16 bits or fewer sorts by radix
+    seg = np.repeat(np.arange(len(sizes), dtype=np.min_scalar_type(len(sizes))), sizes)
+    P = np.bincount(seg[pos], minlength=len(sizes))
+    N = sizes - P
+    for p, q in zip(P, N):
+        if p == 0 or q == 0:
+            raise DegenerateLabels(f"need both classes, got {p} positives and {q} negatives")
+    key = -np.ascontiguousarray(table.T)
+    order = key.argsort(axis=1, kind="stable")
+    column = np.arange(cols)[:, None]  # plain fancy indexing costs less than take_along_axis
+    if len(sizes) > 1:
+        order = order[column, seg[order].argsort(axis=1, kind="stable")]
+    key = key[column, order]
+    # every column holds each segment's rows, so the counts before a
+    # segment are the same in every column
+    tp = pos[order].cumsum(axis=1) - (np.cumsum(P) - P)[seg]
+    fp = np.arange(1, n + 1) - (ends - sizes)[seg] - tp
+    at = np.arange(n) + seg + 1  # each point's place, after its segment's start
+    fpr = np.zeros((cols, n + len(sizes)))
+    tpr = np.zeros((cols, n + len(sizes)))
+    fpr[:, at] = fp / N[seg]
+    tpr[:, at] = tp / P[seg]
+    keep = np.ones((cols, n + len(sizes)), dtype=bool)
+    keep[:, at[:-1]] = key[:, 1:] != key[:, :-1]
+    keep[:, at[ends[:-1] - 1]] = True  # each segment's last point
+    return -key, fpr, tpr, keep
 
 
 def _trapezoid(f, t):
@@ -128,25 +150,30 @@ def auc(curve):
     return float(_trapezoid(curve.fpr, curve.tpr))
 
 
-def _column_aucs(table, pos):
-    """auc(roc_curve(table[:, c], pos)) for every column c, bit for bit.
+def _column_aucs(table, pos, sizes=None):
+    """A segment x column array: entry [i, c] is
+    auc(roc_curve(table[rows, c], pos[rows])) bit for bit, for the rows of
+    segment i (_sweep; one segment when sizes is None).
 
-    One sweep of the whole table gives every column's kept points, laid
-    out column after column, and one pass their trapezoid terms.  The
-    columns that keep the same number of points then sum their terms as
-    the rows of one C-contiguous array: numpy sums each such row pairwise,
-    exactly as _trapezoid sums its 1-d array.
+    One sweep of the whole table gives every (segment, column)'s kept
+    points, laid out column after column and, within a column, segment
+    after segment, and one pass their trapezoid terms.  The pairs that
+    keep the same number of points then sum their terms as the rows of
+    one C-contiguous array: numpy sums each such row pairwise, exactly as
+    _trapezoid sums its 1-d array.
     """
-    _, fpr, tpr, keep = _sweep(table, pos)
-    f, t = fpr.T[keep.T], tpr.T[keep.T]
+    _, fpr, tpr, keep = _sweep(table, pos, sizes)
+    f, t = fpr[keep], tpr[keep]
     terms = np.diff(f) * (t[1:] + t[:-1]) / 2.0
-    counts = keep.sum(axis=0)
+    sizes = [len(table)] if sizes is None else sizes
+    firsts = np.cumsum(sizes) - sizes + np.arange(len(sizes))  # the segments' starts
+    counts = np.add.reduceat(keep, firsts, axis=1, dtype=np.intp).ravel()
     starts = np.cumsum(counts) - counts
-    aucs = np.empty(table.shape[1])
+    aucs = np.empty(len(counts))
     for m in set(counts.tolist()):
-        cols = np.flatnonzero(counts == m)
-        aucs[cols] = terms[starts[cols, None] + np.arange(m - 1)].sum(axis=1)
-    return aucs
+        at = np.flatnonzero(counts == m)
+        aucs[at] = terms[starts[at, None] + np.arange(m - 1)].sum(axis=1)
+    return aucs.reshape(table.shape[1], len(sizes)).T
 
 
 def pairwise_auc(scores, labels):
@@ -307,16 +334,18 @@ def _inner_splits(is_fall, cfg, seed, two_class):
     return splits
 
 
-def _best_candidate(candidates, is_fall, splits, tables):
+def _best_candidate(candidates, is_fall, splits, table):
     """The candidate with the highest total inner AUC, ties going to the
     earliest, and its mean inner AUC.
 
-    tables holds each split's validation scores, in the order of splits,
-    a column per candidate; each candidate sums its AUCs in fold order.
+    table holds the validation scores of every split, a column per
+    candidate, the splits' rows stacked in the order of splits; one sweep
+    gives every split's AUCs, and each candidate sums them in fold order.
     """
+    vals = [val for _, val in splits]
     totals = np.zeros(len(candidates))
-    for (_, val), table in zip(splits, tables):
-        totals += _column_aucs(table, is_fall[val])
+    for aucs in _column_aucs(table, is_fall[np.concatenate(vals)], [len(v) for v in vals]):
+        totals += aucs
     best = int(np.argmax(totals))
     return candidates[best], float(totals[best] / len(splits))
 
@@ -329,10 +358,22 @@ def _knn_table(variant, prep, rows, is_fall, queries, k_max):
     return prep.scores_all_k(rows[~is_fall], fall, queries, k_max)
 
 
+def _knn_split_tables(variant, prep, rows, is_fall, splits, k_max):
+    """The _knn_table of every inner split (tr, val) of rows, labelled by
+    is_fall, stacked in the order of splits, bit for bit: the rows at val
+    scored against the rows at tr.  Each split trains on the rows outside
+    its own validation rows, so one pool per class serves them all
+    (KnnPrep.held_out_scores_all_k)."""
+    fall = rows[is_fall] if variant is Variant.TC_KNN else None
+    groups = [rows[val] for _, val in splits]
+    return prep.held_out_scores_all_k(rows[~is_fall], fall, groups, k_max)
+
+
 def _select_k(variant, prep, rows, is_fall, cfg, seed):
     """k for the training rows of prep.X at indices rows, labelled by
-    is_fall.  A search of more than one k builds prep's matrix, and each
-    inner split's scores index it."""
+    is_fall.  A search of more than one k builds prep's matrix, and the
+    scores of every inner split come from one block of it per class pool
+    (_knn_split_tables)."""
     ks = sorted(set(cfg.k_grid))
     if len(ks) == 1:
         return ks[0], None
@@ -352,10 +393,8 @@ def _select_k(variant, prep, rows, is_fall, cfg, seed):
 
     # a search reads many blocks of the same rows: worth the whole matrix
     prep.build_matrix()
-    columns = [k - 1 for k in ks]
-    tables = (_knn_table(variant, prep, rows[tr], is_fall[tr], rows[val], ks[-1])[:, columns]
-              for tr, val in splits)
-    return _best_candidate(ks, is_fall, splits, tables)
+    table = _knn_split_tables(variant, prep, rows, is_fall, splits, ks[-1])
+    return _best_candidate(ks, is_fall, splits, table[:, [k - 1 for k in ks]])
 
 
 def _svm_rows(variant, X, is_fall):
@@ -464,7 +503,7 @@ def _select_svm_params(variant, X, is_fall, folds, cfg):
     searched = [[(rows[tr], rows[val]) for tr, val in
                  _inner_splits(is_fall[rows], cfg, seed, two_class)] for rows, seed in folds]
     tables = _svm_grid_tables(variant, X, is_fall, searched, cfg)
-    return [_best_candidate(candidates, is_fall, splits, fold_tables)
+    return [_best_candidate(candidates, is_fall, splits, np.vstack(fold_tables))
             for splits, fold_tables in zip(searched, tables)]
 
 

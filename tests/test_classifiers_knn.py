@@ -65,6 +65,17 @@ class TestProductionMatchesOracle:
         with pytest.raises(DimensionError, match="2-d distance block"):
             cls.knn_mean_distances_all_k(block[0], 1)
 
+    def test_table_bits_do_not_depend_on_the_block_layout(self, rng):
+        # a block gathered column-wise comes in Fortran order; its sums of
+        # 8 or more must still be pairwise, as over a C-ordered row.  The
+        # block 10 wide is sorted whole, with no partition
+        for block in (rng.random((12, 30)), rng.random((12, 10))):
+            expected = cls.knn_mean_distances_all_k(block, 10).view(np.int64)
+            for layout in (np.asfortranarray(block), block[:, ::-1],
+                           np.repeat(block, 2, axis=1)[:, ::2]):
+                got = cls.knn_mean_distances_all_k(layout, 10).view(np.int64)
+                assert np.array_equal(got, expected)
+
     def test_all_k_matrix_matches_oracle_means(self, rng):
         train = rng.normal(0.0, 1.0, (25, 4))
         queries = rng.normal(0.0, 1.0, (6, 4))
@@ -398,7 +409,7 @@ class TestInnerSearchSharesOneMatrix:
 
         splits = _inner_splits(ftr, cfg, 5, two_class)
         tables = [recomputed(tr, val) for tr, val in splits]
-        expected = _best_candidate(list(range(1, 11)), ftr, splits, tables)
+        expected = _best_candidate(list(range(1, 11)), ftr, splits, np.vstack(tables))
         assert 0.5 < expected[1] < 1.0
         prep = cls.KnnPrep(X)
         assert _select_k(variant, prep, rows, ftr, cfg, 5) == expected
@@ -430,6 +441,77 @@ class TestInnerSearchSharesOneMatrix:
                 builds.clear()
                 run_experiment(small_collection, "MAGNITUDE", 51, variant, cfg)
                 assert builds == expected, (k_grid, variant)
+
+
+class TestStackedInnerSearch:
+    """Every inner split of an outer fold is scored from one block per
+    class pool: its rows are each split's validation rows, its columns the
+    whole pool, with a row's own split masked."""
+
+    @pytest.fixture
+    def case(self, rng):
+        from falldetect.evaluation import GridConfig
+
+        # 7 falls over 10 inner folds: three validation splits have none,
+        # and their rows stay in every other split's pools
+        X = np.vstack([rng.normal(0.0, 1.0, (93, 5)), rng.normal(0.7, 1.3, (7, 5))])
+        X[40] = X[41]
+        is_fall = np.arange(100) >= 93
+        rows = rng.permutation(100)
+        return X, is_fall, rows, GridConfig(k_grid=(1, 2, 3, 5, 6))
+
+    @pytest.mark.parametrize("variant", [cls.Variant.OC_KNN, cls.Variant.TC_KNN])
+    @pytest.mark.parametrize("budget", ["in", "over"])
+    def test_stacked_tables_and_selection_equal_the_per_split_ones(
+        self, case, monkeypatch, variant, budget
+    ):
+        from falldetect import evaluation as ev
+
+        X, is_fall, rows, cfg = case
+        ftr = is_fall[rows]
+        splits = ev._inner_splits(ftr, cfg, 9, variant is cls.Variant.TC_KNN)
+        assert len(splits) == 7
+        if budget == "over":
+            monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 0)
+        prep = cls.KnnPrep(X)
+        prep.build_matrix()
+        assert (prep._D is None) == (budget == "over")
+        per_split = [ev._knn_table(variant, prep, rows[tr], ftr[tr], rows[val], 6)
+                     for tr, val in splits]
+        table = ev._knn_split_tables(variant, prep, rows, ftr, splits, 6)
+        assert np.array_equal(table.view(np.int64), np.vstack(per_split).view(np.int64))
+
+        # the selection from each split's own curves, summed in fold order
+        ks = list(cfg.k_grid)
+        totals = np.zeros(len(ks))
+        for (_, val), split_table in zip(splits, per_split):
+            totals += [ev.auc(ev.roc_curve(split_table[:, k - 1], ftr[val])) for k in ks]
+        best = int(np.argmax(totals))
+        expected = ks[best], float(totals[best] / len(splits))
+
+        table_of = cls.knn_mean_distances_all_k
+        calls = []
+
+        def counted(block, k_max):
+            calls.append(len(block))
+            return table_of(block, k_max)
+
+        monkeypatch.setattr(cls, "knn_mean_distances_all_k", counted)
+        k, mean = ev._select_k(variant, prep, rows, ftr, cfg, 9)
+        assert (k, mean) == expected and type(mean) is float
+        pools = 2 if variant is cls.Variant.TC_KNN else 1
+        # one block per class pool of the outer fold, or each split's own
+        assert len(calls) == (pools if budget == "in" else pools * len(splits))
+
+    def test_a_group_whose_pool_is_too_small_is_refused(self, rng):
+        X, is_fall = overlapping_classes(rng)
+        prep = cls.KnnPrep(X)
+        prep.build_matrix()
+        pool = np.arange(10)
+        groups = [np.arange(4), np.arange(4, 7)]
+        assert prep.held_out_scores_all_k(pool, None, groups, 6).shape == (7, 6)
+        with pytest.raises(InvalidK, match="k_max=7 needs 1 <= k_max <= 6 training rows"):
+            prep.held_out_scores_all_k(pool, None, groups, 7)
 
 
 class TestOuterFoldsReadTheMatrix:
@@ -490,8 +572,9 @@ class TestOuterFoldsReadTheMatrix:
             with monkeypatch.context() as mp:
                 mp.setattr(cls, "knn_mean_distances_all_k", counted)
                 report = ev.run_experiment(small_collection, "MAGNITUDE", 51, variant, cfg)
-            # per class pool and fold: one inner split at least, and the test fold
-            assert len(calls) >= 2 * pools * folds, variant
+            # per class pool and fold: one block for every inner split, and
+            # one for the test fold
+            assert len(calls) == 2 * pools * folds, variant
             assert report_bits(report) == expected
 
     @pytest.mark.parametrize("variant", ["OC_KNN", "TC_KNN"])

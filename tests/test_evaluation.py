@@ -142,7 +142,7 @@ class TestColumnAucs:
         splits = [(None, np.arange(4)), (None, np.arange(4))]
         # columns 1 and 2 tie on the best total; column 0 ranks every fall last
         table = np.array([[0.0, 0.9, 0.9], [1.0, 0.1, 0.1], [0.0, 0.8, 0.8], [1.0, 0.2, 0.2]])
-        best, mean = ev._best_candidate(["a", "b", "c"], pos, splits, [table, table])
+        best, mean = ev._best_candidate(["a", "b", "c"], pos, splits, np.vstack([table, table]))
         assert (best, mean) == ("b", 1.0)
         assert type(mean) is float
 

@@ -10,11 +10,13 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from falldetect import evaluation as ev
+from falldetect.errors import DegenerateLabels
 from falldetect.features import LtpParams
 
 
@@ -57,13 +59,68 @@ def scored_tables(draw):
 @given(case=scored_tables())
 def test_every_column_auc_equals_its_swept_curve_exactly(case):
     table, pos = case
-    aucs = ev._column_aucs(table, pos)
+    aucs, = ev._column_aucs(table, pos)
     assert aucs.shape == (table.shape[1],)
     for c in range(table.shape[1]):
         col = table[:, c]
         assert aucs[c] == ev.auc(ev.roc_curve(col, pos))
         assert aucs[c] == one_column_auc(col, pos)
         assert abs(aucs[c] - ev.pairwise_auc(col, pos)) <= 1e-12
+
+
+@st.composite
+def segmented_tables(draw):
+    """A score table of 1 to 12 segments of unequal sizes, each with both
+    classes, a column per candidate: either every value on a coarse grid
+    with both signed zeros, so that ties are heavy, or each column on its
+    own integer grid, where a segment of 129 rows or more can keep more
+    than 128 points."""
+    sizes = draw(st.lists(st.integers(2, 40) | st.integers(129, 150), min_size=1, max_size=12))
+    n, cols = sum(sizes), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        values = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.25, 1.0, 1.5, 7.0])
+        table = draw(arrays(np.float64, (n, cols), elements=values))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        table = np.round(rng.normal(size=(n, cols)) * 10.0 ** rng.integers(0, 9, cols))
+    pos = draw(arrays(np.bool_, n))
+    for start, size in zip(np.cumsum(sizes) - sizes, sizes):
+        fall = draw(st.integers(0, size - 1))
+        pos[start + fall] = True
+        pos[start + (fall + draw(st.integers(1, size - 1))) % size] = False
+    return table, pos, sizes
+
+
+def segments(sizes):
+    ends = np.cumsum(sizes)
+    return [slice(a, b) for a, b in zip(ends - sizes, ends)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=segmented_tables())
+def test_every_segment_and_column_auc_equals_its_swept_curve_exactly(case):
+    table, pos, sizes = case
+    aucs = ev._column_aucs(table, pos, sizes)
+    assert aucs.shape == (len(sizes), table.shape[1])
+    for i, rows in enumerate(segments(sizes)):
+        want = [ev.auc(ev.roc_curve(table[rows, c], pos[rows])) for c in range(table.shape[1])]
+        assert np.array_equal(aucs[i].view(np.int64), np.array(want).view(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=segmented_tables(), data=st.data())
+def test_a_one_class_segment_and_a_non_finite_table_are_refused(case, data):
+    table, pos, sizes = case
+    rows = data.draw(st.sampled_from(segments(sizes)))
+    one_class = pos.copy()
+    one_class[rows] = data.draw(st.booleans())
+    with pytest.raises(DegenerateLabels, match="need both classes"):
+        ev._column_aucs(table, one_class, sizes)
+    spoiled = table.copy()
+    at = data.draw(st.integers(0, len(table) - 1)), data.draw(st.integers(0, table.shape[1] - 1))
+    spoiled[at] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    with pytest.raises(ValueError, match="finite"):
+        ev._column_aucs(spoiled, pos, sizes)
 
 
 unit = st.floats(0.0, 1.0)
