@@ -58,19 +58,72 @@ def _as_matrix(vectors):
 # Nearest-neighbour machinery
 
 
-def _self_distances(X):
+def _exact_route(*matrices):
+    """Whether every distance between rows of matrices, which share their
+    d columns, may come from _gram_distances: every entry is an integer
+    and 4 d max|x|^2 < 2^53.
+
+    Then each product, partial sum and term of |q|^2 + |t|^2 - 2 q.t is
+    an integer of magnitude below 2^53, so exact in float64 whatever the
+    order of the sums or a fused multiply-add (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2.1), and so is every
+    (q - t)^2 and sum of them: both forms give the same integer, and its
+    np.sqrt the same float.  The check goes a chunk of rows at a time,
+    each within _DIST_CHUNK_BYTES (but at least one row), and stops at
+    the first chunk that is not integral.
+    """
+    d = matrices[0].shape[1]
+    rows = max(1, int(_DIST_CHUNK_BYTES // max(8 * d, 1)))
+    top = 0.0
+    for m in matrices:
+        for b in range(0, len(m), rows):
+            c = m[b:b + rows]
+            if not np.array_equal(c, np.rint(c)):  # NaN is never equal
+                return False
+            top = max(top, float(np.abs(c).max(initial=0.0)))
+    # in exact integers; top < 2^26 refuses inf first
+    return top < 2.0 ** 26 and 4 * d * int(top) ** 2 < 2 ** 53
+
+
+def _gram_distances(queries, train, sq_q, sq_t, out):
+    """out[i, j] = np.sqrt(sq_q[i] + sq_t[j] - 2 queries[i].train[j]) for
+    the squared row norms sq_q and sq_t: the distance bit for bit when
+    _exact_route holds for the rows.  One matrix product, written into out
+    a chunk of query rows at a time, each chunk within _DIST_CHUNK_BYTES
+    (but at least one row) so that the sums and the square root pass over
+    it while it is in cache.  Beyond out, only the sums' ufunc buffer is
+    allocated, at most a chunk."""
+    rows = max(1, int(_DIST_CHUNK_BYTES // max(8 * len(train), 1)))
+    for b in range(0, len(queries), rows):
+        o = out[b:b + rows]
+        np.matmul(queries[b:b + rows], train.T, out=o)
+        o *= -2.0
+        o += sq_q[b:b + rows, None]
+        o += sq_t
+        np.sqrt(o, out=o)
+    return out
+
+
+def _self_distances(X, exact=None):
     """Pairwise distances between the rows of X: D[i, j] is
     np.sqrt(((X[j] - X[i]) ** 2).sum()) bit for bit, the same pairwise sum
     over one row that every kNN distance is.
 
-    Each chunk of rows is taken against the rows from its first one on,
-    and mirrored below the diagonal: (a - b)**2 and (b - a)**2 are the
-    same float, so each entry is the same sum.  A chunk is as many rows as
-    keep its difference arrays within _DIST_CHUNK_BYTES, but at least one,
-    and one row's are 8 * n * d bytes.  Memory stays at the matrix plus a
-    few arrays of max(_DIST_CHUNK_BYTES, 8 * n * d) bytes.
+    When exact (_exact_route(X) when None), the matrix is _gram_distances
+    of X with itself, and memory stays at the matrix plus one chunk of
+    _DIST_CHUNK_BYTES (the check's, then the sums').  Otherwise each
+    chunk of rows is taken against the rows from its first one on, in the
+    difference form, and mirrored below the diagonal: (a - b)**2 and
+    (b - a)**2 are the same float, so each entry is the same sum.  A chunk
+    is as many rows as keep its difference arrays within
+    _DIST_CHUNK_BYTES, but at least one, and one row's are 8 * n * d
+    bytes.  Memory then stays at the matrix plus a few arrays of
+    max(_DIST_CHUNK_BYTES, 8 * n * d) bytes.
     """
     n = len(X)
+    if _exact_route(X) if exact is None else exact:
+        sq = np.einsum("ij,ij->i", X, X)
+        return _gram_distances(X, X, sq, sq, np.empty((n, n)))
     step = max(1, int(_DIST_CHUNK_BYTES // max(8 * X.size, 1)))
     D = np.empty((n, n))
     for b in range(0, n, step):
@@ -124,26 +177,32 @@ def _candidates(q, train, sq_t, k_max):
     return lo <= hi
 
 
-def _candidate_block(train, queries, k_max, sq_t=None):
+def _candidate_block(train, queries, k_max, sq_t=None, exact=None):
     """Query x training distances for a row's k_max nearest: at every
-    entry _candidates keeps, np.sqrt(((queries[i] - train[j]) ** 2).sum())
-    bit for bit; +inf elsewhere.  sq_t holds the training rows' squared
-    norms, computed here when None.
+    entry kept, np.sqrt(((queries[i] - train[j]) ** 2).sum()) bit for bit;
+    +inf elsewhere.  sq_t holds the training rows' squared norms, computed
+    here when None.
 
-    Every entry at most its row's k_max-th smallest exact distance is
-    kept, so the k_max smallest entries of each row are the exact ones,
-    and every mean of them is.  The Gram forms go a chunk of query rows at
-    a time and the kept entries a chunk of pairs at a time, each within
-    _DIST_CHUNK_BYTES (but at least one row or pair).  A k_max outside 1
-    to the width gives an all-inf block, which knn_mean_distances_all_k
-    refuses.
+    When exact (_exact_route(train, queries) when None), every entry is
+    kept, and the block is _gram_distances: memory stays at the block plus
+    one chunk of _DIST_CHUNK_BYTES.
+    Otherwise the entries _candidates keeps are: every entry at most its
+    row's k_max-th smallest exact distance, so the k_max smallest entries
+    of each row are the exact ones, and every mean of them is.  The Gram
+    forms then go a chunk of query rows at a time and the kept entries a
+    chunk of pairs at a time, each within _DIST_CHUNK_BYTES (but at least
+    one row or pair).  A k_max outside 1 to the width gives an all-inf
+    block, which knn_mean_distances_all_k refuses.
     """
     n, d = train.shape
-    block = np.full((len(queries), n), np.inf)
     if not 1 <= k_max <= n:
-        return block
+        return np.full((len(queries), n), np.inf)
     if sq_t is None:
         sq_t = np.einsum("ij,ij->i", train, train)  # no n x d temporary
+    if _exact_route(train, queries) if exact is None else exact:
+        sq_q = np.einsum("ij,ij->i", queries, queries)
+        return _gram_distances(queries, train, sq_q, sq_t, np.empty((len(queries), n)))
+    block = np.full((len(queries), n), np.inf)
     rows = max(1, int(_DIST_CHUNK_BYTES // (8 * n)))
     pairs = max(1, int(_DIST_CHUNK_BYTES // max(8 * d, 1)))
     for b in range(0, len(queries), rows):
@@ -202,23 +261,26 @@ class KnnPrep:
     Each block is a _candidate_block of the rows until build_matrix is
     called; from then on, when the n x n matrix fits _CACHE_BUDGET_BYTES,
     blocks are read from it.  The k smallest entries of every row, and so
-    every score, are the same bits either way.
+    every score, are the same bits either way.  Whether every distance
+    takes the exact route (_exact_route) is decided once, over all rows.
     """
 
     def __init__(self, vectors):
         self.X = _as_matrix(vectors)
         self._sq = np.einsum("ij,ij->i", self.X, self.X)  # for candidate blocks
+        self._exact = _exact_route(self.X)
         self._D = None
 
     def build_matrix(self):
         """Build the n x n matrix, once and when it fits the budget, for a k
         search whose many blocks read the same rows."""
         if self._D is None and 8.0 * len(self.X) ** 2 <= _CACHE_BUDGET_BYTES:
-            self._D = _self_distances(self.X)
+            self._D = _self_distances(self.X, self._exact)
 
     def _block(self, queries, train, k_max):
         if self._D is None:
-            return _candidate_block(self.X[train], self.X[queries], k_max, self._sq[train])
+            return _candidate_block(self.X[train], self.X[queries], k_max, self._sq[train],
+                                    self._exact)
         return self._D[queries][:, train]  # two gathers: faster than one np.ix_
 
     def scores_all_k(self, adl, fall, queries, k_max):
@@ -1167,7 +1229,8 @@ def score_batch(model, vectors):
     p = model.parameters
     if isinstance(p, KnnModel):
         pools = (p.adl,) if p.fall is None else (p.adl, p.fall)
-        tables = [knn_mean_distances_all_k(_candidate_block(pool, vectors, p.k), p.k)
+        exact = _exact_route(vectors, *pools)
+        tables = [knn_mean_distances_all_k(_candidate_block(pool, vectors, p.k, exact=exact), p.k)
                   for pool in pools]
         return _knn_scores(*tables)[:, p.k - 1]
     if model.variant in (Variant.TC_SVM, Variant.OC_SVM):

@@ -319,11 +319,10 @@ def _has_both_classes(is_fall):
     return 0 < is_fall.sum() < len(is_fall)
 
 
-def _inner_splits(is_fall, cfg, seed, two_class):
-    """(train, validation) index pairs of the inner folds whose validation
-    side has both classes (and, for two-class training, whose training
-    side does too)."""
-    plan = plan_folds(is_fall, num_folds=cfg.inner_folds, seed=seed)
+def _inner_splits(is_fall, plan, two_class):
+    """(train, validation) index pairs of the folds of plan, an inner fold
+    plan over rows labelled by is_fall, whose validation side has both
+    classes (and, for two-class training, whose training side does too)."""
     splits = []
     for g in range(plan.num_folds):
         tr, val = plan.train_indices(g), plan.test_indices(g)
@@ -369,16 +368,17 @@ def _knn_split_tables(variant, prep, rows, is_fall, splits, k_max):
     return prep.held_out_scores_all_k(rows[~is_fall], fall, groups, k_max)
 
 
-def _select_k(variant, prep, rows, is_fall, cfg, seed):
+def _select_k(variant, prep, rows, is_fall, cfg, plan):
     """k for the training rows of prep.X at indices rows, labelled by
-    is_fall.  A search of more than one k builds prep's matrix, and the
-    scores of every inner split come from one block of it per class pool
-    (_knn_split_tables)."""
+    is_fall, searched over the inner folds of plan (None for a grid of one
+    k, which searches nothing).  A search of more than one k builds prep's
+    matrix, and the scores of every inner split come from one block of it
+    per class pool (_knn_split_tables)."""
     ks = sorted(set(cfg.k_grid))
     if len(ks) == 1:
         return ks[0], None
     two_class = variant is Variant.TC_KNN
-    splits = _inner_splits(is_fall, cfg, seed, two_class)
+    splits = _inner_splits(is_fall, plan, two_class)
     # cap k by the smallest training-side class pool across usable folds
     cap = np.inf
     for tr, _ in splits:
@@ -492,8 +492,8 @@ def _svm_grid_tables(variant, X, is_fall, folds, cfg):
 
 def _select_svm_params(variant, X, is_fall, folds, cfg):
     """The chosen (C or nu, gamma), with its mean inner AUC, of each outer
-    fold of folds, each (rows, seed): the fold trains on the rows of X at
-    indices rows, labelled by is_fall, and seed plans its inner splits.
+    fold of folds, each (rows, plan): the fold trains on the rows of X at
+    indices rows, labelled by is_fall, and plan is their inner fold plan.
     The folds' inner grids are searched together (_svm_grid_tables)."""
     first = cfg.c_grid if variant is Variant.TC_SVM else cfg.nu_grid
     candidates = [(a, g) for a in first for g in cfg.gamma_grid]
@@ -501,7 +501,7 @@ def _select_svm_params(variant, X, is_fall, folds, cfg):
         return [(candidates[0], None) for _ in folds]
     two_class = variant is Variant.TC_SVM
     searched = [[(rows[tr], rows[val]) for tr, val in
-                 _inner_splits(is_fall[rows], cfg, seed, two_class)] for rows, seed in folds]
+                 _inner_splits(is_fall[rows], plan, two_class)] for rows, plan in folds]
     tables = _svm_grid_tables(variant, X, is_fall, searched, cfg)
     return [_best_candidate(candidates, is_fall, splits, np.vstack(fold_tables))
             for splits, fold_tables in zip(searched, tables)]
@@ -511,17 +511,29 @@ def _select_svm_params(variant, X, is_fall, folds, cfg):
 class CellInputs:
     """What every outer fold of every variant of one (collection, feature,
     window) triple reads: the feature matrix of the windows at the
-    window's length, the FALL mask, the fold plan and, built when a kNN
-    fold first asks, the distances between the rows."""
+    window's length, the FALL mask, the fold plan and, built when a fold
+    first asks, the distances between the rows (kNN) and each outer
+    fold's inner fold plan."""
 
     X: np.ndarray
     is_fall: np.ndarray
     plan: FoldPlan
     seed: int
+    _inner_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def knn_prep(self):
         return classifiers.KnnPrep(self.X)
+
+    def inner_plan(self, f, num_folds):
+        """The plan of num_folds inner folds over outer fold f's training
+        rows, made once for every variant: it depends only on the rows'
+        labels and the fold's inner seed."""
+        key = f, num_folds
+        if key not in self._inner_plans:
+            self._inner_plans[key] = plan_folds(self.is_fall[self.plan.train_indices(f)],
+                                                num_folds=num_folds, seed=_inner_seed(self.seed, f))
+        return self._inner_plans[key]
 
 
 @dataclass
@@ -586,7 +598,7 @@ def run_folds(inputs, variant, folds, config=None):
     picks = [None] * len(folds)
     if var in _SVM_VARIANTS and len(folds) > 1:
         try:
-            searched = [(inputs.plan.train_indices(f), _inner_seed(inputs.seed, f))
+            searched = [(inputs.plan.train_indices(f), inputs.inner_plan(f, cfg.inner_folds))
                         for f in folds]
             picks = _select_svm_params(var, inputs.X, inputs.is_fall, searched, cfg)
         except Exception:  # whatever it is, the folds alone raise it in fold order
@@ -617,14 +629,15 @@ def _outer_fold(inputs, var, f, cfg, pick=None):
     test_idx = inputs.plan.test_indices(f)
     train_idx = inputs.plan.train_indices(f)
     ftr = is_fall[train_idx]
-    seed_f = _inner_seed(inputs.seed, f)
     if var in (Variant.OC_KNN, Variant.TC_KNN):
-        k, inner_auc = _select_k(var, inputs.knn_prep, train_idx, ftr, cfg, seed_f)
+        plan = inputs.inner_plan(f, cfg.inner_folds) if len(set(cfg.k_grid)) > 1 else None
+        k, inner_auc = _select_k(var, inputs.knn_prep, train_idx, ftr, cfg, plan)
         scores = _knn_table(var, inputs.knn_prep, train_idx, ftr, test_idx, k)[:, k - 1]
         chosen = {"k": k}
     else:
         if pick is None:
-            pick, = _select_svm_params(var, X, is_fall, [(train_idx, seed_f)], cfg)
+            pick, = _select_svm_params(
+                var, X, is_fall, [(train_idx, inputs.inner_plan(f, cfg.inner_folds))], cfg)
         params, inner_auc = pick
         model = _train_svm(var, X[train_idx], ftr, params, cfg)
         key = "C" if var is Variant.TC_SVM else "nu"

@@ -1,5 +1,6 @@
 """Nearest-neighbour scorers against the exhaustive-scan oracle."""
 
+import math
 import re
 import tracemalloc
 
@@ -397,6 +398,7 @@ class TestInnerSearchSharesOneMatrix:
     @pytest.mark.parametrize("variant", [cls.Variant.OC_KNN, cls.Variant.TC_KNN])
     def test_select_k_same_from_matrix_and_over_budget(self, case, monkeypatch, variant):
         from falldetect.evaluation import _best_candidate, _inner_splits, _select_k
+        from falldetect.ingest import plan_folds
 
         X, is_fall, rows, cfg = case
         two_class = variant is cls.Variant.TC_KNN
@@ -407,16 +409,17 @@ class TestInnerSearchSharesOneMatrix:
             adl, fall = Xtr[tr][~ftr[tr]], Xtr[tr][ftr[tr]] if two_class else None
             return knn_oracle_scores(adl, fall, Xtr[val], 10)
 
-        splits = _inner_splits(ftr, cfg, 5, two_class)
+        plan = plan_folds(ftr, num_folds=cfg.inner_folds, seed=5)
+        splits = _inner_splits(ftr, plan, two_class)
         tables = [recomputed(tr, val) for tr, val in splits]
         expected = _best_candidate(list(range(1, 11)), ftr, splits, np.vstack(tables))
         assert 0.5 < expected[1] < 1.0
         prep = cls.KnnPrep(X)
-        assert _select_k(variant, prep, rows, ftr, cfg, 5) == expected
+        assert _select_k(variant, prep, rows, ftr, cfg, plan) == expected
         assert prep._D is not None
         monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 8 * 120 * 120 - 1)
         prep = cls.KnnPrep(X)
-        assert _select_k(variant, prep, rows, ftr, cfg, 5) == expected
+        assert _select_k(variant, prep, rows, ftr, cfg, plan) == expected
         assert prep._D is None
 
     def test_matrix_is_built_once_per_knn_cell_and_never_for_svm(
@@ -427,9 +430,9 @@ class TestInnerSearchSharesOneMatrix:
         builds = []
         self_distances = cls._self_distances
 
-        def counted(X):
+        def counted(X, *route):
             builds.append(len(X))
-            return self_distances(X)
+            return self_distances(X, *route)
 
         monkeypatch.setattr(cls, "_self_distances", counted)
         grids = dict(c_grid=(1.0,), nu_grid=(0.1,), gamma_grid=("auto",))
@@ -466,10 +469,12 @@ class TestStackedInnerSearch:
         self, case, monkeypatch, variant, budget
     ):
         from falldetect import evaluation as ev
+        from falldetect.ingest import plan_folds
 
         X, is_fall, rows, cfg = case
         ftr = is_fall[rows]
-        splits = ev._inner_splits(ftr, cfg, 9, variant is cls.Variant.TC_KNN)
+        plan = plan_folds(ftr, num_folds=cfg.inner_folds, seed=9)
+        splits = ev._inner_splits(ftr, plan, variant is cls.Variant.TC_KNN)
         assert len(splits) == 7
         if budget == "over":
             monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 0)
@@ -497,7 +502,7 @@ class TestStackedInnerSearch:
             return table_of(block, k_max)
 
         monkeypatch.setattr(cls, "knn_mean_distances_all_k", counted)
-        k, mean = ev._select_k(variant, prep, rows, ftr, cfg, 9)
+        k, mean = ev._select_k(variant, prep, rows, ftr, cfg, plan)
         assert (k, mean) == expected and type(mean) is float
         pools = 2 if variant is cls.Variant.TC_KNN else 1
         # one block per class pool of the outer fold, or each split's own
@@ -714,3 +719,141 @@ def test_candidates_hold_every_tie_and_scores_stay_exact(case, k_frac):
             tc = knn_oracle_scores(adl, fall, queries, k)
             assert np.array_equal(prep.scores_all_k(at[~is_fall], at[is_fall], query_at, k), tc,
                                   equal_nan=True)
+
+
+def bound_top(d):
+    """The largest integer M with 4 d M^2 < 2^53: the exact route's bound."""
+    return math.isqrt((2 ** 53 - 1) // (4 * d))
+
+
+@st.composite
+def integral_rows(draw):
+    """Integer rows of d = 1..1024 columns: small counts as LTP has, or the
+    whole range the bound allows, with -0.0 entries, entries at +-M, and
+    repeated rows."""
+    d = draw(st.one_of(st.integers(1, 8), st.integers(9, 1024)))
+    top = bound_top(d)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([4, top]))
+    pool = rng.integers(-scale, scale + 1, (draw(st.integers(1, 6)), d)).astype(np.float64)
+    edge = rng.random(pool.shape) < 0.2
+    pool[edge] = rng.choice([-float(top), float(top), -0.0], int(edge.sum()))
+    pool[0, 0] = draw(st.sampled_from([float(top), -float(top), -0.0]))
+    picks = draw(st.lists(st.integers(0, 5), min_size=2, max_size=14))
+    return pool[[i % len(pool) for i in picks]]
+
+
+class TestExactRoute:
+    """Integer rows within the bound take every distance from one matrix
+    product, bit for bit the difference form's; any other rows take the
+    difference form and the Gram-form candidates as before."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(X=integral_rows(), split=st.floats(0.0, 1.0), k_frac=st.floats(0.0, 1.0))
+    def test_exact_matrix_and_blocks_equal_the_difference_form(self, X, split, k_frac):
+        assert cls._exact_route(X)
+        expected = distance_block(X, X).view(np.int64)
+        assert np.array_equal(cls._self_distances(X).view(np.int64), expected)
+        assert np.array_equal(cls._self_distances(X, True).view(np.int64), expected)
+        m = 1 + int(split * (len(X) - 2))
+        train, queries = X[:m], X[m:]
+        k_max = 1 + int(k_frac * (m - 1))
+        block = cls._candidate_block(train, queries, k_max)
+        # every entry, not only the candidates: the exact route keeps them all
+        assert np.array_equal(block.view(np.int64), distance_block(train, queries).view(np.int64))
+        prep = cls.KnnPrep(X)
+        assert prep._exact
+        at, query_at = np.arange(m), m + np.arange(len(queries))
+        expected_table = knn_oracle_scores(train, None, queries, k_max)
+        assert np.array_equal(prep.scores_all_k(at, None, query_at, k_max), expected_table)
+        assert np.array_equal(cls.score_batch(cls.train_oc_knn(train, k_max), queries),
+                              expected_table[:, k_max - 1])
+
+    @staticmethod
+    def count_routes(monkeypatch):
+        calls = {"_gram_distances": 0, "_candidates": 0}
+        for name in calls:
+            real = getattr(cls, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(cls, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("chunk", ["default", "one row"])
+    @pytest.mark.parametrize("rows", ["integral", "one half", "past the bound"])
+    def test_rows_outside_the_bound_take_the_difference_route(self, rng, monkeypatch, rows, chunk):
+        d = 40
+        if chunk == "one row":
+            # the check reads one row at a time, up to the first not integral
+            monkeypatch.setattr(cls, "_DIST_CHUNK_BYTES", 8 * d)
+        X = rng.integers(0, 5, (60, d)).astype(np.float64)
+        X[7] = X[3]
+        X[9, 0] = bound_top(d)
+        if rows == "one half":
+            X[50, 17] += 0.5
+        elif rows == "past the bound":
+            X[50, 17] = bound_top(d) + 1
+        exact = rows == "integral"
+        adl, fall, queries = np.arange(40), np.arange(40, 50), np.arange(48, 60)
+        expected = knn_oracle_scores(X[adl], X[fall], X[queries], 6)
+        calls = self.count_routes(monkeypatch)
+        prep = cls.KnnPrep(X)
+        assert prep._exact == exact
+        # two candidate blocks, then the matrix and two blocks read from it
+        assert np.array_equal(prep.scores_all_k(adl, fall, queries, 6), expected)
+        prep.build_matrix()
+        assert np.array_equal(prep.scores_all_k(adl, fall, queries, 6), expected)
+        # _candidates runs once per chunk of query rows
+        assert calls["_gram_distances"] == (3 if exact else 0)
+        assert (calls["_candidates"] > 0) != exact
+        # score_batch decides once over its pools and queries together
+        model = cls.train_tc_knn(X[:50], np.arange(50) >= 40, 6)
+        calls.update(_gram_distances=0, _candidates=0)
+        assert np.array_equal(cls.score_batch(model, X[queries]), expected[:, 5])
+        assert calls["_gram_distances"] == (2 if exact else 0)
+        assert (calls["_candidates"] > 0) != exact
+
+    @pytest.mark.parametrize("variant", ["OC_KNN", "TC_KNN"])
+    @pytest.mark.parametrize("k_grid", [(1, 3, 10), (5,)], ids=["searched", "single-k"])
+    def test_an_ltp_cell_writes_the_same_bytes_with_the_route_off(
+        self, small_collection, tmp_path, monkeypatch, variant, k_grid
+    ):
+        from falldetect import evaluation as ev
+
+        cfg = ev.GridConfig(k_grid=k_grid)
+
+        def written(name):
+            report = ev.run_experiment(small_collection, "LTP", 51, variant, cfg)
+            ev.save_report_json(report, tmp_path / f"report_{name}.json")
+            ev.write_roc_csv(report.averaged_curve, tmp_path / f"roc_{name}.csv")
+            return [(tmp_path / f"{kind}_{name}.{ext}").read_bytes()
+                    for kind, ext in (("report", "json"), ("roc", "csv"))]
+
+        calls = self.count_routes(monkeypatch)
+        exact = written("exact")
+        # LTP counts are small integers: every distance took the exact route
+        assert calls["_gram_distances"] > 0 and calls["_candidates"] == 0
+        monkeypatch.setattr(cls, "_exact_route", lambda *matrices: False)
+        calls.update(_gram_distances=0, _candidates=0)
+        assert written("difference") == exact
+        assert calls["_gram_distances"] == 0
+        assert (calls["_candidates"] > 0) == (len(k_grid) == 1)
+
+    def test_exact_matrix_needs_no_more_than_itself_and_one_chunk(self, rng, monkeypatch):
+        n, d = 400, 64
+        X = rng.integers(0, 5, (n, d)).astype(np.float64)
+        # 32 rows a chunk: 13 products, and 200 rows a chunk of the check
+        monkeypatch.setattr(cls, "_DIST_CHUNK_BYTES", 8 * n * 32)
+        calls = self.count_routes(monkeypatch)
+        tracemalloc.start()
+        try:
+            D = cls._self_distances(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls["_gram_distances"] == 1
+        assert 8 * n * n <= peak <= 8 * n * n + cls._DIST_CHUNK_BYTES
+        assert np.array_equal(D.view(np.int64), distance_block(X, X).view(np.int64))

@@ -936,7 +936,8 @@ class TestInnerGrid:
     @pytest.mark.parametrize("variant", ["TC_SVM", "OC_SVM"])
     def test_selection_ignores_grid_order_and_ties_go_first(self, rng, variant):
         X, is_fall, _, _ = self.split(rng)
-        fold = [(np.arange(len(X)), 5)]  # every row, its inner plan seeded 5
+        # every row, its three inner folds seeded 5
+        fold = [(np.arange(len(X)), ingest.plan_folds(is_fall, num_folds=3, seed=5))]
         key, ordered = self.GRIDS[variant]
         low, mid, high = ordered
         picks = []
@@ -1003,7 +1004,8 @@ class TestFoldBatch:
         folds = []
         for f in range(10):
             rows = inputs.plan.train_indices(f)
-            splits = ev._inner_splits(inputs.is_fall[rows], cfg, ev._inner_seed(3, f), two_class)
+            splits = ev._inner_splits(inputs.is_fall[rows], inputs.inner_plan(f, cfg.inner_folds),
+                                      two_class)
             folds.append([(rows[tr], rows[val]) for tr, val in splits])
         assert len({len(tr) for splits in folds for tr, _ in splits}) > 1
 
@@ -1048,7 +1050,7 @@ class TestFoldBatch:
         inputs = self.cell(100, 10, 384)
         cfg = ev.GridConfig()
         is_fall = inputs.is_fall[inputs.plan.train_indices(0)]
-        splits = ev._inner_splits(is_fall, cfg, ev._inner_seed(3, 0), two_class=True)
+        splits = ev._inner_splits(is_fall, inputs.inner_plan(0, cfg.inner_folds), two_class=True)
         stack = 8 * len(splits) * len(cfg.gamma_grid) * max(len(tr) for tr, _ in splits) ** 2
         # a stack left by an earlier solve would not be counted
         monkeypatch.setattr(cls, "_stack", np.empty(0), raising=False)
@@ -1079,10 +1081,11 @@ class TestFoldBatch:
         # boxes 1/(nu m) above 1 for every inner split: no nu's box binds,
         # so the nus of a split and gamma share one start, solve and score
         cfg = ev.GridConfig(nu_grid=(0.001, 0.002, 0.004))
-        folds = [(inputs.plan.train_indices(f), ev._inner_seed(3, f)) for f in (0, 1, 2)]
+        folds = [(inputs.plan.train_indices(f), inputs.inner_plan(f, cfg.inner_folds))
+                 for f in (0, 1, 2)]
         ev._select_svm_params(cls.Variant.OC_SVM, inputs.X, inputs.is_fall, folds, cfg)
         pairs = len(cfg.gamma_grid) * sum(
-            len(ev._inner_splits(inputs.is_fall[rows], cfg, seed, False)) for rows, seed in folds)
+            len(ev._inner_splits(inputs.is_fall[rows], plan, False)) for rows, plan in folds)
         assert calls == {"_lockstep": 1, "_dual_init": pairs, "scores": pairs}
         # one lockstep call per fold batch of either SVM variant
         for variant in ("OC_SVM", "TC_SVM"):
@@ -1096,7 +1099,8 @@ class TestFoldBatch:
         inputs = self.cell()
         cfg = ev.GridConfig(gamma_grid=("auto", 0.1), c_grid=(1.0, 10.0), inner_folds=3)
         rows = inputs.plan.train_indices(0)
-        splits = ev._inner_splits(inputs.is_fall[rows], cfg, 5, two_class=True)
+        plan = ingest.plan_folds(inputs.is_fall[rows], num_folds=cfg.inner_folds, seed=5)
+        splits = ev._inner_splits(inputs.is_fall[rows], plan, two_class=True)
         folds = [[(rows[tr], rows[val]) for tr, val in splits]]
         size = len(splits) * len(cfg.gamma_grid) * max(len(tr) for tr, _ in splits) ** 2
 

@@ -444,10 +444,10 @@ class TestFoldPool:
         second = evaluation._inner_seed(seed, 1)
         real = evaluation._inner_splits
 
-        def fails_at_fold_1(is_fall, cfg, seed, two_class):
-            if two_class and seed == second:
+        def fails_at_fold_1(is_fall, plan, two_class):
+            if two_class and plan.seed == second:
                 raise InsufficientData("no inner split, sorry")
-            return real(is_fall, cfg, seed, two_class)
+            return real(is_fall, plan, two_class)
 
         monkeypatch.setattr(evaluation, "_inner_splits", fails_at_fold_1)
         argv = ("--seed", "7", "--feature", "MAGNITUDE", "--window", "51",

@@ -341,6 +341,30 @@ class TestRunExperiment:
             given = ev.run_experiment(*cell[:3], partner, cfg, inputs=inputs)
             assert report_bits(given) == report_bits(built)
 
+    def test_inner_folds_are_planned_once_per_triple(self, small_collection, monkeypatch):
+        """The four variants of a triple, sharing its CellInputs, plan each
+        outer fold's inner folds once between them, and report what each
+        gives when it plans its own."""
+        cfg = GridConfig(k_grid=(1, 2, 3), c_grid=(1.0, 10.0), nu_grid=(0.1, 0.5),
+                         gamma_grid=("auto", 0.1), inner_folds=4)
+        triple = (small_collection, "ACCEL_FEATURES", 51)
+        variants = ("OC_KNN", "TC_KNN", "OC_SVM", "TC_SVM")
+        alone = [report_bits(ev.run_experiment(*triple, v, cfg)) for v in variants]
+        seeds = []
+        real = ev.plan_folds
+
+        def counted(labels, num_folds, seed):
+            seeds.append(seed)
+            return real(labels, num_folds=num_folds, seed=seed)
+
+        monkeypatch.setattr(ev, "plan_folds", counted)
+        inputs = ev.cell_inputs(*triple, cfg)
+        shared = [report_bits(ev.run_experiment(*triple, v, cfg, inputs=inputs))
+                  for v in variants]
+        assert shared == alone
+        n = inputs.plan.num_folds
+        assert sorted(seeds) == sorted(ev._inner_seed(small_collection.seed, f) for f in range(n))
+
     def test_custom_ltp_params_are_used(self, small_collection):
         from falldetect.features import LtpParams
 

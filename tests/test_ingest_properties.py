@@ -159,12 +159,11 @@ def test_inner_splits_hold_both_classes(case, two_class):
         if both_classes(is_fall[plan.test_indices(g)])
         and (not two_class or both_classes(is_fall[plan.train_indices(g)]))
     ]
-    cfg = evaluation.GridConfig(inner_folds=folds)
     if not usable:
         with pytest.raises(InsufficientData):
-            evaluation._inner_splits(is_fall, cfg, seed, two_class)
+            evaluation._inner_splits(is_fall, plan, two_class)
         return
-    splits = evaluation._inner_splits(is_fall, cfg, seed, two_class)
+    splits = evaluation._inner_splits(is_fall, plan, two_class)
     # the usable folds of the plan, in fold order
     assert len(splits) == len(usable)
     for (tr, val), g in zip(splits, usable):
