@@ -33,9 +33,6 @@ SVM_TOL = 1e-3
 _SV_EPS = 1e-12
 _CACHE_BUDGET_BYTES = 2e8
 _DIST_CHUNK_BYTES = 1e6
-# the lockstep solver hands this many or fewer rows still active to the
-# scalar loop, whose step then costs less than a lockstep pass
-_HANDOFF = 8
 
 
 class Variant(enum.Enum):
@@ -558,24 +555,9 @@ def _solve_pairwise_dual(K, y, box, alpha, p, tol, max_iter):
     estimate in violation units, and run stats.
     """
     s, up, low = _dual_init(K, y, box, alpha, p)
-    return _resume_pairwise_dual(K, y, box, alpha.tolist(), s, up, low, tol, max_iter, 0)
-
-
-def _resume_pairwise_dual(K, y, box, a, s, up, low, tol, max_iter, iterations, siblings=None):
-    """_solve_pairwise_dual from a state after some iterations: the
-    multipliers a (a list), s and the masks up and low, all updated in
-    place.
-
-    siblings, when given, maps each problem that shares this one's state
-    (_sibling_rows) to its box b.  A sibling takes this solve's steps
-    while its own step would be the same (_rides); at the first that would
-    not, it forks from the state before that step and solves on from
-    there in this call, with the siblings that fork at the same step
-    riding on it.  On return siblings maps each to its result.
-    """
     inf = float("inf")
     # scalars are read from lists: indexing a list is cheaper than an array
-    yl = y.tolist()
+    yl, bl, a = y.tolist(), box.tolist(), alpha.tolist()
     # Every iteration writes its masked s and its step into these, through
     # local ufuncs given the buffer positionally: a call then costs less.
     s_up = np.empty_like(s)
@@ -583,91 +565,69 @@ def _resume_pairwise_dual(K, y, box, a, s, up, low, tol, max_iter, iterations, s
     step_i = np.empty_like(s)
     step_j = np.empty_like(s)
     add, multiply = np.add, np.multiply
+    iterations = 0
+    converged = False
+    while True:
+        add(s, up, s_up)
+        add(s, low, s_low)
+        i = int(s_up.argmax())
+        j = int(s_low.argmin())
+        lo = float(s_up[i])
+        hi = float(s_low[j])
+        gap = lo - hi
+        if gap <= tol:
+            converged = True
+            break
+        if iterations >= max_iter:
+            break
 
-    results = {}
-    # (key, box, a, s, up, low, iterations, riding siblings as (key, b),
-    # loosest first); this problem's key is None
-    work = [(None, box, a, s, up, low, iterations,
-             sorted((siblings or {}).items(), key=lambda kb: -kb[1]))]
-    while work:
-        key, box, a, s, up, low, iterations, riding = work.pop()
-        bl = box.tolist()
-        converged = False
-        while True:
-            add(s, up, s_up)
-            add(s, low, s_low)
-            i = int(s_up.argmax())
-            j = int(s_low.argmin())
-            lo = float(s_up[i])
-            hi = float(s_low[j])
-            gap = lo - hi
-            if gap <= tol:
-                converged = True
-                break
-            if iterations >= max_iter:
-                break
+        ki = K[i]
+        kj = K[j]
+        eta = float(ki[i] + kj[j] - 2.0 * ki[j])
+        if eta <= _SV_EPS:
+            eta = _SV_EPS
+        yi, yj = yl[i], yl[j]
+        old_i, old_j = a[i], a[j]
+        bi, bj = bl[i], bl[j]
+        # the largest step keeping both multipliers inside their boxes;
+        # each comparison keeps the earlier value on a tie, as min() does
+        t = gap / eta
+        room = bi - old_i if yi > 0 else old_i
+        if room < t:
+            t = room
+        room = old_j if yj > 0 else bj - old_j
+        if room < t:
+            t = room
+        # min(max(v, 0.0), box), spelled out
+        new_i = old_i + yi * t
+        if new_i < 0.0:
+            new_i = 0.0
+        if bi < new_i:
+            new_i = bi
+        new_j = old_j - yj * t
+        if new_j < 0.0:
+            new_j = 0.0
+        if bj < new_j:
+            new_j = bj
+        a[i] = new_i
+        a[j] = new_j
 
-            ki = K[i]
-            kj = K[j]
-            eta = float(ki[i] + kj[j] - 2.0 * ki[j])
-            if eta <= _SV_EPS:
-                eta = _SV_EPS
-            yi, yj = yl[i], yl[j]
-            old_i, old_j = a[i], a[j]
-            bi, bj = bl[i], bl[j]
-            # the largest step keeping both multipliers inside their boxes;
-            # each comparison keeps the earlier value on a tie, as min() does
-            t = q = gap / eta
-            room = bi - old_i if yi > 0 else old_i
-            if room < t:
-                t = room
-            room = old_j if yj > 0 else bj - old_j
-            if room < t:
-                t = room
-            # min(max(v, 0.0), box), spelled out
-            new_i = old_i + yi * t
-            if new_i < 0.0:
-                new_i = 0.0
-            if bi < new_i:
-                new_i = bi
-            new_j = old_j - yj * t
-            if new_j < 0.0:
-                new_j = 0.0
-            if bj < new_j:
-                new_j = bj
-            if riding:
-                off = [kb for kb in riding
-                       if not _rides(kb[1], q, t, yi > 0, yj > 0, old_i, old_j, new_i, new_j)]
-                if off:
-                    (k, b), *rest = off
-                    work.append((k, np.full(len(yl), b), a[:], s.copy(), up.copy(), low.copy(),
-                                 iterations, rest))
-                    riding = [kb for kb in riding if kb not in off]
-            a[i] = new_i
-            a[j] = new_j
+        # s -= (new_i - old_i) * yi * ki + (new_j - old_j) * yj * kj
+        multiply(ki, (new_i - old_i) * yi, step_i)
+        multiply(kj, (new_j - old_j) * yj, step_j)
+        step_i += step_j
+        s -= step_i
+        # i before j, so j's masks win when i == j
+        in_up, in_low = (new_i < bi, new_i > 0.0) if yi > 0 else (new_i > 0.0, new_i < bi)
+        up[i] = 0.0 if in_up else -inf
+        low[i] = 0.0 if in_low else inf
+        in_up, in_low = (new_j < bj, new_j > 0.0) if yj > 0 else (new_j > 0.0, new_j < bj)
+        up[j] = 0.0 if in_up else -inf
+        low[j] = 0.0 if in_low else inf
+        iterations += 1
 
-            # s -= (new_i - old_i) * yi * ki + (new_j - old_j) * yj * kj
-            multiply(ki, (new_i - old_i) * yi, step_i)
-            multiply(kj, (new_j - old_j) * yj, step_j)
-            step_i += step_j
-            s -= step_i
-            # i before j, so j's masks win when i == j
-            in_up, in_low = (new_i < bi, new_i > 0.0) if yi > 0 else (new_i > 0.0, new_i < bi)
-            up[i] = 0.0 if in_up else -inf
-            low[i] = 0.0 if in_low else inf
-            in_up, in_low = (new_j < bj, new_j > 0.0) if yj > 0 else (new_j > 0.0, new_j < bj)
-            up[j] = 0.0 if in_up else -inf
-            low[j] = 0.0 if in_low else inf
-            iterations += 1
-
-        alpha = np.array(a)
-        result = alpha, _dual_bias(alpha, s, box, lo, hi), iterations, converged, gap, lo, hi
-        results[key] = result
-        for k, _ in riding:
-            results[k] = result
-    for k in siblings or ():
-        siblings[k] = results[k]
-    return results[None]
+    alpha = np.array(a)
+    return alpha, _dual_bias(alpha, s, box, lo, hi), iterations, converged, gap, lo, hi
 
 
 def _rides(b, q, t, up_i, up_j, old_i, old_j, new_i, new_j):
@@ -719,60 +679,35 @@ def _release_stack():
         _stack = np.empty(0)
 
 
-def _put_kernel(stack, g, K):
-    """K, an m x m kernel, into slot g of stack, with the rest of its rows
-    0: padding that no lockstep step moves."""
-    m = len(K)
-    stack[g, :m, :m] = K
+def _put_kernel(stack, g, prep, gamma):
+    """prep's kernel at resolved gamma into slot g of stack, with the rest
+    of its rows 0: padding that no lockstep step moves.  The kernel goes a
+    chunk of rows at a time, each within _DIST_CHUNK_BYTES (but at least
+    one row): from prep.d2, or from _sq_dist_rows when prep keeps no
+    distances.  A row of _sq_dist_rows is the same bits alone or together,
+    so the slot holds the bits of prep.kernel(gamma) with d2 either way."""
+    m = len(prep)
+    rows = max(1, int(_DIST_CHUNK_BYTES // (8 * m)))
+    for b in range(0, m, rows):
+        e = min(b + rows, m)
+        d2 = _sq_dist_rows(prep.Xs, prep.sq, b, e) if prep.d2 is None else prep.d2[b:e].copy()
+        stack[g, b:e, :m] = _rbf(d2, gamma)
     stack[g, :m, m:] = 0.0
 
 
-def _solve_pairwise_duals(kernels, problems, tol):
+def _solve_pairwise_duals(stack, problems, tol):
     """_solve_pairwise_dual(K, y, box, alpha, p, tol, max_iter) of every
     problem (k, y, box, alpha, p, max_iter), bit for bit, where K is the
-    kernel that kernels[k] = (prep, gamma) names: prep.kernel(gamma).
-    kernels may instead be a stack from _kernel_stack, whose slot k holds
-    kernel k.  alpha may be the index of an earlier problem on the same
-    kernel, whose multipliers the problem then starts from.
-
-    A stack's problems run in one _lockstep call.  Of a list, the
-    in-budget kernels are stacked in groups whose stack fits
-    _CACHE_BUDGET_BYTES, one group at a time in the process's stack, each
-    group in one _lockstep call, and a problem whose prep is over the
-    budget runs the scalar loop on kernel rows computed on demand.
+    kernel in slot k of stack, a _kernel_stack.  alpha may be the index of
+    an earlier problem on the same kernel, whose multipliers the problem
+    then starts from.  One _lockstep call solves them all; the process's
+    stack buffer is then released if it is large (_release_stack).
     """
     results = [None] * len(problems)
     on_kernel = {}
     for n, problem in enumerate(problems):
         on_kernel.setdefault(problem[0], []).append(n)
-    if isinstance(kernels, np.ndarray):
-        _lockstep(kernels, list(on_kernel.items()), problems, tol, results)
-        _release_stack()
-        return results
-    groups = []  # [largest m, kernel indices]
-    for k, ns in on_kernel.items():
-        prep, gamma = kernels[k]
-        m = len(prep)
-        if prep.d2 is None:
-            K = prep.kernel(gamma)
-            for n in ns:
-                _, y, box, alpha, p, max_iter = problems[n]
-                if isinstance(alpha, int):
-                    alpha = results[alpha][0]
-                results[n] = _solve_pairwise_dual(K, y, box, alpha, p, tol, max_iter)
-            continue
-        M = max(m, groups[-1][0]) if groups else m
-        if groups and 8.0 * (len(groups[-1][1]) + 1) * M * M <= _CACHE_BUDGET_BYTES:
-            groups[-1][0] = M
-            groups[-1][1].append(k)
-        else:
-            groups.append([m, [k]])
-    for M, ks in groups:
-        stack = _kernel_stack(len(ks), M)
-        for g, k in enumerate(ks):
-            prep, gamma = kernels[k]
-            _put_kernel(stack, g, prep.kernel(gamma))
-        _lockstep(stack, [(g, on_kernel[k]) for g, k in enumerate(ks)], problems, tol, results)
+    _lockstep(stack, list(on_kernel.items()), problems, tol, results)
     _release_stack()
     return results
 
@@ -813,7 +748,7 @@ def _sibling_rows(problems, ready):
 
 def _lockstep(stack, slots, problems, tol, results):
     """Solve the problems on the kernels of stack, one maximal-violating-
-    pair step per row per pass: _resume_pairwise_dual's steps,
+    pair step per row per pass: _solve_pairwise_dual's steps,
     elementwise, in its order.  slots pairs each slot g with the indices
     into problems of the problems on kernel stack[g]; problem n's result
     goes into results[n].
@@ -833,9 +768,8 @@ def _lockstep(stack, slots, problems, tol, results):
     a new row from the state before the step, the loosest leading and
     the others riding on it.  A row that no problem takes is freed, and new
     rows take free ones or wait for one; the rows are laid out anew once
-    more than an eighth of them are free or as many new ones wait.  Once
-    _HANDOFF or fewer rows are left, the scalar loop finishes them, and
-    the problems that start from them, from where they are.
+    more than an eighth of them are free or as many new ones wait, or
+    once every row is free.  The call ends when no row is left.
     """
     M = stack.shape[1]
     inf = float("inf")
@@ -914,7 +848,7 @@ def _lockstep(stack, slots, problems, tol, results):
             ayb = X[3:].reshape(3, -1)
             riding = np.array([bool(s) for s in sibs])
             kept, free = None, []
-            if A <= _HANDOFF:
+            if not A:
                 break
             # Each pass handles i and j side by side: index arrays, values
             # and kernel rows hold i's for the A rows, then j's.
@@ -1019,7 +953,7 @@ def _lockstep(stack, slots, problems, tol, results):
         # The forks and the problems that start from those that ended take
         # free rows in place, or wait; the rows are laid out anew, those
         # waiting included, once more than an eighth of them are free or
-        # as many wait.
+        # as many wait, or once all are free.
         free += ended
         waiting += new + then(solved)
         while free and waiting:
@@ -1031,22 +965,8 @@ def _lockstep(stack, slots, problems, tol, results):
         for r in free:
             if lead[r] is not None:
                 X[:, r], lead[r] = idle, None
-        if max(len(free), len(waiting)) > A // 8 or A - len(free) <= _HANDOFF:
+        if max(len(free), len(waiting)) > A // 8 or len(free) == A:
             kept, new, waiting = [r for r in range(A) if lead[r] is not None], waiting, []
-
-    rows = [(slot[r], lead[r], sibs[r], int(iters[r]), X[:, r]) for r in range(A)]
-    while rows:
-        g, n, siblings, it, state = rows.pop()
-        _, y, box, _, _, max_iter = problems[n]
-        m = len(y)
-        riders = dict(siblings)
-        results[n] = _resume_pairwise_dual(
-            stack[g, :m, :m], y, box, state[3, :m].tolist(), state[0, :m].copy(),
-            state[1, :m].copy(), state[2, :m].copy(), tol, max_iter, it, riders,
-        )
-        for s, result in riders.items():
-            results[s] = result
-        rows.extend(then([n, *riders]))
 
 
 def _svm_dual(variant, prep, labels, value):

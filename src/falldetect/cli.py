@@ -464,6 +464,10 @@ def cmd_run(config):
         for classifier in config["classifiers"]
     ]
     grid_cfg = grid_config(config)
+    # the last run's summary goes before this run's first report: a run
+    # that dies before its own summary leaves none, and report refuses
+    for name in ("summary.json", "summary.csv"):
+        (out / name).unlink(missing_ok=True)
     if config["jobs"] > 1:
         results = _run_pool(cells, collections, grid_cfg, config["jobs"])
     else:

@@ -320,14 +320,12 @@ def _has_both_classes(is_fall):
 
 
 def _inner_splits(is_fall, plan, two_class):
-    """(train, validation) index pairs of the folds of plan, an inner fold
-    plan over rows labelled by is_fall, whose validation side has both
-    classes (and, for two-class training, whose training side does too)."""
-    splits = []
-    for g in range(plan.num_folds):
-        tr, val = plan.train_indices(g), plan.test_indices(g)
-        if _has_both_classes(is_fall[val]) and (not two_class or _has_both_classes(is_fall[tr])):
-            splits.append((tr, val))
+    """The (train, validation) index pairs of the folds of plan
+    (plan.splits), an inner fold plan over rows labelled by is_fall, whose
+    validation side has both classes (and, for two-class training, whose
+    training side does too)."""
+    splits = [(tr, val) for tr, val in plan.splits if _has_both_classes(is_fall[val])
+              and (not two_class or _has_both_classes(is_fall[tr]))]
     if not splits:
         raise InsufficientData("no inner fold has both classes in its validation split")
     return splits
@@ -421,20 +419,24 @@ def _svm_grid_tables(variant, X, is_fall, folds, cfg):
     at val, with a column per candidate (C or nu, gamma) in the order of
     the grids.
 
-    Each split's training rows are prepared once, with its dual for each
-    distinct C or nu, its validation rows' squared distances to them once,
-    and each gamma's kernel and validation block once; when every kernel
-    fits one stack within _CACHE_BUDGET_BYTES, the kernels go straight into
-    the process's stack, so that no preparation outlives its split.
-    Otherwise the solver stacks them from the preparations, group by group.
-    One classifiers._solve_pairwise_duals call solves every dual of every
-    fold.  The two-class duals of a (split, gamma) form one chain from the
-    smallest C up, each starting warm from the previous C's multipliers.
-    The one-class duals of a (split, gamma) start cold from the same
-    multipliers, and the solver runs them as one until their boxes part
-    them (classifiers._sibling_rows); each keeps its own cold trajectory.
-    Each distinct result is scored once.  Each candidate keeps its column,
-    so ties still go to the earliest in the grid's order.
+    The (split, gamma) kernels go, in order, into groups whose stack of
+    kernels fits _CACHE_BUDGET_BYTES: one group when every kernel does.
+    Each group is prepared, solved by one
+    classifiers._solve_pairwise_duals call and scored before the next is
+    prepared.  Each split's training rows are prepared once, with its dual
+    for each distinct C or nu and its validation rows' squared distances
+    to them; the preparation goes once each gamma's kernel is in its slot
+    and each gamma's validation block is built, and a group's blocks go
+    once it is scored.  A kernel whose slot alone passes the budget is a
+    group of its own, solved by the scalar loop on kernel rows computed on
+    demand.  The two-class duals of a (split, gamma) form one chain from
+    the smallest C up, each starting warm from the previous C's
+    multipliers.  The one-class duals of a (split, gamma) start cold from
+    the same multipliers, and the solver runs them as one until their
+    boxes part them (classifiers._sibling_rows); each keeps its own cold
+    trajectory.  Each distinct result is scored once.  Each candidate
+    keeps its column, so ties still go to the earliest in the grid's
+    order.
     """
     two_class = variant is Variant.TC_SVM
     first = cfg.c_grid if two_class else cfg.nu_grid
@@ -446,46 +448,62 @@ def _svm_grid_tables(variant, X, is_fall, folds, cfg):
             values.append((first[a], []))
         values[-1][1].append(a)
     splits = [split for fold in folds for split in fold]
-    M = max(len(tr) if two_class else int(np.count_nonzero(~is_fall[tr])) for tr, _ in splits)
-    count = len(splits) * n_gamma
     budget = classifiers._CACHE_BUDGET_BYTES
-    # the stack within the budget, and each preparation keeps its distances
-    if 8.0 * count * M * M <= budget and 16.0 * M * M <= budget:
-        kernels = classifiers._kernel_stack(count, M)
-    else:
-        kernels = []
-    tables, slots, problems = [], [], []
-    for s, (tr, val) in enumerate(splits):
-        table = np.empty((len(val), len(first) * n_gamma))
-        tables.append(table)
-        prep = classifiers.SvmPrep(_svm_rows(variant, X[tr], is_fall[tr]))
-        cap = 10 * len(prep) if cfg.svm_max_iter is None else cfg.svm_max_iter
-        duals = [classifiers._svm_dual(variant, prep, is_fall[tr], value)[:4]
-                 for value, _ in values]
-        d2 = classifiers.SvmQueryBlock.sq_dists(prep, X[val])
-        for gi, gamma in enumerate(cfg.gamma_grid):
+    groups = []  # [largest m, the kernels' (split, gamma index)]
+    for s, (tr, _) in enumerate(splits):
+        m = len(tr) if two_class else int(np.count_nonzero(~is_fall[tr]))
+        for gi in range(n_gamma):
+            M = max(m, groups[-1][0]) if groups else m
+            if groups and 8.0 * (len(groups[-1][1]) + 1) * M * M <= budget:
+                groups[-1][0] = M
+                groups[-1][1].append((s, gi))
+            else:
+                groups.append([m, [(s, gi)]])
+    tables = [np.empty((len(val), len(first) * n_gamma)) for _, val in splits]
+    for M, kernels in groups:
+        slots, problems = [], []
+        lone = 8.0 * M * M > budget
+        stack = None if lone else classifiers._kernel_stack(len(kernels), M)
+        for g, (s, gi) in enumerate(kernels):
+            tr, val = splits[s]
+            if gi == 0:
+                prep = classifiers.SvmPrep(_svm_rows(variant, X[tr], is_fall[tr]))
+                cap = 10 * len(prep) if cfg.svm_max_iter is None else cfg.svm_max_iter
+                duals = [classifiers._svm_dual(variant, prep, is_fall[tr], value)[:4]
+                         for value, _ in values]
+                d2 = classifiers.SvmQueryBlock.sq_dists(prep, X[val])
             # the last gamma's block takes the distances over
             shared = d2 if d2 is None or gi == n_gamma - 1 else d2.copy()
-            block = classifiers.SvmQueryBlock(prep, X[val], gamma, shared)
-            k = s * n_gamma + gi
-            if isinstance(kernels, list):
-                kernels.append((prep, block.gamma))
+            block = classifiers.SvmQueryBlock(prep, X[val], cfg.gamma_grid[gi], shared)
+            if lone:
+                kernel = prep.kernel(block.gamma)
             else:
-                classifiers._put_kernel(kernels, k, prep.kernel(block.gamma))
+                classifiers._put_kernel(stack, g, prep, block.gamma)
             for v, (y, box, start, p) in enumerate(duals):
                 if two_class and v:
                     start = len(problems) - 1  # warm from this split and gamma's previous C
-                problems.append((k, y, box, start, p, cap))
-                slots.append((table, gi, block, y, v))
-    solved = classifiers._solve_pairwise_duals(kernels, problems, cfg.svm_tol)
-    scored = {}  # by result: duals that shared every step share their result
-    for (table, gi, block, y, v), result in zip(slots, solved):
-        if id(result) not in scored:
-            alpha, bias, _, _, _, lo, hi = result
-            scored[id(result)] = block.scores(
-                variant, alpha, y, classifiers._svm_offset(variant, bias, lo, hi))
-        for a in values[v][1]:
-            table[:, a * n_gamma + gi] = scored[id(result)]
+                problems.append((g, y, box, start, p, cap))
+                slots.append((tables[s], gi, block, y, v))
+            if gi == n_gamma - 1:
+                prep = d2 = None
+        if lone:
+            solved = []
+            for _, y, box, start, p, cap in problems:
+                start = solved[start][0] if isinstance(start, int) else start
+                solved.append(classifiers._solve_pairwise_dual(
+                    kernel, y, box, start, p, cfg.svm_tol, cap))
+        else:
+            solved = classifiers._solve_pairwise_duals(stack, problems, cfg.svm_tol)
+        scored = {}  # by result: duals that shared every step share their result
+        for (table, gi, block, y, v), result in zip(slots, solved):
+            if id(result) not in scored:
+                alpha, bias, _, _, _, lo, hi = result
+                scored[id(result)] = block.scores(
+                    variant, alpha, y, classifiers._svm_offset(variant, bias, lo, hi))
+            for a in values[v][1]:
+                table[:, a * n_gamma + gi] = scored[id(result)]
+        # the group's kernels, blocks and results go before the next comes
+        stack = kernel = slots = solved = scored = block = None
     tables = iter(tables)
     return [[next(tables) for _ in fold] for fold in folds]
 
@@ -528,7 +546,8 @@ class CellInputs:
     def inner_plan(self, f, num_folds):
         """The plan of num_folds inner folds over outer fold f's training
         rows, made once for every variant: it depends only on the rows'
-        labels and the fold's inner seed."""
+        labels and the fold's inner seed.  Its (train, validation) pairs
+        (FoldPlan.splits) are then made once too."""
         key = f, num_folds
         if key not in self._inner_plans:
             self._inner_plans[key] = plan_folds(self.is_fall[self.plan.train_indices(f)],

@@ -17,6 +17,7 @@ import tempfile
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 
@@ -484,6 +485,12 @@ class FoldPlan:
 
     def train_indices(self, fold):
         return np.flatnonzero(self.assignments != fold)
+
+    @cached_property
+    def splits(self):
+        """(train_indices(g), test_indices(g)) of every fold g, made on
+        first ask and kept: every variant that reads a plan reads these."""
+        return [(self.train_indices(g), self.test_indices(g)) for g in range(self.num_folds)]
 
 
 def plan_folds(labels, num_folds=10, seed=0):

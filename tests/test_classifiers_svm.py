@@ -415,7 +415,7 @@ class TestPreparationHoldsItsRows:
         m = len(prep)
         problems = [(k, y, np.full(m, C), np.zeros(m), np.full(m, -1.0), 10 * m)
                     for k in (0, 1) for C in (0.5, 5.0)]
-        cls._solve_pairwise_duals([(prep, auto), (prep, 0.5)], problems, cls.SVM_TOL)
+        cls._solve_pairwise_duals(stacked([(prep, auto), (prep, 0.5)]), problems, cls.SVM_TOL)
         held = sum(v.nbytes for v in vars(prep).values() if isinstance(v, np.ndarray))
         assert held == rows
 
@@ -451,6 +451,25 @@ class TestSharedDistances:
         assert same_bits(whole, np.maximum(expected, 0.0))
         for i in (0, 7, len(Xs) - 1):
             assert same_bits(cls._sq_dist_rows(Xs, sq, i, i + 1)[0], whole[i])
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 30])
+    def test_a_slot_filled_from_distance_rows_holds_the_kernel(self, rng, monkeypatch,
+                                                               chunk_rows):
+        X = rng.normal(size=(30, 12))
+        expected = cls.SvmPrep(X).kernel(0.3)
+        monkeypatch.setattr(cls, "_DIST_CHUNK_BYTES", 8 * 30 * chunk_rows)
+        kept = cls.SvmPrep(X)
+        # room for a kernel, not for a kernel and the distances
+        monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 16 * 30 * 30 - 1)
+        lazy = cls.SvmPrep(X)
+        assert kept.d2 is not None and lazy.d2 is None
+        for prep in (kept, lazy):
+            stack = np.full((2, 33, 33), np.nan)
+            cls._put_kernel(stack, 1, prep, 0.3)
+            assert same_bits(stack[1, :30, :30], expected)
+            # the rest of its rows 0, and nothing written past them
+            assert (stack[1, :30, 30:] == 0.0).all()
+            assert np.isnan(stack[1, 30:]).all() and np.isnan(stack[0]).all()
 
     def test_blocks_of_one_split_share_their_distances(self, rng):
         X, _ = overlapping_problem(rng)
@@ -498,6 +517,15 @@ def same_bits(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def stacked(kernels):
+    """A stack of the kernels, each (prep, gamma), kernel k in slot k."""
+    M = max(len(prep) for prep, _ in kernels)
+    stack = np.full((len(kernels), M, M), np.nan)  # _put_kernel writes every entry
+    for g, (prep, gamma) in enumerate(kernels):
+        cls._put_kernel(stack, g, prep, gamma)
+    return stack
 
 
 def assert_same_solve(got, expected):
@@ -595,7 +623,7 @@ class TestBatchSolverMatchesOracle:
 
     @staticmethod
     def check(kernels, problems, tol=cls.SVM_TOL):
-        got = cls._solve_pairwise_duals(kernels, problems, tol)
+        got = cls._solve_pairwise_duals(stacked(kernels), problems, tol)
         for (k, y, box, alpha, p, max_iter), result in zip(problems, got):
             prep, gamma = kernels[k]
             # an int start names the problem whose multipliers it starts from
@@ -604,33 +632,18 @@ class TestBatchSolverMatchesOracle:
                                                            tol, max_iter))
         return got
 
-    @staticmethod
-    def count_resumes(monkeypatch):
-        """Every scalar-loop call, with the iterations it resumed after."""
+    def test_mixed_batch_of_unequal_sizes(self, rng, monkeypatch):
+        # every problem runs in lockstep to its end, the last ones too: the
+        # scalar loop is never called
         calls = []
-        resume = cls._resume_pairwise_dual
-
-        def counted(*args):
-            calls.append(args[9])  # the iterations it resumes after
-            return resume(*args)
-
-        monkeypatch.setattr(cls, "_resume_pairwise_dual", counted)
-        return calls
-
-    @pytest.mark.parametrize("handoff", [0, cls._HANDOFF], ids=["lockstep only", "handoff"])
-    def test_mixed_batch_of_unequal_sizes(self, rng, monkeypatch, handoff):
-        # with no handoff every problem runs in lockstep to its end
-        monkeypatch.setattr(cls, "_HANDOFF", handoff)
-        calls = self.count_resumes(monkeypatch)
+        solve = cls._solve_pairwise_dual
+        monkeypatch.setattr(cls, "_solve_pairwise_dual",
+                            lambda *args: calls.append(args) or solve(*args))
         kernels, problems = self.batch(rng)
         assert len({len(problem[1]) for problem in problems}) > 4
         got = self.check(kernels, problems)
         assert {r[3] for r in got} == {True}
-        if handoff == 0:
-            assert calls == []
-        else:
-            # the batch hands its last few problems to the scalar loop mid-solve
-            assert 0 < len(calls) <= handoff and max(calls) > 0
+        assert calls == []
 
     def test_warm_started_problems(self, rng):
         # each two-class problem goes on to 10 C and 100 C, each warm from
@@ -646,11 +659,10 @@ class TestBatchSolverMatchesOracle:
         warm = [r for problem, r in zip(chained, got) if isinstance(problem[3], int)]
         assert len(warm) == 32 and all(np.any(r[0] > 0) for r in warm)
 
-    def test_eta_floor(self, rng, monkeypatch):
+    def test_eta_floor(self, rng):
         # The first ADL row equals the first FALL row.  A cold two-class
         # solve starts from s = y, so its first pair is exactly those two
         # rows: eta = 1 + 1 - 2 * 1 = 0, below the floor.
-        monkeypatch.setattr(cls, "_HANDOFF", 0)
         kernels, problems = [], []
         for X, y in TestSolverMatchesOracle.problems(rng, 3):
             fall = np.flatnonzero(y > 0)[0]
@@ -673,37 +685,6 @@ class TestBatchSolverMatchesOracle:
         got = self.check(kernels, capped)
         assert {r[3] for r in got} == {True, False}
         assert all(r[2] == 5 for r in got[::3] if not r[3])
-
-    def test_over_budget_groups_and_kernel_rows(self, rng, monkeypatch):
-        # Room for the distances of 20 rows: the 40-row preparation computes
-        # its kernel rows on demand and solves alone, and the 10- to 13-row
-        # kernels stack in groups of at most 16 * 20**2 / (8 * 13**2), 4.
-        budget = 16 * 20 ** 2
-        monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", budget)
-        stacks = []
-        lockstep = cls._lockstep
-
-        def recorded(stack, slots, problems, tol, results):
-            stacks.append((stack.nbytes, sum(len(ns) for _, ns in slots)))
-            return lockstep(stack, slots, problems, tol, results)
-
-        monkeypatch.setattr(cls, "_lockstep", recorded)
-        X, labels = overlapping_problem(rng, 24, 16)
-        y = np.where(labels == "FALL", 1.0, -1.0)
-        kernels = [(cls.SvmPrep(X), 0.5)]
-        # a cold solve and one warm from it
-        problems = [(0, y, np.full(40, 5.0), np.zeros(40), np.full(40, -1.0), 400),
-                    (0, y, np.full(40, 50.0), 0, np.full(40, -1.0), 400)]
-        for size in (10, 11, 12, 13) * 3:
-            kernels.append((cls.SvmPrep(rng.normal(size=(size, 3))), 0.5))
-            for nu in (0.1, 0.3, 0.6):
-                problems.append((len(kernels) - 1, np.ones(size), np.full(size, 1.0 / (nu * size)),
-                                 np.full(size, 1.0 / size), np.zeros(size), 10 * size))
-        assert isinstance(kernels[0][0].kernel(0.5), cls._KernelRows)
-        self.check(kernels, problems)
-        assert len(stacks) > 1 and all(nbytes <= budget for nbytes, _ in stacks)
-        assert sum(n for _, n in stacks) == len(problems) - 2
-        assert max(n for _, n in stacks) > cls._HANDOFF
 
     @staticmethod
     def one_class(kernels, problems, X, gamma, nus):
@@ -758,9 +739,7 @@ class TestBatchSolverMatchesOracle:
                        # a box of two values, and another max_iter, ride on nothing
                        len(problems) - 2: [], len(problems) - 1: []}
 
-    @pytest.mark.parametrize("handoff", [0, cls._HANDOFF], ids=["lockstep only", "handoff"])
-    def test_one_class_siblings_share_until_their_box_binds(self, rng, monkeypatch, handoff):
-        monkeypatch.setattr(cls, "_HANDOFF", handoff)
+    def test_one_class_siblings_share_until_their_box_binds(self, rng):
         kernels, problems = [], []
         groups = []
         for m in (14, 18, 22, 26, 30):
@@ -772,8 +751,8 @@ class TestBatchSolverMatchesOracle:
                                              (0.01, 0.02, 0.3, 0.4, 1.0)))
         got = self.check(kernels, problems)
         # the same problems, stopped after three steps
-        early = cls._solve_pairwise_duals(kernels, [(*problem[:5], 3) for problem in problems],
-                                          cls.SVM_TOL)
+        early = cls._solve_pairwise_duals(
+            stacked(kernels), [(*problem[:5], 3) for problem in problems], cls.SVM_TOL)
         for never, also_never, mid, tighter, at_start in groups:
             assert got[also_never] is got[never]
             assert got[at_start] is not got[never] and early[at_start] is not early[never]
@@ -781,35 +760,7 @@ class TestBatchSolverMatchesOracle:
         assert any(early[n] is early[never] and got[n] is not got[never]
                    for never, _, mid, tighter, _ in groups for n in (mid, tighter))
 
-    @pytest.mark.parametrize("handoff", [0, cls._HANDOFF], ids=["lockstep only", "handoff"])
-    def test_a_sibling_forks_in_the_scalar_loop(self, rng, monkeypatch, handoff):
-        # Eight rows that converge at once, on two equal points, and one
-        # whose tighter box binds late: at the default handoff it is left
-        # alone after one pass, and its sibling forks in the scalar loop.
-        monkeypatch.setattr(cls, "_HANDOFF", handoff)
-        resumed = []
-        resume = cls._resume_pairwise_dual
-
-        def recorded(*args):
-            resumed.append(dict(args[10]))  # the siblings it was handed
-            return resume(*args)
-
-        monkeypatch.setattr(cls, "_resume_pairwise_dual", recorded)
-        kernels, problems = [], []
-        for _ in range(8):
-            self.one_class(kernels, problems, np.ones((2, 3)), 0.5, (0.2, 0.5))
-        late = self.one_class(kernels, problems, rng.normal(size=(30, 3)), 0.5, (0.3, 0.4))
-        got = self.check(kernels, problems)
-        assert all(r[2] == 0 for r in got[:16])
-        assert got[late[1]] is not got[late[0]]
-        if handoff == 0:
-            assert resumed == []
-        else:
-            assert resumed == [{late[1]: problems[late[1]][2][0]}]
-
-    @pytest.mark.parametrize("handoff", [0, cls._HANDOFF], ids=["lockstep only", "handoff"])
-    def test_a_repeated_nu_and_an_infinite_box(self, rng, monkeypatch, handoff):
-        monkeypatch.setattr(cls, "_HANDOFF", handoff)
+    def test_a_repeated_nu_and_an_infinite_box(self, rng):
         kernels, problems = [], []
         for m in (16, 24, 31) * 3:
             # a subnormal nu overflows its box 1/(nu m) to inf, a box like any other
@@ -819,11 +770,9 @@ class TestBatchSolverMatchesOracle:
         got = self.check(kernels, problems)
         assert {r[3] for r in got} == {True}
 
-    @pytest.mark.parametrize("handoff", [0, cls._HANDOFF], ids=["lockstep only", "handoff"])
-    def test_chains_keep_their_rows_in_one_call(self, rng, monkeypatch, handoff):
+    def test_chains_keep_their_rows_in_one_call(self, rng, monkeypatch):
         # chains of one to four Cs, on kernels of unequal m; in two of
         # them a warm dual stops at a cap of 3
-        monkeypatch.setattr(cls, "_HANDOFF", handoff)
         calls = self.record_lockstep(monkeypatch)
         kernels, problems = [], []
         capped = []
@@ -844,9 +793,7 @@ class TestBatchSolverMatchesOracle:
             # the dual after it starts from where it stopped
             assert isinstance(problems[n + 1][3], int)
 
-    @pytest.mark.parametrize("handoff", [0, cls._HANDOFF], ids=["lockstep only", "handoff"])
-    def test_forks_and_refills_in_one_stack(self, rng, monkeypatch, handoff):
-        monkeypatch.setattr(cls, "_HANDOFF", handoff)
+    def test_forks_and_refills_in_one_stack(self, rng, monkeypatch):
         calls = self.record_lockstep(monkeypatch)
         kernels, problems = [], []
         forked = []
@@ -864,8 +811,7 @@ class TestBatchSolverMatchesOracle:
 class TestWarmStart:
     C_PATH = (0.1, 1.0, 10.0, 100.0)
 
-    def test_c_ascending_chain_stays_feasible_and_optimal(self, rng, monkeypatch):
-        monkeypatch.setattr(cls, "_HANDOFF", 0)
+    def test_c_ascending_chain_stays_feasible_and_optimal(self, rng):
         X, labels = overlapping_problem(rng)
         prep = cls.SvmPrep(X)
         y = np.where(labels == "FALL", 1.0, -1.0)
@@ -876,7 +822,7 @@ class TestWarmStart:
             for c, C in enumerate(self.C_PATH):
                 start = len(problems) - 1 if c else np.zeros(m)
                 problems.append((k, y, np.full(m, C), start, np.full(m, -1.0), 100000))
-        solved = cls._solve_pairwise_duals(kernels, problems, cls.SVM_TOL)
+        solved = cls._solve_pairwise_duals(stacked(kernels), problems, cls.SVM_TOL)
         for (k, _, box, _, _, _), (alpha, bias, _, converged, _, _, _) in zip(problems, solved):
             C = box[0]
             assert converged
@@ -992,6 +938,18 @@ class TestFoldBatch:
         is_fall = labels == "FALL"
         return ev.CellInputs(X, is_fall, ingest.plan_folds(is_fall, num_folds=10, seed=3), seed=3)
 
+    @staticmethod
+    def searched(inputs, variant, folds, cfg):
+        """The inner splits of each outer fold of folds, as
+        _select_svm_params searches them."""
+        searched = []
+        for f in folds:
+            rows = inputs.plan.train_indices(f)
+            splits = ev._inner_splits(inputs.is_fall[rows], inputs.inner_plan(f, cfg.inner_folds),
+                                      variant == "TC_SVM")
+            searched.append([(rows[tr], rows[val]) for tr, val in splits])
+        return searched
+
     @pytest.mark.parametrize("variant", ["TC_SVM", "OC_SVM"])
     def test_batched_tables_are_each_folds_own(self, variant):
         inputs = self.cell()
@@ -1000,13 +958,7 @@ class TestFoldBatch:
         # three folds of 10 splits x 4 gammas, a lockstep row each, make
         # 120 rows: 10 folds do not divide
         assert batches == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
-        two_class = variant == "TC_SVM"
-        folds = []
-        for f in range(10):
-            rows = inputs.plan.train_indices(f)
-            splits = ev._inner_splits(inputs.is_fall[rows], inputs.inner_plan(f, cfg.inner_folds),
-                                      two_class)
-            folds.append([(rows[tr], rows[val]) for tr, val in splits])
+        folds = self.searched(inputs, variant, range(10), cfg)
         assert len({len(tr) for splits in folds for tr, _ in splits}) > 1
 
         def tables(fold_list):
@@ -1023,8 +975,8 @@ class TestFoldBatch:
 
     def test_a_lone_kernel_that_fits_a_stack_its_preparation_cannot(self, rng, monkeypatch):
         # one split and one gamma, at a budget of one kernel: the split's
-        # preparation keeps no distances, so its rows come on demand, and
-        # their products with a vector round apart from a matrix's
+        # preparation keeps no distances, so its slot is filled from
+        # distance rows, which are the bits of the distances
         X, is_fall, tr, val = TestInnerGrid.split(rng)
         cfg = ev.GridConfig(gamma_grid=("auto",), c_grid=(0.1, 10.0))
         args = (cls.Variant.TC_SVM, X, is_fall, [[(tr, val)]], cfg)
@@ -1032,7 +984,125 @@ class TestFoldBatch:
         monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 8 * len(tr) ** 2)
         assert cls.SvmPrep(X[tr]).d2 is None
         got = ev._svm_grid_tables(*args)[0][0]
-        assert np.max(np.abs(got - expected)) <= 1e-9
+        assert same_bits(got, expected)
+
+    @staticmethod
+    def record_stacks(monkeypatch):
+        """The bytes of the stack of every lockstep call."""
+        stacks = []
+        lockstep = cls._lockstep
+
+        def recorded(stack, slots, problems, tol, results):
+            stacks.append(stack.nbytes)
+            return lockstep(stack, slots, problems, tol, results)
+
+        monkeypatch.setattr(cls, "_lockstep", recorded)
+        return stacks
+
+    @pytest.mark.parametrize("variant", ["TC_SVM", "OC_SVM"])
+    def test_groups_over_the_budget_give_the_tables_of_one_stack(self, monkeypatch, variant):
+        inputs = self.cell()
+        cfg = ev.GridConfig()
+        var = cls.Variant(variant)
+        folds = self.searched(inputs, variant, [0, 1, 2], cfg)
+        expected = ev._svm_grid_tables(var, inputs.X, inputs.is_fall, folds, cfg)
+        sizes = [len(tr) if variant == "TC_SVM" else int(np.count_nonzero(~inputs.is_fall[tr]))
+                 for splits in folds for tr, _ in splits]
+        M, count = max(sizes), len(sizes) * len(cfg.gamma_grid)
+        stacks = self.record_stacks(monkeypatch)
+        # Seven kernels a stack: groups part the gammas of a split.  One
+        # kernel a stack: no preparation keeps its distances, and each slot
+        # is filled from distance rows, seven rows at a time.
+        monkeypatch.setattr(cls, "_DIST_CHUNK_BYTES", 8 * 7 * M)
+        for per_stack in (7, 1):
+            budget = 8 * per_stack * M * M
+            monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", budget)
+            stacks.clear()
+            got = ev._svm_grid_tables(var, inputs.X, inputs.is_fall, folds, cfg)
+            assert len(stacks) >= -(-count // per_stack) and max(stacks) <= budget
+            for got_fold, expected_fold in zip(got, expected):
+                assert all(same_bits(g, e) for g, e in zip(got_fold, expected_fold))
+        assert cls.SvmPrep(inputs.X[folds[0][0][0]]).d2 is None
+
+    def test_a_kernel_whose_slot_passes_the_budget_solves_on_its_rows(self, monkeypatch):
+        inputs = self.cell()
+        cfg = ev.GridConfig(c_grid=(0.1, 10.0), gamma_grid=("auto", 0.1))
+        var = cls.Variant.TC_SVM
+        folds = self.searched(inputs, "TC_SVM", [0, 1, 2], cfg)
+        expected = ev._svm_grid_tables(var, inputs.X, inputs.is_fall, folds, cfg)
+        splits = [split for fold in folds for split in fold]
+        M = max(len(tr) for tr, _ in splits)
+        lone = [len(tr) == M for tr, _ in splits]
+        assert 0 < sum(lone) < len(splits)
+        # room for one slot of the smaller splits, not for one of the largest
+        monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 8 * M * M - 1)
+        stacks = self.record_stacks(monkeypatch)
+        scalar = []
+        solve = cls._solve_pairwise_dual
+
+        def recorded(*args):
+            scalar.append((args, solve(*args)))
+            return scalar[-1][1]
+
+        monkeypatch.setattr(cls, "_solve_pairwise_dual", recorded)
+        got = ev._svm_grid_tables(var, inputs.X, inputs.is_fall, folds, cfg)
+        n_gamma = len(cfg.gamma_grid)
+        assert len(stacks) == (len(splits) - sum(lone)) * n_gamma
+        # each lone (split, gamma) runs its C chain on kernel rows, the
+        # larger C warm from the smaller's multipliers
+        assert len(scalar) == sum(lone) * n_gamma * 2
+        for (cold, cold_result), (warm, _) in zip(scalar[::2], scalar[1::2]):
+            assert isinstance(cold[0], cls._KernelRows) and warm[0] is cold[0]
+            assert not cold[3].any() and same_bits(warm[3], cold_result[0])
+        for args, result in scalar:
+            assert_same_solve(result, pairwise_dual_oracle(*args))
+        tables = zip([t for fold in got for t in fold], [t for fold in expected for t in fold])
+        for alone, (g, e) in zip(lone, tables):
+            # kernel rows' products with a vector round apart from a
+            # matrix's, so only a cold dual, whose start K @ 0 is 0 either
+            # way, keeps its bits: the first C's columns
+            assert same_bits(g[:, :n_gamma], e[:, :n_gamma]) if alone else same_bits(g, e)
+
+    def test_a_search_over_the_budget_holds_one_group_at_a_time(self, monkeypatch):
+        # fold 0 of a RAW 128 cell at room for a quarter of its kernels a
+        # stack: four groups, each prepared, solved and scored in turn
+        inputs = self.cell(100, 10, 384)
+        cfg = ev.GridConfig()
+        folds = self.searched(inputs, "TC_SVM", [0], cfg)
+        splits = folds[0]
+        M = max(len(tr) for tr, _ in splits)
+        per_stack = len(splits) * len(cfg.gamma_grid) // 4
+        budget = 8 * per_stack * M * M
+        monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", budget)
+        monkeypatch.setattr(cls, "_stack", np.empty(0), raising=False)
+
+        def peak_of(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def prepare():
+            # the largest split as the search prepares it, all held at once
+            tr, val = max(splits, key=lambda split: len(split[0]))
+            prep = cls.SvmPrep(inputs.X[tr])
+            duals = [cls._svm_dual(cls.Variant.TC_SVM, prep, inputs.is_fall[tr], C)[:4]
+                     for C in cfg.c_grid]
+            return prep, duals, cls.SvmQueryBlock.sq_dists(prep, inputs.X[val])
+
+        preparation = peak_of(prepare)
+        blocks = 8 * per_stack * max(len(val) for _, val in splits) * M
+        tables = 8 * sum(len(val) for _, val in splits) * len(cfg.c_grid) * len(cfg.gamma_grid)
+        # one group's stack, one split's preparation and one group's blocks,
+        # with the tables and 64 kB for the duals and the solver's own state;
+        # a search that keeps every split's preparation and blocks until
+        # the solve ends peaks at more than twice this
+        bound = budget + preparation + blocks + tables + 64 * 1024
+        peak = peak_of(lambda: ev._svm_grid_tables(cls.Variant.TC_SVM, inputs.X, inputs.is_fall,
+                                                   folds, cfg))
+        assert peak <= bound
 
     def test_other_variants_and_full_folds_run_alone(self, monkeypatch):
         inputs = self.cell()

@@ -914,6 +914,35 @@ class TestReportCommand:
         assert run_cli("report", "--out", work) == 1
         assert (work / "summary.csv").read_bytes() == saved
 
+    def test_a_run_that_dies_after_its_reports_leaves_no_summary(self, pipeline, tmp_path,
+                                                                  monkeypatch, capsys):
+        # run A completes; run B, another k on the same cells, dies after
+        # its reports and before its summary: report must not render A's
+        # cells with B's numbers
+        data, work = pipeline
+        cells = ("--feature", "MAGNITUDE", "--window", "51", "--classifier", "OC_KNN,TC_KNN")
+        configs = {}
+        for k in (5, 1):
+            configs[k] = tmp_path / f"k{k}.json"
+            configs[k].write_text(json.dumps({"k_grid": [k]}))
+        assert run_cli("run", "--dataset1", data, "--out", work, *cells, "--config", configs[5]) == 0
+
+        class Killed(BaseException):
+            pass
+
+        def killed(*args):
+            raise Killed
+
+        monkeypatch.setattr(cli, "_write_run_json", killed)
+        with pytest.raises(Killed):
+            run_cli("run", "--dataset1", data, "--out", work, *cells, "--config", configs[1])
+        reports = [json.loads(f.read_text()) for f in work.glob("report_*.json")]
+        assert len(reports) == 2 and all(r["config"]["k_grid"] == [1] for r in reports)
+        assert not (work / "summary.json").exists() and not (work / "summary.csv").exists()
+        capsys.readouterr()
+        assert run_cli("report", "--out", work) == 2
+        assert "summary.json is missing; run first" in capsys.readouterr().err
+
     def test_missing_listed_report_is_named(self, pipeline, capsys):
         data, work = pipeline
         assert self.run_oc_knn(data, work, "--feature", "RAW", "--window", "51") == 0
