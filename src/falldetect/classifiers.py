@@ -393,7 +393,11 @@ def train_tc_knn(vectors, labels, k):
 
 
 def standardize_apply(matrix, mean, scale):
-    return (np.asarray(matrix, dtype=np.float64) - mean) / scale
+    """(matrix - mean) / scale, divided in the buffer of the difference:
+    one rounding either way, so the bits of the quotient."""
+    out = np.subtract(np.asarray(matrix, dtype=np.float64), mean)
+    out /= scale
+    return out
 
 
 def _sq_norms(A):

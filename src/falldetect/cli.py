@@ -12,8 +12,6 @@ import argparse
 import hashlib
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from pathlib import Path
 
@@ -357,6 +355,8 @@ def _gather_cell(cell, batches, futures, collection, grid_cfg):
     read in fold order: the first batch that failed, or was lost to a dead
     worker, gives the error row, and the later batches are cancelled.  A
     lost batch is named by its first fold."""
+    from concurrent.futures.process import BrokenProcessPool
+
     folds = []
     for b, future in enumerate(futures):
         try:
@@ -378,7 +378,10 @@ def _run_pool(cells, collections, grid_cfg, jobs):
     batch) units (fold_batches) run in cell-major order on jobs worker
     processes, never more than units.  Every worker gets the collections
     and grid config once, when it starts; a cell is yielded as soon as its
-    folds are in."""
+    folds are in.  The pool module is imported here, so that a process
+    that starts no pool does not load it."""
+    from concurrent.futures import ProcessPoolExecutor
+
     batches = [fold_batches(collections[cell[0]].fold_plan, cell[3], grid_cfg) for cell in cells]
     # a fork pool starts all of its workers at the first submit
     pool = ProcessPoolExecutor(min(jobs, sum(map(len, batches))), initializer=_init_worker,

@@ -33,7 +33,6 @@ from .ingest import (
     FoldPlan,
     is_fall_mask,
     plan_folds,
-    window_at_length,
     _atomic_write_text,
     _write_json,
 )
@@ -567,11 +566,13 @@ class FoldResult:
 
 
 def cell_inputs(collection, feature_kind, window_len, config=None):
-    """The shared inputs of one (collection, feature, window) triple."""
+    """The shared inputs of one (collection, feature, window) triple: the
+    collection's windows are cut to window_len as their rows are extracted,
+    a bounded chunk at a time."""
     cfg = config if config is not None else GridConfig()
-    windows = [window_at_length(inst.window, int(window_len)) for inst in collection.instances]
+    windows = [inst.window for inst in collection.instances]
     return CellInputs(
-        X=extract_matrix(windows, FeatureKind(feature_kind), cfg.ltp_params),
+        X=extract_matrix(windows, FeatureKind(feature_kind), cfg.ltp_params, int(window_len)),
         is_fall=is_fall_mask([inst.label for inst in collection.instances]),
         plan=collection.fold_plan,
         seed=collection.seed,

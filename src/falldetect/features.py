@@ -1,7 +1,8 @@
 """Feature extractors turning a triaxial window into a flat numeric vector,
-a 1-d float64 array.  extract_matrix computes the rows of many windows at
-once, over one (windows, 3, L) stack per window length, and refuses
-non-finite rows; the per-window extractors are its one-window case.
+a 1-d float64 array.  extract_matrix computes the rows of many windows a
+bounded (windows, 3, L) chunk at a time, cutting each window to the
+requested length as it fills the chunk, and refuses non-finite rows; the
+per-window extractors are its one-window case.
 
 Four representations are supported: the raw concatenated axes, the
 per-sample magnitude, a 12-value summary (means, deviations, spectral
@@ -15,6 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, LengthError
+from .ingest import cut_start
+
+# extract_matrix fills and computes a (windows, 3, L) float64 stack of at
+# most this many bytes at a time, and never less than one window: about 80
+# windows at L = 128.  Extraction then holds the feature matrix and one
+# chunk's working set, whatever the number of windows.
+_CHUNK_BYTES = 250_000
 
 
 class FeatureKind(enum.Enum):
@@ -40,11 +48,6 @@ class LtpParams:
             raise ValueError("num_neighbours must be at least 1")
         if self.step <= 0:
             raise ValueError("step must be positive")
-
-
-def _stack(windows):
-    """The windows as one (windows, 3, L) float64 array, axes x, y, z."""
-    return np.array([(w.x, w.y, w.z) for w in windows], dtype=np.float64)
 
 
 def _magnitudes(W):
@@ -158,34 +161,57 @@ def _rows(W, kind, ltp_params):
 def extract(w, kind, ltp_params=None):
     """Run the extractor named by kind on one window: the one-window case
     of extract_matrix."""
-    return _rows(_stack([w]), kind, ltp_params)[0]
+    return _rows(np.array([(w.x, w.y, w.z)], dtype=np.float64), kind, ltp_params)[0]
 
 
-def extract_matrix(windows, kind, ltp_params=None):
-    """Stack one feature row per window into a 2-d float64 array, each kind
-    computed over the windows of one length at a time as one stack.
+def extract_matrix(windows, kind, ltp_params=None, length=None):
+    """Stack one feature row per window into a 2-d float64 array.
 
-    DimensionError when the rows differ in length, or when a row holds a
-    non-finite value, naming the first such window by its source_id (its
-    index when the id is empty)."""
+    With length, each window is cut to that length as window_at_length
+    cuts it (ingest.cut_start); without, the windows are taken as they are.
+    The windows of one length are copied into one reused stack of at most
+    _CHUNK_BYTES and each kind is computed a chunk at a time, so the matrix
+    and one chunk are all that is held.  A row does not depend on the
+    chunk: every extractor works window by window.
+
+    LengthError when a window is shorter than length.  DimensionError when
+    the rows differ in length, or when a row holds a non-finite value,
+    naming the first such window by its source_id (its index when the id
+    is empty)."""
     if not windows:
         return np.empty(0)
-    by_length = {}
-    for i, w in enumerate(windows):
-        by_length.setdefault(len(w), []).append(i)
+    if length is None:
+        starts = [0] * len(windows)
+        by_length = {}
+        for i, w in enumerate(windows):
+            by_length.setdefault(len(w), []).append(i)
+    else:
+        length = int(length)
+        starts = [cut_start(w, length) for w in windows]
+        by_length = {length: range(len(windows))}
     # only the summary rows are of one length whatever the window's
     if len(by_length) > 1 and kind in (FeatureKind.RAW, FeatureKind.MAGNITUDE, FeatureKind.LTP):
         raise DimensionError("windows produced feature vectors of differing lengths")
-    parts = [(at, _rows(_stack([windows[i] for i in at]), kind, ltp_params))
-             for at in by_length.values()]
-    X = parts[0][1]
-    if len(parts) > 1:
-        X = np.empty((len(windows), X.shape[1]))
-        for at, rows in parts:
-            X[at] = rows
-    bad = np.flatnonzero(~np.isfinite(X).all(axis=-1))
-    if bad.size:
-        w = windows[bad[0]]
-        name = repr(w.source_id) if w.source_id else str(bad[0])
+    X = None
+    bad = len(windows)  # the first window with a non-finite row, in any group
+    for L, at in by_length.items():
+        per_chunk = max(1, _CHUNK_BYTES // (3 * 8 * L))
+        stack = np.empty((min(per_chunk, len(at)), 3, L))
+        for lo in range(0, len(at), per_chunk):
+            part = at[lo:lo + per_chunk]
+            W = stack[:len(part)]
+            for Wi, i in zip(W, part):  # axes x, y, z of each window's cut
+                w, s = windows[i], starts[i]
+                Wi[0], Wi[1], Wi[2] = w.x[s:s + L], w.y[s:s + L], w.z[s:s + L]
+            rows = _rows(W, kind, ltp_params)
+            if X is None:
+                X = np.empty((len(windows), rows.shape[1]))
+            X[part] = rows
+            finite = np.isfinite(rows).all(axis=1)
+            if not finite.all():
+                bad = min(bad, part[int(np.argmin(finite))])
+    if bad < len(windows):
+        w = windows[bad]
+        name = repr(w.source_id) if w.source_id else str(bad)
         raise DimensionError(f"window {name} has non-finite {kind.value} features")
     return X

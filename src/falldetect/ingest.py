@@ -204,11 +204,16 @@ def detect_peaks(trace):
     return peaks
 
 
+def _centred_start(peak, length, n):
+    """The first sample of the length-L cut of n samples centred on sample
+    peak: peak - floor(L/2), clamped so the cut lies fully inside."""
+    return min(max(peak - length // 2, 0), n - length)
+
+
 def _centred_cut(source, peak, length):
-    """The length-L window of a trace or window centred on sample peak: it
-    starts at peak - floor(L/2), clamped so it lies fully inside the
-    source, and its peak_index is re-based."""
-    start = min(max(peak - length // 2, 0), len(source) - length)
+    """The length-L window of a trace or window centred on sample peak
+    (_centred_start), its peak_index re-based."""
+    start = _centred_start(peak, length, len(source))
     cut = slice(start, start + length)
     return TriaxialWindow(
         source.x[cut], source.y[cut], source.z[cut], peak_index=peak - start,
@@ -216,23 +221,39 @@ def _centred_cut(source, peak, length):
     )
 
 
+def _cut_peak(window, length):
+    """The sample a cut of window to a shorter length is centred on: its
+    peak_index, or its magnitude maximum when it has no peak.  A window
+    shorter than the request cannot be extended."""
+    n = len(window)
+    if not 1 <= length < n:
+        raise LengthError(f"window of {n} samples cannot yield {length}")
+    if window.peak_index is None:
+        return int(np.argmax(window.magnitude()))
+    return window.peak_index
+
+
+def cut_start(window, length):
+    """The first sample of window_at_length(window, length) within window:
+    0 when the window is already at that length."""
+    length = int(length)
+    n = len(window)
+    if n == length:
+        return 0
+    return _centred_start(_cut_peak(window, length), length, n)
+
+
 def window_at_length(window, length):
     """The window at the requested length: itself, or the length-L slice
     centred on its peak_index, or on its magnitude maximum when it has no
     peak.  The slice starts at the peak - floor(L/2), clamped so it lies
-    fully inside the window, and its peak_index is re-based.  A window
-    shorter than the request cannot be extended.
+    fully inside the window (cut_start), and its peak_index is re-based.  A
+    window shorter than the request cannot be extended.
     """
     length = int(length)
-    n = len(window)
-    if n == length:
+    if len(window) == length:
         return window
-    if not 1 <= length < n:
-        raise LengthError(f"window of {n} samples cannot yield {length}")
-    peak = window.peak_index
-    if peak is None:
-        peak = int(np.argmax(window.magnitude()))
-    return _centred_cut(window, peak, length)
+    return _centred_cut(window, _cut_peak(window, length), length)
 
 
 def _windows_from_trace(trace):

@@ -1132,6 +1132,25 @@ class TestFoldBatch:
             tracemalloc.stop()
         assert peak <= 2 * stack
 
+    def test_a_preparation_holds_its_rows_and_one_copy_more(self):
+        # an 89 x 384 inner split of a RAW 128 fold, prepared as the search
+        # prepares it: the split's rows, their standardized copy and one
+        # temporary of their size at most, with 32 kB for the per-feature
+        # statistics, the norms and the distances' own state.  A quotient
+        # taken apart from the difference it divides is a fourth copy
+        inputs = self.cell(100, 10, 384)
+        tr, _ = self.searched(inputs, "TC_SVM", [0], ev.GridConfig())[0][0]
+        assert len(tr) == 89
+        tracemalloc.start()
+        try:
+            prep = cls.SvmPrep(inputs.X[tr])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * prep.Xs.nbytes + 32 * 1024
+        X = inputs.X[tr]
+        assert same_bits(prep.Xs, (X - prep.mean) / prep.scale)
+
     def test_work_of_a_batch(self, monkeypatch):
         inputs = self.cell()
         calls = {"_lockstep": 0, "_dual_init": 0, "scores": 0}

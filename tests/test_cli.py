@@ -1,5 +1,6 @@
 """Command-line pipeline: synth, ingest, run, report; exit codes; configs."""
 
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -502,9 +503,9 @@ class TestFoldPool:
 
     @pytest.fixture
     def inline_pool(self, monkeypatch):
-        """cli's ProcessPoolExecutor replaced by one that starts no process:
-        it runs each unit in this process when it is submitted, and records
-        the worker count each pool asks for."""
+        """The ProcessPoolExecutor that cli's pool imports replaced by one
+        that starts no process: it runs each unit in this process when it
+        is submitted, and records the worker count each pool asks for."""
         asked = []
 
         class InlinePool:
@@ -520,7 +521,7 @@ class TestFoldPool:
             def shutdown(self, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(cli, "_worker", {})
         return asked
 

@@ -6,15 +6,17 @@ hold them to each other and to a literal pair-counting loop written here.
 """
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from falldetect import evaluation as ev
+from falldetect import features, ingest, synth
 from falldetect.errors import DegenerateLabels, InsufficientData, InvalidK
 from falldetect.evaluation import GridConfig, RocCurve
-from falldetect.features import LtpParams
+from falldetect.features import FeatureKind, LtpParams
 from falldetect.ingest import Label
 from tests.conftest import report_bits
 
@@ -252,6 +254,39 @@ class TestEvalReportValidation:
     def test_metrics_must_be_rates(self):
         with pytest.raises(ValueError):
             self.make(mean_auc=1.2)
+
+
+class TestCellInputs:
+    @pytest.fixture(scope="class")
+    def large_collection(self):
+        """2000 synthetic windows of 300 samples, each with its peak."""
+        return ingest.build_collection("C1", synth.synth_windows(1800, 200, seed=5), seed=3)
+
+    @staticmethod
+    def peak_of(run):
+        tracemalloc.start()
+        try:
+            out = run()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("kind", ["ACCEL_FEATURES", "LTP"])
+    def test_a_triple_holds_its_matrix_and_one_chunk(self, large_collection, kind):
+        L = 128
+        windows = [inst.window for inst in large_collection.instances]
+        # one chunk of windows, cut beforehand, extracted on its own
+        per_chunk = max(1, features._CHUNK_BYTES // (3 * 8 * L))
+        chunk = [ingest.window_at_length(w, L) for w in windows[:per_chunk]]
+        _, working_set = self.peak_of(lambda: features.extract_matrix(chunk, FeatureKind(kind)))
+        inputs, peak = self.peak_of(lambda: ev.cell_inputs(large_collection, kind, L))
+        # slack for what is kept per window, about 0.1 kB: the list of its
+        # window, its cut start and its label; the cut windows and their
+        # (windows, 3, L) stack alone would take 12 MB
+        assert peak <= inputs.X.nbytes + working_set + 512 * 1024
+        rows = features.extract_matrix([ingest.window_at_length(w, L) for w in windows],
+                                       FeatureKind(kind))
+        assert np.array_equal(inputs.X.view(np.int64), rows.view(np.int64))
 
 
 class TestRunExperiment:

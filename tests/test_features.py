@@ -314,3 +314,87 @@ class TestMatrixAndExport:
         windows = [random_window(rng, 51), random_window(rng, 128)]
         with pytest.raises(DimensionError):
             features.extract_matrix(windows, FeatureKind.MAGNITUDE)
+
+
+class TestChunkedRows:
+    """extract_matrix cuts each window to the requested length as it fills
+    a bounded chunk: every row carries the bits of the window cut on its
+    own (window_at_length) and extracted alone, whatever the chunk."""
+
+    @staticmethod
+    def windows(rng, L):
+        """Windows of 300 samples with and without a peak, peaks at and
+        near both edges, and windows already at L, some with axes that
+        are constant or perfectly correlated."""
+        out = []
+        peaks = [None, 0, 2, L // 2, 150, 297, 299, None, 1, 298]
+        for i in range(23):
+            n = L if i % 5 == 4 else 300
+            x, y, z = rng.normal(0.0, rng.uniform(0.1, 3.0), (3, n))
+            if i % 6 == 1:
+                y = np.full(n, 0.5)
+            if i % 6 == 2:
+                y, z = 2.0 * x + 1.0, -x
+            peak = peaks[i % len(peaks)]
+            if peak is not None and peak >= n:
+                peak = n - 1
+            out.append(ingest.TriaxialWindow(x, y, z, peak_index=peak, source_id=f"w{i}"))
+        return out
+
+    @pytest.mark.parametrize("L", [51, 128])
+    @pytest.mark.parametrize("kind", list(FeatureKind), ids=lambda k: k.value)
+    def test_rows_do_not_depend_on_the_chunk(self, rng, monkeypatch, kind, L):
+        windows = self.windows(rng, L)
+        params = LtpParams(num_neighbours=5, step=0.25)
+        alone = [features.extract(ingest.window_at_length(w, L), kind, params) for w in windows]
+        # one window, 7 windows and the whole stack a chunk
+        for per_chunk in (1, 7, len(windows)):
+            monkeypatch.setattr(features, "_CHUNK_BYTES", per_chunk * 3 * 8 * L)
+            X = features.extract_matrix(windows, kind, params, L)
+            assert X.shape[0] == len(windows) and X.dtype == np.float64
+            for row, expected in zip(X, alone):
+                assert same_bits(row, expected)
+
+    def test_a_chunk_holds_at_least_one_window(self, rng, monkeypatch):
+        windows = self.windows(rng, 51)
+        expected = features.extract_matrix(windows, FeatureKind.LTP, None, 51)
+        monkeypatch.setattr(features, "_CHUNK_BYTES", 1)
+        assert same_bits(features.extract_matrix(windows, FeatureKind.LTP, None, 51), expected)
+
+    @pytest.mark.parametrize("kind", list(FeatureKind), ids=lambda k: k.value)
+    def test_the_first_non_finite_window_is_named(self, rng, monkeypatch, kind):
+        windows = self.windows(rng, 51)
+        for i in (19, 11):  # in different chunks, the later one first
+            x = windows[i].x.copy()
+            x[:] = np.nan  # in whatever cut
+            windows[i] = ingest.TriaxialWindow(x, windows[i].y, windows[i].z, source_id=f"w{i}")
+        monkeypatch.setattr(features, "_CHUNK_BYTES", 7 * 3 * 8 * 51)
+        with pytest.raises(DimensionError, match=f"^window 'w11' has non-finite {kind.value} "):
+            features.extract_matrix(windows, kind, None, 51)
+        windows[11].source_id = ""
+        with pytest.raises(DimensionError, match=f"^window 11 has non-finite {kind.value} "):
+            features.extract_matrix(windows, kind, None, 51)
+
+    def test_a_window_shorter_than_the_cut_is_refused_before_any_row(self, rng, monkeypatch):
+        windows = self.windows(rng, 128)
+        x = windows[3].x.copy()
+        x[0] = np.nan  # a non-finite row comes earlier, but no row is computed
+        windows[3] = ingest.TriaxialWindow(x, windows[3].y, windows[3].z)
+        windows[15] = random_window(rng, 100)
+        with pytest.raises(LengthError, match="^window of 100 samples cannot yield 128$"):
+            ingest.window_at_length(windows[15], 128)
+        monkeypatch.setattr(features, "_CHUNK_BYTES", 1)
+        for kind in FeatureKind:
+            with pytest.raises(LengthError, match="^window of 100 samples cannot yield 128$"):
+                features.extract_matrix(windows, kind, None, 128)
+
+    def test_uncut_windows_of_several_lengths_name_the_first_bad_one(self, rng, monkeypatch):
+        # grouped by length, the later group holds the earlier bad window
+        windows = [random_window(rng, L) for L in (51, 51, 128, 51, 128, 51)]
+        for i in (2, 3):
+            x = windows[i].x.copy()
+            x[1] = np.nan
+            windows[i] = ingest.TriaxialWindow(x, windows[i].y, windows[i].z)
+        monkeypatch.setattr(features, "_CHUNK_BYTES", 1)
+        with pytest.raises(DimensionError, match="^window 2 has non-finite ACCEL_FEATURES "):
+            features.extract_matrix(windows, FeatureKind.ACCEL_FEATURES)

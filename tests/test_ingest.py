@@ -190,6 +190,20 @@ class TestWindowAtLength:
         with pytest.raises(LengthError):
             ingest.window_at_length(indexed_window(n=51, peak=0), 128)
 
+    @pytest.mark.parametrize("peak", [None, 0, 1, 63, 150, 298, 299])
+    @pytest.mark.parametrize("length", [51, 128, 300])
+    def test_cut_start_is_where_the_cut_begins(self, peak, length):
+        w = indexed_window(peak=peak)  # no peak: the magnitude peaks at 299
+        start = ingest.cut_start(w, length)
+        assert np.array_equal(ingest.window_at_length(w, length).x, w.x[start:start + length])
+
+    def test_cut_start_refuses_what_window_at_length_refuses(self):
+        for w, length in ((indexed_window(n=51, peak=0), 128), (indexed_window(n=51), 0)):
+            with pytest.raises(LengthError) as cut:
+                ingest.window_at_length(w, length)
+            with pytest.raises(LengthError, match=f"^{cut.value}$"):
+                ingest.cut_start(w, length)
+
 
 def write_windowed_dataset1(root, files):
     """files: {(subdir, name): array of shape (rows, 3)}"""
