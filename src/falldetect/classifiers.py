@@ -35,6 +35,12 @@ _CACHE_BUDGET_BYTES = 2e8
 _DIST_CHUNK_BYTES = 1e6
 
 
+def fits_budget(count, rows, cols):
+    """Whether count float64 arrays of rows x cols fit _CACHE_BUDGET_BYTES:
+    the one rule for every matrix, stack and block that is kept whole."""
+    return 8.0 * count * rows * cols <= _CACHE_BUDGET_BYTES
+
+
 class Variant(enum.Enum):
     OC_KNN = "OC_KNN"
     TC_KNN = "TC_KNN"
@@ -256,10 +262,11 @@ class KnnPrep:
     and outer test fold drawn from those rows.
 
     Each block is a _candidate_block of the rows until build_matrix is
-    called; from then on, when the n x n matrix fits _CACHE_BUDGET_BYTES,
-    blocks are read from it.  The k smallest entries of every row, and so
-    every score, are the same bits either way.  Whether every distance
-    takes the exact route (_exact_route) is decided once, over all rows.
+    called; from then on, when the n x n matrix fits the budget
+    (fits_budget), blocks are read from it.  The k smallest entries of
+    every row, and so every score, are the same bits either way.  Whether
+    every distance takes the exact route (_exact_route) is decided once,
+    over all rows.
     """
 
     def __init__(self, vectors):
@@ -271,28 +278,16 @@ class KnnPrep:
     def build_matrix(self):
         """Build the n x n matrix, once and when it fits the budget, for a k
         search whose many blocks read the same rows."""
-        if self._D is None and 8.0 * len(self.X) ** 2 <= _CACHE_BUDGET_BYTES:
+        if self._D is None and fits_budget(1, len(self.X), len(self.X)):
             self._D = _self_distances(self.X, self._exact)
 
-    def _block(self, queries, train, k_max):
-        if self._D is None:
-            return _candidate_block(self.X[train], self.X[queries], k_max, self._sq[train],
-                                    self._exact)
-        return self._D[queries][:, train]  # two gathers: faster than one np.ix_
-
-    def scores_all_k(self, adl, fall, queries, k_max):
-        """_knn_scores of the rows at indices queries, a column per k in
-        1..k_max, against the ADL rows at indices adl and the FALL rows at
-        indices fall (None for one-class)."""
-        da = knn_mean_distances_all_k(self._block(queries, adl, k_max), k_max)
-        df = None if fall is None else knn_mean_distances_all_k(
-            self._block(queries, fall, k_max), k_max)
-        return _knn_scores(da, df)
-
-    def held_out_scores_all_k(self, adl, fall, groups, k_max):
-        """scores_all_k of the rows at the indices of each of groups, which
-        share no row, stacked in order, each group against the rows at
-        indices adl and fall (None for one-class) that are not in it.
+    def scores_all_k(self, adl, fall, groups, k_max):
+        """_knn_scores of the rows at the indices of each of groups, which
+        share no row, stacked in order, a column per k in 1..k_max: each
+        group against the ADL rows at indices adl and the FALL rows at
+        indices fall (None for one-class) that are not in it.  An outer
+        test fold is one group, every inner split of an outer fold one
+        group each.
 
         From the matrix, one block per pool holds every group's rows
         against the whole pool, with each row's entries in its own group
@@ -307,16 +302,21 @@ class KnnPrep:
 
         def means(pool):
             mine = owner[pool]
-            if self._D is None:
-                return np.vstack([knn_mean_distances_all_k(
-                    self._block(g, pool[mine != i], k_max), k_max) for i, g in enumerate(groups)])
+            if self._D is None:  # each group's own block
+                tables = []
+                for i, g in enumerate(groups):
+                    t = pool[mine != i]
+                    block = _candidate_block(self.X[t], self.X[g], k_max, self._sq[t], self._exact)
+                    tables.append(knn_mean_distances_all_k(block, k_max))
+                return np.vstack(tables)
             # the pool's rows in no group first, then each group's in turn,
             # so that each group's own entries are one rectangle
             inside = np.bincount(mine + 1, minlength=len(groups) + 1)
             width = len(pool) - inside[1:].max()  # the narrowest group's pool
             if k_max > width:
                 raise InvalidK(f"k_max={k_max} needs 1 <= k_max <= {width} training rows")
-            block = self._block(queries, pool[np.argsort(mine, kind="stable")], k_max)
+            # two gathers: faster than one np.ix_
+            block = self._D[queries][:, pool[np.argsort(mine, kind="stable")]]
             cols = np.cumsum(inside)
             for i in range(len(groups)):
                 block[rows[i]:rows[i + 1], cols[i]:cols[i + 1]] = np.inf
@@ -401,7 +401,11 @@ def standardize_apply(matrix, mean, scale):
 
 
 def _sq_norms(A):
-    return (A * A).sum(axis=1)
+    """(A * A).sum(axis=1), a chunk of rows at a time, each within
+    _DIST_CHUNK_BYTES (but at least one row): every row keeps its own
+    pairwise sum, and so its bits, with no temporary the size of A."""
+    rows = max(1, int(_DIST_CHUNK_BYTES // max(8 * A.shape[1], 1)))
+    return np.concatenate([(c * c).sum(axis=1) for c in np.split(A, range(rows, len(A), rows))])
 
 
 def _sq_dists(A, sq_a, B, sq_b):
@@ -493,8 +497,7 @@ class SvmPrep:
         self.Xs = standardize_apply(X, self.mean, self.scale)
         self.sq = _sq_norms(self.Xs)
         m = len(X)
-        fits = 16.0 * m * m <= _CACHE_BUDGET_BYTES
-        self.d2 = _sq_dist_rows(self.Xs, self.sq, 0, m) if fits else None
+        self.d2 = _sq_dist_rows(self.Xs, self.sq, 0, m) if fits_budget(2, m, m) else None
 
     def __len__(self):
         return len(self.Xs)
@@ -699,23 +702,6 @@ def _put_kernel(stack, g, prep, gamma):
     stack[g, :m, m:] = 0.0
 
 
-def _solve_pairwise_duals(stack, problems, tol):
-    """_solve_pairwise_dual(K, y, box, alpha, p, tol, max_iter) of every
-    problem (k, y, box, alpha, p, max_iter), bit for bit, where K is the
-    kernel in slot k of stack, a _kernel_stack.  alpha may be the index of
-    an earlier problem on the same kernel, whose multipliers the problem
-    then starts from.  One _lockstep call solves them all; the process's
-    stack buffer is then released if it is large (_release_stack).
-    """
-    results = [None] * len(problems)
-    on_kernel = {}
-    for n, problem in enumerate(problems):
-        on_kernel.setdefault(problem[0], []).append(n)
-    _lockstep(stack, list(on_kernel.items()), problems, tol, results)
-    _release_stack()
-    return results
-
-
 def _sibling_rows(problems, ready):
     """The lockstep rows of the problems ready, each (g, n, a): problem n
     on kernel slot g, to start from the multipliers a.  A row is (g, n, a,
@@ -750,12 +736,15 @@ def _sibling_rows(problems, ready):
     return rows
 
 
-def _lockstep(stack, slots, problems, tol, results):
-    """Solve the problems on the kernels of stack, one maximal-violating-
-    pair step per row per pass: _solve_pairwise_dual's steps,
-    elementwise, in its order.  slots pairs each slot g with the indices
-    into problems of the problems on kernel stack[g]; problem n's result
-    goes into results[n].
+def _lockstep(stack, problems, tol):
+    """_solve_pairwise_dual(K, y, box, alpha, p, tol, max_iter) of every
+    problem (g, y, box, alpha, p, max_iter), bit for bit, where K is the
+    kernel in slot g of stack (_kernel_stack, _put_kernel), in the order
+    of problems.  alpha may be the index of an earlier problem on the same
+    kernel, whose multipliers the problem then starts from.
+
+    One maximal-violating-pair step per row per pass: _solve_pairwise_dual's
+    steps, elementwise, in its order.
 
     Each row of the pass's (rows, M) arrays runs one problem at a time,
     with its own iteration count.  Entries past a problem's m are frozen:
@@ -781,15 +770,14 @@ def _lockstep(stack, slots, problems, tol, results):
     # still move that way
     up_offset, low_offset = np.array([-inf, 0.0]), np.array([inf, 0.0])
     kernel_rows = stack.reshape(-1, M)
+    results = [None] * len(problems)
     after = {}  # problem index: (slot, index) of the problems that start from it
     ready = []
-    for g, ns in slots:
-        for n in ns:
-            alpha = problems[n][3]
-            if isinstance(alpha, int):
-                after.setdefault(alpha, []).append((g, n))
-            else:
-                ready.append((g, n, alpha))
+    for n, (g, _, _, alpha, _, _) in enumerate(problems):
+        if isinstance(alpha, int):
+            after.setdefault(alpha, []).append((g, n))
+        else:
+            ready.append((g, n, alpha))
 
     # the state of a row that holds no problem: box 0, up -inf and low
     # +inf throughout, so that its gap is -inf and it never moves
@@ -853,7 +841,7 @@ def _lockstep(stack, slots, problems, tol, results):
             riding = np.array([bool(s) for s in sibs])
             kept, free = None, []
             if not A:
-                break
+                return results
             # Each pass handles i and j side by side: index arrays, values
             # and kernel rows hold i's for the A rows, then j's.
             base = np.arange(A) * M
@@ -1121,7 +1109,7 @@ class SvmQueryBlock:
     def sq_dists(prep, vectors):
         """The squared distances from the standardized query rows to
         prep's rows, or None when the block would be over the budget."""
-        if 16.0 * len(vectors) * len(prep) > _CACHE_BUDGET_BYTES:
+        if not fits_budget(2, len(vectors), len(prep)):
             return None
         qs = standardize_apply(vectors, prep.mean, prep.scale)
         return _sq_dists(qs, _sq_norms(qs), prep.Xs, prep.sq)
@@ -1137,6 +1125,99 @@ class SvmQueryBlock:
             def expansion(coef):
                 return _kernel_expansion(self.qs, self.Xs[keep], self.gamma, coef)
         return _svm_scores(variant, expansion, alpha[keep], y[keep], offset)
+
+
+def svm_grid_tables(variant, X, is_fall, folds, grid, gamma_grid, tol, max_iter):
+    """Validation scores of every inner split of every outer fold of folds,
+    each the list of its splits (tr, val): per fold, a table per split,
+    trained on the variant's rows of X at indices tr (all of them
+    two-class, the ADL rows one-class), labelled by is_fall, and scored at
+    val, with a column per candidate (C or nu of grid, gamma of
+    gamma_grid) in the order of the grids.  Each solve stops at gap tol or
+    after max_iter steps (10 m when None), as the trainers' do.
+
+    The (split, gamma) kernels go, in order, into groups whose stack of
+    kernels fits the budget (fits_budget): one group when every kernel
+    does.  Each group is prepared, solved by one _lockstep call and scored
+    before the next is prepared.  Each split's training rows are prepared
+    once, with its dual for each distinct C or nu and its validation rows'
+    squared distances to them; the preparation goes once each gamma's
+    kernel is in its slot and each gamma's validation block is built, and
+    a group's blocks go once it is scored.  A kernel whose slot alone
+    passes the budget is a group of its own, solved by the scalar loop on
+    kernel rows computed on demand.  The two-class duals of a (split,
+    gamma) form one chain from the smallest C up, each starting warm from
+    the previous C's multipliers.  The one-class duals of a (split, gamma)
+    start cold from the same multipliers, and the solver runs them as one
+    until their boxes part them (_sibling_rows); each keeps its own cold
+    trajectory.  Each distinct result is scored once.  Each candidate
+    keeps its column, so ties still go to the earliest in the grid's
+    order.
+    """
+    two_class = variant is Variant.TC_SVM
+    n_gamma = len(gamma_grid)
+    values = {}  # the distinct values from the smallest up, each with its grid positions
+    for a in sorted(range(len(grid)), key=grid.__getitem__):
+        values.setdefault(grid[a], []).append(a)
+    values = list(values.items())
+    splits = [split for fold in folds for split in fold]
+    trains = [tr if two_class else tr[~is_fall[tr]] for tr, _ in splits]
+    groups = []  # [largest m, the kernels' (split, gamma index)]
+    for s, tr in enumerate(trains):
+        m = len(tr)
+        for gi in range(n_gamma):
+            M = max(m, groups[-1][0]) if groups else m
+            if groups and fits_budget(len(groups[-1][1]) + 1, M, M):
+                groups[-1][0] = M
+                groups[-1][1].append((s, gi))
+            else:
+                groups.append([m, [(s, gi)]])
+    tables = [np.empty((len(val), len(grid) * n_gamma)) for _, val in splits]
+    for M, kernels in groups:
+        scoring, problems = [], []
+        lone = not fits_budget(1, M, M)
+        stack = None if lone else _kernel_stack(len(kernels), M)
+        for g, (s, gi) in enumerate(kernels):
+            tr, val = trains[s], splits[s][1]
+            if gi == 0:
+                prep = SvmPrep(X[tr])
+                cap = 10 * len(prep) if max_iter is None else max_iter
+                duals = [_svm_dual(variant, prep, is_fall[tr], value)[:4] for value, _ in values]
+                d2 = SvmQueryBlock.sq_dists(prep, X[val])
+            # the last gamma's block takes the distances over
+            shared = d2 if d2 is None or gi == n_gamma - 1 else d2.copy()
+            block = SvmQueryBlock(prep, X[val], gamma_grid[gi], shared)
+            if lone:
+                kernel = prep.kernel(block.gamma)
+            else:
+                _put_kernel(stack, g, prep, block.gamma)
+            for v, (y, box, start, p) in enumerate(duals):
+                if two_class and v:
+                    start = len(problems) - 1  # warm from this split and gamma's previous C
+                problems.append((g, y, box, start, p, cap))
+                scoring.append((tables[s], gi, block, y, v))
+            if gi == n_gamma - 1:
+                prep = d2 = None
+        if lone:
+            solved = []
+            for _, y, box, start, p, cap in problems:
+                start = solved[start][0] if isinstance(start, int) else start
+                solved.append(_solve_pairwise_dual(kernel, y, box, start, p, tol, cap))
+        else:
+            solved = _lockstep(stack, problems, tol)
+            _release_stack()
+        scored = {}  # by result: duals that shared every step share their result
+        for (table, gi, block, y, v), result in zip(scoring, solved):
+            if id(result) not in scored:
+                alpha, bias, _, _, _, lo, hi = result
+                scored[id(result)] = block.scores(variant, alpha, y,
+                                                  _svm_offset(variant, bias, lo, hi))
+            for a in values[v][1]:
+                table[:, a * n_gamma + gi] = scored[id(result)]
+        # the group's kernels, blocks and results go before the next comes
+        stack = kernel = scoring = solved = scored = block = None
+    tables = iter(tables)
+    return [[next(tables) for _ in fold] for fold in folds]
 
 
 def score_batch(model, vectors):

@@ -346,23 +346,16 @@ def _best_candidate(candidates, is_fall, splits, table):
     return candidates[best], float(totals[best] / len(splits))
 
 
-def _knn_table(variant, prep, rows, is_fall, queries, k_max):
-    """kNN scores of the rows of prep.X at indices queries, a column per k
-    in 1..k_max, trained on the rows at indices rows, labelled by is_fall:
-    their ADL rows, and for two-class their FALL rows too."""
+def _knn_scores_all_k(variant, prep, rows, is_fall, groups, k_max):
+    """kNN scores of the rows of prep.X at the indices of each of groups,
+    stacked in order, a column per k in 1..k_max: each group against the
+    rows at indices rows, labelled by is_fall, that are not in it: their
+    ADL rows, and for two-class their FALL rows too.  An outer test fold
+    is one group; the validation rows of every inner split of a fold are
+    one group each, and one pool per class serves them all
+    (KnnPrep.scores_all_k)."""
     fall = rows[is_fall] if variant is Variant.TC_KNN else None
-    return prep.scores_all_k(rows[~is_fall], fall, queries, k_max)
-
-
-def _knn_split_tables(variant, prep, rows, is_fall, splits, k_max):
-    """The _knn_table of every inner split (tr, val) of rows, labelled by
-    is_fall, stacked in the order of splits, bit for bit: the rows at val
-    scored against the rows at tr.  Each split trains on the rows outside
-    its own validation rows, so one pool per class serves them all
-    (KnnPrep.held_out_scores_all_k)."""
-    fall = rows[is_fall] if variant is Variant.TC_KNN else None
-    groups = [rows[val] for _, val in splits]
-    return prep.held_out_scores_all_k(rows[~is_fall], fall, groups, k_max)
+    return prep.scores_all_k(rows[~is_fall], fall, groups, k_max)
 
 
 def _select_k(variant, prep, rows, is_fall, cfg, plan):
@@ -370,7 +363,7 @@ def _select_k(variant, prep, rows, is_fall, cfg, plan):
     is_fall, searched over the inner folds of plan (None for a grid of one
     k, which searches nothing).  A search of more than one k builds prep's
     matrix, and the scores of every inner split come from one block of it
-    per class pool (_knn_split_tables)."""
+    per class pool (_knn_scores_all_k)."""
     ks = sorted(set(cfg.k_grid))
     if len(ks) == 1:
         return ks[0], None
@@ -390,136 +383,39 @@ def _select_k(variant, prep, rows, is_fall, cfg, plan):
 
     # a search reads many blocks of the same rows: worth the whole matrix
     prep.build_matrix()
-    table = _knn_split_tables(variant, prep, rows, is_fall, splits, ks[-1])
+    table = _knn_scores_all_k(variant, prep, rows, is_fall, [rows[val] for _, val in splits],
+                              ks[-1])
     return _best_candidate(ks, is_fall, splits, table[:, [k - 1 for k in ks]])
 
 
-def _svm_rows(variant, X, is_fall):
-    """The rows an SVM of this variant trains on: all of them for
-    two-class, the ADL rows for one-class."""
-    return X if variant is Variant.TC_SVM else X[~is_fall]
-
-
 def _train_svm(variant, X, is_fall, params, cfg):
-    rows = _svm_rows(variant, X, is_fall)
+    """The variant's model of params, (C or nu, gamma), trained on the rows
+    of X labelled by is_fall: all of them two-class, the ADL rows
+    one-class."""
     if variant is Variant.TC_SVM:
         return classifiers.train_tc_svm(
-            rows, is_fall, C=params[0], gamma=params[1], tol=cfg.svm_tol, max_iter=cfg.svm_max_iter
+            X, is_fall, C=params[0], gamma=params[1], tol=cfg.svm_tol, max_iter=cfg.svm_max_iter
         )
     return classifiers.train_oc_svm(
-        rows, nu=params[0], gamma=params[1], tol=cfg.svm_tol, max_iter=cfg.svm_max_iter
+        X[~is_fall], nu=params[0], gamma=params[1], tol=cfg.svm_tol, max_iter=cfg.svm_max_iter
     )
-
-
-def _svm_grid_tables(variant, X, is_fall, folds, cfg):
-    """Validation scores of every inner split of every outer fold of folds,
-    each the list of its splits (tr, val): per fold, a table per split,
-    trained on the rows of X at indices tr, labelled by is_fall, and scored
-    at val, with a column per candidate (C or nu, gamma) in the order of
-    the grids.
-
-    The (split, gamma) kernels go, in order, into groups whose stack of
-    kernels fits _CACHE_BUDGET_BYTES: one group when every kernel does.
-    Each group is prepared, solved by one
-    classifiers._solve_pairwise_duals call and scored before the next is
-    prepared.  Each split's training rows are prepared once, with its dual
-    for each distinct C or nu and its validation rows' squared distances
-    to them; the preparation goes once each gamma's kernel is in its slot
-    and each gamma's validation block is built, and a group's blocks go
-    once it is scored.  A kernel whose slot alone passes the budget is a
-    group of its own, solved by the scalar loop on kernel rows computed on
-    demand.  The two-class duals of a (split, gamma) form one chain from
-    the smallest C up, each starting warm from the previous C's
-    multipliers.  The one-class duals of a (split, gamma) start cold from
-    the same multipliers, and the solver runs them as one until their
-    boxes part them (classifiers._sibling_rows); each keeps its own cold
-    trajectory.  Each distinct result is scored once.  Each candidate
-    keeps its column, so ties still go to the earliest in the grid's
-    order.
-    """
-    two_class = variant is Variant.TC_SVM
-    first = cfg.c_grid if two_class else cfg.nu_grid
-    n_gamma = len(cfg.gamma_grid)
-    # the distinct values from the smallest up, each with its grid positions
-    values = []
-    for a in sorted(range(len(first)), key=first.__getitem__):
-        if not values or first[a] != values[-1][0]:
-            values.append((first[a], []))
-        values[-1][1].append(a)
-    splits = [split for fold in folds for split in fold]
-    budget = classifiers._CACHE_BUDGET_BYTES
-    groups = []  # [largest m, the kernels' (split, gamma index)]
-    for s, (tr, _) in enumerate(splits):
-        m = len(tr) if two_class else int(np.count_nonzero(~is_fall[tr]))
-        for gi in range(n_gamma):
-            M = max(m, groups[-1][0]) if groups else m
-            if groups and 8.0 * (len(groups[-1][1]) + 1) * M * M <= budget:
-                groups[-1][0] = M
-                groups[-1][1].append((s, gi))
-            else:
-                groups.append([m, [(s, gi)]])
-    tables = [np.empty((len(val), len(first) * n_gamma)) for _, val in splits]
-    for M, kernels in groups:
-        slots, problems = [], []
-        lone = 8.0 * M * M > budget
-        stack = None if lone else classifiers._kernel_stack(len(kernels), M)
-        for g, (s, gi) in enumerate(kernels):
-            tr, val = splits[s]
-            if gi == 0:
-                prep = classifiers.SvmPrep(_svm_rows(variant, X[tr], is_fall[tr]))
-                cap = 10 * len(prep) if cfg.svm_max_iter is None else cfg.svm_max_iter
-                duals = [classifiers._svm_dual(variant, prep, is_fall[tr], value)[:4]
-                         for value, _ in values]
-                d2 = classifiers.SvmQueryBlock.sq_dists(prep, X[val])
-            # the last gamma's block takes the distances over
-            shared = d2 if d2 is None or gi == n_gamma - 1 else d2.copy()
-            block = classifiers.SvmQueryBlock(prep, X[val], cfg.gamma_grid[gi], shared)
-            if lone:
-                kernel = prep.kernel(block.gamma)
-            else:
-                classifiers._put_kernel(stack, g, prep, block.gamma)
-            for v, (y, box, start, p) in enumerate(duals):
-                if two_class and v:
-                    start = len(problems) - 1  # warm from this split and gamma's previous C
-                problems.append((g, y, box, start, p, cap))
-                slots.append((tables[s], gi, block, y, v))
-            if gi == n_gamma - 1:
-                prep = d2 = None
-        if lone:
-            solved = []
-            for _, y, box, start, p, cap in problems:
-                start = solved[start][0] if isinstance(start, int) else start
-                solved.append(classifiers._solve_pairwise_dual(
-                    kernel, y, box, start, p, cfg.svm_tol, cap))
-        else:
-            solved = classifiers._solve_pairwise_duals(stack, problems, cfg.svm_tol)
-        scored = {}  # by result: duals that shared every step share their result
-        for (table, gi, block, y, v), result in zip(slots, solved):
-            if id(result) not in scored:
-                alpha, bias, _, _, _, lo, hi = result
-                scored[id(result)] = block.scores(
-                    variant, alpha, y, classifiers._svm_offset(variant, bias, lo, hi))
-            for a in values[v][1]:
-                table[:, a * n_gamma + gi] = scored[id(result)]
-        # the group's kernels, blocks and results go before the next comes
-        stack = kernel = slots = solved = scored = block = None
-    tables = iter(tables)
-    return [[next(tables) for _ in fold] for fold in folds]
 
 
 def _select_svm_params(variant, X, is_fall, folds, cfg):
     """The chosen (C or nu, gamma), with its mean inner AUC, of each outer
     fold of folds, each (rows, plan): the fold trains on the rows of X at
     indices rows, labelled by is_fall, and plan is their inner fold plan.
-    The folds' inner grids are searched together (_svm_grid_tables)."""
-    first = cfg.c_grid if variant is Variant.TC_SVM else cfg.nu_grid
+    The folds' inner grids are searched together
+    (classifiers.svm_grid_tables)."""
+    two_class = variant is Variant.TC_SVM
+    first = cfg.c_grid if two_class else cfg.nu_grid
     candidates = [(a, g) for a in first for g in cfg.gamma_grid]
     if len(candidates) == 1:
         return [(candidates[0], None) for _ in folds]
-    two_class = variant is Variant.TC_SVM
     searched = [[(rows[tr], rows[val]) for tr, val in
                  _inner_splits(is_fall[rows], plan, two_class)] for rows, plan in folds]
-    tables = _svm_grid_tables(variant, X, is_fall, searched, cfg)
+    tables = classifiers.svm_grid_tables(variant, X, is_fall, searched, first, cfg.gamma_grid,
+                                         cfg.svm_tol, cfg.svm_max_iter)
     return [_best_candidate(candidates, is_fall, splits, np.vstack(fold_tables))
             for splits, fold_tables in zip(searched, tables)]
 
@@ -583,9 +479,9 @@ def fold_batches(plan, variant, config=None):
     """The outer folds of a cell with fold plan plan, in order, in the
     batches that run_folds runs.  An SVM batch takes the next fold while
     its inner searches' lockstep rows, a row per (inner split, gamma) of
-    each fold, stay within _BATCH_ROWS and the stack of its kernels within
-    _CACHE_BUDGET_BYTES, each kernel's rows counted as the fold's training
-    rows; a fold that alone passes either runs alone.  A kNN cell runs one
+    each fold, stay within _BATCH_ROWS and the stack of its kernels fits
+    the budget (classifiers.fits_budget), each kernel's rows counted as
+    the fold's training rows; a fold that alone passes either runs alone.  A kNN cell runs one
     fold per batch."""
     cfg = config if config is not None else GridConfig()
     folds = range(plan.num_folds)
@@ -598,8 +494,7 @@ def fold_batches(plan, variant, config=None):
         if batches:
             batch, M = batches[-1]
             width, M = len(batch) + 1, max(M, m)
-            if (width * rows <= _BATCH_ROWS
-                    and 8.0 * width * rows * M * M <= classifiers._CACHE_BUDGET_BYTES):
+            if width * rows <= _BATCH_ROWS and classifiers.fits_budget(width * rows, M, M):
                 batches[-1] = (batch + [f], M)
                 continue
         batches.append(([f], m))
@@ -608,11 +503,15 @@ def fold_batches(plan, variant, config=None):
 
 def run_folds(inputs, variant, folds, config=None):
     """The FoldResults of the outer folds folds of a cell, one batch in
-    order, each what run_fold gives.  An SVM batch of more than one fold
-    searches its folds' inner grids together, then picks, refits and
-    scores each fold; any other batch runs its folds one by one.  The
-    first fold to fail raises as run_fold does: when the joint search
-    fails, each fold searches again alone, so that it is the one named."""
+    order.  In each outer fold an inner cross-validation over the fold's
+    training split picks the hyperparameters with the best total inner
+    AUC; the winner is retrained on the whole training split (ADL only for
+    one-class variants) and scored on the untouched test fold.  An SVM
+    batch of more than one fold searches its folds' inner grids together,
+    then picks, refits and scores each fold; any other batch runs its
+    folds one by one.  The first fold to fail raises its FalldetectError
+    again with the fold named: when the joint search fails, each fold
+    searches again alone, so that it is the one named."""
     cfg = config if config is not None else GridConfig()
     var = Variant(variant)
     picks = [None] * len(folds)
@@ -632,16 +531,6 @@ def run_folds(inputs, variant, folds, config=None):
     return results
 
 
-def run_fold(inputs, variant, f, config=None):
-    """Outer fold f of a cell, a batch of one (run_folds): an inner
-    cross-validation over the fold's training split picks the
-    hyperparameters with the best total inner AUC; the winner is retrained
-    on the whole training split (ADL only for one-class variants) and
-    scored on the untouched test fold.  A FalldetectError is raised again
-    with the fold named."""
-    return run_folds(inputs, variant, [f], config)[0]
-
-
 def _outer_fold(inputs, var, f, cfg, pick=None):
     """Outer fold f's FoldResult; pick, when given, is the fold's SVM
     selection and its mean inner AUC, found in a batch."""
@@ -652,7 +541,7 @@ def _outer_fold(inputs, var, f, cfg, pick=None):
     if var in (Variant.OC_KNN, Variant.TC_KNN):
         plan = inputs.inner_plan(f, cfg.inner_folds) if len(set(cfg.k_grid)) > 1 else None
         k, inner_auc = _select_k(var, inputs.knn_prep, train_idx, ftr, cfg, plan)
-        scores = _knn_table(var, inputs.knn_prep, train_idx, ftr, test_idx, k)[:, k - 1]
+        scores = _knn_scores_all_k(var, inputs.knn_prep, train_idx, ftr, [test_idx], k)[:, k - 1]
         chosen = {"k": k}
     else:
         if pick is None:

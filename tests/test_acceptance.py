@@ -196,8 +196,8 @@ def test_criterion_04_knn_matches_exhaustive_oracle(monkeypatch):
                     if searched:
                         prep.build_matrix()
                     assert (prep._D is None) == (over_budget or not searched)
-                    assert np.array_equal(prep.scores_all_k(adl_at, None, query_at, 10), oc)
-                    assert np.array_equal(prep.scores_all_k(adl_at, fall_at, query_at, 10), tc)
+                    assert np.array_equal(prep.scores_all_k(adl_at, None, [query_at], 10), oc)
+                    assert np.array_equal(prep.scores_all_k(adl_at, fall_at, [query_at], 10), tc)
     assert checked == 210
 
 

@@ -262,8 +262,8 @@ class TestScoringSharesTheInnerSearchTable:
         for searched in (False, True):
             if searched:
                 prep.build_matrix()
-            assert np.array_equal(prep.scores_all_k(at[~is_fall], None, query_at, 10), oc_table)
-            assert np.array_equal(prep.scores_all_k(at[~is_fall], at[is_fall], query_at, 10),
+            assert np.array_equal(prep.scores_all_k(at[~is_fall], None, [query_at], 10), oc_table)
+            assert np.array_equal(prep.scores_all_k(at[~is_fall], at[is_fall], [query_at], 10),
                                   tc_table)
         for k in range(1, 11):
             oc = cls.score_batch(cls.train_oc_knn(adl, k), queries)
@@ -376,23 +376,24 @@ class TestInnerSearchSharesOneMatrix:
     def test_prep_scores_equal_gathered_rows_bit_for_bit(self, rng, monkeypatch):
         X, is_fall = overlapping_classes(rng)
         adl, fall = np.flatnonzero(~is_fall)[:70], np.flatnonzero(is_fall)[:20]
-        queries = np.r_[np.flatnonzero(~is_fall)[70:], np.flatnonzero(is_fall)[20:], 3]
+        queries = np.r_[np.flatnonzero(~is_fall)[70:], np.flatnonzero(is_fall)[20:]]
+        X[queries[-1]] = X[3]  # a query at distance 0 from a training row
         for fall_rows in (None, fall):
             expected = knn_oracle_scores(
                 X[adl], None if fall_rows is None else X[fall_rows], X[queries], 10
             )
             in_budget = cls.KnnPrep(X)
             # from candidates until a search builds the matrix, then from it
-            assert np.array_equal(in_budget.scores_all_k(adl, fall_rows, queries, 10), expected)
+            assert np.array_equal(in_budget.scores_all_k(adl, fall_rows, [queries], 10), expected)
             assert in_budget._D is None
             in_budget.build_matrix()
-            assert np.array_equal(in_budget.scores_all_k(adl, fall_rows, queries, 10), expected)
+            assert np.array_equal(in_budget.scores_all_k(adl, fall_rows, [queries], 10), expected)
             assert in_budget._D is not None
             with monkeypatch.context() as mp:
                 mp.setattr(cls, "_CACHE_BUDGET_BYTES", 8 * 120 * 120 - 1)
                 over = cls.KnnPrep(X)
                 over.build_matrix()
-                assert np.array_equal(over.scores_all_k(adl, fall_rows, queries, 10), expected)
+                assert np.array_equal(over.scores_all_k(adl, fall_rows, [queries], 10), expected)
                 assert over._D is None
 
     @pytest.mark.parametrize("variant", [cls.Variant.OC_KNN, cls.Variant.TC_KNN])
@@ -481,9 +482,10 @@ class TestStackedInnerSearch:
         prep = cls.KnnPrep(X)
         prep.build_matrix()
         assert (prep._D is None) == (budget == "over")
-        per_split = [ev._knn_table(variant, prep, rows[tr], ftr[tr], rows[val], 6)
+        # each split alone, a group against its own training rows
+        per_split = [ev._knn_scores_all_k(variant, prep, rows[tr], ftr[tr], [rows[val]], 6)
                      for tr, val in splits]
-        table = ev._knn_split_tables(variant, prep, rows, ftr, splits, 6)
+        table = ev._knn_scores_all_k(variant, prep, rows, ftr, [rows[val] for _, val in splits], 6)
         assert np.array_equal(table.view(np.int64), np.vstack(per_split).view(np.int64))
 
         # the selection from each split's own curves, summed in fold order
@@ -514,46 +516,48 @@ class TestStackedInnerSearch:
         prep.build_matrix()
         pool = np.arange(10)
         groups = [np.arange(4), np.arange(4, 7)]
-        assert prep.held_out_scores_all_k(pool, None, groups, 6).shape == (7, 6)
+        assert prep.scores_all_k(pool, None, groups, 6).shape == (7, 6)
         with pytest.raises(InvalidK, match="k_max=7 needs 1 <= k_max <= 6 training rows"):
-            prep.held_out_scores_all_k(pool, None, groups, 7)
+            prep.scores_all_k(pool, None, groups, 7)
 
 
 class TestOuterFoldsReadTheMatrix:
     @pytest.mark.parametrize("variant", [cls.Variant.OC_KNN, cls.Variant.TC_KNN])
     @pytest.mark.parametrize("budget", ["in", "over"])
     def test_knn_table_equals_score_batch_bit_for_bit(self, rng, monkeypatch, variant, budget):
-        from falldetect.evaluation import _knn_table
+        from falldetect.evaluation import _knn_scores_all_k
 
         X, is_fall = overlapping_classes(rng)
         order = rng.permutation(120)
-        # the last test row is also a training row, at distance 0
-        rows, test = order[:100], np.r_[order[100:], order[0]]
+        rows, test = order[:100], order[100:]
+        X[test[-1]] = X[rows[0]]  # the last test row is at distance 0 from a training row
         ftr = is_fall[rows]
         if budget == "over":
             monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 8 * 120 * 120 - 1)
         prep = cls.KnnPrep(X)
         prep.build_matrix()
         assert (prep._D is None) == (budget == "over")
-        wide = _knn_table(variant, prep, rows, ftr, test, 10)
+        wide = _knn_scores_all_k(variant, prep, rows, ftr, [test], 10)
         for k in range(1, 11):
             if variant is cls.Variant.OC_KNN:
                 model = cls.train_oc_knn(X[rows][~ftr], k)
             else:
                 model = cls.train_tc_knn(X[rows], ftr, k)
             expected = cls.score_batch(model, X[test])
-            assert np.array_equal(_knn_table(variant, prep, rows, ftr, test, k)[:, k - 1], expected)
+            got = _knn_scores_all_k(variant, prep, rows, ftr, [test], k)[:, k - 1]
+            assert np.array_equal(got, expected)
             assert np.array_equal(wide[:, k - 1], expected)
 
     def test_k_beyond_a_class_pool_is_refused(self, rng):
         X, is_fall = overlapping_classes(rng)
         prep = cls.KnnPrep(X)
         adl, fall = np.flatnonzero(~is_fall)[:6], np.flatnonzero(is_fall)[:4]
+        queries = np.flatnonzero(~is_fall)[6:12]
         with pytest.raises(InvalidK, match="k_max=5"):
-            prep.scores_all_k(adl, fall, adl, 5)
+            prep.scores_all_k(adl, fall, [queries], 5)
         with pytest.raises(InvalidK, match="k_max=0"):
-            prep.scores_all_k(adl, None, adl, 0)
-        assert prep.scores_all_k(adl, None, adl, 6).shape == (6, 6)
+            prep.scores_all_k(adl, None, [queries], 0)
+        assert prep.scores_all_k(adl, None, [queries], 6).shape == (6, 6)
 
     def test_every_table_of_a_searched_cell_is_the_public_one(self, small_collection, monkeypatch):
         # A wrapper on the module name, as a tracer installs one, sees every
@@ -710,14 +714,14 @@ def test_candidates_hold_every_tie_and_scores_stay_exact(case, k_frac):
         oc = knn_oracle_scores(train, None, queries, k_max)
         prep = cls.KnnPrep(np.vstack([train, queries]))
         at, query_at = np.arange(len(train)), len(train) + np.arange(len(queries))
-        assert np.array_equal(prep.scores_all_k(at, None, query_at, k_max), oc, equal_nan=True)
+        assert np.array_equal(prep.scores_all_k(at, None, [query_at], k_max), oc, equal_nan=True)
         model = cls.train_oc_knn(train, k_max)
         assert np.array_equal(cls.score_batch(model, queries), oc[:, k_max - 1], equal_nan=True)
         if 0 < is_fall.sum() < len(train):
             adl, fall = train[~is_fall], train[is_fall]
             k = min(k_max, len(adl), len(fall))
             tc = knn_oracle_scores(adl, fall, queries, k)
-            assert np.array_equal(prep.scores_all_k(at[~is_fall], at[is_fall], query_at, k), tc,
+            assert np.array_equal(prep.scores_all_k(at[~is_fall], at[is_fall], [query_at], k), tc,
                                   equal_nan=True)
 
 
@@ -765,7 +769,7 @@ class TestExactRoute:
         assert prep._exact
         at, query_at = np.arange(m), m + np.arange(len(queries))
         expected_table = knn_oracle_scores(train, None, queries, k_max)
-        assert np.array_equal(prep.scores_all_k(at, None, query_at, k_max), expected_table)
+        assert np.array_equal(prep.scores_all_k(at, None, [query_at], k_max), expected_table)
         assert np.array_equal(cls.score_batch(cls.train_oc_knn(train, k_max), queries),
                               expected_table[:, k_max - 1])
 
@@ -797,15 +801,16 @@ class TestExactRoute:
         elif rows == "past the bound":
             X[50, 17] = bound_top(d) + 1
         exact = rows == "integral"
-        adl, fall, queries = np.arange(40), np.arange(40, 50), np.arange(48, 60)
+        adl, fall, queries = np.arange(40), np.arange(40, 50), np.arange(50, 60)
+        X[59] = X[45]  # a query at distance 0 from a training row
         expected = knn_oracle_scores(X[adl], X[fall], X[queries], 6)
         calls = self.count_routes(monkeypatch)
         prep = cls.KnnPrep(X)
         assert prep._exact == exact
         # two candidate blocks, then the matrix and two blocks read from it
-        assert np.array_equal(prep.scores_all_k(adl, fall, queries, 6), expected)
+        assert np.array_equal(prep.scores_all_k(adl, fall, [queries], 6), expected)
         prep.build_matrix()
-        assert np.array_equal(prep.scores_all_k(adl, fall, queries, 6), expected)
+        assert np.array_equal(prep.scores_all_k(adl, fall, [queries], 6), expected)
         # _candidates runs once per chunk of query rows
         assert calls["_gram_distances"] == (3 if exact else 0)
         assert (calls["_candidates"] > 0) != exact

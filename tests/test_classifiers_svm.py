@@ -415,7 +415,7 @@ class TestPreparationHoldsItsRows:
         m = len(prep)
         problems = [(k, y, np.full(m, C), np.zeros(m), np.full(m, -1.0), 10 * m)
                     for k in (0, 1) for C in (0.5, 5.0)]
-        cls._solve_pairwise_duals(stacked([(prep, auto), (prep, 0.5)]), problems, cls.SVM_TOL)
+        cls._lockstep(stacked([(prep, auto), (prep, 0.5)]), problems, cls.SVM_TOL)
         held = sum(v.nbytes for v in vars(prep).values() if isinstance(v, np.ndarray))
         assert held == rows
 
@@ -470,6 +470,21 @@ class TestSharedDistances:
             # the rest of its rows 0, and nothing written past them
             assert (stack[1, :30, 30:] == 0.0).all()
             assert np.isnan(stack[1, 30:]).all() and np.isnan(stack[0]).all()
+
+    def test_norms_hold_one_chunk_of_products_at_a_time(self, rng):
+        # 1000 rows of 384 features, three chunks of 325 rows and one of
+        # 25: the products of one chunk, the norms and 16 kB for each
+        # chunk's sums, where (A * A) would hold a copy of all 3 MB of
+        # rows.  Each row keeps its own pairwise sum
+        A = rng.normal(size=(1000, 384))
+        tracemalloc.start()
+        try:
+            sq = cls._sq_norms(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= cls._DIST_CHUNK_BYTES + sq.nbytes + 16 * 1024
+        assert same_bits(sq, (A * A).sum(axis=1))
 
     def test_blocks_of_one_split_share_their_distances(self, rng):
         X, _ = overlapping_problem(rng)
@@ -526,6 +541,14 @@ def stacked(kernels):
     for g, (prep, gamma) in enumerate(kernels):
         cls._put_kernel(stack, g, prep, gamma)
     return stack
+
+
+def grid_tables(variant, X, is_fall, folds, cfg):
+    """classifiers.svm_grid_tables over the grids and solver settings of
+    cfg, as the inner search passes them."""
+    grid = cfg.c_grid if variant is cls.Variant.TC_SVM else cfg.nu_grid
+    return cls.svm_grid_tables(variant, X, is_fall, folds, grid, cfg.gamma_grid, cfg.svm_tol,
+                               cfg.svm_max_iter)
 
 
 def assert_same_solve(got, expected):
@@ -623,7 +646,7 @@ class TestBatchSolverMatchesOracle:
 
     @staticmethod
     def check(kernels, problems, tol=cls.SVM_TOL):
-        got = cls._solve_pairwise_duals(stacked(kernels), problems, tol)
+        got = cls._lockstep(stacked(kernels), problems, tol)
         for (k, y, box, alpha, p, max_iter), result in zip(problems, got):
             prep, gamma = kernels[k]
             # an int start names the problem whose multipliers it starts from
@@ -717,9 +740,9 @@ class TestBatchSolverMatchesOracle:
         calls = []
         lockstep = cls._lockstep
 
-        def recorded(stack, slots, problems, tol, results):
-            calls.append(sum(len(ns) for _, ns in slots))
-            return lockstep(stack, slots, problems, tol, results)
+        def recorded(stack, problems, tol):
+            calls.append(len(problems))
+            return lockstep(stack, problems, tol)
 
         monkeypatch.setattr(cls, "_lockstep", recorded)
         return calls
@@ -751,8 +774,8 @@ class TestBatchSolverMatchesOracle:
                                              (0.01, 0.02, 0.3, 0.4, 1.0)))
         got = self.check(kernels, problems)
         # the same problems, stopped after three steps
-        early = cls._solve_pairwise_duals(
-            stacked(kernels), [(*problem[:5], 3) for problem in problems], cls.SVM_TOL)
+        early = cls._lockstep(stacked(kernels), [(*problem[:5], 3) for problem in problems],
+                              cls.SVM_TOL)
         for never, also_never, mid, tighter, at_start in groups:
             assert got[also_never] is got[never]
             assert got[at_start] is not got[never] and early[at_start] is not early[never]
@@ -822,7 +845,7 @@ class TestWarmStart:
             for c, C in enumerate(self.C_PATH):
                 start = len(problems) - 1 if c else np.zeros(m)
                 problems.append((k, y, np.full(m, C), start, np.full(m, -1.0), 100000))
-        solved = cls._solve_pairwise_duals(stacked(kernels), problems, cls.SVM_TOL)
+        solved = cls._lockstep(stacked(kernels), problems, cls.SVM_TOL)
         for (k, _, box, _, _, _), (alpha, bias, _, converged, _, _, _) in zip(problems, solved):
             C = box[0]
             assert converged
@@ -865,7 +888,7 @@ class TestInnerGrid:
     def table(self, variant, X, is_fall, tr, val, grid):
         key = self.GRIDS[variant][0]
         cfg = ev.GridConfig(gamma_grid=self.GAMMAS, **{key: grid})
-        return ev._svm_grid_tables(cls.Variant(variant), X, is_fall, [[(tr, val)]], cfg)[0][0]
+        return grid_tables(cls.Variant(variant), X, is_fall, [[(tr, val)]], cfg)[0][0]
 
     @pytest.mark.parametrize("variant", ["TC_SVM", "OC_SVM"])
     def test_grid_order_only_permutes_columns(self, rng, variant):
@@ -962,8 +985,7 @@ class TestFoldBatch:
         assert len({len(tr) for splits in folds for tr, _ in splits}) > 1
 
         def tables(fold_list):
-            return ev._svm_grid_tables(cls.Variant(variant), inputs.X, inputs.is_fall, fold_list,
-                                       cfg)
+            return grid_tables(cls.Variant(variant), inputs.X, inputs.is_fall, fold_list, cfg)
 
         for batch in batches:
             together = tables([folds[f] for f in batch])
@@ -980,10 +1002,10 @@ class TestFoldBatch:
         X, is_fall, tr, val = TestInnerGrid.split(rng)
         cfg = ev.GridConfig(gamma_grid=("auto",), c_grid=(0.1, 10.0))
         args = (cls.Variant.TC_SVM, X, is_fall, [[(tr, val)]], cfg)
-        expected = ev._svm_grid_tables(*args)[0][0]
+        expected = grid_tables(*args)[0][0]
         monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", 8 * len(tr) ** 2)
         assert cls.SvmPrep(X[tr]).d2 is None
-        got = ev._svm_grid_tables(*args)[0][0]
+        got = grid_tables(*args)[0][0]
         assert same_bits(got, expected)
 
     @staticmethod
@@ -992,9 +1014,9 @@ class TestFoldBatch:
         stacks = []
         lockstep = cls._lockstep
 
-        def recorded(stack, slots, problems, tol, results):
+        def recorded(stack, problems, tol):
             stacks.append(stack.nbytes)
-            return lockstep(stack, slots, problems, tol, results)
+            return lockstep(stack, problems, tol)
 
         monkeypatch.setattr(cls, "_lockstep", recorded)
         return stacks
@@ -1005,7 +1027,7 @@ class TestFoldBatch:
         cfg = ev.GridConfig()
         var = cls.Variant(variant)
         folds = self.searched(inputs, variant, [0, 1, 2], cfg)
-        expected = ev._svm_grid_tables(var, inputs.X, inputs.is_fall, folds, cfg)
+        expected = grid_tables(var, inputs.X, inputs.is_fall, folds, cfg)
         sizes = [len(tr) if variant == "TC_SVM" else int(np.count_nonzero(~inputs.is_fall[tr]))
                  for splits in folds for tr, _ in splits]
         M, count = max(sizes), len(sizes) * len(cfg.gamma_grid)
@@ -1018,7 +1040,7 @@ class TestFoldBatch:
             budget = 8 * per_stack * M * M
             monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", budget)
             stacks.clear()
-            got = ev._svm_grid_tables(var, inputs.X, inputs.is_fall, folds, cfg)
+            got = grid_tables(var, inputs.X, inputs.is_fall, folds, cfg)
             assert len(stacks) >= -(-count // per_stack) and max(stacks) <= budget
             for got_fold, expected_fold in zip(got, expected):
                 assert all(same_bits(g, e) for g, e in zip(got_fold, expected_fold))
@@ -1029,7 +1051,7 @@ class TestFoldBatch:
         cfg = ev.GridConfig(c_grid=(0.1, 10.0), gamma_grid=("auto", 0.1))
         var = cls.Variant.TC_SVM
         folds = self.searched(inputs, "TC_SVM", [0, 1, 2], cfg)
-        expected = ev._svm_grid_tables(var, inputs.X, inputs.is_fall, folds, cfg)
+        expected = grid_tables(var, inputs.X, inputs.is_fall, folds, cfg)
         splits = [split for fold in folds for split in fold]
         M = max(len(tr) for tr, _ in splits)
         lone = [len(tr) == M for tr, _ in splits]
@@ -1045,7 +1067,7 @@ class TestFoldBatch:
             return scalar[-1][1]
 
         monkeypatch.setattr(cls, "_solve_pairwise_dual", recorded)
-        got = ev._svm_grid_tables(var, inputs.X, inputs.is_fall, folds, cfg)
+        got = grid_tables(var, inputs.X, inputs.is_fall, folds, cfg)
         n_gamma = len(cfg.gamma_grid)
         assert len(stacks) == (len(splits) - sum(lone)) * n_gamma
         # each lone (split, gamma) runs its C chain on kernel rows, the
@@ -1100,9 +1122,52 @@ class TestFoldBatch:
         # a search that keeps every split's preparation and blocks until
         # the solve ends peaks at more than twice this
         bound = budget + preparation + blocks + tables + 64 * 1024
-        peak = peak_of(lambda: ev._svm_grid_tables(cls.Variant.TC_SVM, inputs.X, inputs.is_fall,
-                                                   folds, cfg))
+        peak = peak_of(lambda: grid_tables(cls.Variant.TC_SVM, inputs.X, inputs.is_fall,
+                                           folds, cfg))
         assert peak <= bound
+
+    @pytest.mark.parametrize("variant", ["TC_SVM", "OC_SVM"])
+    def test_the_batching_rule_and_the_search_agree(self, monkeypatch, variant):
+        # At the default budget, at room for exactly one fold's kernels
+        # (each counted at the fold's training rows, as fold_batches counts
+        # them) and at a quarter of that: a batch of several folds is
+        # searched in one stack, a fold that leaves no room for a second of
+        # its size runs alone, and a fold whose kernels take several stacks
+        # gives the tables of one stack, bit for bit.
+        inputs = self.cell()
+        cfg = ev.GridConfig()
+        var = cls.Variant(variant)
+        rows = cfg.inner_folds * len(cfg.gamma_grid)
+        train = [len(inputs.plan.train_indices(f)) for f in range(10)]
+        one_fold = 8 * rows * max(train) ** 2
+        stacks = self.record_stacks(monkeypatch)
+
+        def search(f):
+            stacks.clear()
+            tables, = grid_tables(var, inputs.X, inputs.is_fall,
+                                  self.searched(inputs, variant, [f], cfg), cfg)
+            return tables, len(stacks)
+
+        one_stack = {}
+        for f in range(10):
+            one_stack[f], count = search(f)
+            assert count == 1
+        for budget in (cls._CACHE_BUDGET_BYTES, one_fold, one_fold // 4):
+            monkeypatch.setattr(cls, "_CACHE_BUDGET_BYTES", budget)
+            batches = ev.fold_batches(inputs.plan, variant, cfg)
+            full = [f for f in range(10) if not cls.fits_budget(2 * rows, train[f], train[f])]
+            assert full == ([] if budget > one_fold else list(range(10)))
+            assert all([f] in batches for f in full)
+            for batch in batches:
+                if len(batch) > 1:
+                    stacks.clear()
+                    ev.run_folds(inputs, variant, batch, cfg)
+                    assert len(stacks) == 1
+            if budget < one_fold:
+                for f in full:
+                    tables, count = search(f)
+                    assert count > 1 and max(stacks) <= budget
+                    assert all(same_bits(g, e) for g, e in zip(tables, one_stack[f]))
 
     def test_other_variants_and_full_folds_run_alone(self, monkeypatch):
         inputs = self.cell()
@@ -1126,7 +1191,7 @@ class TestFoldBatch:
         monkeypatch.setattr(cls, "_stack", np.empty(0), raising=False)
         tracemalloc.start()
         try:
-            ev.run_fold(inputs, "TC_SVM", 0, cfg)
+            ev.run_folds(inputs, "TC_SVM", [0], cfg)[0]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1194,7 +1259,7 @@ class TestFoldBatch:
         size = len(splits) * len(cfg.gamma_grid) * max(len(tr) for tr, _ in splits) ** 2
 
         def search():
-            return ev._svm_grid_tables(cls.Variant.TC_SVM, inputs.X, inputs.is_fall, folds, cfg)
+            return grid_tables(cls.Variant.TC_SVM, inputs.X, inputs.is_fall, folds, cfg)
 
         monkeypatch.setattr(cls, "_stack", np.empty(0), raising=False)
         # the stack fits the budget, and is more than a quarter of it
@@ -1258,7 +1323,7 @@ class TestPinnedSelection:
         inputs = ev.CellInputs(X, is_fall, ingest.plan_folds(is_fall, num_folds=10, seed=3), seed=3)
         got = []
         for f in range(10):
-            params = ev.run_fold(inputs, variant, f).params
+            params = ev.run_folds(inputs, variant, [f])[0].params
             got.append((*(params[key] for key in self.KEYS[variant]),
                         params["inner_mean_auc"].hex()))
         assert got == self.EXPECTED[variant]

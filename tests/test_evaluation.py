@@ -362,7 +362,7 @@ class TestRunExperiment:
         whole = ev.run_experiment(*cell, cfg)
         inputs = ev.cell_inputs(*cell[:3], cfg)
         n = inputs.plan.num_folds
-        folds = {f: ev.run_fold(inputs, variant, f, cfg) for f in reversed(range(n))}
+        folds = {f: ev.run_folds(inputs, variant, [f], cfg)[0] for f in reversed(range(n))}
         parts = ev.assemble_report(*cell, [folds[f] for f in range(n)], cfg)
         assert report_bits(parts) == report_bits(whole)
         for f, fold in folds.items():
