@@ -4,13 +4,7 @@ impact window, and check the energy identity that makes the FFT route safe.
 
 import numpy as np
 
-from falldetect.features import (
-    FeatureKind,
-    LtpParams,
-    accel_features,
-    extract,
-    ltp_features,
-)
+from falldetect.features import FeatureKind, LtpParams, extract
 from falldetect.ingest import TriaxialWindow
 from falldetect.synth import synth_windows
 
@@ -27,7 +21,7 @@ for name, w in (("quiet", quiet), ("impact", impact)):
 
 # The twelve summary features: per-axis mean, deviation, energy, then the
 # three pairwise correlations.
-v = accel_features(impact)
+v = extract(impact, FeatureKind.ACCEL_FEATURES)
 print("\nimpact summary vector:")
 print("  means ", np.round(v[0:3], 3))
 print("  stds  ", np.round(v[3:6], 3))
@@ -44,6 +38,6 @@ print(f"\nenergy via spectrum {spectral:.9f} vs direct norm {direct:.9f}")
 # Local temporal patterns count how far each sample rises above its
 # neighbours in fixed magnitude steps; a flat window stays at zero.
 flat = TriaxialWindow(np.zeros(51), np.zeros(51), np.full(51, 1.0))
-print(f"\nflat window pattern counts sum: {ltp_features(flat).sum():g}")
-spiky = ltp_features(impact, LtpParams(step=0.5))
+print(f"\nflat window pattern counts sum: {extract(flat, FeatureKind.LTP).sum():g}")
+spiky = extract(impact, FeatureKind.LTP, LtpParams(step=0.5))
 print(f"impact window pattern counts sum: {spiky.sum():g}, top count {spiky.max():g}")

@@ -42,8 +42,8 @@ from falldetect.features import (
     FeatureKind,
     LtpParams,
     _energy,
+    extract,
     extract_matrix,
-    ltp_features,
 )
 from falldetect.ingest import build_collection, parse_dataset1, parse_dataset2
 
@@ -124,7 +124,7 @@ def test_criterion_01_feature_dimensions():
     for length in (51, 128):
         windows = [random_window(rng, length, scale=1.5) for _ in range(1000)]
         for kind in KINDS:
-            mat = extract_matrix(windows, FeatureKind(kind))
+            mat = extract_matrix(windows, FeatureKind(kind), LtpParams(), length)
             assert mat.shape == (1000, expected[(kind, length)]), (kind, length)
 
 
@@ -145,7 +145,7 @@ def test_criterion_03_ltp_matches_bruteforce_oracle():
     for length in (51, 128):
         for _ in range(250):
             w = random_window(rng, length, scale=float(rng.uniform(0.5, 2.5)))
-            produced = ltp_features(w, params)
+            produced = extract(w, FeatureKind.LTP, params)
             assert np.array_equal(produced, ltp_bruteforce(w, params))
 
 

@@ -278,14 +278,14 @@ class TestCellInputs:
         # one chunk of windows, cut beforehand, extracted on its own
         per_chunk = max(1, features._CHUNK_BYTES // (3 * 8 * L))
         chunk = [ingest.window_at_length(w, L) for w in windows[:per_chunk]]
-        _, working_set = self.peak_of(lambda: features.extract_matrix(chunk, FeatureKind(kind)))
+        _, working_set = self.peak_of(lambda: features.extract_matrix(chunk, FeatureKind(kind), LtpParams(), L))
         inputs, peak = self.peak_of(lambda: ev.cell_inputs(large_collection, kind, L))
         # slack for what is kept per window, about 0.1 kB: the list of its
         # window, its cut start and its label; the cut windows and their
         # (windows, 3, L) stack alone would take 12 MB
         assert peak <= inputs.X.nbytes + working_set + 512 * 1024
         rows = features.extract_matrix([ingest.window_at_length(w, L) for w in windows],
-                                       FeatureKind(kind))
+                                       FeatureKind(kind), LtpParams(), L)
         assert np.array_equal(inputs.X.view(np.int64), rows.view(np.int64))
 
 

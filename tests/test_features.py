@@ -5,6 +5,9 @@ spectral-energy oracle evaluates the DFT directly from its definition, so
 neither shares code with the production implementations.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -50,24 +53,24 @@ def dft_energy_oracle(a):
 class TestRawAndMagnitude:
     def test_raw_concatenates_axes_in_order(self):
         w = ingest.TriaxialWindow([1.0, 2.0], [3.0, 4.0], [5.0, 6.0])
-        assert features.raw_features(w).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert features.extract(w, FeatureKind.RAW).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_magnitude_values(self):
         w = ingest.TriaxialWindow([3.0, 0.0], [4.0, 0.0], [0.0, 0.0])
-        assert features.magnitude(w).tolist() == [5.0, 0.0]
+        assert features.extract(w, FeatureKind.MAGNITUDE).tolist() == [5.0, 0.0]
 
     def test_unit_diagonal(self):
         w = ingest.TriaxialWindow([1.0], [1.0], [1.0])
-        assert features.magnitude(w)[0] == pytest.approx(np.sqrt(3.0), abs=1e-12)
+        assert features.extract(w, FeatureKind.MAGNITUDE)[0] == pytest.approx(np.sqrt(3.0), abs=1e-12)
 
 
 class TestAccelFeatures:
     def test_layout_and_dimension(self, rng):
-        assert len(features.accel_features(random_window(rng, 51))) == 12
+        assert len(features.extract(random_window(rng, 51), FeatureKind.ACCEL_FEATURES)) == 12
 
     def test_means_and_population_std(self):
         w = ingest.TriaxialWindow([0.0, 2.0], [1.0, 1.0], [-1.0, 3.0])
-        v = features.accel_features(w)
+        v = features.extract(w, FeatureKind.ACCEL_FEATURES)
         assert v[0] == 1.0 and v[1] == 1.0 and v[2] == 1.0
         # population std of [0, 2] is 1; the sample version would be sqrt(2)
         assert v[3] == 1.0
@@ -79,7 +82,7 @@ class TestAccelFeatures:
             w = ingest.TriaxialWindow(
                 np.full(L, 0.7), np.full(L, -0.3), np.zeros(L)
             )
-            v = features.accel_features(w)
+            v = features.extract(w, FeatureKind.ACCEL_FEATURES)
             assert v[6] == pytest.approx(0.7 * np.sqrt(L), rel=1e-9)
             assert v[7] == pytest.approx(0.3 * np.sqrt(L), rel=1e-9)
             assert v[8] == 0.0
@@ -89,7 +92,7 @@ class TestAccelFeatures:
         L, amp = 128, 1.7
         x = amp * np.sin(2 * np.pi * 7 * np.arange(L) / L)
         w = ingest.TriaxialWindow(x, np.zeros(L), np.zeros(L))
-        v = features.accel_features(w)
+        v = features.extract(w, FeatureKind.ACCEL_FEATURES)
         assert v[6] == pytest.approx(amp * np.sqrt(L / 2), rel=1e-9)
 
     def test_energy_matches_direct_dft(self, rng):
@@ -110,30 +113,37 @@ class TestAccelFeatures:
     def test_perfect_and_inverse_correlation(self):
         x = np.array([0.1, 0.5, -0.2, 0.9])
         w = ingest.TriaxialWindow(x, 2.0 * x + 1.0, -x)
-        v = features.accel_features(w)
+        v = features.extract(w, FeatureKind.ACCEL_FEATURES)
         assert v[9] == pytest.approx(1.0, abs=1e-12)
         assert v[10] == pytest.approx(-1.0, abs=1e-12)
         assert v[11] == pytest.approx(-1.0, abs=1e-12)
 
     def test_half_correlation_by_hand(self):
         w = ingest.TriaxialWindow([1.0, 2.0, 3.0], [1.0, 3.0, 2.0], [0.0, 0.0, 0.0])
-        v = features.accel_features(w)
+        v = features.extract(w, FeatureKind.ACCEL_FEATURES)
         assert v[9] == 0.5
 
-    def test_flat_axis_has_zero_correlation(self):
+    def test_flat_axis_has_zero_correlation(self, rng):
         w = ingest.TriaxialWindow([1.0, 2.0, 3.0], [0.5, 0.5, 0.5], [0.0, 1.0, 0.0])
-        v = features.accel_features(w)
+        v = features.extract(w, FeatureKind.ACCEL_FEATURES)
         assert v[9] == 0.0 and v[10] == 0.0 and v[11] == 0.0
+        # constants whose mean over the window rounds away from them
+        for value in (0.1, 0.98):
+            for L in (51, 128):
+                y, z = rng.normal(0.0, 1.0, (2, L))
+                w = ingest.TriaxialWindow(np.full(L, value), y, z)
+                v = features.extract(w, FeatureKind.ACCEL_FEATURES)
+                assert v[9] == 0.0 and v[10] == 0.0, (value, L)
 
     def test_correlation_stays_in_range(self, rng):
         for _ in range(50):
-            v = features.accel_features(random_window(rng, 51))
+            v = features.extract(random_window(rng, 51), FeatureKind.ACCEL_FEATURES)
             assert np.all(v[9:12] >= -1.0) and np.all(v[9:12] <= 1.0)
 
     def test_single_sample_rejected(self):
         w = ingest.TriaxialWindow([1.0], [1.0], [1.0])
         with pytest.raises(LengthError):
-            features.accel_features(w)
+            features.extract(w, FeatureKind.ACCEL_FEATURES)
 
 
 class TestLtpFeatures:
@@ -141,22 +151,22 @@ class TestLtpFeatures:
         # magnitudes 0.4 and 2.5: levels = 3, so the later sample beats the
         # earlier one at boosts 0, 1, 2 but not 3.
         w = ingest.TriaxialWindow([0.0, 0.0], [0.0, 0.0], [0.4, 2.5])
-        assert features.ltp_features(w).tolist() == [0, 0, 0, 0, 0, 0, 3, 3, 3, 0, 0, 0]
+        assert features.extract(w, FeatureKind.LTP).tolist() == [0, 0, 0, 0, 0, 0, 3, 3, 3, 0, 0, 0]
 
     def test_constant_magnitude_gives_zero_vector(self):
         w = ingest.TriaxialWindow(np.full(51, 0.6), np.zeros(51), np.zeros(51))
-        assert not features.ltp_features(w).any()
+        assert not features.extract(w, FeatureKind.LTP).any()
 
     def test_all_zero_window(self):
         w = ingest.TriaxialWindow(np.zeros(10), np.zeros(10), np.zeros(10))
-        assert not features.ltp_features(w).any()
+        assert not features.extract(w, FeatureKind.LTP).any()
 
     def test_count_reaches_peak_over_step(self):
         # M = 0 and 7.3: the peak beats the zero sample at every level up to
         # ceil(7.3 / 0.5) = 15, the largest count a window can hold.
         w = ingest.TriaxialWindow([0.0, 0.0], [0.0, 0.0], [0.0, 7.3])
         params = LtpParams(step=0.5)
-        v = features.ltp_features(w, params)
+        v = features.extract(w, FeatureKind.LTP, params)
         assert v.max() == np.ceil(7.3 / 0.5) == 15.0
         assert np.array_equal(v, ltp_oracle(w, params))
 
@@ -164,7 +174,7 @@ class TestLtpFeatures:
         for L in (17, 51, 128):
             for _ in range(12):
                 w = random_window(rng, L, scale=2.0)
-                got = features.ltp_features(w)
+                got = features.extract(w, FeatureKind.LTP)
                 assert np.array_equal(got, ltp_oracle(w, LtpParams()))
 
     def test_matches_loop_oracle_other_params(self, rng):
@@ -175,19 +185,19 @@ class TestLtpFeatures:
         ):
             for _ in range(8):
                 w = random_window(rng, 51, scale=2.0)
-                got = features.ltp_features(w, params)
+                got = features.extract(w, FeatureKind.LTP, params)
                 assert np.array_equal(got, ltp_oracle(w, params))
 
     def test_entries_are_bounded_integer_counts(self, rng):
         w = random_window(rng, 51, scale=2.0)
-        v = features.ltp_features(w)
+        v = features.extract(w, FeatureKind.LTP)
         levels = int(np.ceil(w.magnitude().max()))
         assert np.array_equal(v, np.floor(v))
         assert v.min() >= 0 and v.max() <= levels
 
     def test_dimension_is_neighbours_times_length(self, rng):
         for L, n in ((51, 6), (128, 6), (51, 4)):
-            v = features.ltp_features(random_window(rng, L), LtpParams(num_neighbours=n))
+            v = features.extract(random_window(rng, L), FeatureKind.LTP, LtpParams(num_neighbours=n))
             assert len(v) == n * L
 
     def test_param_validation(self):
@@ -195,6 +205,16 @@ class TestLtpFeatures:
             LtpParams(num_neighbours=0)
         with pytest.raises(ValueError):
             LtpParams(step=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_neighbours", 1.5),
+        ("num_neighbours", True),
+        ("step", math.nan),
+        ("step", math.inf),
+    ])
+    def test_values_the_cli_refuses_are_refused_when_built(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must .*, got {re.escape(repr(value))}$"):
+            LtpParams(**{field: value})
 
 
 class TestFeatureRows:
@@ -205,10 +225,21 @@ class TestFeatureRows:
         x[3] = np.nan
         named = ingest.TriaxialWindow(x, windows[2].y, windows[2].z, source_id="adl_0007")
         with pytest.raises(DimensionError, match=f"^window 'adl_0007' has non-finite {kind.value} "):
-            features.extract_matrix(windows[:2] + [named], kind)
+            features.extract_matrix(windows[:2] + [named], kind, LtpParams(), 51)
         unnamed = ingest.TriaxialWindow(x, windows[2].y, windows[2].z)
         with pytest.raises(DimensionError, match=f"^window 2 has non-finite {kind.value} "):
-            features.extract_matrix(windows[:2] + [unnamed], kind)
+            features.extract_matrix(windows[:2] + [unnamed], kind, LtpParams(), 51)
+
+    @pytest.mark.parametrize("kind", list(FeatureKind), ids=lambda k: k.value)
+    def test_non_finite_window_rejected_alone(self, rng, kind):
+        w = random_window(rng, 51)
+        x = w.x.copy()
+        x[3] = np.nan
+        named = ingest.TriaxialWindow(x, w.y, w.z, source_id="adl_0007")
+        with pytest.raises(DimensionError, match=f"^window 'adl_0007' has non-finite {kind.value} "):
+            features.extract(named, kind)
+        with pytest.raises(DimensionError, match=f"^window 0 has non-finite {kind.value} "):
+            features.extract(ingest.TriaxialWindow(x, w.y, w.z), kind)
 
     def test_expected_dimensions_per_kind(self, rng):
         expect = {
@@ -232,9 +263,9 @@ def accel_reference(w):
         return float(np.sqrt(np.sum(np.abs(np.fft.fft(a)) ** 2) / len(a)))
 
     def pearson(a, b):
-        ca, cb = a - a.mean(), b - b.mean()
-        if not ca.any() or not cb.any():
+        if (a == a[0]).all() or (b == b[0]).all():
             return 0.0
+        ca, cb = a - a.mean(), b - b.mean()
         r = float(ca @ cb / np.sqrt((ca @ ca) * (cb @ cb)))
         return min(1.0, max(-1.0, r)) if np.isfinite(r) else 0.0
 
@@ -250,7 +281,7 @@ def same_bits(a, b):
 
 class TestStackedRows:
     """extract_matrix computes each kind over a stack of windows; every row
-    must carry the bits of the window extracted on its own."""
+    must carry the bits of the window extracted on its own, a chunk of one."""
 
     @staticmethod
     def windows(rng, L):
@@ -270,8 +301,8 @@ class TestStackedRows:
     @pytest.mark.parametrize("kind", list(FeatureKind), ids=lambda k: k.value)
     def test_matrix_rows_equal_window_rows(self, rng, kind, L):
         windows = self.windows(rng, L)
-        for params in (None, LtpParams(num_neighbours=5, step=0.25)):
-            X = features.extract_matrix(windows, kind, params)
+        for params in (LtpParams(), LtpParams(num_neighbours=5, step=0.25)):
+            X = features.extract_matrix(windows, kind, params, L)
             assert X.shape[0] == len(windows) and X.dtype == np.float64
             for w, row in zip(windows, X):
                 assert same_bits(row, features.extract(w, kind, params))
@@ -279,41 +310,27 @@ class TestStackedRows:
     @pytest.mark.parametrize("L", [2, 51, 128, 300])
     def test_summary_rows_equal_the_one_dimensional_reference(self, rng, L):
         windows = self.windows(rng, L)
-        X = features.extract_matrix(windows, FeatureKind.ACCEL_FEATURES)
+        X = features.extract_matrix(windows, FeatureKind.ACCEL_FEATURES, LtpParams(), L)
         for w, row in zip(windows, X):
             assert same_bits(row, accel_reference(w))
         assert np.all(np.abs(X[2::4, 9:]) == 1.0) and not X[1::4, [9, 11]].any()
 
-    def test_summary_rows_of_windows_of_several_lengths(self, rng):
-        windows = [random_window(rng, L) for L in (51, 128, 51, 2, 300)]
-        X = features.extract_matrix(windows, FeatureKind.ACCEL_FEATURES)
-        assert X.shape == (5, 12)
-        for w, row in zip(windows, X):
-            assert same_bits(row, accel_reference(w))
-
     def test_empty_list(self):
         for kind in FeatureKind:
-            assert features.extract_matrix([], kind).shape == (0,)
+            assert features.extract_matrix([], kind, LtpParams(), 51).shape == (0,)
 
     def test_single_sample_summary_rejected_among_other_lengths(self, rng):
+        # the window of 51 samples is cut to the one sample asked for
         windows = [random_window(rng, 51), ingest.TriaxialWindow([1.0], [1.0], [1.0])]
-        with pytest.raises(LengthError, match="at least 2 samples"):
-            features.extract_matrix(windows, FeatureKind.ACCEL_FEATURES)
-        for kind in (FeatureKind.RAW, FeatureKind.MAGNITUDE, FeatureKind.LTP):
-            with pytest.raises(DimensionError, match="differing lengths"):
-                features.extract_matrix(windows, kind)
+        with pytest.raises(LengthError, match="^ACCEL_FEATURES needs at least 2 samples$"):
+            features.extract_matrix(windows, FeatureKind.ACCEL_FEATURES, LtpParams(), 1)
 
 
 class TestMatrixAndExport:
     def test_extract_matrix_shape(self, rng):
         windows = [random_window(rng, 51) for _ in range(5)]
-        m = features.extract_matrix(windows, FeatureKind.ACCEL_FEATURES)
+        m = features.extract_matrix(windows, FeatureKind.ACCEL_FEATURES, LtpParams(), 51)
         assert m.shape == (5, 12)
-
-    def test_ragged_windows_rejected(self, rng):
-        windows = [random_window(rng, 51), random_window(rng, 128)]
-        with pytest.raises(DimensionError):
-            features.extract_matrix(windows, FeatureKind.MAGNITUDE)
 
 
 class TestChunkedRows:
@@ -357,9 +374,9 @@ class TestChunkedRows:
 
     def test_a_chunk_holds_at_least_one_window(self, rng, monkeypatch):
         windows = self.windows(rng, 51)
-        expected = features.extract_matrix(windows, FeatureKind.LTP, None, 51)
+        expected = features.extract_matrix(windows, FeatureKind.LTP, LtpParams(), 51)
         monkeypatch.setattr(features, "_CHUNK_BYTES", 1)
-        assert same_bits(features.extract_matrix(windows, FeatureKind.LTP, None, 51), expected)
+        assert same_bits(features.extract_matrix(windows, FeatureKind.LTP, LtpParams(), 51), expected)
 
     @pytest.mark.parametrize("kind", list(FeatureKind), ids=lambda k: k.value)
     def test_the_first_non_finite_window_is_named(self, rng, monkeypatch, kind):
@@ -370,10 +387,10 @@ class TestChunkedRows:
             windows[i] = ingest.TriaxialWindow(x, windows[i].y, windows[i].z, source_id=f"w{i}")
         monkeypatch.setattr(features, "_CHUNK_BYTES", 7 * 3 * 8 * 51)
         with pytest.raises(DimensionError, match=f"^window 'w11' has non-finite {kind.value} "):
-            features.extract_matrix(windows, kind, None, 51)
+            features.extract_matrix(windows, kind, LtpParams(), 51)
         windows[11].source_id = ""
         with pytest.raises(DimensionError, match=f"^window 11 has non-finite {kind.value} "):
-            features.extract_matrix(windows, kind, None, 51)
+            features.extract_matrix(windows, kind, LtpParams(), 51)
 
     def test_a_window_shorter_than_the_cut_is_refused_before_any_row(self, rng, monkeypatch):
         windows = self.windows(rng, 128)
@@ -386,15 +403,4 @@ class TestChunkedRows:
         monkeypatch.setattr(features, "_CHUNK_BYTES", 1)
         for kind in FeatureKind:
             with pytest.raises(LengthError, match="^window of 100 samples cannot yield 128$"):
-                features.extract_matrix(windows, kind, None, 128)
-
-    def test_uncut_windows_of_several_lengths_name_the_first_bad_one(self, rng, monkeypatch):
-        # grouped by length, the later group holds the earlier bad window
-        windows = [random_window(rng, L) for L in (51, 51, 128, 51, 128, 51)]
-        for i in (2, 3):
-            x = windows[i].x.copy()
-            x[1] = np.nan
-            windows[i] = ingest.TriaxialWindow(x, windows[i].y, windows[i].z)
-        monkeypatch.setattr(features, "_CHUNK_BYTES", 1)
-        with pytest.raises(DimensionError, match="^window 2 has non-finite ACCEL_FEATURES "):
-            features.extract_matrix(windows, FeatureKind.ACCEL_FEATURES)
+                features.extract_matrix(windows, kind, LtpParams(), 128)
