@@ -14,6 +14,8 @@
 # - one-class duals of a split and gamma share their steps until a box
 #   parts them: nu = 1.0 puts its box at the start, and a repeated nu is
 #   solved once; the pools must write what the serial run writes.
+# - demo_nu's run.json, as the config of a run into a fresh ingest,
+#   replays that run: every file but run.json as demo_nu holds it.
 set -eo pipefail
 
 falldetect synth  --out demo_data --adl 60 --falls 20 --seed 21
@@ -44,3 +46,7 @@ falldetect run --dataset1 demo_data --out demo_nu_pool2 --config nu.json --class
 falldetect run --dataset1 demo_data --out demo_nu_pool3 --config nu.json --classifier OC_SVM --jobs 3
 diff -r -x run.json demo_nu demo_nu_pool2
 diff -r -x run.json demo_nu demo_nu_pool3
+
+falldetect ingest --dataset1 demo_data --out demo_nu_replay --seed 33
+falldetect run --config demo_nu/run.json --out demo_nu_replay
+diff -r -x run.json demo_nu demo_nu_replay

@@ -10,14 +10,13 @@ leave corrupt files.  Exit codes: 0 success, 1 experiment-cell failure,
 
 import argparse
 import hashlib
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from . import __version__, synth
 from .classifiers import Variant
-from .errors import FalldetectError, ParseError
+from .errors import FalldetectError, ParseError, at_least, checked
 from .evaluation import (
     GridConfig,
     assemble_report,
@@ -33,6 +32,7 @@ from .evaluation import (
 from .features import FeatureKind, LtpParams
 from .ingest import (
     COLLECTIONS,
+    SEED_BOUND,
     SUB_WINDOWS,
     _atomic_write_text,
     _read_json,
@@ -59,30 +59,26 @@ _CELL_CHOICES = {
 }
 
 
-def _integer(low):
-    return int, lambda x: x >= low and x.is_integer(), f"an integer >= {low}"
+# The CLI's keys of LtpParams' fields
+_LTP_KEYS = {"num_neighbours": "ltp_neighbours", "step": "ltp_step"}
 
 
-_POSITIVE = (float, lambda x: x > 0, "a number > 0")
-_GRID = GridConfig()
-_LTP = LtpParams()
+def _field_settings(cls, keys):
+    """Setting key: (default, bound) of each bounded field of cls, keyed
+    as keys names it, else by its own name."""
+    return {keys.get(f.name, f.name): (f.default, cls.BOUNDS[f.name])
+            for f in fields(cls) if f.name in cls.BOUNDS}
 
-# Each checked setting: its default, its cast, its test and the words of
-# its error.  A grid is a non-empty list of such values.
+
+# Each checked setting's default and bound (errors.Bound): the CLI's own,
+# then those of the fields of GridConfig and LtpParams.
 _SETTINGS = {
-    "seed": (0, *_integer(0)),
-    "jobs": (1, *_integer(1)),
-    "adl": (200, *_integer(0)),
-    "falls": (20, *_integer(0)),
-    "inner_folds": (_GRID.inner_folds, *_integer(2)),
-    "svm_tol": (_GRID.svm_tol, *_POSITIVE),
-    "svm_max_iter": (_GRID.svm_max_iter, *_integer(1)),
-    "ltp_neighbours": (_LTP.num_neighbours, *_integer(1)),
-    "ltp_step": (_LTP.step, *_POSITIVE),
-    "k_grid": (_GRID.k_grid, *_integer(1)),
-    "c_grid": (_GRID.c_grid, *_POSITIVE),
-    "gamma_grid": (_GRID.gamma_grid, float, lambda x: x > 0, '"auto" or a number > 0'),
-    "nu_grid": (_GRID.nu_grid, float, lambda x: 0 < x <= 1, "a number in (0, 1]"),
+    "seed": (0, SEED_BOUND),
+    "jobs": (1, at_least(1)),
+    "adl": (200, at_least(0)),
+    "falls": (20, at_least(0)),
+    **_field_settings(GridConfig, {}),
+    **_field_settings(LtpParams, _LTP_KEYS),
 }
 
 _CONFIG_DEFAULTS = {
@@ -95,36 +91,10 @@ _CONFIG_DEFAULTS = {
 }
 
 
-def _checked(key, raw):
-    """Setting key's value from raw, its default when raw is None;
-    ValueError naming the key when raw is out of bounds.  A bool is not
-    a number, and an int stays exact past 2**53, where a float rounds."""
-    default, cast, ok, wanted = _SETTINGS[key]
-    if raw is None:
-        return default
-    grid = isinstance(default, tuple)
-    words = f"a non-empty list, each entry {wanted}" if grid else wanted
-    if grid and (not isinstance(raw, (list, tuple)) or not raw):
-        raise ValueError(f"{key} must be {words}, got {raw!r}")
-    out = []
-    for v in raw if grid else [raw]:
-        if key == "gamma_grid" and v == "auto":
-            out.append(v)
-            continue
-        try:
-            x = math.nan if isinstance(v, bool) else float(v)
-        except (TypeError, ValueError):
-            x = math.nan
-        if not (math.isfinite(x) and ok(x)):
-            raise ValueError(f"{key} must be {words}, got {raw!r}")
-        out.append(int(v) if cast is int and isinstance(v, int) else cast(x))
-    return tuple(out) if grid else out[0]
-
-
 def grid_config(config):
     """GridConfig from the checked settings of load_config."""
     kwargs = {f.name: config[f.name] for f in fields(GridConfig) if f.name in config}
-    ltp = LtpParams(num_neighbours=config["ltp_neighbours"], step=config["ltp_step"])
+    ltp = LtpParams(**{name: config[key] for name, key in _LTP_KEYS.items()})
     return GridConfig(**kwargs, ltp_params=ltp)
 
 
@@ -175,8 +145,8 @@ def load_config(args):
             raise ValueError(f"{key} must be a path string, got {merged[key]!r}")
     for what, universe in _CELL_CHOICES.items():
         merged[what + "s"] = _parse_choices(merged[what + "s"], universe, what)
-    for key in _SETTINGS:
-        merged[key] = _checked(key, merged[key])
+    for key, (_, bound) in _SETTINGS.items():
+        merged[key] = checked(key, merged[key], bound)
     return merged
 
 

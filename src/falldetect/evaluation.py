@@ -23,10 +23,14 @@ from .classifiers import (
     score_batch,
 )
 from .errors import (
+    Bound,
     DegenerateLabels,
     FalldetectError,
     InsufficientData,
     InvalidK,
+    above_zero,
+    at_least,
+    checked,
 )
 from .features import FeatureKind, LtpParams, extract_matrix
 from .ingest import (
@@ -273,6 +277,24 @@ class GridConfig:
     svm_tol: float = SVM_TOL
     svm_max_iter: int | None = None
     ltp_params: LtpParams = field(default_factory=LtpParams)
+    # each field's bound, checked when built; the CLI reads it too.  nu
+    # lies in (0, 1] (Schölkopf et al., Neural Computation 2001)
+    BOUNDS = {
+        "k_grid": at_least(1, grid=True),
+        "c_grid": above_zero(grid=True),
+        "gamma_grid": Bound(float, lambda x: x > 0, '"auto" or a number > 0', grid=True,
+                            extra=("auto",)),
+        "nu_grid": Bound(float, lambda x: 0 < x <= 1, "a number in (0, 1]", grid=True),
+        "inner_folds": at_least(2),
+        "svm_tol": above_zero(),
+        "svm_max_iter": at_least(1, extra=(None,)),  # None: 10 m steps
+    }
+
+    def __post_init__(self):
+        for name, bound in self.BOUNDS.items():
+            checked(name, getattr(self, name), bound)
+        if not isinstance(self.ltp_params, LtpParams):
+            raise ValueError(f"ltp_params must be an LtpParams, got {self.ltp_params!r}")
 
     def to_dict(self):
         # lists, not tuples, so the dict equals its JSON round trip

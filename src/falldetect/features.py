@@ -10,13 +10,11 @@ boosted-magnitude comparisons against neighbouring samples.
 """
 
 import enum
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, LengthError
+from .errors import DimensionError, LengthError, above_zero, at_least, checked
 from .ingest import cut_start
 
 # extract_matrix fills and computes a (windows, 3, L) float64 stack of at
@@ -43,15 +41,12 @@ class LtpParams:
 
     num_neighbours: int = 6
     step: float = 1.0
+    # each field's bound, checked when built; the CLI reads it too
+    BOUNDS = {"num_neighbours": at_least(1), "step": above_zero()}
 
     def __post_init__(self):
-        n, step = self.num_neighbours, self.step
-        # a bool is not a number here, as in the CLI's settings
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"num_neighbours must be an integer of at least 1, got {n!r}")
-        if (isinstance(step, bool) or not isinstance(step, numbers.Real)
-                or not (math.isfinite(step) and step > 0)):
-            raise ValueError(f"step must be a finite number above 0, got {step!r}")
+        for name, bound in self.BOUNDS.items():
+            checked(name, getattr(self, name), bound)
 
 
 def _magnitudes(W):

@@ -29,6 +29,8 @@ from .errors import (
     InvalidTrace,
     LengthError,
     ParseError,
+    at_least,
+    checked,
 )
 
 FULL_WINDOW = 300
@@ -38,6 +40,7 @@ SAMPLE_RATE = 50.0  # Hz, of every window
 THRESHOLD_G = 1.5  # a peak's magnitude is strictly above this
 REFRACTORY_S = 6.0  # the least gap between two emitted peaks
 NUM_FOLDS = 10  # outer cross-validation folds of every collection
+SEED_BOUND = at_least(0)  # the bound of a collection's seed, and of the CLI's
 
 # Independent seed streams so unrelated draws never alias.
 _STREAM_C2_SELECT = 101
@@ -790,8 +793,10 @@ def collection_from_manifest(manifest, d1_instances, d2_instances=None, path=Non
     cid, seed = manifest["id"], manifest["seed"]
     if cid not in COLLECTIONS:
         raise ParseError(f"unknown collection id {cid!r}", path)
-    if type(seed) is not int or seed < 0:
-        raise ParseError(f"seed must be an integer >= 0, got {seed!r}", path)
+    try:
+        checked("seed", seed, SEED_BOUND)
+    except ValueError as exc:
+        raise ParseError(str(exc), path) from None
     collection = build_collection(cid, d1_instances, d2_instances, seed=seed)
     want = collection_to_manifest(collection)
     for key in ("instances", "fold_assignments", *sorted(manifest.keys() | want.keys())):

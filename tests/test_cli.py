@@ -12,6 +12,7 @@ import pytest
 from falldetect import classifiers, cli, evaluation, ingest
 from falldetect.classifiers import Variant
 from falldetect.errors import InsufficientData
+from falldetect.features import LtpParams
 
 
 def run_cli(*argv):
@@ -1081,12 +1082,38 @@ class TestConfigHandling:
         config = cli.load_config(cli.build_parser().parse_args(["run"]))
         assert cli.grid_config(config) == evaluation.GridConfig()
 
-    def test_large_seed_is_kept_exactly(self, tmp_path):
+    @pytest.mark.parametrize("seed", [2 ** 60 + 1, 2 ** 63 - 1])
+    def test_large_seed_is_kept_exactly(self, tmp_path, seed):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 2 ** 60 + 1}))
+        cfg.write_text(json.dumps({"seed": seed}))
         out = tmp_path / "out"
         assert run_cli("synth", "--config", cfg, "--out", out, "--adl", "2", "--falls", "1") == 0
-        assert json.loads((out / "run.json").read_text())["config"]["seed"] == 2 ** 60 + 1
+        assert json.loads((out / "run.json").read_text())["config"]["seed"] == seed
+
+    def test_a_stored_run_json_replays(self, pipeline, tmp_path):
+        # run.json records every setting as it was checked, an int in a
+        # number grid as a float and a null svm_max_iter as null; run with
+        # it as the config into a fresh ingest, it writes the same files
+        data, work = pipeline
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "features": "MAGNITUDE,LTP", "windows": [51], "classifiers": "OC_KNN,OC_SVM,TC_SVM",
+            "k_grid": [3, 1], "c_grid": [1, 10], "gamma_grid": ["auto", 1], "nu_grid": [1, 0.5],
+            "inner_folds": 3, "svm_tol": 0.01, "svm_max_iter": None,
+            "ltp_neighbours": 4, "ltp_step": 0.5,
+        }))
+        assert run_cli("run", "--dataset1", data, "--out", work, "--config", cfg) == 0
+        stored = json.loads((work / "run.json").read_text())["config"]
+        assert (stored["c_grid"], stored["svm_max_iter"]) == ([1.0, 10.0], None)
+        assert type(stored["c_grid"][0]) is float
+        fresh = tmp_path / "fresh"
+        assert run_cli("ingest", "--dataset1", data, "--out", fresh, "--seed", "7") == 0
+        assert run_cli("run", "--config", work / "run.json", "--out", fresh) == 0
+        assert json.loads((fresh / "run.json").read_text())["config"] == {
+            **stored, "out": str(fresh)}
+        written = without_run_json(file_bytes(work))
+        assert len(written) == 3 + 2 * 6 + 2  # the ingest's, 6 cells' and the summary
+        assert without_run_json(file_bytes(fresh)) == written
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1166,6 +1193,66 @@ class TestConfigHandling:
         assert lines[2].startswith("C1,ACCEL_FEATURES,51,OC_KNN,")
 
 
+# Settings out of range, and the whole line each prints to stderr
+REFUSED_SETTINGS = [
+    ("inner_folds", 1, "error: inner_folds must be an integer >= 2, got 1"),
+    ("inner_folds", 0, "error: inner_folds must be an integer >= 2, got 0"),
+    ("inner_folds", 2.5, "error: inner_folds must be an integer >= 2, got 2.5"),
+    ("k_grid", [0, 3],
+     "error: k_grid must be a non-empty list, each entry an integer >= 1, got [0, 3]"),
+    ("k_grid", [2.5],
+     "error: k_grid must be a non-empty list, each entry an integer >= 1, got [2.5]"),
+    ("k_grid", [], "error: k_grid must be a non-empty list, each entry an integer >= 1, got []"),
+    ("c_grid", [-1, 1],
+     "error: c_grid must be a non-empty list, each entry a number > 0, got [-1, 1]"),
+    ("c_grid", ["nan"],
+     "error: c_grid must be a non-empty list, each entry a number > 0, got ['nan']"),
+    ("nu_grid", [0.1, 1.5],
+     "error: nu_grid must be a non-empty list, each entry a number in (0, 1], got [0.1, 1.5]"),
+    ("nu_grid", [0],
+     "error: nu_grid must be a non-empty list, each entry a number in (0, 1], got [0]"),
+    ("gamma_grid", ["fast"],
+     'error: gamma_grid must be a non-empty list, each entry "auto" or a number > 0, '
+     "got ['fast']"),
+    ("gamma_grid", [0],
+     'error: gamma_grid must be a non-empty list, each entry "auto" or a number > 0, got [0]'),
+    ("svm_tol", -1, "error: svm_tol must be a number > 0, got -1"),
+    ("svm_tol", 0, "error: svm_tol must be a number > 0, got 0"),
+    ("svm_tol", "nan", "error: svm_tol must be a number > 0, got 'nan'"),
+    ("svm_max_iter", 0, "error: svm_max_iter must be an integer >= 1, got 0"),
+    ("svm_max_iter", 2.5, "error: svm_max_iter must be an integer >= 1, got 2.5"),
+    ("ltp_step", 0, "error: ltp_step must be a number > 0, got 0"),
+    ("ltp_step", "inf", "error: ltp_step must be a number > 0, got 'inf'"),
+    ("ltp_neighbours", 0, "error: ltp_neighbours must be an integer >= 1, got 0"),
+    ("ltp_neighbours", 1.5, "error: ltp_neighbours must be an integer >= 1, got 1.5"),
+    ("seed", -4, "error: seed must be an integer >= 0, got -4"),
+    ("seed", 1.9, "error: seed must be an integer >= 0, got 1.9"),
+    ("jobs", 0, "error: jobs must be an integer >= 1, got 0"),
+    ("jobs", "two", "error: jobs must be an integer >= 1, got 'two'"),
+    # a bool is not a number, though Python counts True as 1
+    ("jobs", True, "error: jobs must be an integer >= 1, got True"),
+    ("seed", True, "error: seed must be an integer >= 0, got True"),
+    ("svm_tol", True, "error: svm_tol must be a number > 0, got True"),
+    ("svm_max_iter", True, "error: svm_max_iter must be an integer >= 1, got True"),
+    ("ltp_neighbours", True, "error: ltp_neighbours must be an integer >= 1, got True"),
+    ("ltp_step", True, "error: ltp_step must be a number > 0, got True"),
+    ("k_grid", [True, 2],
+     "error: k_grid must be a non-empty list, each entry an integer >= 1, got [True, 2]"),
+    ("c_grid", [True],
+     "error: c_grid must be a non-empty list, each entry a number > 0, got [True]"),
+    ("nu_grid", [True],
+     "error: nu_grid must be a non-empty list, each entry a number in (0, 1], got [True]"),
+    ("gamma_grid", [True],
+     'error: gamma_grid must be a non-empty list, each entry "auto" or a number > 0, got [True]'),
+    ("adl", -3, "error: adl must be an integer >= 0, got -3"),
+    ("falls", 2.7, "error: falls must be an integer >= 0, got 2.7"),
+    ("adl", "many", "error: adl must be an integer >= 0, got 'many'"),
+]
+# the cases of the settings that are fields of GridConfig and LtpParams
+TYPE_SETTINGS = [case for case in REFUSED_SETTINGS
+                 if case[0] not in ("seed", "jobs", "adl", "falls")]
+
+
 class TestInputErrorsBeforeAnyCell:
     """Bad selections and settings exit 2 while the config loads."""
 
@@ -1200,57 +1287,48 @@ class TestInputErrorsBeforeAnyCell:
         assert "no feature selected" in capsys.readouterr().err
         assert not (work / "summary.csv").exists()
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("inner_folds", 1),
-            ("inner_folds", 0),
-            ("inner_folds", 2.5),
-            ("k_grid", [0, 3]),
-            ("k_grid", [2.5]),
-            ("k_grid", []),
-            ("c_grid", [-1, 1]),
-            ("c_grid", ["nan"]),
-            ("nu_grid", [0.1, 1.5]),
-            ("nu_grid", [0]),
-            ("gamma_grid", ["fast"]),
-            ("gamma_grid", [0]),
-            ("svm_tol", -1),
-            ("svm_tol", 0),
-            ("svm_tol", "nan"),
-            ("svm_max_iter", 0),
-            ("svm_max_iter", 2.5),
-            ("ltp_step", 0),
-            ("ltp_step", "inf"),
-            ("ltp_neighbours", 0),
-            ("ltp_neighbours", 1.5),
-            ("seed", -4),
-            ("seed", 1.9),
-            ("jobs", 0),
-            ("jobs", "two"),
-            # a bool is not a number, though Python counts True as 1
-            ("jobs", True),
-            ("seed", True),
-            ("svm_tol", True),
-            ("svm_max_iter", True),
-            ("ltp_neighbours", True),
-            ("ltp_step", True),
-            ("k_grid", [True, 2]),
-            ("c_grid", [True]),
-            ("nu_grid", [True]),
-            ("gamma_grid", [True]),
-            ("adl", -3),
-            ("falls", 2.7),
-            ("adl", "many"),
-        ],
-    )
-    def test_out_of_range_grid_setting_names_the_key(self, pipeline, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("key, value, line", REFUSED_SETTINGS,
+                             ids=[f"{key}-{value}" for key, value, _ in REFUSED_SETTINGS])
+    def test_out_of_range_grid_setting_names_the_key(self, pipeline, tmp_path, capsys, key, value,
+                                                     line):
         data, work = pipeline
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
         assert self.run_one_cell(data, work, "--config", cfg) == 2
-        assert f"error: {key} must" in capsys.readouterr().err
+        assert capsys.readouterr().err == line + "\n"
         assert not (work / "summary.csv").exists()
+
+    @pytest.mark.parametrize("key, value, line", TYPE_SETTINGS,
+                             ids=[f"{key}-{value}" for key, value, _ in TYPE_SETTINGS])
+    def test_the_config_types_refuse_what_the_cli_refuses(self, key, value, line):
+        # in the same words, naming the field
+        field = {"ltp_neighbours": "num_neighbours", "ltp_step": "step"}.get(key, key)
+        build = LtpParams if key.startswith("ltp_") else evaluation.GridConfig
+        with pytest.raises(ValueError) as refused:
+            build(**{field: value})
+        assert f"error: {refused.value}" == line.replace(key, field, 1)
+
+    @pytest.mark.parametrize("command, key, value, words", [
+        ("synth", "seed", 10 ** 400, "an integer >= 0"),
+        ("synth", "seed", 2 ** 63, "an integer >= 0"),
+        ("synth", "adl", 10 ** 400, "an integer >= 0"),
+        ("run", "k_grid", [10 ** 400], "a non-empty list, each entry an integer >= 1"),
+        ("run", "c_grid", [10 ** 400], "a non-empty list, each entry a number > 0"),
+        ("run", "svm_tol", 10 ** 400, "a number > 0"),
+    ], ids=["seed 10**400", "seed 2**63", "adl 10**400", "k 10**400", "C 10**400", "tol 10**400"])
+    def test_huge_integer_setting_exits_2_naming_the_key(self, pipeline, tmp_path, capsys,
+                                                         command, key, value, words):
+        # an integer is compared exactly, never through a float it overflows
+        data, work = pipeline
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        if command == "synth":
+            code = run_cli("synth", "--config", cfg, "--out", tmp_path / "d")
+        else:
+            code = self.run_one_cell(data, work, "--config", cfg)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {key} must be {words}, got {value!r}\n"
+        assert not (tmp_path / "d").exists() and not (work / "summary.csv").exists()
 
     def test_negative_seed_flag_names_the_key(self, pipeline, capsys):
         data, work = pipeline

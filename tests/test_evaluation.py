@@ -256,6 +256,36 @@ class TestEvalReportValidation:
             self.make(mean_auc=1.2)
 
 
+class TestGridConfigBounds:
+    """GridConfig refuses, when built, what the CLI refuses, naming the
+    field; it checks a library caller's values and keeps them as given."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("svm_tol", float("nan")),
+        ("k_grid", (1.5,)),
+        ("inner_folds", True),
+        ("nu_grid", (2.0,)),
+        ("c_grid", ()),
+        ("svm_max_iter", 0),
+        ("ltp_params", {"step": 1}),
+        # an integer is compared exactly, and must fit 64 bits
+        ("k_grid", (10 ** 400,)),
+        ("inner_folds", 2 ** 63),
+        ("c_grid", (10 ** 400,)),
+    ], ids=lambda v: repr(v)[:12])
+    def test_out_of_bound_values_are_refused_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be .*, got "):
+            GridConfig(**{field: value})
+
+    def test_in_bound_values_are_kept_as_given(self):
+        cfg = GridConfig(k_grid=[3, 1], c_grid=(1, 10), gamma_grid=("auto", 1),
+                         nu_grid=(1,), inner_folds=2 ** 63 - 1, svm_tol=1, svm_max_iter=None)
+        assert cfg.k_grid == [3, 1]
+        assert [type(c) for c in cfg.c_grid] == [int, int]
+        assert (cfg.gamma_grid, cfg.nu_grid, cfg.svm_tol) == (("auto", 1), (1,), 1)
+        assert cfg.inner_folds == 2 ** 63 - 1
+
+
 class TestCellInputs:
     @pytest.fixture(scope="class")
     def large_collection(self):
